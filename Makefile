@@ -9,8 +9,11 @@ all: build lint test
 build:
 	$(GO) build ./...
 
+# The second line mirrors CI's "Benchmark module" step: spmbench is its
+# own module, which the root ./... skips.
 test:
 	$(GO) test -race ./...
+	cd spmbench && GOWORK=off $(GO) vet ./... && GOWORK=off $(GO) test ./...
 
 # One iteration of every benchmark: a smoke run proving they still execute.
 # For real measurements: go test -bench <pattern> -benchtime 5s .

@@ -27,7 +27,6 @@ import (
 	"spm/internal/querydb"
 	"spm/internal/static"
 	"spm/internal/surveillance"
-	"spm/internal/sweep"
 	"spm/internal/tape"
 	"spm/internal/transform"
 )
@@ -621,9 +620,11 @@ func BenchmarkAblationSweepEngine(b *testing.B) {
 		b.Run(fmt.Sprintf("engine-%dw", workers), func(b *testing.B) {
 			b.ReportMetric(float64(dom.Size()), "inputs/check")
 			for i := 0; i < b.N; i++ {
-				rep, err := core.CheckSoundnessSweep(m, pol, dom, core.ObserveValue, sweep.Config{Workers: workers})
-				if err != nil || !rep.Sound {
-					b.Fatalf("rep=%v err=%v", rep, err)
+				v, err := check.Run(context.Background(), check.Spec{
+					Kind: check.Soundness, Mechanism: m, Policy: pol, Domain: dom,
+				}, check.WithWorkers(workers))
+				if err != nil || !v.Sound {
+					b.Fatalf("v=%+v err=%v", v, err)
 				}
 			}
 		})
@@ -666,7 +667,7 @@ func BenchmarkPrefixMemoSweep(b *testing.B) {
 
 // BenchmarkBatchSweep is the batch/columnar-tier ablation on the same
 // 160,000-tuple domain as BenchmarkPrefixMemoSweep: batch1 is the scalar
-// prefix-memoized tier (WithBatch(1) keeps the scalar path), batch8 and
+// prefix-memoized tier (a one-lane stride runs the scalar kernels), batch8 and
 // batch32 stride the innermost axis 8 and 32 lanes at a time over
 // structure-of-arrays columns — each row's snapshot capture feeding every
 // lane, instruction dispatch paid once per stride. The 1-worker rows
@@ -779,9 +780,11 @@ func BenchmarkAblationSweepMaximality(b *testing.B) {
 	})
 	b.Run("engine", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			rep, err := core.CheckMaximalityParallel(m, m, pol, dom, core.ObserveValue, 8)
-			if err != nil || !rep.Maximal {
-				b.Fatalf("rep=%v err=%v", rep, err)
+			v, err := check.Run(context.Background(), check.Spec{
+				Kind: check.Maximality, Mechanism: m, Program: m, Policy: pol, Domain: dom,
+			}, check.WithWorkers(8))
+			if err != nil || !v.Maximal {
+				b.Fatalf("v=%+v err=%v", v, err)
 			}
 		}
 	})

@@ -360,7 +360,7 @@ func cmdSweep(args []string) error {
 	domain := fs.String("domain", "0,1,2", "comma-separated values every input ranges over")
 	workers := fs.Int("workers", 0, "sweep workers (0 = all CPUs)")
 	chunk := fs.Int("chunk", 0, "tuples claimed per cursor advance (0 = auto)")
-	batch := fs.Int("batch", 0, "batch/columnar execution width (0 or 1 = scalar)")
+	batch := fs.Int("batch", 0, "stride width: compiled mechanisms run up to this many tuples in lockstep (0 or 1 = one-lane strides on the scalar kernels)")
 	timed := fs.Bool("time", false, "observe running time as well as the value")
 	raw := fs.Bool("raw", false, "check the bare program instead of instrumenting")
 	maximal := fs.Bool("maximal", false, "also check maximality against the bare program")

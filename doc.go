@@ -25,8 +25,11 @@
 // it stops the enumeration within one chunk. The CLI (`spm check`,
 // `spm sweep`), the policy-checking service (`spm serve`, v1 and v2 HTTP
 // APIs in internal/service), and the experiment tables all route through
-// it; the older core.CheckSoundnessParallel/CheckMaximalitySweep families
-// remain as deprecated wrappers over the same engine.
+// it. Every checker evaluates mechanisms through one seam: the engine
+// hands out innermost-axis strides (sweep.RunBatchContext) and each
+// mechanism runs them on its own core.BatchRunFunc — a scalar run is a
+// one-lane stride, and a mechanism with no compiled form runs lane by
+// lane through Mechanism.Run.
 //
 // The sweep walks each chunk in odometer order (innermost input fastest)
 // and memoizes the shared execution prefix across that axis: a compiled

@@ -2,6 +2,7 @@ package check_test
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -185,9 +186,9 @@ func TestBatchDifferentialParallel(t *testing.T) {
 	}
 }
 
-// TestBatchNonFlowchartFallback: WithBatch on a mechanism the batch tier
-// cannot compile (a plain Go function) must silently take the scalar path
-// — identical verdicts, no error.
+// TestBatchNonFlowchartFallback: WithBatch on a mechanism with no
+// compiled form (a plain Go function) runs its strides lane by lane
+// through Mechanism.Run — identical verdicts, no error.
 func TestBatchNonFlowchartFallback(t *testing.T) {
 	m := core.NewFunc("parity", 2, func(in []int64) core.Outcome {
 		if (in[0]+in[1])%2 != 0 {
@@ -197,4 +198,79 @@ func TestBatchNonFlowchartFallback(t *testing.T) {
 	})
 	spec := check.Spec{Kind: check.Soundness, Mechanism: m, Policy: core.NewAllow(2, 1), Domain: core.Grid(2, 0, 1, 2, 3)}
 	runBatchPaths(t, "func-mechanism", spec, []int{4, 16})
+}
+
+// TestNullaryDomainOneTuple runs every kind on a zero-input program through
+// the one execution seam — the one-lane stride, a wide stride, and the
+// interpreter — and requires exactly one checked tuple each time: the
+// empty product's single empty tuple, which the sweep delivers as a call
+// with no lanes.
+func TestNullaryDomainOneTuple(t *testing.T) {
+	p := flowchart.MustParse(`
+program constant
+    y := 7
+    halt
+`)
+	m := core.FromProgram(p)
+	paths := map[string][]check.Option{
+		"batch1":      {check.WithBatch(1)},
+		"batch16":     {check.WithBatch(16)},
+		"interpreted": {check.WithCompiled(false)},
+	}
+	for _, kind := range []check.Kind{check.Soundness, check.Maximality, check.PassCount} {
+		spec := check.Spec{Kind: kind, Mechanism: m, Program: m, Policy: core.NewAllow(0), Domain: core.Domain{}}
+		want := ""
+		for name, opts := range paths {
+			v, err := check.Run(context.Background(), spec, opts...)
+			if err != nil {
+				t.Fatalf("%v/%s: %v", kind, name, err)
+			}
+			if v.Checked != 1 {
+				t.Errorf("%v/%s: checked %d tuples, want 1", kind, name, v.Checked)
+			}
+			if kind == check.PassCount && v.Passes != 1 {
+				t.Errorf("%v/%s: %d passes, want 1", kind, name, v.Passes)
+			}
+			if got := verdictJSON(t, v); want == "" {
+				want = got
+			} else if got != want {
+				t.Errorf("%v/%s: verdict %s, want %s", kind, name, got, want)
+			}
+		}
+	}
+}
+
+// TestBatchMixedMechanisms pairs a compiled program with a core.Func
+// mechanism in one maximality check, in both roles. Each mechanism picks
+// its own runner, so at width 16 the Func runs its strides lane by lane
+// while the program runs them in lockstep — and with the Func as the
+// reference Q, it runs first on every stride and must hand the program's
+// lane 0 the stride's first tuple back. The verdict and witness must be
+// byte-identical to width 1 and to the interpreter.
+func TestBatchMixedMechanisms(t *testing.T) {
+	gate := core.FromProgram(flowchart.MustParse(`
+program gate
+inputs x1 x2
+    if x2 > 3 goto Deny else Allow
+Deny:  violation "high"
+Allow: y := x2
+       halt
+`))
+	ident := core.NewFunc("x2", 2, func(in []int64) core.Outcome {
+		return core.Outcome{Value: in[1], Steps: 1}
+	})
+	axis := []int64{0, 1, 2, 3, 4, 5, 6, 7}
+	dom := core.Domain{axis, axis}
+	pol := core.NewAllow(2, 2)
+
+	// Q = x2 is sound for allow(2), so every class is Q-constant and the
+	// gate withholds where the maximal mechanism releases: first at x2 = 4.
+	spec := check.Spec{Kind: check.Maximality, Mechanism: gate, Program: ident, Policy: pol, Domain: dom}
+	v := runBatchPaths(t, "func-q/compiled-m", spec, []int{16})
+	if v.Maximal || v.Reason != core.ReasonWithholds || fmt.Sprint(v.Witness) != "[0 4]" {
+		t.Fatalf("func-q/compiled-m: verdict %+v, want withholds at [0 4]", v)
+	}
+
+	spec = check.Spec{Kind: check.Maximality, Mechanism: ident, Program: gate, Policy: pol, Domain: dom}
+	runBatchPaths(t, "compiled-q/func-m", spec, []int{16})
 }

@@ -14,12 +14,11 @@
 //	    Observation: core.ObserveValue,
 //	}, check.WithWorkers(8))
 //
-// Functional options replace the positional knobs of the deprecated
-// CheckSoundnessParallel/CheckMaximalitySweep families: WithWorkers and
-// WithChunk tune the engine, WithProgress exposes the chunk cursor to
-// long-running callers (the policy-checking service's job lifecycle), and
-// WithCompiled(false)/WithMemo(false) force the interpreter and disable
-// prefix memoization for ablations.
+// Functional options tune the run: WithWorkers and WithChunk tune the
+// engine, WithProgress exposes the chunk cursor to long-running callers
+// (the policy-checking service's job lifecycle), WithBatch sets the stride
+// width, and WithCompiled(false)/WithMemo(false) force the interpreter and
+// disable prefix memoization for ablations.
 package check
 
 import (
@@ -196,8 +195,8 @@ type Options struct {
 	// content-addressed row cache; Run defaults it to true. It has no
 	// effect when Memo is off.
 	MemoStack bool
-	// Batch is the batch/columnar execution width; values ≤ 1 keep the
-	// scalar tiers.
+	// Batch is the stride width; values ≤ 1 mean one-lane strides on
+	// the scalar kernels.
 	Batch int
 	// Commit, when non-nil, receives the contiguous completed prefix of
 	// the run's range (in tuples, relative to the range start) as it
@@ -235,7 +234,8 @@ func WithProgress(p *atomic.Int64) Option { return func(o *Options) { o.Progress
 
 // WithCompiled toggles the compiled fast path for flowchart-backed
 // mechanisms (default true). WithCompiled(false) forces every tuple
-// through Mechanism.Run — the interpreter ablation.
+// through Mechanism.Run, lane by lane at any WithBatch width — the
+// interpreter ablation.
 func WithCompiled(on bool) Option { return func(o *Options) { o.Compiled = on } }
 
 // WithCommit installs the sweep engine's contiguous-prefix hook: fn is
@@ -270,17 +270,17 @@ func WithMemo(on bool) Option { return func(o *Options) { o.Memo = on } }
 // It has no effect under WithCompiled(false) or WithMemo(false).
 func WithMemoStack(on bool) Option { return func(o *Options) { o.MemoStack = on } }
 
-// WithBatch selects the batch/columnar execution tier: each sweep worker
-// executes strides of up to n innermost-axis tuples in lockstep over
-// structure-of-arrays register columns, amortizing instruction dispatch
-// across the stride and letting the hot var⊕const / var⊕var loops
-// auto-vectorize. Lanes that diverge at a branch, and strides whose
-// mechanism is not batch-compilable, fall back to the scalar tiers
-// transparently. Composes with WithMemo: one prefix snapshot per odometer
-// row feeds every lane of the row's strides. n ≤ 1 keeps the scalar tiers
-// (the default); the verdict is byte-identical at every width
-// (differential tests pin this). It has no effect under
-// WithCompiled(false).
+// WithBatch sets the stride width: each sweep worker hands every
+// mechanism strides of up to n innermost-axis tuples, which compiled
+// mechanisms execute in lockstep over structure-of-arrays register
+// columns, amortizing instruction dispatch across the stride and letting
+// the hot var⊕const / var⊕var loops auto-vectorize. Lanes that diverge at
+// a branch finish on the scalar engine; a mechanism with no compiled form
+// runs the stride lane by lane through Mechanism.Run, beside compiled
+// mechanisms that stay batched. Composes with WithMemo: one prefix
+// snapshot per odometer row feeds every lane of the row's strides. n ≤ 1
+// (the default) is the one-lane stride, run on the scalar kernels; the
+// verdict is byte-identical at every width (differential tests pin this).
 func WithBatch(n int) Option { return func(o *Options) { o.Batch = n } }
 
 // WithThrottle makes every sweep worker pause d after each completed
@@ -310,9 +310,8 @@ func WithExecTally(t *core.ExecTally) Option { return func(o *Options) { o.Exec 
 // Run decides the Spec's verdict over its domain, sweeping in parallel and
 // honouring ctx: cancellation stops every worker within one chunk and
 // returns ctx's error. Run is the only code path in the repository that
-// executes verdicts — the deprecated core.Check*Parallel/Sweep functions,
-// the spm CLI, the v1 and v2 HTTP services, and the experiment tables all
-// reduce to it.
+// executes verdicts — the spm CLI, the v1 and v2 HTTP services, and the
+// experiment tables all reduce to it.
 func Run(ctx context.Context, spec Spec, opts ...Option) (Verdict, error) {
 	o := Options{Compiled: true, Memo: true, MemoStack: true}
 	for _, opt := range opts {

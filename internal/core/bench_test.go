@@ -1,6 +1,9 @@
 package core
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 func BenchmarkCheckSoundnessSequential(b *testing.B) {
 	q := ident2()
@@ -15,13 +18,13 @@ func BenchmarkCheckSoundnessSequential(b *testing.B) {
 	}
 }
 
-func BenchmarkCheckSoundnessParallel(b *testing.B) {
+func BenchmarkCheckSoundnessContext(b *testing.B) {
 	q := ident2()
 	pol := NewAllow(2, 2)
 	dom := Grid(2, Range(0, 15)...)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := CheckSoundnessParallel(q, pol, dom, ObserveValue, 0); err != nil {
+		if _, err := CheckSoundnessContext(context.Background(), q, pol, dom, ObserveValue, CheckConfig{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -6,38 +6,6 @@ import (
 	"spm/internal/flowchart"
 )
 
-// RunnerProvider lets a mechanism supply its own per-worker runner factory.
-// RunnerFactory consults it before falling back to compile-on-demand, so a
-// mechanism that already holds a compiled form (a compile-cache entry in
-// internal/service) makes every sweep skip the parse/instrument/Compile
-// phases and go straight to the compiled fast path.
-type RunnerProvider interface {
-	Mechanism
-	// Runners returns a factory producing one RunFunc per sweep worker.
-	// Each returned RunFunc owns its mutable state (register file) and
-	// must not be shared between concurrent workers.
-	Runners() func() RunFunc
-}
-
-// HintRunnerProvider lets a mechanism supply per-worker runners that
-// understand the sweep engine's carry-depth hint (HintRunFunc). The
-// engines consult it before HintRunnerProvider-unaware fallbacks, so a
-// compile-cache entry serves the memoized fast paths directly: each
-// worker keeps per-axis execution snapshots and replays only the program
-// tail below the shallowest changed input.
-type HintRunnerProvider interface {
-	Mechanism
-	// HintRunners returns a factory producing one HintRunFunc per sweep
-	// worker. Each returned runner owns its mutable state (register file
-	// and snapshots) and must not be shared between concurrent workers.
-	// stack selects the snapshot-stack tier (per-axis captures, constant
-	// suffixes, row cache); false falls back to the single-axis prefix
-	// memo — the check.WithMemoStack(false) ablation. tally, when
-	// non-nil, receives each worker's execution-tier counters (one
-	// ExecTally.Part per runner); nil disables counting.
-	HintRunners(stack bool, tally *ExecTally) func() HintRunFunc
-}
-
 // CompiledMechanism is a flowchart-backed Mechanism bound to its compiled
 // form: Compile runs exactly once, at construction, and both Run and the
 // sweep engine's per-worker runners execute the slot-indexed code. It is
@@ -66,50 +34,27 @@ func (c *CompiledMechanism) Name() string { return c.pm.Name() }
 func (c *CompiledMechanism) Arity() int { return c.pm.Arity() }
 
 // Run implements Mechanism on the compiled form. It allocates a register
-// file per call; enumeration loops should go through Runners instead.
+// file per call; enumeration loops should go through BatchRunners instead.
 func (c *CompiledMechanism) Run(input []int64) (Outcome, error) {
 	res, err := c.code.Run(input, c.pm.MaxSteps)
 	if err != nil {
 		return Outcome{}, err
 	}
-	return Outcome{Value: res.Value, Steps: res.Steps, Violation: res.Violation, Notice: res.Notice}, nil
-}
-
-// HintRunners implements HintRunnerProvider: each worker gets a private
-// snapshot stack (or, without stack, a register file and single execution
-// snapshot) over the shared compiled code, so sweeps in odometer order
-// replay only the instructions after the first read of the shallowest
-// changed input.
-func (c *CompiledMechanism) HintRunners(stack bool, tally *ExecTally) func() HintRunFunc {
-	if stack {
-		return func() HintRunFunc { return stackRunner(c.code, c.pm.MaxSteps, tally.Part()) }
-	}
-	return func() HintRunFunc { return snapshotRunner(c.code, c.pm.MaxSteps, tally.Part()) }
+	return outcomeOf(res), nil
 }
 
 // BatchRunners implements BatchRunnerProvider: each worker gets private
-// structure-of-arrays lanes (plus a register file and snapshot for the
-// scalar fallback) over the shared compiled code, so sweeps execute one
-// instruction across width tuples at a time. Returns nil if the program's
-// batch form cannot be built, sending the sweep down the scalar tiers.
+// state over the shared compiled code — at width 1 a snapshot stack (or,
+// without stack, a register file and single execution snapshot) that
+// replays only the instructions after the first read of the shallowest
+// changed input; wider, structure-of-arrays lanes that execute one
+// instruction across width tuples at a time. Returns nil if width ≥ 2
+// and the program's batch form cannot be built.
 func (c *CompiledMechanism) BatchRunners(width int, memo, stack bool, tally *ExecTally) func() BatchRunFunc {
-	if _, err := c.code.NewLanes(width); err != nil {
-		return nil
-	}
-	return func() BatchRunFunc { return batchRunner(c.code, c.pm.MaxSteps, width, memo, stack, tally.Part()) }
-}
-
-// Runners implements RunnerProvider: each worker gets a private register
-// file over the shared compiled code.
-func (c *CompiledMechanism) Runners() func() RunFunc {
-	return func() RunFunc {
-		regs := make([]int64, c.code.Slots())
-		return func(input []int64) (Outcome, error) {
-			res, err := c.code.RunReuse(regs, input, c.pm.MaxSteps)
-			if err != nil {
-				return Outcome{}, err
-			}
-			return Outcome{Value: res.Value, Steps: res.Steps, Violation: res.Violation, Notice: res.Notice}, nil
+	if width > 1 {
+		if _, err := c.code.NewLanes(width); err != nil {
+			return nil
 		}
 	}
+	return func() BatchRunFunc { return batchRunner(c.code, c.pm.MaxSteps, width, memo, stack, tally.Part()) }
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"spm/internal/flowchart"
@@ -48,8 +49,8 @@ func TestCompiledMechanismMatchesInterpreter(t *testing.T) {
 }
 
 // TestCompiledMechanismSweepVerdict checks that the sweep checkers accept a
-// pre-compiled mechanism through the RunnerProvider hook and produce the
-// same verdict as the interpreted path.
+// pre-compiled mechanism through the BatchRunnerProvider hook and produce
+// the same verdict as the interpreted path, at the scalar width and wider.
 func TestCompiledMechanismSweepVerdict(t *testing.T) {
 	p := flowchart.MustParse(compiledTestProg)
 	pm := FromProgram(p)
@@ -63,47 +64,71 @@ func TestCompiledMechanismSweepVerdict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := CheckSoundnessSweep(cm, pol, dom, ObserveValue, sweep.Config{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Sound != want.Sound || got.Checked != want.Checked {
-		t.Errorf("compiled sweep verdict (sound=%v checked=%d) != interpreted (sound=%v checked=%d)",
-			got.Sound, got.Checked, want.Sound, want.Checked)
+	for _, width := range []int{1, 4} {
+		got, err := CheckSoundnessContext(context.Background(), cm, pol, dom, ObserveValue,
+			CheckConfig{Config: sweep.Config{Workers: 4}, Batch: width})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Sound != want.Sound || got.Checked != want.Checked {
+			t.Errorf("width %d: compiled sweep verdict (sound=%v checked=%d) != interpreted (sound=%v checked=%d)",
+				width, got.Sound, got.Checked, want.Sound, want.Checked)
+		}
 	}
 }
 
-// TestRunnerFactoryPrefersProvider proves the factory routes through
-// Runners() rather than recompiling: a provider with an instrumented
-// counter sees one factory call per worker.
+// countingProvider is a fake compile-cache entry: a BatchRunnerProvider
+// that counts the per-worker runners the sweep asks it for and the widths
+// it is asked at.
 type countingProvider struct {
 	*CompiledMechanism
+	widths    []int
 	factories int
 }
 
-func (c *countingProvider) Runners() func() RunFunc {
-	inner := c.CompiledMechanism.Runners()
-	return func() RunFunc {
+func (c *countingProvider) BatchRunners(width int, memo, stack bool, tally *ExecTally) func() BatchRunFunc {
+	c.widths = append(c.widths, width)
+	inner := c.CompiledMechanism.BatchRunners(width, memo, stack, tally)
+	return func() BatchRunFunc {
 		c.factories++
 		return inner()
 	}
 }
 
+// TestRunnerFactoryPrefersProvider proves the sweep routes through the
+// provider's BatchRunners — the compile-cache path — rather than
+// recompiling or falling back to Mechanism.Run: the provider is asked once
+// per sweep at the configured width (1 for the scalar default) and hands
+// out one runner per worker, and the verdict is the interpreter's.
 func TestRunnerFactoryPrefersProvider(t *testing.T) {
 	p := flowchart.MustParse(compiledTestProg)
-	cm, err := CompileMechanism(FromProgram(p))
+	pm := FromProgram(p)
+	cm, err := CompileMechanism(pm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp := &countingProvider{CompiledMechanism: cm}
-	factory := RunnerFactory(cp)
-	for w := 0; w < 3; w++ {
-		run := factory()
-		if _, err := run([]int64{1, 0}); err != nil {
+	pol := NewAllow(2, 2)
+	dom := Grid(2, 0, 1, 2)
+	want, err := CheckSoundness(pm, pol, dom, ObserveValue)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, batch := range []int{0, 8} {
+		cp := &countingProvider{CompiledMechanism: cm}
+		got, err := CheckSoundnessContext(context.Background(), cp, pol, dom, ObserveValue,
+			CheckConfig{Config: sweep.Config{Workers: 3}, Batch: batch})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if cp.factories != 3 {
-		t.Errorf("provider factory called %d times, want 3", cp.factories)
+		if got.Sound != want.Sound || got.Checked != want.Checked {
+			t.Errorf("batch %d: provider verdict (sound=%v checked=%d) != interpreted (sound=%v checked=%d)",
+				batch, got.Sound, got.Checked, want.Sound, want.Checked)
+		}
+		if wantWidth := max(batch, 1); len(cp.widths) != 1 || cp.widths[0] != wantWidth {
+			t.Errorf("batch %d: provider asked at widths %v, want [%d]", batch, cp.widths, wantWidth)
+		}
+		if cp.factories != 3 {
+			t.Errorf("batch %d: provider factory called %d times, want 3", batch, cp.factories)
+		}
 	}
 }

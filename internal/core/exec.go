@@ -9,10 +9,14 @@ import (
 )
 
 // BatchRunFunc evaluates a mechanism on one innermost-axis stride of the
-// sweep: input is the first tuple of the stride, last the innermost
-// coordinate of each of its len(last) lanes (last[0] equals input's last
-// element), and out receives one Outcome per lane. carry carries the
-// sweep engine's carry-depth hint (sweep.BatchFunc): the number of
+// sweep — the one runner type every checker executes through; a scalar
+// run is a stride of one lane. input is the first tuple of the stride,
+// last the innermost coordinate of each of its len(last) lanes (last[0]
+// equals input's last element), and out receives one Outcome per lane.
+// The zero-arity domain is one call with nil input and last and a
+// one-slot out. A runner may scribble input's last element but must
+// restore it: the next mechanism of the stride reads it. carry carries
+// the sweep engine's carry-depth hint (sweep.BatchFunc): the number of
 // leading coordinates of input unchanged since the previous call on this
 // worker, so carry == len(input)-1 means a snapshot recorded on the
 // previous stride of the same row still applies and one capture feeds
@@ -21,44 +25,52 @@ import (
 // the same error a scalar enumeration of the stride would have hit first.
 type BatchRunFunc func(input []int64, last []int64, carry int, out []Outcome) error
 
-// BatchRunnerProvider lets a mechanism supply per-worker batch runners —
-// the structure-of-arrays execution tier behind check.WithBatch. The
-// executor consults it before falling back to compile-on-demand, so a
-// compile-cache entry (internal/service) serves the batch tier directly.
-// BatchRunners returns nil when the mechanism cannot execute in batches
-// (the executor then falls back to the scalar tiers for every mechanism in
-// the sweep, keeping enumeration uniform).
+// BatchRunnerProvider lets a mechanism supply its own per-worker runners.
+// The executor consults it before compiling on demand, so a compile-cache
+// entry (internal/service) skips parse, instrument, and Compile and goes
+// straight to its compiled runners. BatchRunners returns nil when the
+// mechanism cannot execute at the requested width; that mechanism alone
+// then runs lane by lane through Mechanism.Run.
 type BatchRunnerProvider interface {
 	Mechanism
 	// BatchRunners returns a factory producing one BatchRunFunc per sweep
-	// worker, each owning its lanes, register file, and snapshot. memo
-	// selects whether strides compose with prefix memoization (a snapshot
-	// captured on the row's first tuple feeds the remaining lanes) or run
-	// every batch from instruction zero — the check.WithMemo(false)
-	// ablation applied to the batch tier. stack upgrades memoization to
-	// the snapshot-stack tier: lane 0 of each fresh stride runs through a
-	// per-worker flowchart.SnapshotStack (per-axis captures, constant
-	// suffixes, row cache) and the remaining lanes resume from its
-	// innermost capture. tally, when non-nil, receives each worker's
-	// execution-tier counters (one ExecTally.Part per runner); nil
-	// disables counting.
+	// worker, each owning its lanes, register file, and snapshots. Width 1
+	// selects the scalar kernels, one tuple per call. memo selects
+	// whether runs compose with prefix memoization (a snapshot captured
+	// on the row's first tuple feeds the rest of the row) or run every
+	// tuple from instruction zero — the check.WithMemo(false) ablation.
+	// stack upgrades memoization to the snapshot-stack tier: a per-worker
+	// flowchart.SnapshotStack (per-axis captures, constant suffixes, row
+	// cache) answers each fresh tuple, and the remaining lanes of a
+	// stride resume from its innermost capture. tally, when non-nil,
+	// receives each worker's execution-tier counters (one ExecTally.Part
+	// per runner); nil disables counting.
 	BatchRunners(width int, memo, stack bool, tally *ExecTally) func() BatchRunFunc
 }
 
-// batchRunner is the per-worker batch executor over compiled code, the
-// counterpart of stackRunner and snapshotRunner one tier up. With stack,
-// lane 0 of each fresh stride runs through a per-worker snapshot stack —
-// per-axis captures, constant-suffix pruning, and the row cache all apply
-// to it — and the remaining lanes (and every continuation stride of the
-// same row) resume in lockstep from the stack's innermost capture; a
-// constant answer replicates to the whole stride without executing a
-// lane. With memo alone, a fresh row runs its first lane on the
-// single-axis snapshot recorder — capturing execution state at the first
-// instruction that touches the innermost input — and every further lane
-// of the row resumes from that capture in lockstep; without either, each
-// stride runs whole from instruction zero, still amortizing instruction
-// dispatch across lanes. Outcomes are exactly RunReuse's for every tuple.
+// outcomeOf lifts an engine result into the mechanism-level Outcome.
+func outcomeOf(res flowchart.Result) Outcome {
+	return Outcome{Value: res.Value, Steps: res.Steps, Violation: res.Violation, Notice: res.Notice}
+}
+
+// batchRunner is the per-worker executor over compiled code. At width 1 it
+// runs the scalar kernels one tuple per call (see scalarRunner). Wider,
+// with stack, lane 0 of each fresh stride runs through a per-worker
+// snapshot stack — per-axis captures, constant-suffix pruning, and the
+// row cache all apply to it — and the remaining lanes (and every
+// continuation stride of the same row) resume in lockstep from the
+// stack's innermost capture; a constant answer replicates to the whole
+// stride without executing a lane. With memo alone, a fresh row runs its
+// first lane on the single-axis snapshot recorder — capturing execution
+// state at the first instruction that touches the innermost input — and
+// every further lane of the row resumes from that capture in lockstep;
+// without either, each stride runs whole from instruction zero, still
+// amortizing instruction dispatch across lanes. Outcomes are exactly
+// RunReuse's for every tuple.
 func batchRunner(c *flowchart.Compiled, maxSteps int64, width int, memo, stack bool, part *ExecPart) BatchRunFunc {
+	if width <= 1 {
+		return scalarRunner(c, maxSteps, memo, stack, part)
+	}
 	lanes, err := c.NewLanes(width)
 	if err != nil {
 		// Factories probe NewLanes before handing out runners; reaching
@@ -165,35 +177,119 @@ func batchRunner(c *flowchart.Compiled, maxSteps int64, width int, memo, stack b
 			prev = st
 		}
 		for i := range res {
-			out[i] = Outcome{Value: res[i].Value, Steps: res[i].Steps, Violation: res[i].Violation, Notice: res[i].Notice}
+			out[i] = outcomeOf(res[i])
 		}
 		return nil
 	}
 }
 
-// batchFactory resolves the per-worker batch runner factory for m at the
-// configured width, or nil when the batch tier does not apply: batching
-// disabled or width ≤ 1, the interpreter forced, or m not backed by
-// batch-compilable flowchart code.
-func (cc CheckConfig) batchFactory(m Mechanism, width int) func() BatchRunFunc {
-	if cc.Interpreted || width <= 1 {
-		return nil
-	}
-	memo := !cc.NoMemo
-	stack := !cc.NoStack
-	if bp, ok := m.(BatchRunnerProvider); ok {
-		return bp.BatchRunners(width, memo, stack, cc.Exec)
-	}
-	if pm, ok := m.(*Program); ok {
-		if c, err := pm.P.Compile(); err == nil {
-			if _, err := c.NewLanes(width); err == nil {
-				maxSteps := pm.MaxSteps
-				tally := cc.Exec
-				return func() BatchRunFunc { return batchRunner(c, maxSteps, width, memo, stack, tally.Part()) }
+// scalarRunner is batchRunner at width 1: one tuple per call, input
+// already holding it. With stack it answers through a per-worker
+// flowchart.SnapshotStack — the carry hint invalidates exactly the stack
+// suffix above the carried digit and the deepest surviving per-axis
+// capture (or constant entry, or row-cache hit) answers the tuple. With
+// memo alone it is the single-axis prefix memo: a fresh row records a
+// snapshot at the first instruction that touches the innermost input and
+// every further tuple of the row replays only the tail from it, falling
+// back to a full recording run whenever the snapshot is unusable. Without
+// either, every tuple runs from instruction zero on a reused register
+// file. Nullary tuples (nil input) run whole on every path.
+func scalarRunner(c *flowchart.Compiled, maxSteps int64, memo, stack bool, part *ExecPart) BatchRunFunc {
+	if memo && stack {
+		st := c.NewSnapshotStack()
+		return func(input []int64, _ []int64, carry int, out []Outcome) error {
+			res, op, err := st.Run(input, carry, maxSteps)
+			part.stackOp(op)
+			if err != nil {
+				return err
 			}
+			out[0] = outcomeOf(res)
+			return nil
 		}
 	}
-	return nil
+	regs := make([]int64, c.Slots())
+	if !memo {
+		return func(input []int64, _ []int64, _ int, out []Outcome) error {
+			res, err := c.RunReuse(regs, input, maxSteps)
+			if err != nil {
+				return err
+			}
+			out[0] = outcomeOf(res)
+			return nil
+		}
+	}
+	snap := c.NewSnapshot()
+	return func(input []int64, _ []int64, carry int, out []Outcome) error {
+		var res flowchart.Result
+		var err error
+		if len(input) > 0 && carry >= len(input)-1 && snap.Valid() {
+			res, err = c.RunFromSnapshot(regs, snap, input[len(input)-1], maxSteps)
+			part.memoReplay()
+			if errors.Is(err, flowchart.ErrNoSnapshot) {
+				part.memoInvalidated()
+				res, err = c.RunSnapshot(regs, input, maxSteps, snap)
+				part.memoCapture()
+			}
+		} else {
+			res, err = c.RunSnapshot(regs, input, maxSteps, snap)
+			part.memoCapture()
+		}
+		if err != nil {
+			return err
+		}
+		out[0] = outcomeOf(res)
+		return nil
+	}
+}
+
+// laneRunner evaluates m lane by lane through Mechanism.Run — the runner
+// of mechanisms with no compiled form, and of every mechanism under
+// Interpreted. It substitutes each lane's innermost coordinate into input
+// and restores the original afterwards: the next mechanism of the same
+// stride reads input as the stride's first tuple.
+func laneRunner(m Mechanism) BatchRunFunc {
+	return func(input []int64, last []int64, _ int, out []Outcome) error {
+		var err error
+		k := len(input)
+		if k == 0 {
+			out[0], err = m.Run(input)
+			return err
+		}
+		first := input[k-1]
+		for lane, v := range last {
+			input[k-1] = v
+			if out[lane], err = m.Run(input); err != nil {
+				break
+			}
+		}
+		input[k-1] = first
+		return err
+	}
+}
+
+// runnerFactory resolves the per-worker runner factory for m at the
+// configured width, one mechanism at a time: a BatchRunnerProvider (a
+// compile-cache entry in internal/service) supplies its own runners, a
+// Program is compiled on demand, and anything else — or anything at all
+// under Interpreted, or a program whose batch form cannot be built — runs
+// lane by lane through Mechanism.Run.
+func (cc CheckConfig) runnerFactory(m Mechanism, width int) func() BatchRunFunc {
+	if !cc.Interpreted {
+		memo, stack := !cc.NoMemo, !cc.NoStack
+		var f func() BatchRunFunc
+		switch mm := m.(type) {
+		case BatchRunnerProvider:
+			f = mm.BatchRunners(width, memo, stack, cc.Exec)
+		case *Program:
+			if cm, err := CompileMechanism(mm); err == nil {
+				f = cm.BatchRunners(width, memo, stack, cc.Exec)
+			}
+		}
+		if f != nil {
+			return f
+		}
+	}
+	return func() BatchRunFunc { return laneRunner(m) }
 }
 
 // visitFunc is the per-tuple fold the checkers hand to sweepOutcomes:
@@ -202,69 +298,30 @@ func (cc CheckConfig) batchFactory(m Mechanism, width int) func() BatchRunFunc {
 type visitFunc func(worker int, input []int64, outs []Outcome) error
 
 // sweepOutcomes is the execution seam every checker enumerates through: it
-// sweeps dom once, evaluates each mechanism in mechs on every tuple under
-// the config's execution tier — interpreter, compiled scalar, compiled with
-// prefix memoization, or the batch/columnar tier when cc.Batch asks for it
-// and every mechanism supports it — and hands the outcomes to visit in
-// exactly the order sweep.RunHintContext would deliver tuples. Tier choice
-// is invisible to the fold: the differential suites pin all four tiers to
-// byte-identical verdicts.
+// sweeps dom once in innermost-axis strides of up to max(cc.Batch, 1)
+// tuples (sweep.RunBatchContext), lets each mechanism in mechs evaluate
+// the whole stride on its own runner (see runnerFactory), then replays the
+// stride tuple by tuple through visit, reconstructing each lane's full
+// input by substituting its innermost coordinate — the per-tuple fold
+// never knows the width or the tier. A nullary domain is swept at width 1
+// as its single empty tuple. The differential suites pin every width and
+// tier to byte-identical verdicts.
 func sweepOutcomes(ctx context.Context, dom Domain, cc CheckConfig, mechs []Mechanism, visit visitFunc) error {
-	workers := cc.ResolvedWorkers(sweep.Size(dom))
-	if width := cc.Batch; width > 1 && len(dom) > 0 {
-		factories := make([]func() BatchRunFunc, len(mechs))
-		eligible := true
-		for i, m := range mechs {
-			if factories[i] = cc.batchFactory(m, width); factories[i] == nil {
-				eligible = false
-				break
-			}
-		}
-		if eligible {
-			return sweepOutcomesBatch(ctx, dom, cc, workers, width, factories, visit)
-		}
+	k := len(dom)
+	width := max(cc.Batch, 1)
+	if k == 0 {
+		width = 1
 	}
-	factories := make([]func() HintRunFunc, len(mechs))
+	factories := make([]func() BatchRunFunc, len(mechs))
 	for i, m := range mechs {
-		factories[i] = cc.hintFactory(m)
+		factories[i] = cc.runnerFactory(m, width)
 	}
-	type wstate struct {
-		runs []HintRunFunc
-		outs []Outcome
-	}
-	states := make([]wstate, workers)
-	for w := range states {
-		runs := make([]HintRunFunc, len(mechs))
-		for i := range factories {
-			runs[i] = factories[i]()
-		}
-		states[w] = wstate{runs: runs, outs: make([]Outcome, len(mechs))}
-	}
-	return sweep.RunHintContext(ctx, dom, cc.Config, func(w int, input []int64, carry int) error {
-		s := &states[w]
-		for i, run := range s.runs {
-			o, err := run(input, carry)
-			if err != nil {
-				return err
-			}
-			s.outs[i] = o
-		}
-		return visit(w, input, s.outs)
-	})
-}
-
-// sweepOutcomesBatch drives the batch tier: each worker executes every
-// mechanism across the stride's lanes first (one instruction-dispatch
-// stream per mechanism), then replays the stride tuple by tuple through
-// visit, reconstructing each lane's full input by substituting its
-// innermost coordinate — the per-tuple fold never knows batching happened.
-func sweepOutcomesBatch(ctx context.Context, dom Domain, cc CheckConfig, workers, width int, factories []func() BatchRunFunc, visit visitFunc) error {
 	type wstate struct {
 		runs    []BatchRunFunc
 		outCols [][]Outcome
 		outs    []Outcome
 	}
-	states := make([]wstate, workers)
+	states := make([]wstate, cc.ResolvedWorkers(sweep.Size(dom)))
 	for w := range states {
 		runs := make([]BatchRunFunc, len(factories))
 		cols := make([][]Outcome, len(factories))
@@ -274,17 +331,18 @@ func sweepOutcomesBatch(ctx context.Context, dom Domain, cc CheckConfig, workers
 		}
 		states[w] = wstate{runs: runs, outCols: cols, outs: make([]Outcome, len(factories))}
 	}
-	k := len(dom)
 	return sweep.RunBatchContext(ctx, dom, cc.Config, width, func(w int, input []int64, last []int64, carry int) error {
 		s := &states[w]
-		n := len(last)
+		n := max(len(last), 1)
 		for i, run := range s.runs {
 			if err := run(input, last, carry, s.outCols[i][:n]); err != nil {
 				return err
 			}
 		}
 		for lane := 0; lane < n; lane++ {
-			input[k-1] = last[lane]
+			if k > 0 {
+				input[k-1] = last[lane]
+			}
 			for i := range s.runs {
 				s.outs[i] = s.outCols[i][lane]
 			}

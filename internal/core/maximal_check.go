@@ -116,8 +116,8 @@ func maximalVerdict(classes classTable, view string, qo, mo Outcome, obs Observa
 // the maximal sound protection mechanism for program q and policy pol under
 // obs (Theorem 2), treating all violation notices as equivalent: m must
 // release Q's observation exactly on the inputs whose policy class is
-// Q-constant, and issue Λ everywhere else. CheckMaximalityParallel is the
-// sharded equivalent.
+// Q-constant, and issue Λ everywhere else. CheckMaximalityContext is the
+// parallel equivalent.
 func CheckMaximality(m, q Mechanism, pol Policy, dom Domain, obs Observation) (MaximalityReport, error) {
 	rep, err := maximalityPreflight(m, q, pol, dom, obs)
 	if err != nil {
@@ -158,28 +158,11 @@ func CheckMaximality(m, q Mechanism, pol Policy, dom Domain, obs Observation) (M
 	return rep, nil
 }
 
-// CheckMaximalityParallel is CheckMaximality with both enumeration passes
-// run on the sweep engine: per-worker class tables merged between passes
-// (so constancy is judged across chunks), then a sharded verdict pass.
-//
-// Deprecated: use spm/internal/check.Run with check.Maximality and
-// check.WithWorkers; it adds cancellation and a unified verdict.
-func CheckMaximalityParallel(m, q Mechanism, pol Policy, dom Domain, obs Observation, workers int) (MaximalityReport, error) {
-	return CheckMaximalityContext(context.Background(), m, q, pol, dom, obs,
-		CheckConfig{Config: sweep.Config{Workers: workers}})
-}
-
-// CheckMaximalitySweep is CheckMaximalityParallel with full engine control.
-//
-// Deprecated: use spm/internal/check.Run with check.Maximality; it adds
-// cancellation and a unified verdict.
-func CheckMaximalitySweep(m, q Mechanism, pol Policy, dom Domain, obs Observation, cfg sweep.Config) (MaximalityReport, error) {
-	return CheckMaximalityContext(context.Background(), m, q, pol, dom, obs, CheckConfig{Config: cfg})
-}
-
 // CheckMaximalityContext is the engine behind every parallel maximality
-// verdict — check.Run dispatches here, and the deprecated Parallel/Sweep
-// wrappers shim onto it with a background context. Cancelling ctx stops
+// verdict — check.Run dispatches here. Both enumeration passes run on the
+// sweep engine: per-worker class tables over Q are merged between passes
+// (so constancy is judged across chunks), then a sharded verdict pass
+// checks m against the merged table. Cancelling ctx stops
 // whichever enumeration pass is running within one chunk and returns ctx's
 // error with a partial report.
 func CheckMaximalityContext(ctx context.Context, m, q Mechanism, pol Policy, dom Domain, obs Observation, cc CheckConfig) (MaximalityReport, error) {

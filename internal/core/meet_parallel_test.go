@@ -1,8 +1,11 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
+
+	"spm/internal/sweep"
 )
 
 // passOn builds a sound mechanism for Q(x1,x2) = x2 / allow(2) that passes
@@ -123,7 +126,7 @@ func TestParallelCheckMatchesSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{0, 1, 2, 3, 7} {
-			par, err := CheckSoundnessParallel(q, pol, dom, ObserveValue, workers)
+			par, err := CheckSoundnessContext(context.Background(), q, pol, dom, ObserveValue, CheckConfig{Config: sweep.Config{Workers: workers}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -156,7 +159,7 @@ func TestParallelCheckCrossShardConflict(t *testing.T) {
 	})
 	pol := NewAllow(2, 2)
 	dom := Grid(2, 0, 1, 2, 3)
-	rep, err := CheckSoundnessParallel(q, pol, dom, ObserveValue, 4)
+	rep, err := CheckSoundnessContext(context.Background(), q, pol, dom, ObserveValue, CheckConfig{Config: sweep.Config{Workers: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +169,7 @@ func TestParallelCheckCrossShardConflict(t *testing.T) {
 }
 
 func TestParallelCheckArityMismatch(t *testing.T) {
-	if _, err := CheckSoundnessParallel(NewNull(2), NewAllow(1), Grid(2, 0), ObserveValue, 2); err == nil {
+	if _, err := CheckSoundnessContext(context.Background(), NewNull(2), NewAllow(1), Grid(2, 0), ObserveValue, CheckConfig{Config: sweep.Config{Workers: 2}}); err == nil {
 		t.Error("arity mismatch accepted")
 	}
 }
@@ -174,7 +177,7 @@ func TestParallelCheckArityMismatch(t *testing.T) {
 func TestParallelCheckErrorPropagation(t *testing.T) {
 	errMech := &errOnValue{v: 3}
 	dom := Grid(1, 0, 1, 2, 3, 4, 5, 6, 7)
-	if _, err := CheckSoundnessParallel(errMech, NewAllow(1, 1), dom, ObserveValue, 4); err == nil {
+	if _, err := CheckSoundnessContext(context.Background(), errMech, NewAllow(1, 1), dom, ObserveValue, CheckConfig{Config: sweep.Config{Workers: 4}}); err == nil {
 		t.Error("worker error not propagated")
 	}
 }

@@ -2,118 +2,10 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
-	"spm/internal/flowchart"
 	"spm/internal/sweep"
 )
-
-// RunFunc evaluates a mechanism on one input. It is the unit the sweep
-// engine schedules; see RunnerFactory.
-type RunFunc func(input []int64) (Outcome, error)
-
-// HintRunFunc is RunFunc with the sweep engine's carry-depth hint: carry
-// is the number of leading input coordinates unchanged since the previous
-// call on this worker (sweep.HintFunc). Compiled runners use the hint to
-// resume from per-axis execution snapshots — flowchart.SnapshotStack.Run
-// replays only the instructions after the first read of the shallowest
-// changed input — instead of re-running the shared prefix on every tuple.
-type HintRunFunc func(input []int64, carry int) (Outcome, error)
-
-// ignoreHint adapts a plain runner for mechanisms with no prefix to
-// memoize.
-func ignoreHint(run RunFunc) HintRunFunc {
-	return func(input []int64, _ int) (Outcome, error) { return run(input) }
-}
-
-// snapshotRunner returns the single-axis prefix-memoized per-worker
-// runner over compiled code — the PR-5 tier, kept as the
-// WithMemoStack(false) ablation and the baseline the snapshot-stack
-// benchmarks compare against. A fresh row (carry below the innermost
-// axis, or no usable snapshot) runs in full while recording a snapshot at
-// the first instruction that touches the innermost input; every further
-// tuple of the row replays only the program tail from that snapshot.
-// Whenever the snapshot is unusable — the recording run exhausted its
-// step budget or failed before the capture point — the runner falls back
-// to full runs, so the outcome of every tuple is exactly RunReuse's.
-func snapshotRunner(c *flowchart.Compiled, maxSteps int64, part *ExecPart) HintRunFunc {
-	regs := make([]int64, c.Slots())
-	snap := c.NewSnapshot()
-	return func(input []int64, carry int) (Outcome, error) {
-		var res flowchart.Result
-		var err error
-		if len(input) > 0 && carry >= len(input)-1 && snap.Valid() {
-			res, err = c.RunFromSnapshot(regs, snap, input[len(input)-1], maxSteps)
-			part.memoReplay()
-			if errors.Is(err, flowchart.ErrNoSnapshot) {
-				part.memoInvalidated()
-				res, err = c.RunSnapshot(regs, input, maxSteps, snap)
-				part.memoCapture()
-			}
-		} else {
-			res, err = c.RunSnapshot(regs, input, maxSteps, snap)
-			part.memoCapture()
-		}
-		if err != nil {
-			return Outcome{}, err
-		}
-		return Outcome{Value: res.Value, Steps: res.Steps, Violation: res.Violation, Notice: res.Notice}, nil
-	}
-}
-
-// stackRunner returns the snapshot-stack per-worker runner over compiled
-// code — the default memoized tier. Each worker owns a
-// flowchart.SnapshotStack: the sweep's carry hint invalidates exactly the
-// stack suffix above the carried digit, the deepest surviving per-axis
-// capture answers each tuple (replaying only the tail, skipping
-// never-read axes wholesale via constant entries, and reusing tail
-// results across rows whose captured state content-addresses equal), and
-// anything unusable falls back to a full recording run — so the outcome
-// of every tuple is exactly RunReuse's.
-func stackRunner(c *flowchart.Compiled, maxSteps int64, part *ExecPart) HintRunFunc {
-	stack := c.NewSnapshotStack()
-	return func(input []int64, carry int) (Outcome, error) {
-		res, op, err := stack.Run(input, carry, maxSteps)
-		part.stackOp(op)
-		if err != nil {
-			return Outcome{}, err
-		}
-		return Outcome{Value: res.Value, Steps: res.Steps, Violation: res.Violation, Notice: res.Notice}, nil
-	}
-}
-
-// RunnerFactory returns a factory producing one RunFunc per sweep worker.
-// A RunnerProvider (a CompiledMechanism out of the service's compile cache)
-// supplies its own pre-compiled runners. Otherwise, when m wraps a
-// flowchart program (directly, via Program) the program is lowered once
-// with flowchart.Compile and every worker executes the slot-indexed form
-// against a private register file — the compiled fast path that lets
-// surveillance and high-water sweeps skip the interpreter's per-step map
-// lookups. Any other mechanism falls back to m.Run, which is safe for
-// concurrent use everywhere in this library (Run never mutates receiver
-// state).
-func RunnerFactory(m Mechanism) func() RunFunc {
-	if rp, ok := m.(RunnerProvider); ok {
-		return rp.Runners()
-	}
-	if pm, ok := m.(*Program); ok {
-		if c, err := pm.P.Compile(); err == nil {
-			maxSteps := pm.MaxSteps
-			return func() RunFunc {
-				regs := make([]int64, c.Slots())
-				return func(input []int64) (Outcome, error) {
-					res, err := c.RunReuse(regs, input, maxSteps)
-					if err != nil {
-						return Outcome{}, err
-					}
-					return Outcome{Value: res.Value, Steps: res.Steps, Violation: res.Violation, Notice: res.Notice}, nil
-				}
-			}
-		}
-	}
-	return func() RunFunc { return m.Run }
-}
 
 // CheckConfig tunes the context-aware checkers: the embedded sweep.Config
 // controls parallelism, chunking, the shard range, and the progress
@@ -129,11 +21,13 @@ func RunnerFactory(m Mechanism) func() RunFunc {
 // the snapshot-stack benchmarks compare against); CollectViews asks
 // CheckSoundnessContext to export its merged per-class observation table
 // so a shard verdict can be folded with its siblings by check.Merge.
-// Batch > 1 selects the batch/columnar execution tier (the knob behind
-// check.WithBatch): each worker executes strides of up to Batch
-// innermost-axis tuples in lockstep over structure-of-arrays register
-// columns, falling back to the scalar tiers when a mechanism is not
-// batch-compilable. Verdicts are identical across all tiers. Exec, when
+// Batch is the stride width (the knob behind check.WithBatch): each
+// worker hands every mechanism strides of up to Batch innermost-axis
+// tuples, which compiled mechanisms execute in lockstep over
+// structure-of-arrays register columns; ≤ 1 is the one-lane stride, run
+// on the scalar kernels. Each mechanism picks its runner on its own, so a
+// mechanism with no compiled form runs lane by lane through Mechanism.Run
+// beside compiled ones. Verdicts are identical across all tiers. Exec, when
 // non-nil, receives execution-tier counters (memo captures/replays,
 // batch strides/lanes/divergence — see ExecTally); nil keeps the hot
 // paths entirely unobserved.
@@ -147,67 +41,19 @@ type CheckConfig struct {
 	Exec         *ExecTally
 }
 
-// hintFactory resolves the per-worker hinted runner factory for m under
-// the config: the snapshot-stack compiled path when m is flowchart-backed
-// (or supplies its own hinted runners), the single-axis snapshot path
-// under NoStack, plain runners otherwise — the hint is simply ignored by
-// mechanisms with no prefix to reuse.
-func (cc CheckConfig) hintFactory(m Mechanism) func() HintRunFunc {
-	if cc.Interpreted {
-		return func() HintRunFunc { return ignoreHint(m.Run) }
-	}
-	if !cc.NoMemo {
-		stack := !cc.NoStack
-		if hp, ok := m.(HintRunnerProvider); ok {
-			return hp.HintRunners(stack, cc.Exec)
-		}
-		if pm, ok := m.(*Program); ok {
-			if c, err := pm.P.Compile(); err == nil {
-				maxSteps := pm.MaxSteps
-				tally := cc.Exec
-				if stack {
-					return func() HintRunFunc { return stackRunner(c, maxSteps, tally.Part()) }
-				}
-				return func() HintRunFunc { return snapshotRunner(c, maxSteps, tally.Part()) }
-			}
-		}
-	}
-	base := RunnerFactory(m)
-	return func() HintRunFunc { return ignoreHint(base()) }
-}
-
 // viewEntry is one policy class's first-seen observation and witness input.
 type viewEntry struct {
 	obs   string
 	input []int64
 }
 
-// CheckSoundnessParallel is CheckSoundness with the domain enumeration run
-// on the sweep engine: workers goroutines (runtime.NumCPU() when ≤ 0)
-// pulling chunks from a shared cursor, per-worker view tables merged at the
-// end. The verdict is deterministic; when multiple counterexamples exist,
-// the reported witness pair may differ from the sequential checker's.
-//
-// Deprecated: use spm/internal/check.Run with check.Soundness and
-// check.WithWorkers; it adds cancellation and a unified verdict.
-func CheckSoundnessParallel(m Mechanism, pol Policy, dom Domain, obs Observation, workers int) (SoundnessReport, error) {
-	return CheckSoundnessContext(context.Background(), m, pol, dom, obs,
-		CheckConfig{Config: sweep.Config{Workers: workers}})
-}
-
-// CheckSoundnessSweep is CheckSoundnessParallel with full engine control
-// (worker count and chunk size).
-//
-// Deprecated: use spm/internal/check.Run with check.Soundness; it adds
-// cancellation and a unified verdict.
-func CheckSoundnessSweep(m Mechanism, pol Policy, dom Domain, obs Observation, cfg sweep.Config) (SoundnessReport, error) {
-	return CheckSoundnessContext(context.Background(), m, pol, dom, obs, CheckConfig{Config: cfg})
-}
-
 // CheckSoundnessContext is the engine behind every parallel soundness
-// verdict — check.Run dispatches here, and the deprecated Parallel/Sweep
-// wrappers shim onto it with a background context. Cancelling ctx stops the
-// sweep within one chunk and returns ctx's error with a partial report.
+// verdict — check.Run dispatches here. Workers pull chunks from a shared
+// cursor and build per-worker view tables merged at the end; the verdict
+// is deterministic, and with several workers the reported witness pair may
+// differ from the sequential checker's when multiple counterexamples
+// exist. Cancelling ctx stops the sweep within one chunk and returns
+// ctx's error with a partial report.
 func CheckSoundnessContext(ctx context.Context, m Mechanism, pol Policy, dom Domain, obs Observation, cc CheckConfig) (SoundnessReport, error) {
 	rep := SoundnessReport{Mechanism: m.Name(), Policy: pol.Name(), Observation: obs.ObsName, Sound: true}
 	if m.Arity() != pol.Arity() || len(dom) != m.Arity() {
@@ -282,27 +128,9 @@ func CheckSoundnessContext(ctx context.Context, m Mechanism, pol Policy, dom Dom
 	return rep, nil
 }
 
-// PassCountParallel counts the inputs in dom on which m returns real output
+// PassCountContext counts the inputs in dom on which m returns real output
 // (no violation notice) — the utility column of the experiment tables —
-// using the sweep engine and the compiled fast path.
-//
-// Deprecated: use spm/internal/check.Run with check.PassCount; it adds
-// cancellation and a unified verdict.
-func PassCountParallel(m Mechanism, dom Domain, workers int) (int, error) {
-	return PassCountContext(context.Background(), m, dom,
-		CheckConfig{Config: sweep.Config{Workers: workers}})
-}
-
-// PassCountSweep is PassCountParallel with full engine control.
-//
-// Deprecated: use spm/internal/check.Run with check.PassCount; it adds
-// cancellation and a unified verdict.
-func PassCountSweep(m Mechanism, dom Domain, cfg sweep.Config) (int, error) {
-	return PassCountContext(context.Background(), m, dom, CheckConfig{Config: cfg})
-}
-
-// PassCountContext is the engine behind every pass count — check.Run
-// dispatches here. Cancelling ctx stops the sweep within one chunk and
+// and is the engine behind every pass count: check.Run dispatches here. Cancelling ctx stops the sweep within one chunk and
 // returns ctx's error.
 func PassCountContext(ctx context.Context, m Mechanism, dom Domain, cc CheckConfig) (int, error) {
 	if len(dom) != m.Arity() {

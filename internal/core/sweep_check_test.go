@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -66,7 +67,7 @@ func TestSweepSoundnessMatchesSequentialRandomized(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := sweep.Config{Workers: 1 + r.Intn(6), Chunk: 1 + r.Intn(8)}
-		par, err := CheckSoundnessSweep(m, pol, dom, obs, cfg)
+		par, err := CheckSoundnessContext(context.Background(), m, pol, dom, obs, CheckConfig{Config: cfg})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +113,7 @@ func TestSweepMaximalityMatchesSequentialRandomized(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := sweep.Config{Workers: 1 + r.Intn(6), Chunk: 1 + r.Intn(8)}
-		par, err := CheckMaximalitySweep(m, q, pol, dom, ObserveValue, cfg)
+		par, err := CheckMaximalityContext(context.Background(), m, q, pol, dom, ObserveValue, CheckConfig{Config: cfg})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +134,7 @@ func TestCheckMaximalityVerdicts(t *testing.T) {
 	dom := smallDom()
 
 	// Q is sound for allow(2), so Q itself is maximal.
-	rep, err := CheckMaximalityParallel(q, q, pol, dom, ObserveValue, 3)
+	rep, err := CheckMaximalityContext(context.Background(), q, q, pol, dom, ObserveValue, CheckConfig{Config: sweep.Config{Workers: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestCheckMaximalityVerdicts(t *testing.T) {
 	}
 
 	// Null withholds everywhere although every class is Q-constant.
-	rep, err = CheckMaximalityParallel(NewNull(2), q, pol, dom, ObserveValue, 3)
+	rep, err = CheckMaximalityContext(context.Background(), NewNull(2), q, pol, dom, ObserveValue, CheckConfig{Config: sweep.Config{Workers: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +155,7 @@ func TestCheckMaximalityVerdicts(t *testing.T) {
 	leaky := NewFunc("x1", 2, func(in []int64) Outcome {
 		return Outcome{Value: in[0], Steps: 1}
 	})
-	rep, err = CheckMaximalityParallel(leaky, leaky, pol, dom, ObserveValue, 3)
+	rep, err = CheckMaximalityContext(context.Background(), leaky, leaky, pol, dom, ObserveValue, CheckConfig{Config: sweep.Config{Workers: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +167,7 @@ func TestCheckMaximalityVerdicts(t *testing.T) {
 	wrong := NewFunc("x2+1", 2, func(in []int64) Outcome {
 		return Outcome{Value: in[1] + 1, Steps: 1}
 	})
-	rep, err = CheckMaximalityParallel(wrong, q, pol, dom, ObserveValue, 3)
+	rep, err = CheckMaximalityContext(context.Background(), wrong, q, pol, dom, ObserveValue, CheckConfig{Config: sweep.Config{Workers: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +188,7 @@ func TestMaximalityCrossShardMerge(t *testing.T) {
 	dom := Grid(2, 0, 1, 2, 3)
 	// Q passes everywhere; since its classes vary, it must not be maximal,
 	// and the only way to see that is the cross-worker merge.
-	rep, err := CheckMaximalitySweep(q, q, pol, dom, ObserveValue, sweep.Config{Workers: 4, Chunk: 1})
+	rep, err := CheckMaximalityContext(context.Background(), q, q, pol, dom, ObserveValue, CheckConfig{Config: sweep.Config{Workers: 4, Chunk: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +197,7 @@ func TestMaximalityCrossShardMerge(t *testing.T) {
 	}
 	// And the null mechanism — which violates everywhere — IS maximal
 	// here, which again only the merged table can certify.
-	rep, err = CheckMaximalitySweep(NewNull(2), q, pol, dom, ObserveValue, sweep.Config{Workers: 4, Chunk: 1})
+	rep, err = CheckMaximalityContext(context.Background(), NewNull(2), q, pol, dom, ObserveValue, CheckConfig{Config: sweep.Config{Workers: 4, Chunk: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +215,7 @@ func TestSoundnessCrossShardMergeChunked(t *testing.T) {
 	pol := NewAllow(2, 2) // input 1 disallowed: views span shards
 	dom := Grid(2, 0, 1, 2, 3)
 	for _, chunk := range []int{1, 2, 3} {
-		rep, err := CheckSoundnessSweep(q, pol, dom, ObserveValue, sweep.Config{Workers: 4, Chunk: chunk})
+		rep, err := CheckSoundnessContext(context.Background(), q, pol, dom, ObserveValue, CheckConfig{Config: sweep.Config{Workers: 4, Chunk: chunk}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -256,7 +257,7 @@ Done: y := x2
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := CheckSoundnessSweep(m, tc.pol, dom, tc.obs, sweep.Config{Workers: 4, Chunk: 5})
+		par, err := CheckSoundnessContext(context.Background(), m, tc.pol, dom, tc.obs, CheckConfig{Config: sweep.Config{Workers: 4, Chunk: 5}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -266,7 +267,7 @@ Done: y := x2
 		}
 	}
 	// Pass counting through the fast path.
-	passes, err := PassCountParallel(m, dom, 4)
+	passes, err := PassCountContext(context.Background(), m, dom, CheckConfig{Config: sweep.Config{Workers: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,14 +281,14 @@ Done: y := x2
 func TestPassCountParallel(t *testing.T) {
 	even := passOn("even", func(v int64) bool { return v%2 == 0 })
 	dom := Grid(2, 0, 1, 2, 3)
-	got, err := PassCountParallel(even, dom, 3)
+	got, err := PassCountContext(context.Background(), even, dom, CheckConfig{Config: sweep.Config{Workers: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != 8 { // x2 ∈ {0,2} passes, 4 values of x1 each
 		t.Errorf("pass count = %d, want 8", got)
 	}
-	if _, err := PassCountParallel(even, Grid(1, 0), 2); err == nil {
+	if _, err := PassCountContext(context.Background(), even, Grid(1, 0), CheckConfig{Config: sweep.Config{Workers: 2}}); err == nil {
 		t.Error("arity mismatch accepted")
 	}
 }
@@ -297,10 +298,10 @@ func TestPassCountParallel(t *testing.T) {
 func TestMaximalityErrorPropagation(t *testing.T) {
 	bad := &errOnValue{v: 5}
 	dom := Grid(1, Range(0, 7)...)
-	if _, err := CheckMaximalityParallel(bad, bad, NewAllow(1, 1), dom, ObserveValue, 4); err == nil {
+	if _, err := CheckMaximalityContext(context.Background(), bad, bad, NewAllow(1, 1), dom, ObserveValue, CheckConfig{Config: sweep.Config{Workers: 4}}); err == nil {
 		t.Error("worker error not propagated")
 	}
-	if _, err := CheckMaximalityParallel(NewNull(2), NewNull(1), NewAllow(1, 1), dom, ObserveValue, 2); err == nil {
+	if _, err := CheckMaximalityContext(context.Background(), NewNull(2), NewNull(1), NewAllow(1, 1), dom, ObserveValue, CheckConfig{Config: sweep.Config{Workers: 2}}); err == nil {
 		t.Error("arity mismatch accepted")
 	}
 }

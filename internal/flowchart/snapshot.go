@@ -178,7 +178,7 @@ func (c *Compiled) RunSnapshot(regs []int64, inputs []int64, maxSteps int64, sna
 //
 // The caller must guarantee the row contract: since snap was recorded (or
 // last replayed), only the innermost input may have changed. The sweep
-// engine's innerOnly hint (sweep.RunHintContext) is precisely that
+// engine's carry hint at len(input)-1 (sweep.BatchFunc) is precisely that
 // guarantee. A snapshot whose recording run never touched the innermost
 // input returns the recorded result directly; an invalid snapshot returns
 // ErrNoSnapshot and the caller falls back to RunReuse or RunSnapshot.

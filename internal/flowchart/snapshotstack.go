@@ -226,7 +226,7 @@ func (s *SnapshotStack) Invalidate() {
 
 // Run executes the program on input, reusing every capture the carry hint
 // proves valid: carry is the number of leading coordinates unchanged since
-// the previous Run on this stack (sweep.HintFunc's guarantee; pass 0 when
+// the previous Run on this stack (sweep.BatchFunc's guarantee; pass 0 when
 // nothing is known). Entries above the carry are invalidated, the deepest
 // surviving entry answers — a constant entry immediately, a captured entry
 // by replaying the tail while re-recording the stack above it, the row

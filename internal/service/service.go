@@ -74,9 +74,9 @@ type Config struct {
 	// SweepWorkers is the sweep parallelism of each job; ≤ 0 divides the
 	// CPUs evenly across pools (at least 1 each).
 	SweepWorkers int
-	// SweepBatch is the batch/columnar execution width of each job's sweep
-	// (check.WithBatch): ≤ 0 means DefaultSweepBatch, 1 forces the scalar
-	// tiers. Mechanisms that cannot batch fall back to scalar transparently.
+	// SweepBatch is the stride width of each job's sweep
+	// (check.WithBatch): ≤ 0 means DefaultSweepBatch, 1 means one-lane
+	// strides on the scalar kernels.
 	SweepBatch int
 	// CacheCap bounds the compile cache; ≤ 0 means DefaultCacheCap.
 	CacheCap int
@@ -500,7 +500,8 @@ func (s *Service) runJob(pool int, j *Job) {
 	if s.store != nil {
 		s.settleStore(j, res, err)
 	}
-	j.finish(res, err)
+	// Settle the tallies before finish closes Done, so a caller that
+	// waited on the job reads Stats that already count it.
 	s.nRunning.Add(-1)
 	switch {
 	case err == nil:
@@ -510,6 +511,7 @@ func (s *Service) runJob(pool int, j *Job) {
 	default:
 		s.nFailed.Add(1)
 	}
+	j.finish(res, err)
 	s.tenants.wake()
 }
 

@@ -293,13 +293,22 @@ func (g *tenantGate) next() *Job {
 }
 
 // requeue restores a job the scheduler refused to the head of its
-// tenant's backlog, with its deficit, so the DRR order is unchanged.
+// tenant's backlog, with its deficit, and hands the tenant back the turn
+// next consumed, so the DRR order is unchanged: without that, the scan
+// that bounced one tenant's job would start past it and let the tenant
+// before it in the ring take every freed slot.
 func (g *tenantGate) requeue(j *Job) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	t := g.state(j.tenant)
 	t.queue = append([]*Job{j}, t.queue...)
 	t.deficit += j.Total
+	for i, name := range g.ring {
+		if name == j.tenant {
+			g.rr = i
+			break
+		}
+	}
 }
 
 // stats snapshots every tenant's counters, sorted by name; nil with

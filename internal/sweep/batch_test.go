@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"context"
 	"errors"
 	"testing"
 )
@@ -21,7 +22,7 @@ func collectBatch(t *testing.T, values [][]int64, cfg Config, width int) []strid
 		workers = 64
 	}
 	buckets := make([][]stride, workers)
-	if err := RunBatch(values, cfg, width, func(w int, input []int64, last []int64, carry int) error {
+	if err := RunBatchContext(context.Background(), values, cfg, width, func(w int, input []int64, last []int64, carry int) error {
 		s := stride{worker: w, carry: carry}
 		if len(input) > 0 {
 			s.prefix = key(input[:len(input)-1])
@@ -173,8 +174,11 @@ func checkStrides(t *testing.T, got, want []stride) {
 }
 
 // TestRunBatchWidthOneMatchesHint checks that width-1 batching delivers
-// exactly RunHint's tuple sequence and hints on a single worker — the
-// degenerate batch is the scalar sweep.
+// exactly the scalar odometer walk on a single worker — the degenerate
+// batch is the scalar sweep: tuples in mixed-radix order, each with the
+// carry of the increment that produced it (the first differing
+// coordinate, since every axis holds distinct values) and 0 at the first
+// tuple of every chunk.
 func TestRunBatchWidthOneMatchesHint(t *testing.T) {
 	values := [][]int64{{0, 1, 2}, {4, 5}, {7, 8, 9}}
 	cfg := Config{Workers: 1, Chunk: 4}
@@ -182,28 +186,34 @@ func TestRunBatchWidthOneMatchesHint(t *testing.T) {
 		tuple string
 		carry int
 	}
-	var fromHint, fromBatch []visit
-	if err := RunHint(values, cfg, func(_ int, in []int64, carry int) error {
-		fromHint = append(fromHint, visit{key(in), carry})
-		return nil
-	}); err != nil {
-		t.Fatal(err)
+	var want, got []visit
+	var prev []int64
+	for pos := 0; pos < Size(values); pos++ {
+		tuple := decode(values, pos)
+		carry := 0
+		if pos%cfg.Chunk != 0 {
+			for carry < len(tuple) && tuple[carry] == prev[carry] {
+				carry++
+			}
+		}
+		want = append(want, visit{key(tuple), carry})
+		prev = tuple
 	}
-	if err := RunBatch(values, cfg, 1, func(_ int, in []int64, last []int64, carry int) error {
+	if err := RunBatchContext(context.Background(), values, cfg, 1, func(_ int, in []int64, last []int64, carry int) error {
 		if len(last) != 1 || last[0] != in[len(in)-1] {
 			t.Fatalf("width-1 stride: input %v, last %v", in, last)
 		}
-		fromBatch = append(fromBatch, visit{key(in), carry})
+		got = append(got, visit{key(in), carry})
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if len(fromHint) != len(fromBatch) {
-		t.Fatalf("hint visited %d, batch visited %d", len(fromHint), len(fromBatch))
+	if len(want) != len(got) {
+		t.Fatalf("reference walk has %d tuples, batch visited %d", len(want), len(got))
 	}
-	for i := range fromHint {
-		if fromHint[i] != fromBatch[i] {
-			t.Fatalf("visit %d: hint %+v, batch %+v", i, fromHint[i], fromBatch[i])
+	for i := range want {
+		if want[i] != got[i] {
+			t.Fatalf("visit %d: reference %+v, batch %+v", i, want[i], got[i])
 		}
 	}
 }
@@ -212,7 +222,7 @@ func TestRunBatchWidthOneMatchesHint(t *testing.T) {
 // empty tuple as one nil/nil call.
 func TestRunBatchNullaryProduct(t *testing.T) {
 	calls := 0
-	if err := RunBatch(nil, Config{Workers: 3}, 8, func(_ int, in []int64, last []int64, carry int) error {
+	if err := RunBatchContext(context.Background(), nil, Config{Workers: 3}, 8, func(_ int, in []int64, last []int64, carry int) error {
 		calls++
 		if in != nil || last != nil || carry != 0 {
 			t.Fatalf("nullary call: input %v, last %v, carry %v", in, last, carry)
@@ -226,11 +236,11 @@ func TestRunBatchNullaryProduct(t *testing.T) {
 	}
 }
 
-// TestRunBatchErrorStopsAndPropagates mirrors the scalar engine's error
-// contract.
+// TestRunBatchErrorStopsAndPropagates pins the error contract on strides
+// wider than one lane (TestRunErrorStopsAndPropagates covers width 1).
 func TestRunBatchErrorStopsAndPropagates(t *testing.T) {
 	boom := errors.New("boom")
-	err := RunBatch([][]int64{{0, 1, 2}, {0, 1, 2}}, Config{Workers: 2, Chunk: 1}, 2,
+	err := RunBatchContext(context.Background(), [][]int64{{0, 1, 2}, {0, 1, 2}}, Config{Workers: 2, Chunk: 1}, 2,
 		func(_ int, in []int64, _ []int64, _ int) error {
 			if in[0] == 1 {
 				return boom

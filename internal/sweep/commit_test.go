@@ -19,9 +19,9 @@ func collectCommits(t *testing.T, values [][]int64, cfg Config) []int {
 		commits = append(commits, done)
 		mu.Unlock()
 	}
-	err := Run(values, cfg, func(worker int, input []int64) error { return nil })
+	err := run(context.Background(), values, cfg, func(worker int, input []int64) error { return nil })
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("RunBatchContext: %v", err)
 	}
 	return commits
 }
@@ -86,7 +86,7 @@ func TestCommitStopsAtErrorPrefix(t *testing.T) {
 	var mu sync.Mutex
 	var commits []int
 	seen := 0
-	err := Run(values, Config{Workers: 1, Chunk: 4, Commit: func(done int) {
+	err := run(context.Background(), values, Config{Workers: 1, Chunk: 4, Commit: func(done int) {
 		mu.Lock()
 		commits = append(commits, done)
 		mu.Unlock()
@@ -113,7 +113,7 @@ func TestCommitCancelledPrefixIsResumable(t *testing.T) {
 	var mu sync.Mutex
 	last := 0
 	visited := make(map[int]bool)
-	err := RunContext(ctx, values, Config{Workers: 4, Chunk: 2, Commit: func(done int) {
+	err := run(ctx, values, Config{Workers: 4, Chunk: 2, Commit: func(done int) {
 		mu.Lock()
 		if done > 40 {
 			cancel()

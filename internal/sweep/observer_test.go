@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"context"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -31,7 +32,7 @@ func TestObserverSeesEveryTuple(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		obs := &countObserver{}
 		cfg := Config{Workers: workers, Chunk: 16, Observer: obs}
-		err := Run(dom, cfg, func(worker int, input []int64) error { return nil })
+		err := run(context.Background(), dom, cfg, func(worker int, input []int64) error { return nil })
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -49,7 +50,7 @@ func TestObserverShard(t *testing.T) {
 	dom := observerDomain()
 	obs := &countObserver{}
 	cfg := Config{Workers: 2, Chunk: 8, Offset: 10, Count: 50, Observer: obs}
-	if err := Run(dom, cfg, func(worker int, input []int64) error { return nil }); err != nil {
+	if err := run(context.Background(), dom, cfg, func(worker int, input []int64) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if got := obs.tuples.Load(); got != 50 {
@@ -59,7 +60,7 @@ func TestObserverShard(t *testing.T) {
 
 func TestObserverEmptyProduct(t *testing.T) {
 	obs := &countObserver{}
-	err := Run(nil, Config{Observer: obs}, func(worker int, input []int64) error { return nil })
+	err := run(context.Background(), nil, Config{Observer: obs}, func(worker int, input []int64) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,13 +18,13 @@ func collectRange(t *testing.T, values [][]int64, cfg Config) map[string]int {
 	t.Helper()
 	var mu sync.Mutex
 	got := make(map[string]int)
-	if err := Run(values, cfg, func(w int, in []int64) error {
+	if err := run(context.Background(), values, cfg, func(w int, in []int64) error {
 		mu.Lock()
 		got[key(in)]++
 		mu.Unlock()
 		return nil
 	}); err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("RunBatchContext: %v", err)
 	}
 	return got
 }
@@ -103,17 +103,43 @@ func TestRunRangeProgressCountsSpan(t *testing.T) {
 
 func TestRunRangeNegativeBounds(t *testing.T) {
 	for _, cfg := range []Config{{Offset: -1}, {Count: -1}} {
-		err := RunContext(context.Background(), rangeValues, cfg, func(int, []int64) error { return nil })
+		err := run(context.Background(), rangeValues, cfg, func(int, []int64) error { return nil })
 		if !errors.Is(err, ErrBadRange) {
 			t.Fatalf("cfg %+v: err = %v, want ErrBadRange", cfg, err)
 		}
 	}
 }
 
+// decodeRange is the reference index set of cfg's range: every product
+// index in [lo, hi) decoded directly in mixed radix (last position
+// fastest), independent of the engine's odometer walk.
+func decodeRange(t *testing.T, values [][]int64, cfg Config) map[string]int {
+	t.Helper()
+	lo, hi, err := cfg.Bounds(Size(values))
+	if err != nil {
+		t.Fatalf("Bounds: %v", err)
+	}
+	want := make(map[string]int)
+	for pos := lo; pos < hi; pos++ {
+		want[key(decode(values, pos))]++
+	}
+	return want
+}
+
+// decode returns the tuple at mixed-radix product index pos.
+func decode(values [][]int64, pos int) []int64 {
+	tuple := make([]int64, len(values))
+	for i := len(values) - 1; i >= 0; i-- {
+		tuple[i] = values[i][pos%len(values[i])]
+		pos /= len(values[i])
+	}
+	return tuple
+}
+
 // TestRunHintVisitsSameIndexSet is the odometer-vs-strided regression:
 // whatever chunking, sharding, and worker count the config picks, the
-// hinted iterator must visit exactly the index set the plain engine
-// visits — same tuples, same multiplicity.
+// hinted one-lane sweep must visit exactly the index set a direct
+// mixed-radix decode of the range gives — same tuples, same multiplicity.
 func TestRunHintVisitsSameIndexSet(t *testing.T) {
 	cfgs := []Config{
 		{Workers: 1, Chunk: 3},
@@ -124,23 +150,23 @@ func TestRunHintVisitsSameIndexSet(t *testing.T) {
 		{Workers: 3, Chunk: 1024},
 	}
 	for _, cfg := range cfgs {
-		plain := collectRange(t, rangeValues, cfg)
+		plain := decodeRange(t, rangeValues, cfg)
 		var mu sync.Mutex
 		hinted := make(map[string]int)
-		if err := RunHint(rangeValues, cfg, func(w int, in []int64, carry int) error {
+		if err := runHint(context.Background(), rangeValues, cfg, func(w int, in []int64, carry int) error {
 			mu.Lock()
 			hinted[key(in)]++
 			mu.Unlock()
 			return nil
 		}); err != nil {
-			t.Fatalf("cfg %+v: RunHint: %v", cfg, err)
+			t.Fatalf("cfg %+v: RunBatchContext: %v", cfg, err)
 		}
 		if len(hinted) != len(plain) {
-			t.Fatalf("cfg %+v: hinted visited %d distinct tuples, plain %d", cfg, len(hinted), len(plain))
+			t.Fatalf("cfg %+v: hinted visited %d distinct tuples, decoded %d", cfg, len(hinted), len(plain))
 		}
 		for k, n := range plain {
 			if hinted[k] != n {
-				t.Fatalf("cfg %+v: tuple %s visited %d times hinted, %d plain", cfg, k, hinted[k], n)
+				t.Fatalf("cfg %+v: tuple %s visited %d times hinted, %d decoded", cfg, k, hinted[k], n)
 			}
 		}
 	}
@@ -162,7 +188,7 @@ func TestRunHintInnerOnlyContract(t *testing.T) {
 		var mu sync.Mutex
 		prev := make(map[int][]int64)
 		hintCount := 0
-		if err := RunHint(rangeValues, cfg, func(w int, in []int64, carry int) error {
+		if err := runHint(context.Background(), rangeValues, cfg, func(w int, in []int64, carry int) error {
 			mu.Lock()
 			defer mu.Unlock()
 			if carry == k-1 {
@@ -184,7 +210,7 @@ func TestRunHintInnerOnlyContract(t *testing.T) {
 			prev[w] = append(prev[w][:0], in...)
 			return nil
 		}); err != nil {
-			t.Fatalf("cfg %+v: RunHint: %v", cfg, err)
+			t.Fatalf("cfg %+v: RunBatchContext: %v", cfg, err)
 		}
 		if cfg.Workers == 1 && cfg.Chunk == 4 && cfg.Offset == 0 {
 			// Chunks align with the 4-wide innermost axis: every row is one
@@ -215,7 +241,7 @@ func TestRunHintCarryDepthContract(t *testing.T) {
 		var mu sync.Mutex
 		prev := make(map[int][]int64)
 		counts := make([]int, k)
-		if err := RunHint(rangeValues, cfg, func(w int, in []int64, carry int) error {
+		if err := runHint(context.Background(), rangeValues, cfg, func(w int, in []int64, carry int) error {
 			mu.Lock()
 			defer mu.Unlock()
 			if carry < 0 || carry >= k {
@@ -242,7 +268,7 @@ func TestRunHintCarryDepthContract(t *testing.T) {
 			prev[w] = append(prev[w][:0], in...)
 			return nil
 		}); err != nil {
-			t.Fatalf("cfg %+v: RunHint: %v", cfg, err)
+			t.Fatalf("cfg %+v: RunBatchContext: %v", cfg, err)
 		}
 		if cfg.Workers == 1 && cfg.Chunk == 1024 && cfg.Offset == 0 {
 			if counts[0] != 4 || counts[1] != 12 || counts[2] != 48 {
@@ -256,14 +282,14 @@ func TestRunHintCarryDepthContract(t *testing.T) {
 // reported as a fresh row.
 func TestRunHintEmptyProduct(t *testing.T) {
 	calls := 0
-	if err := RunHint(nil, Config{}, func(w int, in []int64, carry int) error {
+	if err := runHint(context.Background(), nil, Config{}, func(w int, in []int64, carry int) error {
 		calls++
 		if carry != 0 {
 			t.Errorf("empty product reported carry %d, want 0", carry)
 		}
 		return nil
 	}); err != nil {
-		t.Fatalf("RunHint: %v", err)
+		t.Fatalf("RunBatchContext: %v", err)
 	}
 	if calls != 1 {
 		t.Fatalf("empty product visited %d times, want 1", calls)

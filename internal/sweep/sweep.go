@@ -13,10 +13,13 @@
 // worker advances an odometer rather than re-dividing, so the per-tuple
 // scheduling cost is a few array writes.
 //
-// The callback receives the worker index so callers can keep per-worker
-// state (view tables, counters) without locks and merge it after Run
-// returns. The input buffer is reused per worker; callbacks must copy it if
-// they retain it.
+// RunBatchContext is the one entry point. It delivers tuples in
+// innermost-axis strides of up to a caller-chosen width, with the
+// odometer's carry-depth hint; width 1 is the scalar sweep, one tuple per
+// call. The callback receives the worker index so callers can keep
+// per-worker state (view tables, counters) without locks and merge it
+// after RunBatchContext returns. The input buffer is reused per worker;
+// callbacks must copy it if they retain it.
 package sweep
 
 import (
@@ -29,13 +32,13 @@ import (
 	"time"
 )
 
-// ErrTooLarge is returned by Run when the cartesian product has more tuples
-// than fit in an int, which would otherwise wrap the index space and
-// silently skip (or repeat) tuples.
+// ErrTooLarge is returned by RunBatchContext when the cartesian product
+// has more tuples than fit in an int, which would otherwise wrap the index
+// space and silently skip (or repeat) tuples.
 var ErrTooLarge = errors.New("sweep: domain product overflows int")
 
-// ErrBadRange is returned by Run when Config.Offset or Config.Count is
-// negative.
+// ErrBadRange is returned by RunBatchContext when Config.Offset or
+// Config.Count is negative.
 var ErrBadRange = errors.New("sweep: negative shard offset or count")
 
 // DefaultChunk is the chunk size used when Config.Chunk is unset. It is
@@ -145,9 +148,9 @@ func size(values [][]int64) (int, error) {
 	return n, nil
 }
 
-// ResolvedWorkers returns the worker count Run will actually use for a
-// product of the given size, so callers can size per-worker state once and
-// agree with the engine.
+// ResolvedWorkers returns the worker count RunBatchContext will actually
+// use for a product of the given size, so callers can size per-worker
+// state once and agree with the engine.
 func (c Config) ResolvedWorkers(size int) int {
 	lo, hi, err := c.Bounds(size)
 	if err != nil {
@@ -175,117 +178,60 @@ func (c Config) Bounds(size int) (lo, hi int, err error) {
 	return lo, hi, nil
 }
 
-// Run enumerates the cartesian product of values, calling fn once for every
-// tuple. fn is invoked concurrently from cfg.Workers goroutines; the worker
-// argument (0 ≤ worker < cfg.Workers) lets the callback address per-worker
-// state without locking. The input slice is owned by the worker and reused
-// between calls — copy it to retain it. Enumeration visits every tuple of
-// the configured range exactly once (the whole product by default; the
-// contiguous shard [Offset, Offset+Count) when cfg restricts it); the
-// first error returned by fn stops all workers (tuples already in flight
-// may still be visited) and is returned.
-func Run(values [][]int64, cfg Config, fn func(worker int, input []int64) error) error {
-	return RunContext(context.Background(), values, cfg, fn)
-}
-
-// HintFunc is the callback of RunHint/RunHintContext: fn additionally
-// receives carry, the number of leading coordinates guaranteed unchanged
-// since the previous tuple this worker visited within its current chunk.
-// The odometer walk knows it exactly: an increment that stops at digit i
-// (no carry past it) leaves coordinates [0, i) untouched, so the callback
-// learns carry == i for free. Consecutive same-row tuples report
-// carry == len(input)-1 (only the innermost coordinate moved); the first
-// tuple of every chunk reports carry == 0 — the previous tuple, if any,
-// belonged to another worker's chunk, so nothing is guaranteed.
+// BatchFunc is the callback of RunBatchContext: fn receives a stride of up
+// to width consecutive tuples that differ only in the last —
+// fastest-varying — coordinate. input holds the first tuple of the stride;
+// last holds the innermost coordinate of every tuple in it (so last[0] ==
+// input[len(input)-1] and the stride covers the tuples obtained by
+// substituting each element of last). Strides never cross an odometer
+// carry or a chunk boundary, so the batch is exactly the unit a columnar
+// executor can run from one shared prefix.
 //
-// The hint is what the snapshot-stack compiled fast path keys on: a
-// carry of c says every per-axis execution snapshot at depth ≤ c is still
-// valid, so the run can resume from the deepest one instead of starting
-// at instruction zero (flowchart.SnapshotStack.Run) — the single-axis
-// special case being the PR-5 prefix memo, which only used
-// carry == len(input)-1.
-type HintFunc func(worker int, input []int64, carry int) error
-
-// RunHint is Run with the innermost-axis hint; see HintFunc.
-func RunHint(values [][]int64, cfg Config, fn HintFunc) error {
-	return RunHintContext(context.Background(), values, cfg, fn)
-}
-
-// RunHintContext is RunContext with the carry-depth hint: the same
-// chunked odometer-ordered enumeration, the same cancellation and shard
-// semantics, with fn told how many leading coordinates are unchanged
-// since its previous tuple. Both entry points share one engine, so they
-// visit exactly the same index set for a given Config.
-func RunHintContext(ctx context.Context, values [][]int64, cfg Config, fn HintFunc) error {
-	return runRange(ctx, values, cfg,
-		func(worker int) error { return fn(worker, nil, 0) },
-		func(start, end, worker int) error { return runChunkHint(values, start, end, worker, fn) })
-}
-
-// BatchFunc is the callback of RunBatch/RunBatchContext: instead of one
-// tuple per call, fn receives a stride of up to width consecutive tuples
-// that differ only in the last — fastest-varying — coordinate. input holds
-// the first tuple of the stride; last holds the innermost coordinate of
-// every tuple in it (so last[0] == input[len(input)-1] and the stride
-// covers the tuples obtained by substituting each element of last). Strides
-// never cross an odometer carry or a chunk boundary, so the batch is
-// exactly the unit a columnar executor can run from one shared prefix.
-//
-// carry is the batch lift of HintFunc's hint: the number of leading
-// coordinates guaranteed unchanged since the previous stride on this
-// worker (within its current chunk). A stride continuing the same
-// odometer row reports carry == len(input)-1 — a prefix snapshot
-// recorded on that earlier stride still applies — and a stride reached
-// through an odometer carry at digit i reports carry == i, so per-axis
-// snapshots at depth ≤ i survive the row change. The first stride of
-// every chunk reports 0.
+// carry is the number of leading coordinates guaranteed unchanged since
+// the previous stride on this worker within its current chunk. The
+// odometer walk knows it exactly: an increment that stops at digit i (no
+// carry past it) leaves coordinates [0, i) untouched, so the callback
+// learns carry == i for free. A stride continuing the same odometer row
+// reports carry == len(input)-1 — only the innermost coordinate moved, so
+// a prefix snapshot recorded on that earlier stride still applies — and
+// the first stride of every chunk reports 0: the previous tuple, if any,
+// belonged to another worker's chunk, so nothing is guaranteed. The hint
+// is what the snapshot-stack compiled fast path keys on: a carry of c says
+// every per-axis execution snapshot at depth ≤ c is still valid, so the
+// run can resume from the deepest one instead of starting at instruction
+// zero (flowchart.SnapshotStack.Run).
 //
 // Both slices are owned by the worker and reused between calls; fn may
 // overwrite input's last element (the natural way to reconstruct per-lane
 // tuples) but must copy anything it retains.
 type BatchFunc func(worker int, input []int64, last []int64, carry int) error
 
-// RunBatch is RunBatchContext with a background context.
-func RunBatch(values [][]int64, cfg Config, width int, fn BatchFunc) error {
-	return RunBatchContext(context.Background(), values, cfg, width, fn)
-}
-
-// RunBatchContext is RunContext with tuples delivered in innermost-axis
-// strides of up to width: the same chunked odometer-ordered enumeration,
-// cancellation, and shard semantics, with fn called once per stride instead
-// of once per tuple. Tuple order within and across calls is identical to
-// RunContext's, so per-worker fold state (view tables, first-witness
-// selection) is path-independent between the scalar and batch entry points.
-// width < 1 is treated as 1. The zero-arity product delivers its single
-// empty tuple as one call with nil input and nil last.
+// RunBatchContext enumerates the cartesian product of values in
+// innermost-axis strides of up to width tuples, calling fn once per
+// stride; width < 1 is treated as 1, the scalar sweep. fn is invoked
+// concurrently from cfg.Workers goroutines; the worker argument
+// (0 ≤ worker < cfg.Workers) lets the callback address per-worker state
+// without locking. Enumeration visits every tuple of the configured range
+// exactly once (the whole product by default; the contiguous shard
+// [Offset, Offset+Count) when cfg restricts it), in odometer order within
+// each chunk, so per-worker fold state (view tables, first-witness
+// selection) does not depend on width. The zero-arity product delivers
+// its single empty tuple as one call with nil input and nil last.
+//
+// The first error returned by fn stops all workers (strides already in
+// flight may still be visited) and is returned. Workers observe ctx
+// between chunks, so after ctx is cancelled every worker stops within one
+// chunk of tuples and RunBatchContext returns ctx's error. A cancelled
+// sweep has visited a prefix-plus-in-flight-chunks subset of the product;
+// cfg.Progress reflects exactly the tuples whose chunks completed. fn
+// errors take precedence over cancellation, and a cancellation that loses
+// the race with the final chunks — every tuple visited — reports success
+// rather than discarding a complete enumeration.
 func RunBatchContext(ctx context.Context, values [][]int64, cfg Config, width int, fn BatchFunc) error {
 	if width < 1 {
 		width = 1
 	}
-	return runRange(ctx, values, cfg,
-		func(worker int) error { return fn(worker, nil, nil, 0) },
-		func(start, end, worker int) error { return runChunkBatch(values, start, end, worker, width, fn) })
-}
-
-// RunContext is Run with cancellation: workers observe ctx between chunks,
-// so after ctx is cancelled every worker stops within one chunk of tuples
-// and RunContext returns ctx's error. A cancelled sweep has visited a
-// prefix-plus-in-flight-chunks subset of the product; cfg.Progress reflects
-// exactly the tuples whose chunks completed. fn errors take precedence over
-// cancellation, and a cancellation that loses the race with the final
-// chunks — every tuple visited — reports success rather than discarding a
-// complete enumeration.
-func RunContext(ctx context.Context, values [][]int64, cfg Config, fn func(worker int, input []int64) error) error {
-	return runRange(ctx, values, cfg,
-		func(worker int) error { return fn(worker, nil) },
-		func(start, end, worker int) error { return runChunk(values, start, end, worker, fn) })
-}
-
-// runRange is the engine shared by RunContext and RunHintContext: it
-// resolves the shard range, claims chunks from the cursor, and delegates
-// each [start, end) slice to chunk. empty handles the zero-arity product
-// (one empty tuple).
-func runRange(ctx context.Context, values [][]int64, cfg Config, empty func(worker int) error, chunk func(start, end, worker int) error) error {
+	chunk := func(start, end, worker int) error { return runChunkBatch(values, start, end, worker, width, fn) }
 	size, err := size(values)
 	if err != nil {
 		return err
@@ -311,7 +257,7 @@ func runRange(ctx context.Context, values [][]int64, cfg Config, empty func(work
 		return ctx.Err()
 	}
 	if len(values) == 0 {
-		err := empty(0)
+		err := fn(0, nil, nil, 0)
 		if err == nil {
 			if cfg.Observer != nil {
 				cfg.Observer.ChunkDone(0, 1, 0)
@@ -480,38 +426,8 @@ func (t *commitTracker) done(start, end int) {
 	t.fn(t.next)
 }
 
-// runChunk visits product indices [start, end): one mixed-radix decode of
-// start, then odometer increments.
-func runChunk(values [][]int64, start, end, worker int, fn func(worker int, input []int64) error) error {
-	k := len(values)
-	idx := make([]int, k)
-	buf := make([]int64, k)
-	rem := start
-	for i := k - 1; i >= 0; i-- {
-		n := len(values[i])
-		idx[i] = rem % n
-		buf[i] = values[i][idx[i]]
-		rem /= n
-	}
-	for pos := start; pos < end; pos++ {
-		if err := fn(worker, buf); err != nil {
-			return err
-		}
-		for i := k - 1; i >= 0; i-- {
-			idx[i]++
-			if idx[i] < len(values[i]) {
-				buf[i] = values[i][idx[i]]
-				break
-			}
-			idx[i] = 0
-			buf[i] = values[i][0]
-		}
-	}
-	return nil
-}
-
-// runChunkBatch is runChunk grouped into innermost-axis strides: the same
-// mixed-radix decode and odometer walk, with the innermost digit advanced
+// runChunkBatch visits product indices [start, end): one mixed-radix
+// decode of start, then an odometer walk with the innermost digit advanced
 // up to width positions at a time. A stride is clipped to the end of its
 // row (the next carry) and to the end of the chunk, so callbacks always see
 // lanes sharing one prefix and the chunk visits exactly [start, end).
@@ -554,43 +470,6 @@ func runChunkBatch(values [][]int64, start, end, worker, width int, fn BatchFunc
 		idx[k-1] = 0
 		carry = 0
 		for i := k - 2; i >= 0; i-- {
-			idx[i]++
-			if idx[i] < len(values[i]) {
-				buf[i] = values[i][idx[i]]
-				carry = i
-				break
-			}
-			idx[i] = 0
-			buf[i] = values[i][0]
-		}
-	}
-	return nil
-}
-
-// runChunkHint is runChunk with carry tracking: the same mixed-radix
-// decode and odometer walk, additionally reporting the digit at which the
-// increment that produced the current tuple stopped — i.e. how many
-// leading coordinates the increment left untouched. The first tuple of
-// the chunk always reports carry 0: the previous tuple (if any) belonged
-// to another worker's chunk, so no coordinate is guaranteed.
-func runChunkHint(values [][]int64, start, end, worker int, fn HintFunc) error {
-	k := len(values)
-	idx := make([]int, k)
-	buf := make([]int64, k)
-	rem := start
-	for i := k - 1; i >= 0; i-- {
-		n := len(values[i])
-		idx[i] = rem % n
-		buf[i] = values[i][idx[i]]
-		rem /= n
-	}
-	carry := 0
-	for pos := start; pos < end; pos++ {
-		if err := fn(worker, buf, carry); err != nil {
-			return err
-		}
-		carry = 0
-		for i := k - 1; i >= 0; i-- {
 			idx[i]++
 			if idx[i] < len(values[i]) {
 				buf[i] = values[i][idx[i]]

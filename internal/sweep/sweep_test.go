@@ -46,6 +46,24 @@ func sequential(values [][]int64) []string {
 
 func key(in []int64) string { return fmt.Sprint(in) }
 
+// run drives the engine one tuple per call: RunBatchContext at width 1,
+// the one-lane stride every scalar checker sees.
+func run(ctx context.Context, values [][]int64, cfg Config, fn func(worker int, input []int64) error) error {
+	return runHint(ctx, values, cfg, func(w int, in []int64, _ int) error { return fn(w, in) })
+}
+
+// runHint is run with each one-tuple stride's carry-depth hint. It also
+// checks the width-1 stride shape: last is exactly input's innermost
+// coordinate.
+func runHint(ctx context.Context, values [][]int64, cfg Config, fn func(worker int, input []int64, carry int) error) error {
+	return RunBatchContext(ctx, values, cfg, 1, func(w int, in, last []int64, carry int) error {
+		if len(in) > 0 && (len(last) != 1 || last[0] != in[len(in)-1]) {
+			return fmt.Errorf("width-1 stride: input %v, last %v", in, last)
+		}
+		return fn(w, in, carry)
+	})
+}
+
 // collect runs the engine and returns the multiset of visited tuples.
 func collect(t *testing.T, values [][]int64, cfg Config) map[string]int {
 	t.Helper()
@@ -57,7 +75,7 @@ func collect(t *testing.T, values [][]int64, cfg Config) map[string]int {
 	for i := range buckets {
 		buckets[i] = make(map[string]int)
 	}
-	if err := Run(values, cfg, func(w int, in []int64) error {
+	if err := run(context.Background(), values, cfg, func(w int, in []int64) error {
 		buckets[w][key(in)]++
 		return nil
 	}); err != nil {
@@ -105,7 +123,7 @@ func total(m map[string]int) int {
 
 func TestRunEmptyProduct(t *testing.T) {
 	calls := 0
-	if err := Run([][]int64{{0, 1}, {}}, Config{Workers: 4}, func(int, []int64) error {
+	if err := run(context.Background(), [][]int64{{0, 1}, {}}, Config{Workers: 4}, func(int, []int64) error {
 		calls++
 		return nil
 	}); err != nil {
@@ -119,7 +137,7 @@ func TestRunEmptyProduct(t *testing.T) {
 func TestRunNullaryProduct(t *testing.T) {
 	var mu sync.Mutex
 	var got [][]int64
-	if err := Run(nil, Config{Workers: 4}, func(_ int, in []int64) error {
+	if err := run(context.Background(), nil, Config{Workers: 4}, func(_ int, in []int64) error {
 		mu.Lock()
 		got = append(got, append([]int64(nil), in...))
 		mu.Unlock()
@@ -135,7 +153,7 @@ func TestRunNullaryProduct(t *testing.T) {
 func TestRunErrorStopsAndPropagates(t *testing.T) {
 	values := [][]int64{{0, 1, 2, 3, 4, 5, 6, 7}, {0, 1, 2, 3, 4, 5, 6, 7}}
 	boom := fmt.Errorf("boom")
-	err := Run(values, Config{Workers: 4, Chunk: 2}, func(_ int, in []int64) error {
+	err := run(context.Background(), values, Config{Workers: 4, Chunk: 2}, func(_ int, in []int64) error {
 		if in[0] == 3 && in[1] == 3 {
 			return boom
 		}
@@ -148,7 +166,7 @@ func TestRunErrorStopsAndPropagates(t *testing.T) {
 
 func TestRunWorkerIndexInRange(t *testing.T) {
 	const workers = 5
-	err := Run([][]int64{{0, 1, 2, 3}, {0, 1, 2, 3}}, Config{Workers: workers, Chunk: 1}, func(w int, _ []int64) error {
+	err := run(context.Background(), [][]int64{{0, 1, 2, 3}, {0, 1, 2, 3}}, Config{Workers: workers, Chunk: 1}, func(w int, _ []int64) error {
 		if w < 0 || w >= workers {
 			return fmt.Errorf("worker index %d out of range", w)
 		}
@@ -215,7 +233,7 @@ func TestRunOverflowingProduct(t *testing.T) {
 	for i := range values {
 		values[i] = vals
 	}
-	err := Run(values, Config{Workers: 2}, func(int, []int64) error { return nil })
+	err := run(context.Background(), values, Config{Workers: 2}, func(int, []int64) error { return nil })
 	if err != ErrTooLarge {
 		t.Errorf("err = %v, want ErrTooLarge", err)
 	}
@@ -242,7 +260,7 @@ func TestRunProgressReachesSize(t *testing.T) {
 	for _, workers := range []int{1, 3, 8} {
 		var progress atomic.Int64
 		cfg := Config{Workers: workers, Chunk: 7, Progress: &progress}
-		if err := Run(values, cfg, func(int, []int64) error { return nil }); err != nil {
+		if err := run(context.Background(), values, cfg, func(int, []int64) error { return nil }); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if got := progress.Load(); got != want {
@@ -256,7 +274,7 @@ func TestRunProgressMonotoneDuringSweep(t *testing.T) {
 	var progress atomic.Int64
 	var sawPartial atomic.Bool
 	cfg := Config{Workers: 4, Chunk: 4, Progress: &progress}
-	err := Run(values, cfg, func(int, []int64) error {
+	err := run(context.Background(), values, cfg, func(int, []int64) error {
 		if p := progress.Load(); p > 0 && p < 64 {
 			sawPartial.Store(true)
 		}
@@ -275,7 +293,7 @@ func TestRunProgressMonotoneDuringSweep(t *testing.T) {
 
 func TestRunNullaryProgress(t *testing.T) {
 	var progress atomic.Int64
-	if err := Run(nil, Config{Progress: &progress}, func(int, []int64) error { return nil }); err != nil {
+	if err := run(context.Background(), nil, Config{Progress: &progress}, func(int, []int64) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if got := progress.Load(); got != 1 {
@@ -299,7 +317,7 @@ func TestRunContextCancelBoundedByChunk(t *testing.T) {
 	defer cancel()
 	var visited atomic.Int64
 	var atCancel atomic.Int64
-	err := RunContext(ctx, values, Config{Workers: workers, Chunk: chunk}, func(int, []int64) error {
+	err := run(ctx, values, Config{Workers: workers, Chunk: chunk}, func(int, []int64) error {
 		if visited.Add(1) == 5*chunk {
 			atCancel.Store(visited.Load())
 			cancel()
@@ -326,7 +344,7 @@ func TestRunContextCancelSingleWorker(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var visited int
-	err := RunContext(ctx, values, Config{Workers: 1, Chunk: 8}, func(int, []int64) error {
+	err := run(ctx, values, Config{Workers: 1, Chunk: 8}, func(int, []int64) error {
 		visited++
 		if visited == 8 {
 			cancel()
@@ -345,7 +363,7 @@ func TestRunContextCancelSingleWorker(t *testing.T) {
 func TestRunContextPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := RunContext(ctx, [][]int64{{0, 1}}, Config{}, func(int, []int64) error {
+	err := run(ctx, [][]int64{{0, 1}}, Config{}, func(int, []int64) error {
 		t.Error("callback ran under a cancelled context")
 		return nil
 	})
@@ -359,7 +377,7 @@ func TestRunContextCallbackErrorBeatsCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	boom := fmt.Errorf("boom")
-	err := RunContext(ctx, [][]int64{{0, 1, 2, 3}}, Config{Workers: 2, Chunk: 1}, func(_ int, in []int64) error {
+	err := run(ctx, [][]int64{{0, 1, 2, 3}}, Config{Workers: 2, Chunk: 1}, func(_ int, in []int64) error {
 		cancel()
 		return boom
 	})

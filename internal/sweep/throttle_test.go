@@ -34,7 +34,7 @@ func TestThrottleObservesCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	visited := 0
 	start := time.Now()
-	err := RunContext(ctx, values, Config{Workers: 1, Chunk: 4, Throttle: time.Hour}, func(w int, in []int64) error {
+	err := run(ctx, values, Config{Workers: 1, Chunk: 4, Throttle: time.Hour}, func(w int, in []int64) error {
 		visited++
 		if visited == 4 { // end of the first chunk; the next nap is 1h
 			cancel()
@@ -60,7 +60,7 @@ func TestThrottleFinalChunkFree(t *testing.T) {
 	values := [][]int64{{0, 1, 2}}
 	ctx, cancel := context.WithCancel(context.Background())
 	visited := 0
-	err := RunContext(ctx, values, Config{Workers: 1, Chunk: 3, Throttle: time.Hour}, func(w int, in []int64) error {
+	err := run(ctx, values, Config{Workers: 1, Chunk: 3, Throttle: time.Hour}, func(w int, in []int64) error {
 		visited++
 		if visited == 3 {
 			cancel() // all tuples seen; no nap may follow
