@@ -63,9 +63,12 @@ func (a *Allow) Arity() int { return a.K }
 // renderView canonically encodes the projection of input onto the indices
 // in set. This is the hottest string in every sweep — one call per
 // enumerated tuple — so it walks the index bitmask directly instead of
-// materialising the index slice and formatting through fmt.
+// materialising the index slice and formatting through fmt, and appends
+// into a stack buffer so the string conversion is its only allocation
+// (for views up to 64 bytes).
 func renderView(set lattice.IndexSet, input []int64) string {
-	buf := make([]byte, 0, 4*len(input))
+	var stack [64]byte
+	buf := stack[:0]
 	for i := 1; i <= len(input); i++ {
 		if set.Contains(i) {
 			buf = strconv.AppendInt(buf, input[i-1], 10)

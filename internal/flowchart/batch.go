@@ -11,35 +11,35 @@ import (
 // (compile.go) removes per-step map lookups; the batch runner here removes
 // per-tuple instruction dispatch. It executes one instruction across a
 // stride of N register files laid out structure-of-arrays — one column of N
-// values per register slot — so the var⊕const and var⊕var inner loops that
-// dominate sweep workloads become tight counted loops over contiguous
-// int64s, which the Go compiler can unroll and auto-vectorize, and the
-// closure-call and switch overhead of instruction dispatch is paid once per
-// N lanes instead of once per tuple.
+// values per register slot — and every expression and predicate node is a
+// columnar kernel: one closure call per node per stride, running a counted
+// loop over the N lanes into a scratch column. The closure-call and switch
+// overhead of evaluation is paid once per N lanes instead of once per
+// tuple, leaving a tight loop body over contiguous int64s per lane.
+// Kernels compute in dead lanes too, which is harmless because every
+// operator is total. Call is the one exception: a registered Func is
+// arbitrary Go code (a tabulated selection, say), so it runs lane by lane
+// under the live mask and sees exactly the arguments, and makes exactly the
+// calls, of the scalar engine.
 //
-// Lanes execute in lockstep. When a decision splits the live lanes — or an
-// instruction only the scalar engine can express is reached — the lanes
-// that leave the common path are extracted (their column values gathered
-// into an ordinary register file) and finished on the scalar runLoop, so
-// every lane's Result (value, steps, violations, budget accounting) is
-// byte-identical to what RunReuse would have produced for that tuple. The
-// equivalence is pinned by differential tests and FuzzBatchVsScalar.
+// Lanes execute in lockstep. When a decision splits the live lanes, the
+// lanes that leave the common path are extracted (their column values
+// gathered into an ordinary register file) and finished on the scalar
+// runLoop, so every lane's Result (value, steps, violations, budget
+// accounting) is byte-identical to what RunReuse would have produced for
+// that tuple. The equivalence is pinned by differential tests and
+// FuzzBatchVsScalar.
 
 // bnode is one instruction of the batch-compiled program: the same control
-// fields as cnode plus the columnar evaluators. vexpr evaluates an assign's
-// expression across lanes [0, n); for the hot var⊕const/var⊕var/const/var
-// shapes it is a branch-free vector kernel that may compute garbage in dead
-// lanes (all covered operators are total), while the generic fallback
-// consults the live mask so arbitrary expressions — including registered
-// Call functions — only ever see lanes the scalar engine would have run.
-// lcond evaluates a decision's predicate for one lane; decisions are
-// inherently per-lane because the uniformity check needs each live lane's
-// direction.
+// fields as cnode plus its kernel. expr evaluates an assign's expression
+// into the target's register column; cond fills the Lanes' condition
+// column for a decision, which the decision counts over the live lanes and
+// divergence reads lane by lane.
 type bnode struct {
 	kind      Kind
 	target    int
-	vexpr     func(cols [][]int64, out []int64, n int, live []bool)
-	lcond     func(cols [][]int64, lane int) bool
+	expr      kexpr
+	cond      kpred
 	next      int32
 	onTrue    int32
 	onFalse   int32
@@ -52,58 +52,61 @@ type bnode struct {
 // happens once per Compiled, shared by every worker's Lanes.
 func (c *Compiled) ensureBatch() error {
 	c.batchOnce.Do(func() {
+		k := &kernels{slotOf: c.slotOf, constAt: make(map[int64]int)}
 		code := make([]bnode, len(c.code))
 		for i := range c.Source.Nodes {
 			n := &c.Source.Nodes[i]
 			bn := bnode{kind: n.Kind, next: int32(n.Next), onTrue: int32(n.True), onFalse: int32(n.False),
 				violation: n.Violation, notice: n.Notice}
+			var err error
 			switch n.Kind {
 			case KindAssign:
 				bn.target = c.slotOf[n.Target]
-				e, err := compileExprBatch(n.Expr, c.slotOf)
-				if err != nil {
-					c.batchErr = fmt.Errorf("flowchart %q: node %d: %w", c.Source.Name, i, err)
-					return
-				}
-				bn.vexpr = e
+				bn.expr, err = k.expr(n.Expr, 0, 0)
 			case KindDecision:
-				q, err := compilePredLane(n.Cond, c.slotOf)
-				if err != nil {
-					c.batchErr = fmt.Errorf("flowchart %q: node %d: %w", c.Source.Name, i, err)
-					return
-				}
-				bn.lcond = q
+				bn.cond, err = k.pred(n.Cond, 0, 0)
+			}
+			if err != nil {
+				c.batchErr = fmt.Errorf("flowchart %q: node %d: %w", c.Source.Name, i, err)
+				return
 			}
 			code[i] = bn
 		}
-		c.bcode = code
+		c.bcode, c.bconsts, c.bints, c.bbools = code, k.consts, k.ints, k.bools
 	})
 	return c.batchErr
 }
 
 // batchState is the lazily-built batch tier of a Compiled program; embedded
-// in Compiled so the scalar structure stays unchanged.
+// in Compiled so the scalar structure stays unchanged. It is immutable once
+// built: the columns kernels write live in each worker's Lanes.
 type batchState struct {
 	batchOnce sync.Once
 	bcode     []bnode
+	bconsts   []int64 // the program's distinct constants, one Lanes column each
+	bints     int     // int64 scratch columns of the largest expression tree
+	bbools    int     // bool scratch columns of the largest expression tree
 	batchErr  error
 }
 
 // Lanes is the mutable state of one batch execution stream: a
 // structure-of-arrays register file (one contiguous column of Width values
-// per slot), the live mask, and the scratch register file used to extract
-// diverging lanes onto the scalar engine. Like a register file or a
-// Snapshot, a Lanes is single-goroutine state — each sweep worker owns one
-// — and stays bound to the Compiled program that created it.
+// per slot), the kernels' constant and scratch columns, the live mask, and
+// the scratch register file used to extract diverging lanes onto the
+// scalar engine. Like a register file or a Snapshot, a Lanes is
+// single-goroutine state — each sweep worker owns one — and stays bound to
+// the Compiled program that created it.
 type Lanes struct {
-	c     *Compiled
-	width int
-	flat  []int64   // slots × width backing store
-	cols  [][]int64 // cols[slot][lane]
-	live  []bool
-	conds []bool
-	errs  []error
-	regs  []int64 // scratch for divergence extraction
+	c      *Compiled
+	width  int
+	cols   [][]int64 // cols[slot][lane]
+	consts [][]int64 // consts[k] holds the program's k-th constant in every lane
+	ints   [][]int64 // kernel scratch, shared by every instruction
+	bools  [][]bool  // predicate scratch, shared by every instruction
+	live   []bool
+	conds  []bool
+	errs   []error
+	regs   []int64 // scratch for divergence extraction
 
 	// Stats accumulates lane-level execution counts across the Lanes'
 	// lifetime. Like the rest of the Lanes it is single-goroutine state:
@@ -134,21 +137,36 @@ func (c *Compiled) NewLanes(width int) (*Lanes, error) {
 	if err := c.ensureBatch(); err != nil {
 		return nil, err
 	}
-	slots := len(c.slotOf)
+	slots, nc := len(c.slotOf), len(c.bconsts)
+	ints := columns(make([]int64, (slots+nc+c.bints)*width), width)
+	bools := columns(make([]bool, (2+c.bbools)*width), width)
 	l := &Lanes{
-		c:     c,
-		width: width,
-		flat:  make([]int64, slots*width),
-		cols:  make([][]int64, slots),
-		live:  make([]bool, width),
-		conds: make([]bool, width),
-		errs:  make([]error, width),
-		regs:  make([]int64, slots),
+		c:      c,
+		width:  width,
+		cols:   ints[:slots:slots],
+		consts: ints[slots : slots+nc : slots+nc],
+		ints:   ints[slots+nc:],
+		live:   bools[0],
+		conds:  bools[1],
+		bools:  bools[2:],
+		errs:   make([]error, width),
+		regs:   make([]int64, slots),
 	}
-	for s := 0; s < slots; s++ {
-		l.cols[s] = l.flat[s*width : (s+1)*width : (s+1)*width]
+	for k, v := range c.bconsts {
+		for lane := range l.consts[k] {
+			l.consts[k][lane] = v
+		}
 	}
 	return l, nil
+}
+
+// columns cuts flat into len(flat)/width capacity-capped columns.
+func columns[T any](flat []T, width int) [][]T {
+	cols := make([][]T, len(flat)/width)
+	for i := range cols {
+		cols[i] = flat[i*width : (i+1)*width : (i+1)*width]
+	}
+	return cols
 }
 
 // Width returns the lane capacity the Lanes was allocated with.
@@ -318,17 +336,18 @@ func (c *Compiled) runBatchLoop(l *Lanes, n int, pc int32, steps, maxSteps int64
 		case KindStart:
 			pc = node.next
 		case KindAssign:
-			node.vexpr(l.cols, l.cols[node.target], n, l.live)
+			dst := l.cols[node.target][:n]
+			if col := node.expr(l, dst); &col[0] != &dst[0] {
+				copy(dst, col) // a Var or Const yields its own column
+			}
 			pc = node.next
 		case KindDecision:
+			conds := l.conds[:n]
+			node.cond(l, conds)
 			nTrue := 0
-			for lane := 0; lane < n; lane++ {
-				if l.live[lane] {
-					t := node.lcond(l.cols, lane)
-					l.conds[lane] = t
-					if t {
-						nTrue++
-					}
+			for lane, t := range conds {
+				if t && l.live[lane] {
+					nTrue++
 				}
 			}
 			switch {
@@ -398,364 +417,317 @@ func (c *Compiled) runBatchLoop(l *Lanes, n int, pc int32, steps, maxSteps int64
 	return nil
 }
 
-// compileExprBatch lowers an assign's expression to a columnar kernel. The
-// var⊕const, var⊕var, const, and var shapes — the bulk of sweep-hot
-// programs, mirroring compileBinFast — become branch-free counted loops
-// over the columns (computing harmlessly in dead lanes: every covered
-// operator is total). Everything else falls back to a per-lane evaluation
-// of a lane-indexed closure, guarded by the live mask so expressions with
-// operator-level guards (division) or registered Call functions only run
-// where the scalar engine would have run them.
-func compileExprBatch(e Expr, slotOf map[string]int) (func(cols [][]int64, out []int64, n int, live []bool), error) {
-	if f := compileExprVec(e, slotOf); f != nil {
-		return f, nil
-	}
-	lane, err := compileExprLane(e, slotOf)
-	if err != nil {
-		return nil, err
-	}
-	return func(cols [][]int64, out []int64, n int, live []bool) {
-		for l := 0; l < n; l++ {
-			if live[l] {
-				out[l] = lane(cols, l)
-			}
-		}
-	}, nil
+// kexpr is a columnar expression kernel: it evaluates its node in lanes
+// [0, len(out)) and returns the node's column. A Var yields its register
+// column and a Const its pre-filled column, both without a copy; every
+// other node fills out and returns it.
+type kexpr func(l *Lanes, out []int64) []int64
+
+// kpred is a columnar predicate kernel: it fills out with the predicate's
+// value in each lane.
+type kpred func(l *Lanes, out []bool)
+
+// kernels lowers one program's expressions and predicates to kernels,
+// mirroring compileExpr and compilePred: the same operator guards, and
+// both arms of a Cond and both sides of && and || evaluated. Scratch
+// columns are numbered by position in the tree: a node evaluated at bases
+// (ib, bb) writes its result to out and may overwrite int scratch column
+// ib and above and bool scratch column bb and above, and out is never one
+// of those. Only one instruction executes at a time, so all instructions
+// share the scratch, which is as large as the largest single tree needs.
+type kernels struct {
+	slotOf  map[string]int
+	consts  []int64
+	constAt map[int64]int
+	ints    int
+	bools   int
 }
 
-// compileExprVec builds the vectorizable kernel for the hot expression
-// shapes, or nil when the shape (or operator) needs the generic path.
-func compileExprVec(e Expr, slotOf map[string]int) func(cols [][]int64, out []int64, n int, live []bool) {
+func (k *kernels) use(ints, bools int) {
+	k.ints, k.bools = max(k.ints, ints), max(k.bools, bools)
+}
+
+func (k *kernels) expr(e Expr, ib, bb int) (kexpr, error) {
 	switch x := e.(type) {
 	case Const:
-		v := int64(x)
-		return func(cols [][]int64, out []int64, n int, live []bool) {
-			out = out[:n]
-			for l := range out {
-				out[l] = v
-			}
-		}
-	case Var:
-		s := slotOf[string(x)]
-		return func(cols [][]int64, out []int64, n int, live []bool) {
-			copy(out[:n], cols[s][:n])
-		}
-	case *Bin:
-		lv, ok := x.L.(Var)
+		c, ok := k.constAt[int64(x)]
 		if !ok {
-			return nil
+			c = len(k.consts)
+			k.constAt[int64(x)] = c
+			k.consts = append(k.consts, int64(x))
 		}
-		s := slotOf[string(lv)]
-		switch r := x.R.(type) {
-		case Const:
-			cv := int64(r)
-			switch x.Op {
-			case OpAdd:
-				return func(cols [][]int64, out []int64, n int, live []bool) {
-					a := cols[s][:n]
-					out = out[:n]
-					for l := range out {
-						out[l] = a[l] + cv
-					}
-				}
-			case OpSub:
-				return func(cols [][]int64, out []int64, n int, live []bool) {
-					a := cols[s][:n]
-					out = out[:n]
-					for l := range out {
-						out[l] = a[l] - cv
-					}
-				}
-			case OpMul:
-				return func(cols [][]int64, out []int64, n int, live []bool) {
-					a := cols[s][:n]
-					out = out[:n]
-					for l := range out {
-						out[l] = a[l] * cv
-					}
-				}
-			case OpAnd:
-				return func(cols [][]int64, out []int64, n int, live []bool) {
-					a := cols[s][:n]
-					out = out[:n]
-					for l := range out {
-						out[l] = a[l] & cv
-					}
-				}
-			case OpOr:
-				return func(cols [][]int64, out []int64, n int, live []bool) {
-					a := cols[s][:n]
-					out = out[:n]
-					for l := range out {
-						out[l] = a[l] | cv
-					}
-				}
-			case OpXor:
-				return func(cols [][]int64, out []int64, n int, live []bool) {
-					a := cols[s][:n]
-					out = out[:n]
-					for l := range out {
-						out[l] = a[l] ^ cv
-					}
-				}
-			case OpAndNot:
-				return func(cols [][]int64, out []int64, n int, live []bool) {
-					a := cols[s][:n]
-					out = out[:n]
-					for l := range out {
-						out[l] = a[l] &^ cv
-					}
-				}
-			}
-		case Var:
-			t := slotOf[string(r)]
-			switch x.Op {
-			case OpAdd:
-				return func(cols [][]int64, out []int64, n int, live []bool) {
-					a, b := cols[s][:n], cols[t][:n]
-					out = out[:n]
-					for l := range out {
-						out[l] = a[l] + b[l]
-					}
-				}
-			case OpSub:
-				return func(cols [][]int64, out []int64, n int, live []bool) {
-					a, b := cols[s][:n], cols[t][:n]
-					out = out[:n]
-					for l := range out {
-						out[l] = a[l] - b[l]
-					}
-				}
-			case OpMul:
-				return func(cols [][]int64, out []int64, n int, live []bool) {
-					a, b := cols[s][:n], cols[t][:n]
-					out = out[:n]
-					for l := range out {
-						out[l] = a[l] * b[l]
-					}
-				}
-			case OpAnd:
-				return func(cols [][]int64, out []int64, n int, live []bool) {
-					a, b := cols[s][:n], cols[t][:n]
-					out = out[:n]
-					for l := range out {
-						out[l] = a[l] & b[l]
-					}
-				}
-			case OpOr:
-				return func(cols [][]int64, out []int64, n int, live []bool) {
-					a, b := cols[s][:n], cols[t][:n]
-					out = out[:n]
-					for l := range out {
-						out[l] = a[l] | b[l]
-					}
-				}
-			case OpXor:
-				return func(cols [][]int64, out []int64, n int, live []bool) {
-					a, b := cols[s][:n], cols[t][:n]
-					out = out[:n]
-					for l := range out {
-						out[l] = a[l] ^ b[l]
-					}
-				}
-			case OpAndNot:
-				return func(cols [][]int64, out []int64, n int, live []bool) {
-					a, b := cols[s][:n], cols[t][:n]
-					out = out[:n]
-					for l := range out {
-						out[l] = a[l] &^ b[l]
-					}
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// compileExprLane mirrors compileExpr over the columnar register file: the
-// returned closure evaluates the expression for one lane, indexing
-// cols[slot][lane] where the scalar form indexes regs[slot]. Evaluation
-// order, operator guards (division by zero, MinInt64 overflow), and the
-// both-arms rule for Cond match the scalar compiler exactly.
-func compileExprLane(e Expr, slotOf map[string]int) (func(cols [][]int64, lane int) int64, error) {
-	switch x := e.(type) {
-	case Const:
-		v := int64(x)
-		return func([][]int64, int) int64 { return v }, nil
+		return func(l *Lanes, out []int64) []int64 { return l.consts[c][:len(out)] }, nil
 	case Var:
-		s := slotOf[string(x)]
-		return func(cols [][]int64, lane int) int64 { return cols[s][lane] }, nil
+		s := k.slotOf[string(x)]
+		return func(l *Lanes, out []int64) []int64 { return l.cols[s][:len(out)] }, nil
 	case *Neg:
-		sub, err := compileExprLane(x.X, slotOf)
+		sub, err := k.expr(x.X, ib, bb)
 		if err != nil {
 			return nil, err
 		}
-		return func(cols [][]int64, lane int) int64 { return -sub(cols, lane) }, nil
+		return func(l *Lanes, out []int64) []int64 {
+			a := sub(l, out)[:len(out)]
+			for i := range out {
+				out[i] = -a[i]
+			}
+			return out
+		}, nil
 	case *BitNot:
-		sub, err := compileExprLane(x.X, slotOf)
+		sub, err := k.expr(x.X, ib, bb)
 		if err != nil {
 			return nil, err
 		}
-		return func(cols [][]int64, lane int) int64 { return ^sub(cols, lane) }, nil
+		return func(l *Lanes, out []int64) []int64 {
+			a := sub(l, out)[:len(out)]
+			for i := range out {
+				out[i] = ^a[i]
+			}
+			return out
+		}, nil
 	case *Bin:
-		l, err := compileExprLane(x.L, slotOf)
-		if err != nil {
-			return nil, err
-		}
-		r, err := compileExprLane(x.R, slotOf)
-		if err != nil {
-			return nil, err
-		}
-		switch x.Op {
-		case OpAdd:
-			return func(cols [][]int64, lane int) int64 { return l(cols, lane) + r(cols, lane) }, nil
-		case OpSub:
-			return func(cols [][]int64, lane int) int64 { return l(cols, lane) - r(cols, lane) }, nil
-		case OpMul:
-			return func(cols [][]int64, lane int) int64 { return l(cols, lane) * r(cols, lane) }, nil
-		case OpDiv:
-			return func(cols [][]int64, lane int) int64 {
-				lv, rv := l(cols, lane), r(cols, lane)
-				if rv == 0 {
-					return 0
-				}
-				if lv == math.MinInt64 && rv == -1 {
-					return math.MinInt64
-				}
-				return lv / rv
-			}, nil
-		case OpMod:
-			return func(cols [][]int64, lane int) int64 {
-				lv, rv := l(cols, lane), r(cols, lane)
-				if rv == 0 {
-					return 0
-				}
-				if lv == math.MinInt64 && rv == -1 {
-					return 0
-				}
-				return lv % rv
-			}, nil
-		case OpAnd:
-			return func(cols [][]int64, lane int) int64 { return l(cols, lane) & r(cols, lane) }, nil
-		case OpOr:
-			return func(cols [][]int64, lane int) int64 { return l(cols, lane) | r(cols, lane) }, nil
-		case OpXor:
-			return func(cols [][]int64, lane int) int64 { return l(cols, lane) ^ r(cols, lane) }, nil
-		case OpAndNot:
-			return func(cols [][]int64, lane int) int64 { return l(cols, lane) &^ r(cols, lane) }, nil
-		default:
+		if int(x.Op) >= len(binOpNames) {
 			return nil, fmt.Errorf("compile: unknown binary op %d", x.Op)
 		}
+		left, err := k.expr(x.L, ib+1, bb)
+		if err != nil {
+			return nil, err
+		}
+		right, err := k.expr(x.R, ib+2, bb)
+		if err != nil {
+			return nil, err
+		}
+		k.use(ib+2, 0)
+		op := x.Op
+		return func(l *Lanes, out []int64) []int64 {
+			a := left(l, l.ints[ib][:len(out)])
+			b := right(l, l.ints[ib+1][:len(out)])
+			binCols(op, out, a, b)
+			return out
+		}, nil
 	case *Cond:
-		p, err := compilePredLane(x.P, slotOf)
+		ka, err := k.expr(x.A, ib+1, bb)
 		if err != nil {
 			return nil, err
 		}
-		a, err := compileExprLane(x.A, slotOf)
+		kb, err := k.expr(x.B, ib+2, bb)
 		if err != nil {
 			return nil, err
 		}
-		b, err := compileExprLane(x.B, slotOf)
+		kp, err := k.pred(x.P, ib+2, bb+1)
 		if err != nil {
 			return nil, err
 		}
-		// Both arms evaluated, like the scalar compiler: constant time.
-		return func(cols [][]int64, lane int) int64 {
-			av, bv := a(cols, lane), b(cols, lane)
-			if p(cols, lane) {
-				return av
+		k.use(ib+2, bb+1)
+		return func(l *Lanes, out []int64) []int64 {
+			a := ka(l, l.ints[ib][:len(out)])[:len(out)]
+			b := kb(l, l.ints[ib+1][:len(out)])[:len(out)]
+			p := l.bools[bb][:len(out)]
+			kp(l, p)
+			for i := range out {
+				if p[i] {
+					out[i] = a[i]
+				} else {
+					out[i] = b[i]
+				}
 			}
-			return bv
+			return out
 		}, nil
 	case *Call:
 		if x.Resolved == nil || x.Resolved.Fn == nil {
 			return nil, fmt.Errorf("compile: unresolved call to %q", x.Name)
 		}
-		args := make([]func([][]int64, int) int64, len(x.Args))
-		for i, a := range x.Args {
-			f, err := compileExprLane(a, slotOf)
+		args := make([]kexpr, len(x.Args))
+		for j, a := range x.Args {
+			f, err := k.expr(a, ib+j+1, bb)
 			if err != nil {
 				return nil, err
 			}
-			args[i] = f
+			args[j] = f
 		}
+		k.use(ib+len(args), 0)
 		fn := x.Resolved.Fn
-		return func(cols [][]int64, lane int) int64 {
-			vals := make([]int64, len(args))
-			for i, f := range args {
-				vals[i] = f(cols, lane)
+		// The one lane-indexed node: fn runs only on live lanes, with a
+		// fresh argument slice per call as in the scalar tier, because it
+		// is arbitrary code that may keep the slice or count its calls.
+		return func(l *Lanes, out []int64) []int64 {
+			for j, arg := range args {
+				col := l.ints[ib+j][:len(out)]
+				copy(col, arg(l, col))
 			}
-			return fn(vals)
+			for lane := range out {
+				if l.live[lane] {
+					vals := make([]int64, len(args))
+					for j := range vals {
+						vals[j] = l.ints[ib+j][lane]
+					}
+					out[lane] = fn(vals)
+				}
+			}
+			return out
 		}, nil
 	default:
 		return nil, fmt.Errorf("compile: unknown expression type %T", e)
 	}
 }
 
-// compilePredLane mirrors compilePred over the columnar register file.
-func compilePredLane(q Pred, slotOf map[string]int) (func(cols [][]int64, lane int) bool, error) {
+func (k *kernels) pred(q Pred, ib, bb int) (kpred, error) {
 	switch x := q.(type) {
 	case BoolConst:
 		v := bool(x)
-		return func([][]int64, int) bool { return v }, nil
+		return func(l *Lanes, out []bool) {
+			for i := range out {
+				out[i] = v
+			}
+		}, nil
 	case *Not:
-		sub, err := compilePredLane(x.X, slotOf)
+		sub, err := k.pred(x.X, ib, bb)
 		if err != nil {
 			return nil, err
 		}
-		return func(cols [][]int64, lane int) bool { return !sub(cols, lane) }, nil
+		return func(l *Lanes, out []bool) {
+			sub(l, out)
+			for i, v := range out {
+				out[i] = !v
+			}
+		}, nil
 	case *AndP:
-		l, err := compilePredLane(x.L, slotOf)
-		if err != nil {
-			return nil, err
-		}
-		r, err := compilePredLane(x.R, slotOf)
-		if err != nil {
-			return nil, err
-		}
-		return func(cols [][]int64, lane int) bool {
-			lv, rv := l(cols, lane), r(cols, lane)
-			return lv && rv
-		}, nil
+		return k.logic(x.L, x.R, false, ib, bb)
 	case *OrP:
-		l, err := compilePredLane(x.L, slotOf)
-		if err != nil {
-			return nil, err
-		}
-		r, err := compilePredLane(x.R, slotOf)
-		if err != nil {
-			return nil, err
-		}
-		return func(cols [][]int64, lane int) bool {
-			lv, rv := l(cols, lane), r(cols, lane)
-			return lv || rv
-		}, nil
+		return k.logic(x.L, x.R, true, ib, bb)
 	case *Cmp:
-		l, err := compileExprLane(x.L, slotOf)
-		if err != nil {
-			return nil, err
-		}
-		r, err := compileExprLane(x.R, slotOf)
-		if err != nil {
-			return nil, err
-		}
-		switch x.Op {
-		case CmpEq:
-			return func(cols [][]int64, lane int) bool { return l(cols, lane) == r(cols, lane) }, nil
-		case CmpNe:
-			return func(cols [][]int64, lane int) bool { return l(cols, lane) != r(cols, lane) }, nil
-		case CmpLt:
-			return func(cols [][]int64, lane int) bool { return l(cols, lane) < r(cols, lane) }, nil
-		case CmpLe:
-			return func(cols [][]int64, lane int) bool { return l(cols, lane) <= r(cols, lane) }, nil
-		case CmpGt:
-			return func(cols [][]int64, lane int) bool { return l(cols, lane) > r(cols, lane) }, nil
-		case CmpGe:
-			return func(cols [][]int64, lane int) bool { return l(cols, lane) >= r(cols, lane) }, nil
-		default:
+		if int(x.Op) >= len(cmpOpNames) {
 			return nil, fmt.Errorf("compile: unknown comparison op %d", x.Op)
 		}
+		left, err := k.expr(x.L, ib+1, bb)
+		if err != nil {
+			return nil, err
+		}
+		right, err := k.expr(x.R, ib+2, bb)
+		if err != nil {
+			return nil, err
+		}
+		k.use(ib+2, 0)
+		op := x.Op
+		return func(l *Lanes, out []bool) {
+			a := left(l, l.ints[ib][:len(out)])
+			b := right(l, l.ints[ib+1][:len(out)])
+			cmpCols(op, out, a, b)
+		}, nil
 	default:
 		return nil, fmt.Errorf("compile: unknown predicate type %T", q)
+	}
+}
+
+// logic lowers && (or false) and || (or true). Both sides are evaluated
+// in every lane, as in the scalar tier.
+func (k *kernels) logic(lq, rq Pred, or bool, ib, bb int) (kpred, error) {
+	left, err := k.pred(lq, ib, bb)
+	if err != nil {
+		return nil, err
+	}
+	right, err := k.pred(rq, ib, bb+1)
+	if err != nil {
+		return nil, err
+	}
+	k.use(0, bb+1)
+	return func(l *Lanes, out []bool) {
+		left(l, out)
+		r := l.bools[bb][:len(out)]
+		right(l, r)
+		for i := range out {
+			if or {
+				out[i] = out[i] || r[i]
+			} else {
+				out[i] = out[i] && r[i]
+			}
+		}
+	}, nil
+}
+
+// binCols sets out[i] = a[i] op b[i]. out may alias a or b.
+func binCols(op BinOp, out, a, b []int64) {
+	a, b = a[:len(out)], b[:len(out)]
+	switch op {
+	case OpAdd:
+		for i := range out {
+			out[i] = a[i] + b[i]
+		}
+	case OpSub:
+		for i := range out {
+			out[i] = a[i] - b[i]
+		}
+	case OpMul:
+		for i := range out {
+			out[i] = a[i] * b[i]
+		}
+	case OpDiv:
+		for i := range out {
+			x, y := a[i], b[i]
+			switch {
+			case y == 0:
+				out[i] = 0
+			case x == math.MinInt64 && y == -1:
+				out[i] = math.MinInt64
+			default:
+				out[i] = x / y
+			}
+		}
+	case OpMod:
+		for i := range out {
+			x, y := a[i], b[i]
+			switch {
+			case y == 0, x == math.MinInt64 && y == -1:
+				out[i] = 0
+			default:
+				out[i] = x % y
+			}
+		}
+	case OpAnd:
+		for i := range out {
+			out[i] = a[i] & b[i]
+		}
+	case OpOr:
+		for i := range out {
+			out[i] = a[i] | b[i]
+		}
+	case OpXor:
+		for i := range out {
+			out[i] = a[i] ^ b[i]
+		}
+	case OpAndNot:
+		for i := range out {
+			out[i] = a[i] &^ b[i]
+		}
+	}
+}
+
+// cmpCols sets out[i] = a[i] op b[i].
+func cmpCols(op CmpOp, out []bool, a, b []int64) {
+	a, b = a[:len(out)], b[:len(out)]
+	switch op {
+	case CmpEq:
+		for i := range out {
+			out[i] = a[i] == b[i]
+		}
+	case CmpNe:
+		for i := range out {
+			out[i] = a[i] != b[i]
+		}
+	case CmpLt:
+		for i := range out {
+			out[i] = a[i] < b[i]
+		}
+	case CmpLe:
+		for i := range out {
+			out[i] = a[i] <= b[i]
+		}
+	case CmpGt:
+		for i := range out {
+			out[i] = a[i] > b[i]
+		}
+	case CmpGe:
+		for i := range out {
+			out[i] = a[i] >= b[i]
+		}
 	}
 }

@@ -192,6 +192,7 @@ inputs x1 y
     halt
 `},
 	}
+	cases = append(cases, kernelShapes...)
 	widths := []int{1, 2, 3, 8, 32}
 	for _, tc := range cases {
 		p := MustParse(tc.src)
@@ -202,6 +203,172 @@ inputs x1 y
 				})
 			}
 		}
+	}
+}
+
+// kernelShapes covers every node the columnar kernels lower: constants on
+// the left of an operator, nested ite with compare predicates, unary -
+// and ^, !, && and ||, true and false as decisions, and / and % by zero
+// and MinInt64 / -1. In deaddiv the x2 == 0 lane leaves the batch before
+// the divisions, so its zero divisor flows through them as a dead lane.
+// Both fuzz corpora start from these sources too.
+var kernelShapes = []struct{ name, src string }{
+	{"const-left-product", `
+program constleft
+inputs x1 x2
+    r0 := x2 - 1
+    y := -2 * r0
+    y := y + 3 * x1 - -4 * x2 + 5 % 3
+    halt
+`},
+	{"nested-ite-compare", `
+program nestedite
+inputs x1 x2
+    r := ite(-2 * x2 < ite(x1 + -1 == 2 - x2, x1, x2), 3 % 4, ite(x1 != 0 * 3, x2, x1))
+    y := ite(x2 >= r, ite(x1 <= x2, r - x1, r + x1), -r)
+    halt
+`},
+	{"division-guards-dead-lanes", `
+program deaddiv
+inputs x1 x2
+    m := ^9223372036854775807
+    if x2 == 0 goto Zero else Rest
+Zero: y := x1
+      halt
+Rest: y := x1 / x2 + x1 % x2
+      y := y + m / ite(x2 > 0, -1, x2 - x2) + m % ite(x2 < 0, -1, 0)
+      y := y + x1 / (x2 - 1) + x1 % (x2 + 1) + m / x2
+      halt
+`},
+	{"unary-and-logic", `
+program unarylogic
+inputs x1 x2
+    a := -x2
+    b := ^x1
+    c := -(x1 + x2) & ^(x2 - 1)
+    if !(a < b) && (c != 0 || x2 == 1) goto T else F
+T:  y := a + b
+    if true goto U else F
+U:  y := y - c
+    halt
+F:  if false goto T else G
+G:  y := c | -a
+    halt
+`},
+}
+
+func kernelShapeSources() []string {
+	var srcs []string
+	for _, k := range kernelShapes {
+		srcs = append(srcs, k.src)
+	}
+	return srcs
+}
+
+// TestBatchCallRunsOnLiveLanesOnly pins the one lane-indexed kernel: a
+// registered function inside a branch only some lanes take must see the
+// live lanes' arguments and nothing else — the same calls, in number, that
+// the scalar engine makes. f rejects the non-positive arguments only the
+// lanes that left the batch hold, and the nested call rejects what a stale
+// scratch column would feed it.
+func TestBatchCallRunsOnLiveLanesOnly(t *testing.T) {
+	calls := 0
+	f := &Func{Name: "f", Arity: 1, Fn: func(a []int64) int64 {
+		calls++
+		if a[0] <= 0 {
+			t.Errorf("f called with %d, which no live lane holds", a[0])
+		}
+		return a[0] + 1
+	}}
+	p, err := ParseWithOptions(`
+program calls
+inputs x1 x2
+    if x2 > 0 goto Pos else NonPos
+Pos:    y := f(x2) * x1 + f(f(x2 + x1))
+        halt
+NonPos: y := x1 - x2
+        halt
+`, ParseOptions{Funcs: []*Func{f}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := p.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var inner []int64
+	for v := int64(-3); v <= 12; v++ {
+		inner = append(inner, v)
+	}
+	regs := make([]int64, c.Slots())
+	for width := 1; width <= 16; width++ {
+		lanes, err := c.NewLanes(width)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]Result, width)
+		for _, x1 := range []int64{1, 2} {
+			for j := 0; j < len(inner); j += width {
+				last := inner[j:min(j+width, len(inner))]
+				calls = 0
+				want := make([]Result, len(last))
+				for i, v := range last {
+					if want[i], err = c.RunReuse(regs, []int64{x1, v}, DefaultMaxSteps); err != nil {
+						t.Fatal(err)
+					}
+				}
+				scalarCalls := calls
+				calls = 0
+				if err := c.RunBatch(lanes, []int64{x1, last[0]}, last, DefaultMaxSteps, out[:len(last)]); err != nil {
+					t.Fatal(err)
+				}
+				if calls != scalarCalls {
+					t.Fatalf("width %d x1=%d lanes %v: %d calls, scalar makes %d", width, x1, last, calls, scalarCalls)
+				}
+				for i := range last {
+					if out[i] != want[i] {
+						t.Fatalf("width %d x1=%d x2=%d: batch = %+v, scalar = %+v", width, x1, last[i], out[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestBatchKernelsAllocFree pins that a stride of a Call-free program
+// allocates nothing, from scratch and from a snapshot stack's capture.
+func TestBatchKernelsAllocFree(t *testing.T) {
+	c, err := MustParse(progPool).Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lanes, err := c.NewLanes(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := []int64{2, -1, 0}
+	last := make([]int64, 16)
+	for i := range last {
+		last[i] = int64(i) - 4
+	}
+	out := make([]Result, len(last))
+	st := c.NewSnapshotStack()
+	if _, _, err := st.Run(in, 0, DefaultMaxSteps); err != nil {
+		t.Fatal(err)
+	}
+	for name, run := range map[string]func() error{
+		"RunBatch":          func() error { return c.RunBatch(lanes, in, last, DefaultMaxSteps, out) },
+		"RunBatchFromStack": func() error { return c.RunBatchFromStack(lanes, st, last, DefaultMaxSteps, out) },
+	} {
+		if err := run(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if n := testing.AllocsPerRun(100, func() { _ = run() }); n != 0 {
+			t.Errorf("%s: %v allocs per stride, want 0", name, n)
+		}
+	}
+	if lanes.Stats.Diverged == 0 {
+		t.Error("no lane diverged; the program no longer exercises extraction")
 	}
 }
 

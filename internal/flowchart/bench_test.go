@@ -67,3 +67,55 @@ func BenchmarkCompile(b *testing.B) {
 		}
 	}
 }
+
+// progPool has the shapes of the benchmark's bulk program pool: a counted
+// loop, % and const⊕var arithmetic, nested ite, compare decisions, and a
+// late read of the innermost input that splits the lanes.
+const progPool = `
+program pool
+inputs x1 x2 x3
+    lc1 := 3
+L1: if lc1 > 0 goto B2 else D3
+B2: r0 := -2 * x1 + x2 % 4
+    r1 := ite(x2 + -1 == 2 - r0, r0, x1)
+    if 3 * r1 != x1 + -2 goto T4 else F5
+T4: r2 := (1 - r1) % 4
+    y := y + ite(-2 * r0 < r2, 3 % 4, x2)
+    lc1 := lc1 - 1
+    goto L1
+F5: r2 := r2 - 1
+    lc1 := lc1 - 1
+    goto L1
+D3: y := (y - r2) % 4 + x3 * 2
+    if x3 % 4 <= 1 goto H else H2
+H:  halt
+H2: y := ite(x3 < 2, y, -y)
+    halt
+`
+
+// BenchmarkRunBatch times one 16-lane stride of progPool from scratch and
+// reports the cost per lane.
+func BenchmarkRunBatch(b *testing.B) {
+	c, err := MustParse(progPool).Compile()
+	if err != nil {
+		b.Fatal(err)
+	}
+	lanes, err := c.NewLanes(16)
+	if err != nil {
+		b.Fatal(err)
+	}
+	last := make([]int64, 16)
+	for i := range last {
+		last[i] = int64(i) - 4
+	}
+	out := make([]Result, len(last))
+	in := []int64{0, 0, 0}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		in[0], in[1] = int64(i%5), int64(i%7-3)
+		if err := c.RunBatch(lanes, in, last, DefaultMaxSteps, out); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(last)), "ns/lane")
+}

@@ -5,8 +5,9 @@ import (
 	"testing"
 )
 
-// fuzzSeeds is the shared program corpus both fuzz targets start from.
-var fuzzSeeds = []string{
+// fuzzSeeds is the shared program corpus the fuzz targets start from:
+// parser and runner edge cases, then the batch tier's kernel shapes.
+var fuzzSeeds = append([]string{
 	progE3,
 	"inputs x\n y := x\n halt\n",
 	"inputs a b\n if a == b goto T else F\nT: halt\nF: violation \"no\"\n",
@@ -16,7 +17,10 @@ var fuzzSeeds = []string{
 	"// comment only\ninputs x\n halt\n",
 	"inputs x\nL: x := x - 1\n if x > 0 goto L else D\nD: halt\n",
 	"inputs\n y := 0 - -3\n halt\n",
-}
+}, kernelShapeSources()...)
+
+// FuzzSeeds exposes fuzzSeeds to the external test package's fuzz target.
+var FuzzSeeds = fuzzSeeds
 
 // FuzzParse checks the parser's robustness invariants: it never panics,
 // and whenever it accepts a program, the program validates, prints, and

@@ -320,7 +320,7 @@ var stackFuzzSeeds = []string{
 // agree. This is the property the fixed-corpus differentials pin, checked
 // on arbitrary programs and walks.
 func FuzzSnapshotStackVsScalar(f *testing.F) {
-	for i, s := range stackFuzzSeeds {
+	for i, s := range append(stackFuzzSeeds, flowchart.FuzzSeeds...) {
 		f.Add(s, int64(i-2), int64(2*i+1), uint8(16*i+3), []byte{0, 3, 7, 0x85, 42, 0xff, 9})
 		f.Add(s, int64(-1), int64(3), uint8(40), []byte{1, 2, 3, 4, 5})
 	}

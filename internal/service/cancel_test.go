@@ -129,6 +129,41 @@ func TestCancelQueuedJobNeverRuns(t *testing.T) {
 	}
 }
 
+// TestCancelQueuedJobSettlesBeforeDone pins the order on the queued path:
+// a caller that waits on Done of a job another goroutine cancels while it
+// is queued reads Stats that already count the cancellation. Each round
+// cancels one more queued job behind the running one.
+func TestCancelQueuedJobSettlesBeforeDone(t *testing.T) {
+	s := newTestService(t, Config{Pools: 1, SweepWorkers: 1})
+	slow, err := s.Submit(slowRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, slow, StateRunning, 10*time.Second)
+	for round := int64(1); round <= 20; round++ {
+		queued, err := s.Submit(slowRequest())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cancelled := make(chan struct{})
+		go func() {
+			defer close(cancelled)
+			if _, err := s.Cancel(queued.ID); err != nil {
+				t.Errorf("cancel queued job: %v", err)
+			}
+		}()
+		<-queued.Done()
+		if jobs := s.Stats().Jobs; jobs.Cancelled != round || jobs.Queued != 0 {
+			t.Errorf("round %d: job tallies right after Done = %+v, want %d cancelled and none queued", round, jobs, round)
+		}
+		<-cancelled
+	}
+	if _, err := s.Cancel(slow.ID); err != nil {
+		t.Fatal(err)
+	}
+	waitJob(t, slow)
+}
+
 func TestCancelErrors(t *testing.T) {
 	s := newTestService(t, Config{Pools: 1})
 	if _, err := s.Cancel("job-404"); !errors.Is(err, ErrUnknownJob) {

@@ -188,8 +188,10 @@ func (j *Job) tryStart() bool {
 // cancelled and reaches the cancelled state once the sweep notices, within
 // one chunk. The return values are the state observed at the moment of the
 // request and whether the request had any effect (false for jobs already
-// terminal).
-func (j *Job) cancelRequest() (State, bool) {
+// terminal). A queued job never reaches runJob's accounting, so
+// settleQueued runs on that path once the job is cancelled and before Done
+// closes: a caller that waited on the job reads Stats that count it.
+func (j *Job) cancelRequest(settleQueued func()) (State, bool) {
 	j.mu.Lock()
 	switch j.state {
 	case StateQueued:
@@ -199,6 +201,7 @@ func (j *Job) cancelRequest() (State, bool) {
 		j.mu.Unlock()
 		j.cancel()
 		j.trace.Event("cancelled", "while queued")
+		settleQueued()
 		close(j.done)
 		return StateQueued, true
 	case StateRunning:

@@ -144,8 +144,9 @@ func (s *Service) resumePending() {
 
 // cachedJob materializes a store verdict hit as an already-done job: the
 // client sees the normal job lifecycle, fast-forwarded to its terminal
-// state, with CachedVerdict set.
-func (s *Service) cachedJob(req CheckRequest, entry *compiled, total int64, raw json.RawMessage) (*Job, error) {
+// state, with CachedVerdict set and CacheHit reporting the compile-cache
+// lookup the submission made (hit).
+func (s *Service) cachedJob(req CheckRequest, entry *compiled, hit bool, total int64, raw json.RawMessage) (*Job, error) {
 	var res Result
 	if err := json.Unmarshal(raw, &res); err != nil {
 		return nil, fmt.Errorf("service: stored verdict corrupt: %w", err)
@@ -154,7 +155,7 @@ func (s *Service) cachedJob(req CheckRequest, entry *compiled, total int64, raw 
 	// this lookup; report the lookup as (effectively) instant.
 	res.ElapsedSeconds = 0
 	res.InputsPerSec = 0
-	j := newJob(fmt.Sprintf("job-%d", s.seq.Add(1)), req, entry, true, total)
+	j := newJob(fmt.Sprintf("job-%d", s.seq.Add(1)), req, entry, hit, total)
 	j.CachedVerdict = true
 	j.progress.Store(total)
 	j.trace = s.metrics.tracer.Begin(j.ID)

@@ -105,8 +105,18 @@ func TestVerdictSurvivesRestart(t *testing.T) {
 	if !st2.CachedVerdict {
 		t.Fatalf("verdict did not survive restart: %+v", st2)
 	}
+	if st2.Cached {
+		t.Error("first submission after restart reports a compile-cache hit; the cache is empty")
+	}
 	if !reflect.DeepEqual(stripTiming(st2.Result), stripTiming(first.Result)) {
 		t.Errorf("restarted verdict differs:\n  %+v\nvs\n  %+v", st2.Result, first.Result)
+	}
+	j3, err := s2.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st3 := j3.Status(); !st3.CachedVerdict || !st3.Cached {
+		t.Errorf("repeat submission = %+v, want a verdict-store and a compile-cache hit", st3)
 	}
 }
 

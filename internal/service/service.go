@@ -291,7 +291,7 @@ func (s *Service) submit(req CheckRequest, id string, resume *jobCheckpoint, ten
 		key = storeKey(entry, req)
 		if id == "" {
 			if raw, ok := s.store.Verdict(key); ok {
-				return s.cachedJob(req, entry, passes*span, raw)
+				return s.cachedJob(req, entry, hit, passes*span, raw)
 			}
 		}
 	}
@@ -414,19 +414,17 @@ func (s *Service) Cancel(id string) (*Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	was, acted := j.cancelRequest()
-	if acted {
-		if was == StateQueued {
-			// The job will never reach runJob's accounting: settle its
-			// tallies here. The scheduler's dispatched/completed pair still
-			// balances when the pool later dequeues and skips it.
-			s.nQueued.Add(-1)
-			s.nCancelled.Add(1)
-			if s.store != nil {
-				s.store.ClearPending(j.ID)
-			}
-			s.tenants.wake()
+	was, acted := j.cancelRequest(func() {
+		// The scheduler's dispatched/completed pair still balances when
+		// the pool later dequeues and skips the job.
+		s.nQueued.Add(-1)
+		s.nCancelled.Add(1)
+		if s.store != nil {
+			s.store.ClearPending(j.ID)
 		}
+		s.tenants.wake()
+	})
+	if acted {
 		return j, nil
 	}
 	if was == StateCancelled {
