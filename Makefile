@@ -55,7 +55,7 @@ bench-memostack-json:
 
 # The cluster perf-trajectory artifact: 1-node vs 2-node in-process fleet
 # over a 160k-tuple sweep, plus the straggler scenario (one throttled
-# node) under the fixed and the elastic coordinator, averaged like
+# node) with stealing and speculation off and on, averaged like
 # bench-json.
 bench-cluster-json:
 	$(GO) test -bench 'Cluster' -benchmem -count 3 -run '^$$' ./internal/cluster/ > bench_cluster.txt

@@ -20,12 +20,13 @@ import (
 // prints the merged verdict in exactly the format `spm check` uses —
 // followed by one line of cluster accounting.
 //
-// Any of -steal-threshold, -speculate, -admin, or -nodes-file switches
-// the fleet to elastic mode: membership may change mid-check (via the
-// admin listener or a SIGHUP reread of the nodes file), stragglers have
-// the back half of their remaining range stolen onto idle nodes, and
-// with -speculate the last in-flight shards are duplicated so the fastest
-// copy wins. The merged verdict is byte-identical either way.
+// The nodes form the coordinator's membership registry: health probes
+// retire dead nodes, and membership may change mid-check via -admin's
+// POST /join and /leave or a SIGHUP reread of -nodes-file. With
+// -steal-threshold stragglers have the back half of their remaining
+// range stolen onto idle nodes, and with -speculate the last in-flight
+// shards are duplicated so the fastest copy wins. The merged verdict is
+// byte-identical either way.
 func cmdCluster(args []string) error {
 	fs := flag.NewFlagSet("cluster", flag.ContinueOnError)
 	nodes := fs.String("nodes", "", "comma-separated worker base URLs, e.g. 127.0.0.1:8135,127.0.0.1:8136")
@@ -68,19 +69,15 @@ func cmdCluster(args []string) error {
 		}
 		nodeList = append(nodeList, fromFile...)
 	}
-	cfg := cluster.Config{
-		Nodes:          nodeList,
+	registry := cluster.NewRegistry(nodeList)
+	coord, err := cluster.New(cluster.Config{
+		Registry:       registry,
 		Shards:         *shards,
 		Retries:        *retries,
 		StealThreshold: *stealThreshold,
 		Speculate:      *speculate,
 		StealInterval:  *stealInterval,
-	}
-	elastic := *stealThreshold > 0 || *speculate || *admin != "" || *nodesFile != ""
-	if elastic {
-		cfg.Registry = cluster.NewRegistry(nodeList)
-	}
-	coord, err := cluster.New(cfg)
+	})
 	if err != nil {
 		return err
 	}
@@ -106,7 +103,7 @@ func cmdCluster(args []string) error {
 		fmt.Fprintf(os.Stderr, "spm cluster: admin API on %s\n", *admin)
 	}
 	if *nodesFile != "" {
-		stopHUP := watchNodesFile(*nodesFile, cfg.Registry)
+		stopHUP := watchNodesFile(*nodesFile, registry)
 		defer stopHUP()
 	}
 	rep, err := coord.Check(interruptContext(), service.CheckRequest{

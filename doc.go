@@ -23,8 +23,8 @@
 // check.Run sweeps the domain on the parallel work-stealing engine in
 // internal/sweep (compiled fast path included) and honours ctx: cancelling
 // it stops the enumeration within one chunk. The CLI (`spm check`,
-// `spm sweep`), the policy-checking service (`spm serve`, v1 and v2 HTTP
-// APIs in internal/service), and the experiment tables all route through
+// `spm sweep`), the policy-checking service (`spm serve`, the v2 HTTP
+// API in internal/service), and the experiment tables all route through
 // it. Every checker evaluates mechanisms through one seam: the engine
 // hands out innermost-axis strides (sweep.RunBatchContext) and each
 // mechanism runs them on its own core.BatchRunFunc — a scalar run is a
@@ -59,7 +59,7 @@
 // DELETE /v2/jobs/{id}.
 //
 // See README.md for the quickstart, the package map, the endpoint table
-// of the v1/v2 service APIs (batch submit, job cancellation, progress
+// of the v2 service API (batch submit, job cancellation, progress
 // streaming, offset/count sharding), the measured performance trajectory,
 // and the cluster-mode two-terminal walkthrough. DESIGN.md holds the
 // architecture: the four layers, the mixed-radix index space they share,

@@ -65,11 +65,11 @@ func BenchmarkClusterCheck(b *testing.B) {
 
 // benchmarkStraggler runs the same 160k-tuple check on a 3-node fleet
 // whose third node is a deterministic straggler (the serve-side throttle
-// hook naps it every chunk). The fixed row eats the straggler's tail
-// latency; the elastic row steals the back half of its remaining range
-// and speculates the stragglers away, so the delta between the two rows
-// is the price of a slow node under each coordinator.
-func benchmarkStraggler(b *testing.B, elastic bool) {
+// hook naps it every chunk). The nosteal row eats the straggler's tail
+// latency; the steal row steals the back half of its remaining range and
+// speculates the stragglers away, so the delta between the two rows is
+// the price of a slow node with the interventions off and on.
+func benchmarkStraggler(b *testing.B, steal bool) {
 	nodes := make([]string, 3)
 	for i := range nodes {
 		cfg := service.Config{Pools: 2}
@@ -90,8 +90,7 @@ func benchmarkStraggler(b *testing.B, elastic bool) {
 	}
 	req := service.CheckRequest{Program: soundProg, Policy: "{2}", Domain: dom}
 	cfg := Config{Nodes: nodes, Shards: 6, Poll: 2 * time.Millisecond}
-	if elastic {
-		cfg.Registry = NewRegistry(nodes)
+	if steal {
 		cfg.StealThreshold = 2
 		cfg.Speculate = true
 		cfg.StealInterval = 5 * time.Millisecond
@@ -119,16 +118,16 @@ func benchmarkStraggler(b *testing.B, elastic bool) {
 	b.ReportMetric(float64(speculated)/float64(b.N), "speculated/op")
 }
 
-// BenchmarkClusterStraggler is the elastic trajectory row pair in
-// BENCH_cluster.json: the same straggler scenario under the fixed and the
-// elastic coordinator.
+// BenchmarkClusterStraggler is the straggler row pair in
+// BENCH_cluster.json: the same scenario with stealing and speculation off
+// and on.
 func BenchmarkClusterStraggler(b *testing.B) {
 	for _, mode := range []struct {
-		name    string
-		elastic bool
-	}{{"fixed", false}, {"elastic", true}} {
+		name  string
+		steal bool
+	}{{"nosteal", false}, {"steal", true}} {
 		b.Run(mode.name, func(b *testing.B) {
-			benchmarkStraggler(b, mode.elastic)
+			benchmarkStraggler(b, mode.steal)
 		})
 	}
 }

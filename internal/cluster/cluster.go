@@ -20,12 +20,16 @@
 // form: each node runs one shard at a time and pulls the next pending
 // shard the moment it finishes, so faster nodes sweep more of the index
 // space — the same dynamic balance the JSQ scheduler gives jobs inside one
-// node.
+// node. Each shard attempt is followed over the job's SSE event stream
+// (GET /v2/jobs/{id}/events, with a status poll as the fallback), so the
+// coordinator learns a shard finished when the node does, not a poll
+// interval later.
 //
-// # Elastic mode
+// # Membership, stealing and speculation
 //
-// With a Registry (or any steal/speculate knob) configured the fleet
-// becomes elastic, exploiting the fact that a shard is nothing but a
+// Every coordinator dispatches from a Registry; Config.Nodes alone builds
+// a static one. The same runner serves a changing fleet and two optional
+// interventions, all exploiting the fact that a shard is nothing but a
 // contiguous index range [Offset, Offset+Count):
 //
 //   - Dynamic membership. Nodes join and leave mid-check through the
@@ -33,23 +37,24 @@
 //     joiners enter the shard pool immediately, leavers have their
 //     in-flight shard cancelled and requeued without charging its retry
 //     budget, and health probes of GET /v2/stats retire silently dead
-//     nodes.
+//     nodes. A retired node stays retired on the coordinator, across
+//     checks, until it joins again.
 //
-//   - Shard stealing. The coordinator follows each job's chunk cursor
-//     over the SSE event stream (GET /v2/jobs/{id}/events, with a poll
-//     fallback) and projects every flight's finish time. When a
-//     straggler's projection exceeds StealThreshold × the median and
-//     idle nodes exist, the remaining range is split at a cursor-aligned
-//     midpoint with integer arithmetic: the back half goes to an idle
-//     node and the straggler is shrunk by cancel-and-resubmit of the
-//     front half.
+//   - Shard stealing (Config.StealThreshold > 0). The coordinator
+//     projects every flight's finish time from the chunk cursor its event
+//     stream reports. When a straggler's projection exceeds
+//     StealThreshold × the median and idle nodes exist, the remaining
+//     range is split at a cursor-aligned midpoint with integer
+//     arithmetic: the back half goes to an idle node and the straggler is
+//     shrunk by cancel-and-resubmit of the front half.
 //
-//   - Speculative re-dispatch. When idle nodes outnumber the remaining
-//     shards, in-flight shards are duplicated on idle nodes; the first
-//     result per shard wins and the loser is cancelled. check.Merge
-//     tolerates overlapping duplicates by construction, but the runner
-//     keeps exactly one result per shard offset, so the merged verdict
-//     stays byte-identical to a single-node check.
+//   - Speculative re-dispatch (Config.Speculate). When idle nodes
+//     outnumber the remaining shards, in-flight shards are duplicated on
+//     idle nodes; the first result per shard wins and the loser is
+//     cancelled. check.Merge tolerates overlapping duplicates by
+//     construction, but the runner keeps exactly one result per shard
+//     offset, so the merged verdict stays byte-identical to a single-node
+//     check.
 package cluster
 
 import (
@@ -83,7 +88,8 @@ const (
 	// DefaultRetries bounds how many times one shard may be re-dispatched
 	// after failures before the whole check fails.
 	DefaultRetries = 3
-	// DefaultPoll is the job-status poll cadence.
+	// DefaultPoll is the job-status poll cadence when a node's event
+	// stream is unavailable.
 	DefaultPoll = 50 * time.Millisecond
 )
 
@@ -107,15 +113,15 @@ type Config struct {
 	// Retries is the per-shard re-dispatch budget after node failures;
 	// ≤ 0 means DefaultRetries.
 	Retries int
-	// Poll is the job-status poll cadence; ≤ 0 means DefaultPoll.
+	// Poll is the job-status poll cadence behind the event stream; ≤ 0
+	// means DefaultPoll.
 	Poll time.Duration
 	// Client is the HTTP client; nil means a client with a 30s timeout.
 	Client *http.Client
 
-	// Registry, when set, makes the fleet elastic: membership comes from
-	// the registry (Nodes, if also given, are joined into it) and may
-	// change mid-check. Setting any of the fields below without a
-	// Registry creates one implicitly from Nodes.
+	// Registry is the membership table shards are dispatched from; Nodes,
+	// if also given, are joined into it. Nil means a registry built from
+	// Nodes. Either way membership may change mid-check.
 	Registry *Registry
 	// StealThreshold enables shard stealing when > 0: a flight whose
 	// projected finish exceeds StealThreshold × the median (of the other
@@ -132,18 +138,11 @@ type Config struct {
 	StealInterval time.Duration
 }
 
-// elastic reports whether cfg asks for the elastic runner.
-func (cfg *Config) elastic() bool {
-	return cfg.Registry != nil || cfg.StealThreshold > 0 || cfg.Speculate
-}
-
 // Coordinator fans one check out over a fleet of spm serve nodes.
 type Coordinator struct {
-	cfg     Config
-	client  *http.Client
-	elastic bool
-	// registry is the membership table; in fixed mode it exists but is
-	// never consulted or probed.
+	cfg    Config
+	client *http.Client
+	// registry is the membership table every check dispatches from.
 	registry *Registry
 	// stream is client without a deadline, for long-lived SSE watches.
 	stream *http.Client
@@ -153,21 +152,14 @@ type Coordinator struct {
 }
 
 // New validates cfg and builds a Coordinator. Duplicate node URLs are
-// collapsed: the runner's per-node accounting (live-node count, failure
-// tallies) keys on the URL, so one physical node must appear once.
+// collapsed by the registry: the runner's per-node accounting keys on the
+// URL, so one physical node must appear once.
 func New(cfg Config) (*Coordinator, error) {
-	seen := make(map[string]bool, len(cfg.Nodes))
-	deduped := make([]string, 0, len(cfg.Nodes))
 	for _, n := range cfg.Nodes {
 		if n == "" {
 			return nil, errors.New("cluster: empty node URL")
 		}
-		if !seen[n] {
-			seen[n] = true
-			deduped = append(deduped, n)
-		}
 	}
-	cfg.Nodes = deduped
 	if cfg.Retries <= 0 {
 		cfg.Retries = DefaultRetries
 	}
@@ -186,21 +178,16 @@ func New(cfg Config) (*Coordinator, error) {
 			registry.Join(n)
 		}
 	}
+	if len(registry.Alive()) == 0 {
+		return nil, errors.New("cluster: no nodes")
+	}
 	c := &Coordinator{
 		cfg:      cfg,
 		client:   client,
-		elastic:  cfg.elastic(),
 		registry: registry,
 		stream:   &http.Client{Transport: client.Transport},
 	}
 	c.metrics = newClusterMetrics(c)
-	if c.elastic {
-		if len(registry.Alive()) == 0 {
-			return nil, errors.New("cluster: no nodes")
-		}
-	} else if len(cfg.Nodes) == 0 {
-		return nil, errors.New("cluster: no nodes")
-	}
 	return c, nil
 }
 
@@ -211,10 +198,10 @@ type NodeReport struct {
 	// poll, and job failures observed against it.
 	Shards   int `json:"shards"`
 	Failures int `json:"failures"`
-	// Dead marks a node the coordinator stopped using mid-run.
+	// Dead marks a node retired by the end of the run: it failed or left
+	// during this check or, retirement being sticky, an earlier one.
 	Dead bool `json:"dead,omitempty"`
-	// State is the node's membership state at the end of an elastic run;
-	// empty in fixed mode.
+	// State is the node's membership state at the end of the run.
 	State NodeState `json:"state,omitempty"`
 }
 
@@ -242,9 +229,9 @@ type Report struct {
 	Completed int
 	Retries   int
 	Cancelled int
-	// Elastic accounting: nodes that joined and left mid-check, shards
-	// whose back half was stolen from a straggler, and speculative
-	// duplicates dispatched. All zero in fixed mode.
+	// Membership and intervention accounting for this check alone: nodes
+	// that joined and left while it ran, shards whose back half was stolen
+	// from a straggler, and speculative duplicates dispatched.
 	Joined     int
 	Left       int
 	Stolen     int
@@ -284,7 +271,7 @@ var (
 	// errEvicted marks a flight cancelled because its node retired; the
 	// shard is requeued without charging its retry budget.
 	errEvicted = errors.New("cluster: node retired mid-shard")
-	// errNoNodesLeft fails an elastic run whose registry drained.
+	// errNoNodesLeft fails a run whose registry drained.
 	errNoNodesLeft = errors.New("cluster: every node retired")
 )
 
@@ -330,17 +317,11 @@ func (c *Coordinator) Check(ctx context.Context, req service.CheckRequest) (*Rep
 	c.metrics.checks.Inc()
 	start := time.Now()
 	r := newRunner(ctx, c, req, shards)
-	if c.elastic {
-		go c.registry.probeLoop(r.stopCtx, c.client)
-		go r.membershipLoop()
-		go r.supervise()
-		for _, node := range c.registry.Alive() {
-			r.spawnLoop(node)
-		}
-	} else {
-		for _, node := range c.cfg.Nodes {
-			r.spawnLoop(node)
-		}
+	go c.registry.probeLoop(r.stopCtx, c.client)
+	go r.membershipLoop()
+	go r.supervise()
+	for _, node := range c.registry.Alive() {
+		r.spawnLoop(node)
 	}
 	r.waitDone()
 	r.stop() // release the stop context in every exit path
@@ -351,7 +332,7 @@ func (c *Coordinator) Check(ctx context.Context, req service.CheckRequest) (*Rep
 	if r.fatal != nil && !r.definitive {
 		return nil, r.fatal
 	}
-	rep, err := r.report(c.cfg.Nodes)
+	rep, err := r.report()
 	if err != nil {
 		return nil, err
 	}
@@ -363,14 +344,7 @@ func (c *Coordinator) Check(ctx context.Context, req service.CheckRequest) (*Rep
 func (c *Coordinator) shardCount(size int) int {
 	n := c.cfg.Shards
 	if n <= 0 {
-		nodes := len(c.cfg.Nodes)
-		if c.elastic {
-			nodes = len(c.registry.Alive())
-		}
-		if nodes < 1 {
-			nodes = 1
-		}
-		n = DefaultShardsPerNode * nodes
+		n = DefaultShardsPerNode * max(len(c.registry.Alive()), 1)
 	}
 	if size > 0 && n > size {
 		n = size
@@ -409,9 +383,9 @@ type pendingEntry struct {
 // runner is the state of one distributed check: a pool of pending shards,
 // the per-shard retry ledger, and the completed results. Node goroutines
 // pull shards from it; any definitive counterexample or fatal error stops
-// the pool. In elastic mode the runner additionally tracks every attempt
-// as a flight (for the steal/speculate supervisor) and spawns and retires
-// node loops as the registry changes.
+// the pool. Every attempt is tracked as a flight (for the steal/speculate
+// supervisor and for settling speculative rivals), and node loops are
+// spawned and retired as the registry changes.
 type runner struct {
 	c   *Coordinator
 	req service.CheckRequest
@@ -427,18 +401,16 @@ type runner struct {
 	attempts    map[int64]int
 	results     map[int64]*service.Result
 	nodes       map[string]*NodeReport
-	live        int
 	retries     int
 	cancelled   int
 	fatal       error
 	definitive  bool
 	stopped     bool
 
-	// Elastic state. flights is every shard attempt currently on a node;
-	// idle counts node loops blocked in next with nothing to pull;
-	// loopsActive and started govern the dynamic loop-per-node lifecycle;
-	// shardDurs collects completed shard wall times for the steal
-	// baseline.
+	// flights is every shard attempt currently on a node; idle counts
+	// node loops blocked in next with nothing to pull; loopsActive and
+	// started govern the dynamic loop-per-node lifecycle; shardDurs
+	// collects completed shard wall times for the steal baseline.
 	flights     map[*flight]struct{}
 	idle        int
 	loopsActive int
@@ -446,6 +418,9 @@ type runner struct {
 	shardDurs   []time.Duration
 	stolen      int
 	speculated  int
+	// joined0 and left0 are the registry's lifetime join/leave tallies
+	// when the check started; the report carries the difference.
+	joined0, left0 int
 }
 
 func newRunner(ctx context.Context, c *Coordinator, req service.CheckRequest, shards []check.Shard) *runner {
@@ -467,15 +442,9 @@ func newRunner(ctx context.Context, c *Coordinator, req service.CheckRequest, sh
 		r.pending = append(r.pending, pendingEntry{sh: sh})
 	}
 	r.cond = sync.NewCond(&r.mu)
-	if c.elastic {
-		for _, m := range c.registry.Members() {
-			r.nodes[m.URL] = &NodeReport{URL: m.URL}
-		}
-	} else {
-		r.live = len(c.cfg.Nodes)
-		for _, n := range c.cfg.Nodes {
-			r.nodes[n] = &NodeReport{URL: n}
-		}
+	r.joined0, r.left0 = c.registry.counts()
+	for _, m := range c.registry.Members() {
+		r.nodes[m.URL] = &NodeReport{URL: m.URL}
 	}
 	// Wake waiters when the caller's context dies so node loops never
 	// block past cancellation.
@@ -553,8 +522,8 @@ func (r *runner) next() (pendingEntry, bool) {
 			return e, true
 		}
 		// Shards are all in flight on other nodes; one may yet fail and
-		// come back to the pool — and in elastic mode an idle loop here
-		// is the capacity signal that triggers stealing and speculation.
+		// come back to the pool — and an idle loop here is the capacity
+		// signal that triggers stealing and speculation.
 		r.idle++
 		r.cond.Wait()
 		r.idle--
@@ -588,9 +557,7 @@ func (r *runner) complete(node string, e pendingEntry, res *service.Result, fl *
 	r.outstanding--
 	r.nodeRep(node).Shards++
 	r.c.metrics.shards.Inc()
-	if fl != nil {
-		r.shardDurs = append(r.shardDurs, time.Since(fl.started))
-	}
+	r.shardDurs = append(r.shardDurs, time.Since(fl.started))
 	// Settle rivals: in-flight twins lose, queued duplicates evaporate.
 	var losers []*flight
 	for other := range r.flights {
@@ -716,31 +683,18 @@ func (r *runner) rivalFlightLocked(offset int64, excludeNode string) *flight {
 	return nil
 }
 
-// nodeDead retires a node; with no usable nodes left the check fails. In
-// elastic mode the registry is the source of truth (and a later Join can
-// revive the URL for the next check); in fixed mode the live counter is.
+// nodeDead retires a node; with no usable nodes left the check fails. The
+// registry is the source of truth, so the node stays out of this check and
+// every later one on the coordinator until a Join revives it.
 func (r *runner) nodeDead(node string) {
-	if r.c.elastic {
-		r.c.registry.retire(node)
-		r.mu.Lock()
-		r.nodeRep(node).Dead = true
-		if len(r.c.registry.Alive()) == 0 && !r.stopped {
-			r.failLocked(errNoNodesLeft)
-		}
-		r.mu.Unlock()
-		r.cond.Broadcast()
-		return
-	}
+	r.c.registry.retire(node)
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.nodes[node].Dead {
-		return
+	r.nodeRep(node).Dead = true
+	if len(r.c.registry.Alive()) == 0 && !r.stopped {
+		r.failLocked(errNoNodesLeft)
 	}
-	r.nodes[node].Dead = true
-	r.live--
-	if r.live == 0 && !r.stopped {
-		r.failLocked(errors.New("cluster: every node failed"))
-	}
+	r.mu.Unlock()
+	r.cond.Broadcast()
 }
 
 // failLocked records a fatal error and stops the pool. Callers hold r.mu;
@@ -763,16 +717,16 @@ func (r *runner) noteCancelled() {
 }
 
 // nodeLoop pulls shards and runs them on one node until the pool drains,
-// the run stops, the node dies, or (elastic) the node retires. A shrunk
-// shard — the supervisor stole its back half — re-runs its front half on
-// the same node immediately, without a round-trip through the pool.
+// the run stops, or the node dies or retires. A shrunk shard — the
+// supervisor stole its back half — re-runs its front half on the same
+// node immediately, without a round-trip through the pool.
 func (r *runner) nodeLoop(node string) {
 	for {
 		e, ok := r.next()
 		if !ok {
 			return
 		}
-		if r.c.elastic && !r.c.registry.usable(node) {
+		if !r.c.registry.usable(node) {
 			r.giveBack(e)
 			return
 		}
@@ -818,10 +772,9 @@ func (r *runner) nodeLoop(node string) {
 }
 
 // runShard executes one shard attempt on one node: submit, watch (SSE
-// with poll fallback; plain poll in fixed mode) to a terminal state, and
-// return the result plus the flight that produced it (nil in fixed
-// mode). On coordinator stop the in-flight job is cancelled server-side
-// (DELETE /v2/jobs/{id}) before returning.
+// with poll fallback) to a terminal state, and return the result plus the
+// flight that produced it. On coordinator stop the in-flight job is
+// cancelled server-side (DELETE /v2/jobs/{id}) before returning.
 func (r *runner) runShard(node string, e pendingEntry) (*service.Result, *flight, error) {
 	req := r.req
 	req.Offset = e.sh.Offset
@@ -832,10 +785,6 @@ func (r *runner) runShard(node string, e pendingEntry) (*service.Result, *flight
 	id, err := r.submit(node, req)
 	if err != nil {
 		return nil, nil, err
-	}
-	if !r.c.elastic {
-		res, err := r.poll(node, id, nil)
-		return res, nil, err
 	}
 	fl := newFlight(node, id, e)
 	r.addFlight(fl)
@@ -902,12 +851,11 @@ func (r *runner) submit(node string, req service.CheckRequest) (string, error) {
 	}
 }
 
-// poll watches the job until it reaches a terminal state, checking
-// immediately (small shards on a warm compile cache finish faster than a
-// poll interval) and then once per interval. A coordinator stop cancels
-// the job server-side; repeated poll failures mark the node dead. In
-// elastic mode poll is the fallback behind the SSE watch and keeps the
-// flight's cursor fed from the status snapshots.
+// poll is the fallback behind the SSE watch: it follows the job until a
+// terminal state, checking immediately and then once per interval, and
+// keeps the flight's cursor fed from the status snapshots. A coordinator
+// stop cancels the job server-side; repeated poll failures mark the node
+// dead.
 func (r *runner) poll(node, id string, fl *flight) (*service.Result, error) {
 	failures := 0
 	for {
@@ -927,9 +875,7 @@ func (r *runner) poll(node, id string, fl *flight) (*service.Result, error) {
 			}
 		default:
 			failures = 0
-			if fl != nil {
-				fl.observe(st)
-			}
+			fl.observe(st)
 			if res, terr, terminal := r.terminalStatus(node, id, st, fl); terminal {
 				return res, terr
 			}
@@ -964,17 +910,15 @@ func (r *runner) terminalStatus(node, id string, st *service.JobStatus, fl *flig
 		if r.stopCtx.Err() != nil {
 			return nil, errStopped, true
 		}
-		if fl != nil {
-			if fl.lost.Load() {
-				return nil, errLost, true
-			}
-			if fl.evicted.Load() {
-				return nil, errEvicted, true
-			}
-			if intent, ok := fl.takeShrink(); ok {
-				r.commitSplit(intent)
-				return nil, &shrunkError{front: intent.front}, true
-			}
+		if fl.lost.Load() {
+			return nil, errLost, true
+		}
+		if fl.evicted.Load() {
+			return nil, errEvicted, true
+		}
+		if intent, ok := fl.takeShrink(); ok {
+			r.commitSplit(intent)
+			return nil, &shrunkError{front: intent.front}, true
 		}
 		return nil, fmt.Errorf("cluster: %s: job %s cancelled externally", node, id), true
 	}
@@ -1028,7 +972,7 @@ func (r *runner) cancelJob(node, id string) {
 }
 
 // report merges the completed shard results into the final verdicts.
-func (r *runner) report(nodeOrder []string) (*Report, error) {
+func (r *runner) report() (*Report, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if len(r.results) == 0 {
@@ -1061,9 +1005,8 @@ func (r *runner) report(nodeOrder []string) (*Report, error) {
 		Stolen:     r.stolen,
 		Speculated: r.speculated,
 	}
-	if r.c.elastic {
-		rep.Joined, rep.Left = r.c.registry.counts()
-	}
+	joined, left := r.c.registry.counts()
+	rep.Joined, rep.Left = joined-r.joined0, left-r.left0
 	merged, err := check.Merge(soundParts...)
 	if err != nil {
 		return nil, err
@@ -1087,21 +1030,15 @@ func (r *runner) report(nodeOrder []string) (*Report, error) {
 			rep.Maximality = &mv
 		}
 	}
-	if r.c.elastic {
-		// Membership order, with each node's final health state; a
-		// retired node reads as dead whether it failed or left politely.
-		for _, m := range r.c.registry.Members() {
-			nr := r.nodeRep(m.URL)
-			nr.State = m.State
-			if m.State == NodeRetired {
-				nr.Dead = true
-			}
-			rep.Nodes = append(rep.Nodes, *nr)
+	// Membership order, with each node's final health state; a retired
+	// node reads as dead whether it failed or left politely.
+	for _, m := range r.c.registry.Members() {
+		nr := r.nodeRep(m.URL)
+		nr.State = m.State
+		if m.State == NodeRetired {
+			nr.Dead = true
 		}
-	} else {
-		for _, n := range nodeOrder {
-			rep.Nodes = append(rep.Nodes, *r.nodes[n])
-		}
+		rep.Nodes = append(rep.Nodes, *nr)
 	}
 	return rep, nil
 }

@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -111,6 +113,39 @@ func failFirstSubmit(svc *service.Service, inner http.Handler) http.Handler {
 		}
 		inner.ServeHTTP(w, r)
 	})
+}
+
+// holdStatusUntilAllWatched wraps node handlers so that GET /v2/jobs/…
+// (status and event stream) blocks until every wrapped node has received
+// one. The coordinator asks a node about a job only after reading the
+// node's 202 for it, so no shard's verdict can land before every node
+// holds a job the coordinator knows how to cancel. (Holding only until
+// each node has accepted a POST is not enough: a short-circuit can cut
+// off a POST whose 202 is already written but not yet read.)
+func holdStatusUntilAllWatched(handlers ...http.Handler) []http.Handler {
+	open := make(chan struct{})
+	var waiting atomic.Int32
+	waiting.Store(int32(len(handlers)))
+	out := make([]http.Handler, len(handlers))
+	for i, inner := range handlers {
+		var watched sync.Once
+		out[i] = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/v2/jobs/") {
+				watched.Do(func() {
+					if waiting.Add(-1) == 0 {
+						close(open)
+					}
+				})
+				select {
+				case <-open:
+				case <-r.Context().Done():
+					return
+				}
+			}
+			inner.ServeHTTP(w, r)
+		})
+	}
+	return out
 }
 
 // TestClusterByteIdenticalWithInjectedFailure is the acceptance check: a
@@ -297,9 +332,19 @@ func TestClusterCounterexampleShortCircuits(t *testing.T) {
 	}
 	// One sweep worker per node keeps every slow shard genuinely slow
 	// (hundreds of milliseconds), so the short-circuit demonstrably beats
-	// the sweep instead of racing it.
-	_, srvA := startNode(t, service.Config{Pools: 1, SweepWorkers: 1})
-	_, srvB := startNode(t, service.Config{Pools: 1, SweepWorkers: 1})
+	// the sweep instead of racing it. Holding status reads until both
+	// nodes are watched keeps the fast shard's verdict from landing before
+	// the other node has anything in flight to cancel.
+	svcA := service.New(service.Config{Pools: 1, SweepWorkers: 1})
+	svcB := service.New(service.Config{Pools: 1, SweepWorkers: 1})
+	held := holdStatusUntilAllWatched(svcA.Handler(), svcB.Handler())
+	srvA, srvB := httptest.NewServer(held[0]), httptest.NewServer(held[1])
+	t.Cleanup(func() {
+		srvA.Close()
+		srvB.Close()
+		svcA.Close()
+		svcB.Close()
+	})
 	coord, err := New(Config{Nodes: []string{srvA.URL, srvB.URL}, Shards: 128, Poll: 5 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)

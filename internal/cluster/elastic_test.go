@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -193,6 +194,103 @@ func TestElasticJoinLeaveMidCheck(t *testing.T) {
 		t.Fatalf("checked %d of 16384", rep.Soundness.Checked)
 	}
 	requireByteIdentical(t, rep, req)
+}
+
+// downSwitch wraps a node handler with an outage switch: while down is
+// set every request is aborted mid-connection, which the coordinator sees
+// as a dead node.
+func downSwitch(down *atomic.Bool, inner http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if down.Load() {
+			panic(http.ErrAbortHandler)
+		}
+		inner.ServeHTTP(w, r)
+	})
+}
+
+// TestReportMembershipIsPerCheck runs three checks on one coordinator. The
+// first loses a node to a dispatch failure; the second runs on the
+// survivor alone — retirement is sticky even though the node is back up —
+// and reports no membership churn of its own; after a POST /join the
+// third dispatches to both nodes again.
+func TestReportMembershipIsPerCheck(t *testing.T) {
+	req := service.CheckRequest{
+		Program: soundProg,
+		Policy:  "{2}",
+		Domain:  bigDomain(128),
+	}
+	_, srvA := startNode(t, service.Config{Pools: 2})
+	var down atomic.Bool
+	var postsB atomic.Int32
+	svcB := service.New(service.Config{Pools: 2})
+	srvB := httptest.NewServer(downSwitch(&down, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost {
+			postsB.Add(1)
+		}
+		svcB.Handler().ServeHTTP(w, r)
+	})))
+	t.Cleanup(func() {
+		srvB.Close()
+		svcB.Close()
+	})
+	coord, err := New(Config{Nodes: []string{srvA.URL, srvB.URL}, Shards: 8, Poll: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	admin := httptest.NewServer(coord.AdminHandler())
+	t.Cleanup(admin.Close)
+	nodeB := func(rep *Report) NodeReport {
+		t.Helper()
+		for _, n := range rep.Nodes {
+			if n.URL == srvB.URL {
+				return n
+			}
+		}
+		t.Fatalf("node %s missing from report: %+v", srvB.URL, rep.Nodes)
+		return NodeReport{}
+	}
+	run := func() *Report {
+		t.Helper()
+		rep, err := coord.Check(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.Complete {
+			t.Fatalf("run incomplete: %+v", rep)
+		}
+		requireByteIdentical(t, rep, req)
+		return rep
+	}
+
+	down.Store(true)
+	rep := run()
+	if rep.Joined != 0 || rep.Left != 1 || !nodeB(rep).Dead {
+		t.Fatalf("check 1: joined=%d left=%d, node B %+v", rep.Joined, rep.Left, nodeB(rep))
+	}
+
+	down.Store(false)
+	rep = run()
+	if rep.Joined != 0 || rep.Left != 0 {
+		t.Fatalf("check 2 reported earlier churn: joined=%d left=%d", rep.Joined, rep.Left)
+	}
+	if b := nodeB(rep); !b.Dead || b.State != NodeRetired || b.Shards != 0 || b.Failures != 0 {
+		t.Fatalf("check 2 used the retired node: %+v", b)
+	}
+	if n := postsB.Load(); n != 0 {
+		t.Fatalf("check 2 submitted %d jobs to the retired node", n)
+	}
+
+	// The join lands between checks, so check 3 reports no churn either.
+	adminPost(t, admin.URL+"/join?node="+srvB.URL)
+	rep = run()
+	if rep.Joined != 0 || rep.Left != 0 {
+		t.Fatalf("check 3: joined=%d left=%d", rep.Joined, rep.Left)
+	}
+	for _, n := range rep.Nodes {
+		if n.Dead || n.Shards == 0 {
+			t.Fatalf("check 3 did not dispatch to both nodes: %+v", rep.Nodes)
+		}
+	}
 }
 
 func adminPost(t *testing.T, url string) {

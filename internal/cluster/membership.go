@@ -10,7 +10,7 @@ import (
 	"time"
 )
 
-// NodeState is a member's health in the elastic registry.
+// NodeState is a member's health in the registry.
 type NodeState string
 
 // The membership states. A node is born Alive, turns Suspect after a
@@ -44,14 +44,14 @@ type Member struct {
 	Failures int `json:"failures,omitempty"`
 }
 
-// Registry is the dynamic membership table of an elastic cluster: the set
-// of serve nodes a coordinator may dispatch shards to, with health states
-// fed by periodic probes of each node's GET /v2/stats. Nodes join and
-// leave mid-check — the admin surface (Coordinator.AdminHandler, the
-// `spm cluster -admin` listener, SIGHUP nodes-file rereads) calls Join
-// and Leave, and a running check picks the changes up within one
-// scheduling decision: joiners immediately enter the shard pool, leavers
-// have their in-flight shard cancelled and requeued.
+// Registry is the membership table of a cluster: the set of serve nodes a
+// coordinator may dispatch shards to, with health states fed by periodic
+// probes of each node's GET /v2/stats. Nodes join and leave mid-check —
+// the admin surface (Coordinator.AdminHandler, the `spm cluster -admin`
+// listener, SIGHUP nodes-file rereads) calls Join and Leave, and a
+// running check picks the changes up within one scheduling decision:
+// joiners immediately enter the shard pool, leavers have their in-flight
+// shard cancelled and requeued.
 //
 // A Registry is safe for concurrent use and may outlive a single check.
 type Registry struct {
@@ -192,8 +192,8 @@ func (g *Registry) counts() (joined, left int) {
 }
 
 // Watch returns a channel that receives (coalesced) a token after every
-// membership change. One channel serves all consumers; the elastic runner
-// is the intended single reader.
+// membership change. One channel serves all consumers; the running
+// check is the intended single reader.
 func (g *Registry) Watch() <-chan struct{} { return g.watch }
 
 func (g *Registry) notify() {
@@ -241,7 +241,7 @@ func (g *Registry) probeResult(url string, ok bool) {
 
 // probeLoop probes every non-retired member's GET /v2/stats once per
 // interval until ctx is cancelled. The coordinator runs it for the
-// duration of each elastic check.
+// duration of each check.
 func (g *Registry) probeLoop(ctx context.Context, client *http.Client) {
 	interval := g.ProbeInterval
 	if interval <= 0 {

@@ -14,7 +14,7 @@ import (
 	"spm/internal/service"
 )
 
-// Defaults for the elastic knobs.
+// Defaults for the steal/speculate supervisor and the event watch.
 const (
 	// DefaultStealInterval is the supervisor cadence: how often the
 	// coordinator re-evaluates stragglers and idle capacity.
@@ -146,12 +146,12 @@ func (f *flight) takeShrink() (splitIntent, bool) {
 	return *f.intent, true
 }
 
-// watch follows the job's SSE event stream (GET /v2/jobs/{id}/events),
-// replacing the fixed-cadence status poll: progress events keep the
-// flight's chunk cursor fresh for the supervisor, and the terminal event
-// ends the watch. Any stream failure — setup, disconnect, a node that
-// cannot stream — falls back to the poll loop, which reports the same
-// terminal states (and still feeds the cursor, just coarser).
+// watch follows the job's SSE event stream (GET /v2/jobs/{id}/events):
+// progress events keep the flight's chunk cursor fresh for the
+// supervisor, and the terminal event ends the watch the moment the node
+// finishes. Any stream failure — setup, disconnect, a node that cannot
+// stream — falls back to the poll loop, which reports the same terminal
+// states (and still feeds the cursor, just coarser).
 func (r *runner) watch(node, id string, f *flight) (*service.Result, error) {
 	httpReq, err := http.NewRequestWithContext(r.stopCtx, http.MethodGet,
 		node+"/v2/jobs/"+id+"/events?interval_ms="+eventsIntervalStr, nil)
@@ -172,8 +172,10 @@ func (r *runner) watch(node, id string, f *flight) (*service.Result, error) {
 	}
 	sc := bufio.NewScanner(resp.Body)
 	// A done event carries the full result payload; let the line buffer
-	// grow to the same bound the poll path enforces.
-	sc.Buffer(make([]byte, 64<<10), maxResponseBytes+1)
+	// grow to the same bound the poll path enforces. It starts small
+	// because every shard attempt allocates one and most events are a
+	// progress line of well under a kilobyte.
+	sc.Buffer(make([]byte, 4<<10), maxResponseBytes+1)
 	event := ""
 	for sc.Scan() {
 		line := sc.Text()
@@ -208,11 +210,15 @@ func (r *runner) watch(node, id string, f *flight) (*service.Result, error) {
 // eventsIntervalStr is eventsIntervalMS pre-rendered for the query string.
 const eventsIntervalStr = "20"
 
-// supervise is the elastic control loop: every StealInterval it sizes up
-// the in-flight shards against idle capacity and intervenes — stealing
-// the back half of a straggler's remaining range, or speculatively
-// duplicating in-flight shards on idle nodes.
+// supervise is the steal/speculate control loop: every StealInterval it
+// sizes up the in-flight shards against idle capacity and intervenes —
+// stealing the back half of a straggler's remaining range, or
+// speculatively duplicating in-flight shards on idle nodes. With both
+// interventions off it returns at once.
 func (r *runner) supervise() {
+	if r.c.cfg.StealThreshold <= 0 && !r.c.cfg.Speculate {
+		return
+	}
 	interval := r.c.cfg.StealInterval
 	if interval <= 0 {
 		interval = DefaultStealInterval

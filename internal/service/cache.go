@@ -78,7 +78,7 @@ func NewCompileCache(cap int) *CompileCache {
 	}
 }
 
-// CacheStats is the cache section of /v1/stats.
+// CacheStats is the cache section of /v2/stats.
 type CacheStats struct {
 	Entries int     `json:"entries"`
 	Hits    int64   `json:"hits"`

@@ -29,7 +29,7 @@ func Example_clientFlow() {
 		Raw:     true,
 		Domain:  []int64{0, 1, 2},
 	})
-	resp, err := http.Post(srv.URL+"/v1/check", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(srv.URL+"/v2/check", "application/json", bytes.NewReader(body))
 	if err != nil {
 		panic(err)
 	}
@@ -47,7 +47,7 @@ func Example_clientFlow() {
 	// (queued → running → done/failed/cancelled).
 	var status service.JobStatus
 	for {
-		resp, err := http.Get(srv.URL + "/v1/jobs/" + submitted.ID)
+		resp, err := http.Get(srv.URL + "/v2/jobs/" + submitted.ID)
 		if err != nil {
 			panic(err)
 		}

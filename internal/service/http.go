@@ -17,8 +17,7 @@ const maxBodyBytes = 1 << 20
 // tenant "".
 const TenantHeader = "X-SPM-Tenant"
 
-// SubmitResponse is the wire form of POST /v2/check (and the deprecated
-// /v1/check).
+// SubmitResponse is the wire form of POST /v2/check.
 type SubmitResponse struct {
 	ID string `json:"id"`
 	// State is the job's state at response time: "queued" normally,
@@ -60,10 +59,9 @@ const (
 	CodeInternal   = "internal"    // 500: unexpected failure
 )
 
-// Handler returns the service's HTTP API.
-//
-// v2 (the consolidated surface — submit, batch, poll, cancel, stream,
-// stats; tenant-aware via the X-SPM-Tenant header):
+// Handler returns the service's HTTP API, the v2 surface — submit,
+// batch, poll, cancel, stream, stats; tenant-aware via the X-SPM-Tenant
+// header:
 //
 //	POST   /v2/check            submit one spec (JSON object) or a batch
 //	                            (JSON array); 202 with job ID(s), or 200
@@ -77,20 +75,11 @@ const (
 //	GET    /v2/metrics          Prometheus text exposition of every
 //	                            service counter and histogram
 //
-// v1 (frozen; thin aliases of the v2 handlers):
-//
-//	POST /v1/check      Deprecated: use POST /v2/check.
-//	GET  /v1/jobs/{id}  Deprecated: use GET /v2/jobs/{id}.
-//	GET  /v1/stats      Deprecated: use GET /v2/stats.
-//
 // Every non-2xx response carries the ErrorBody envelope. Submissions
 // rejected by a tenant quota are 429 with Retry-After; a saturated
 // fleet is 503 with Retry-After.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/check", s.handleCheck)
-	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
-	mux.HandleFunc("GET /v1/stats", s.handleStats)
 	mux.HandleFunc("POST /v2/check", s.handleCheckV2)
 	mux.HandleFunc("GET /v2/jobs/{id}", s.handleJob)
 	mux.HandleFunc("DELETE /v2/jobs/{id}", s.handleCancel)
@@ -114,16 +103,6 @@ func (s *Service) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool
 		return nil, false
 	}
 	return body, true
-}
-
-// handleCheck is POST /v1/check: one spec per request. The decode-and-
-// submit path is shared with v2's single-object form.
-//
-// Deprecated: POST /v2/check accepts the same body and adds batching.
-func (s *Service) handleCheck(w http.ResponseWriter, r *http.Request) {
-	if body, ok := s.readBody(w, r); ok {
-		s.handleCheckBody(w, body, r.Header.Get(TenantHeader))
-	}
 }
 
 // writeSubmitError maps a Submit error to its status code.

@@ -46,13 +46,13 @@ func marshalReq(t *testing.T, req CheckRequest) string {
 	return string(b)
 }
 
-// pollDone polls GET /v1/jobs/{id} until the job is terminal.
+// pollDone polls GET /v2/jobs/{id} until the job is terminal.
 func pollDone(t *testing.T, srv *httptest.Server, id string) JobStatus {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		var st JobStatus
-		resp := doJSON(t, srv, http.MethodGet, "/v1/jobs/"+id, "", &st)
+		resp := doJSON(t, srv, http.MethodGet, "/v2/jobs/"+id, "", &st)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("poll %s: status %d", id, resp.StatusCode)
 		}
@@ -79,7 +79,7 @@ func TestHTTPSubmitErrors(t *testing.T) {
 	}{
 		{
 			name:   "malformed program is 400",
-			method: http.MethodPost, path: "/v1/check",
+			method: http.MethodPost, path: "/v2/check",
 			body:       marshalReq(t, CheckRequest{Program: "program broken\ninputs x1\n    y := \n"}),
 			wantStatus: http.StatusBadRequest,
 			wantCode:   CodeBadRequest,
@@ -87,7 +87,7 @@ func TestHTTPSubmitErrors(t *testing.T) {
 		},
 		{
 			name:   "invalid JSON is 400",
-			method: http.MethodPost, path: "/v1/check",
+			method: http.MethodPost, path: "/v2/check",
 			body:       "{not json",
 			wantStatus: http.StatusBadRequest,
 			wantCode:   CodeBadRequest,
@@ -95,7 +95,7 @@ func TestHTTPSubmitErrors(t *testing.T) {
 		},
 		{
 			name:   "bad policy is 400",
-			method: http.MethodPost, path: "/v1/check",
+			method: http.MethodPost, path: "/v2/check",
 			body:       marshalReq(t, CheckRequest{Program: testProg, Policy: "{nope}"}),
 			wantStatus: http.StatusBadRequest,
 			wantCode:   CodeBadRequest,
@@ -103,7 +103,7 @@ func TestHTTPSubmitErrors(t *testing.T) {
 		},
 		{
 			name:   "bad variant is 400",
-			method: http.MethodPost, path: "/v1/check",
+			method: http.MethodPost, path: "/v2/check",
 			body:       marshalReq(t, CheckRequest{Program: testProg, Variant: "warp"}),
 			wantStatus: http.StatusBadRequest,
 			wantCode:   CodeBadRequest,
@@ -111,7 +111,7 @@ func TestHTTPSubmitErrors(t *testing.T) {
 		},
 		{
 			name:   "oversized domain is 400",
-			method: http.MethodPost, path: "/v1/check",
+			method: http.MethodPost, path: "/v2/check",
 			body: marshalReq(t, CheckRequest{Program: testProg,
 				Domain: []int64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32}}),
 			wantStatus: http.StatusBadRequest,
@@ -128,13 +128,6 @@ func TestHTTPSubmitErrors(t *testing.T) {
 		},
 		{
 			name:   "unknown job is 404",
-			method: http.MethodGet, path: "/v1/jobs/job-424242",
-			wantStatus: http.StatusNotFound,
-			wantCode:   CodeNotFound,
-			wantErrSub: "unknown job",
-		},
-		{
-			name:   "unknown v2 job is 404",
 			method: http.MethodGet, path: "/v2/jobs/job-424242",
 			wantStatus: http.StatusNotFound,
 			wantCode:   CodeNotFound,
@@ -164,13 +157,19 @@ func TestHTTPSubmitErrors(t *testing.T) {
 		},
 		{
 			name:   "GET on check is method not allowed",
-			method: http.MethodGet, path: "/v1/check",
+			method: http.MethodGet, path: "/v2/check",
 			wantStatus: http.StatusMethodNotAllowed,
 		},
 		{
 			name:   "POST on stats is method not allowed",
-			method: http.MethodPost, path: "/v1/stats",
+			method: http.MethodPost, path: "/v2/stats",
 			wantStatus: http.StatusMethodNotAllowed,
+		},
+		{
+			name:   "v1 check is gone",
+			method: http.MethodPost, path: "/v1/check",
+			body:       marshalReq(t, CheckRequest{Program: testProg}),
+			wantStatus: http.StatusNotFound,
 		},
 		{
 			name:   "unknown path is 404",
@@ -213,7 +212,7 @@ func TestHTTPSubmitPollStats(t *testing.T) {
 	body := marshalReq(t, CheckRequest{Program: testProg, Policy: "{2}", Domain: []int64{0, 1, 2}})
 
 	var sub SubmitResponse
-	resp := doJSON(t, srv, http.MethodPost, "/v1/check", body, &sub)
+	resp := doJSON(t, srv, http.MethodPost, "/v2/check", body, &sub)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit status = %d, want 202", resp.StatusCode)
 	}
@@ -236,7 +235,7 @@ func TestHTTPSubmitPollStats(t *testing.T) {
 	}
 
 	var stats Stats
-	resp = doJSON(t, srv, http.MethodGet, "/v1/stats", "", &stats)
+	resp = doJSON(t, srv, http.MethodGet, "/v2/stats", "", &stats)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("stats status = %d", resp.StatusCode)
 	}
@@ -256,14 +255,14 @@ func TestHTTPCacheHitOnSecondSubmission(t *testing.T) {
 	body := marshalReq(t, CheckRequest{Program: testProg, Policy: "{2}", Domain: []int64{0, 1, 2}})
 
 	var first SubmitResponse
-	doJSON(t, srv, http.MethodPost, "/v1/check", body, &first)
+	doJSON(t, srv, http.MethodPost, "/v2/check", body, &first)
 	if first.Cached {
 		t.Fatal("first submission claims a cache hit")
 	}
 	firstStatus := pollDone(t, srv, first.ID)
 
 	var second SubmitResponse
-	doJSON(t, srv, http.MethodPost, "/v1/check", body, &second)
+	doJSON(t, srv, http.MethodPost, "/v2/check", body, &second)
 	if !second.Cached {
 		t.Fatal("second identical submission did not report cached: true")
 	}
@@ -285,7 +284,7 @@ func TestHTTPMaximalVerdict(t *testing.T) {
 	_, srv := newTestServer(t, Config{Pools: 1})
 	body := marshalReq(t, CheckRequest{Program: testProg, Policy: "{2}", Domain: []int64{0, 1, 2}, Maximal: true})
 	var sub SubmitResponse
-	doJSON(t, srv, http.MethodPost, "/v1/check", body, &sub)
+	doJSON(t, srv, http.MethodPost, "/v2/check", body, &sub)
 	st := pollDone(t, srv, sub.ID)
 	if st.State != StateDone {
 		t.Fatalf("state = %s, want done", st.State)

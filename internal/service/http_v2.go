@@ -21,7 +21,7 @@ const defaultEventInterval = 250 * time.Millisecond
 
 // BatchItem is one entry of a batch submission's response: the submit
 // echo for an accepted spec (ID non-empty; Cached/Pool/Total carry the
-// same fields v1's SubmitResponse always reports), or the rejection for a
+// same fields a single-spec SubmitResponse reports), or the rejection for a
 // refused one (Error non-empty, the submit fields zero).
 type BatchItem struct {
 	ID            string `json:"id,omitempty"`
@@ -69,7 +69,7 @@ func (s *Service) handleCheckV2(w http.ResponseWriter, r *http.Request) {
 	s.handleCheckBody(w, body, r.Header.Get(TenantHeader))
 }
 
-// handleCheckBody submits a single decoded spec, v1-style. A submission
+// handleCheckBody submits a single decoded spec. A submission
 // answered from the verdict store is 200 (not 202): the job is already
 // done and pollable.
 func (s *Service) handleCheckBody(w http.ResponseWriter, body []byte, tenant string) {
@@ -145,8 +145,9 @@ func (s *Service) handleBatch(w http.ResponseWriter, body []byte, tenant string)
 	}
 	status := http.StatusAccepted
 	if resp.Accepted == 0 {
-		// Nothing admitted: a transiently full fleet keeps v1's retryable
-		// 503 contract; pure validation failures are a permanent 400.
+		// Nothing admitted: a transiently full fleet keeps the single-spec
+		// retryable 503 contract; pure validation failures are a permanent
+		// 400.
 		if anyBusy {
 			w.Header().Set("Retry-After", "1")
 			status = http.StatusServiceUnavailable

@@ -19,12 +19,9 @@ func TestV2SingleSubmitAndPoll(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("POST /v2/check: status %d, want 202", resp.StatusCode)
 	}
-	// The same job is visible through both API versions.
-	for _, path := range []string{"/v1/jobs/", "/v2/jobs/"} {
-		var st JobStatus
-		if resp := doJSON(t, srv, http.MethodGet, path+sub.ID, "", &st); resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s%s: status %d", path, sub.ID, resp.StatusCode)
-		}
+	var st JobStatus
+	if resp := doJSON(t, srv, http.MethodGet, "/v2/jobs/"+sub.ID, "", &st); resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /v2/jobs/%s: status %d", sub.ID, resp.StatusCode)
 	}
 	if st := pollDone(t, srv, sub.ID); st.State != StateDone {
 		t.Fatalf("state %q, want done", st.State)
@@ -75,24 +72,22 @@ func TestV2CancelOverHTTP(t *testing.T) {
 	if resp := doJSON(t, srv, http.MethodDelete, "/v2/jobs/"+sub.ID, "", &cr); resp.StatusCode != http.StatusOK {
 		t.Fatalf("DELETE status %d, want 200", resp.StatusCode)
 	}
-	// Cancellation is asynchronous for running jobs: poll both API
-	// versions until the terminal cancelled state is visible.
+	// Cancellation is asynchronous for running jobs: poll until the
+	// terminal cancelled state is visible.
 	deadline := time.Now().Add(10 * time.Second)
-	for _, path := range []string{"/v1/jobs/", "/v2/jobs/"} {
-		for {
-			var st JobStatus
-			doJSON(t, srv, http.MethodGet, path+sub.ID, "", &st)
-			if st.State == StateCancelled {
-				break
-			}
-			if st.State.Terminal() {
-				t.Fatalf("GET %s%s: terminal state %q, want cancelled", path, sub.ID, st.State)
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("GET %s%s: still %q at deadline", path, sub.ID, st.State)
-			}
-			time.Sleep(time.Millisecond)
+	for {
+		var st JobStatus
+		doJSON(t, srv, http.MethodGet, "/v2/jobs/"+sub.ID, "", &st)
+		if st.State == StateCancelled {
+			break
 		}
+		if st.State.Terminal() {
+			t.Fatalf("GET /v2/jobs/%s: terminal state %q, want cancelled", sub.ID, st.State)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("GET /v2/jobs/%s: still %q at deadline", sub.ID, st.State)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -210,12 +205,6 @@ func TestV2VerdictStoreHitOverHTTP(t *testing.T) {
 	}
 	if stats.Store == nil || stats.Store.VerdictHits != 1 || stats.Store.Verdicts != 1 {
 		t.Errorf("stats.Store = %+v, want one verdict and one hit", stats.Store)
-	}
-	// The v1 alias serves the same document.
-	var v1 Stats
-	doJSON(t, srv, http.MethodGet, "/v1/stats", "", &v1)
-	if v1.Store == nil || v1.Store.Verdicts != stats.Store.Verdicts {
-		t.Errorf("/v1/stats disagrees with /v2/stats: %+v vs %+v", v1.Store, stats.Store)
 	}
 }
 

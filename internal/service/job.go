@@ -240,7 +240,7 @@ func (j *Job) finish(res *Result, err error) {
 	close(j.done)
 }
 
-// JobStatus is the wire form of GET /v1/jobs/{id} and /v2/jobs/{id}, and
+// JobStatus is the wire form of GET /v2/jobs/{id}, and
 // the payload of every /v2/jobs/{id}/events event.
 type JobStatus struct {
 	ID    string `json:"id"`

@@ -287,7 +287,7 @@ func runOne(client *http.Client, base string, req CheckRequest, tenant string, p
 	}
 	var sub SubmitResponse
 	for {
-		hreq, err := http.NewRequest(http.MethodPost, base+"/v1/check", bytes.NewReader(body))
+		hreq, err := http.NewRequest(http.MethodPost, base+"/v2/check", bytes.NewReader(body))
 		if err != nil {
 			return oneResult{}, err
 		}
@@ -332,7 +332,7 @@ func runOne(client *http.Client, base string, req CheckRequest, tenant string, p
 	out := oneResult{cached: sub.Cached, verdictHit: sub.CachedVerdict}
 	cancelSent := false
 	for {
-		resp, err := client.Get(base + "/v1/jobs/" + sub.ID)
+		resp, err := client.Get(base + "/v2/jobs/" + sub.ID)
 		if err != nil {
 			return out, err
 		}

@@ -103,7 +103,7 @@ func (s *Scheduler) notePeak(pool, depth int) {
 	}
 }
 
-// PoolStats is one pool's row in /v1/stats.
+// PoolStats is one pool's row in /v2/stats.
 type PoolStats struct {
 	Depth      int   `json:"depth"`
 	Peak       int64 `json:"peak"`

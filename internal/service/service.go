@@ -4,9 +4,9 @@
 // repeated submissions skip parse+instrument+Compile and go straight to
 // the compiled fast path, and a queued → running → done/failed job
 // lifecycle whose progress counter is the sweep engine's chunk cursor.
-// `spm serve` exposes it over HTTP (POST /v1/check, GET /v1/jobs/{id},
-// GET /v1/stats) and `spm loadgen` drives it closed-loop for benchmarks
-// and CI smoke.
+// `spm serve` exposes it over HTTP (POST /v2/check, GET /v2/jobs/{id},
+// GET /v2/stats, and the rest of Service.Handler's v2 surface) and
+// `spm loadgen` drives it closed-loop for benchmarks and CI smoke.
 package service
 
 import (
@@ -157,7 +157,7 @@ type Service struct {
 	order []string // insertion order, for history eviction
 	seq   atomic.Uint64
 
-	// Lifecycle tallies for /v1/stats: queued and running are current
+	// Lifecycle tallies for /v2/stats: queued and running are current
 	// occupancy; done, failed, and cancelled are lifetime-cumulative. Kept
 	// as atomics so Stats never scans the job history under the submission
 	// mutex.
@@ -433,9 +433,8 @@ func (s *Service) Cancel(id string) (*Job, error) {
 	return j, fmt.Errorf("%w: %s is %s", ErrJobTerminal, id, was)
 }
 
-// Stats is the wire form of GET /v2/stats (and its deprecated /v1/stats
-// alias). Store and Tenants are present only when the corresponding
-// subsystem is enabled.
+// Stats is the wire form of GET /v2/stats. Store and Tenants are present
+// only when the corresponding subsystem is enabled.
 type Stats struct {
 	Pools   []PoolStats   `json:"pools"`
 	Cache   CacheStats    `json:"cache"`
