@@ -128,6 +128,13 @@ func TestHTTPSubmitErrors(t *testing.T) {
 		},
 		{
 			name:   "unknown job is 404",
+			method: http.MethodGet, path: "/v2/jobs/not-a-job-id",
+			wantStatus: http.StatusNotFound,
+			wantCode:   CodeNotFound,
+			wantErrSub: "unknown job",
+		},
+		{
+			name:   "unknown v2 job is 404",
 			method: http.MethodGet, path: "/v2/jobs/job-424242",
 			wantStatus: http.StatusNotFound,
 			wantCode:   CodeNotFound,
