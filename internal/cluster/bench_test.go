@@ -31,7 +31,7 @@ func benchmarkCluster(b *testing.B, nNodes int) {
 		dom[i] = int64(i)
 	}
 	req := service.CheckRequest{Program: soundProg, Policy: "{2}", Domain: dom}
-	coord, err := New(Config{Nodes: nodes, Shards: 4 * nNodes, Poll: 2 * time.Millisecond})
+	coord, err := New(Config{Nodes: nodes, Shards: 4 * nNodes})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func benchmarkStraggler(b *testing.B, steal bool) {
 		dom[i] = int64(i)
 	}
 	req := service.CheckRequest{Program: soundProg, Policy: "{2}", Domain: dom}
-	cfg := Config{Nodes: nodes, Shards: 6, Poll: 2 * time.Millisecond}
+	cfg := Config{Nodes: nodes, Shards: 6}
 	if steal {
 		cfg.StealThreshold = 2
 		cfg.Speculate = true

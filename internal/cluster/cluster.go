@@ -89,7 +89,7 @@ const (
 	// after failures before the whole check fails.
 	DefaultRetries = 3
 	// DefaultPoll is the job-status poll cadence when a node's event
-	// stream is unavailable.
+	// stream is unavailable or drops mid-job.
 	DefaultPoll = 50 * time.Millisecond
 )
 
@@ -113,9 +113,6 @@ type Config struct {
 	// Retries is the per-shard re-dispatch budget after node failures;
 	// ≤ 0 means DefaultRetries.
 	Retries int
-	// Poll is the job-status poll cadence behind the event stream; ≤ 0
-	// means DefaultPoll.
-	Poll time.Duration
 	// Client is the HTTP client; nil means a client with a 30s timeout.
 	Client *http.Client
 
@@ -162,9 +159,6 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	if cfg.Retries <= 0 {
 		cfg.Retries = DefaultRetries
-	}
-	if cfg.Poll <= 0 {
-		cfg.Poll = DefaultPoll
 	}
 	client := cfg.Client
 	if client == nil {
@@ -320,9 +314,10 @@ func (c *Coordinator) Check(ctx context.Context, req service.CheckRequest) (*Rep
 	go c.registry.probeLoop(r.stopCtx, c.client)
 	go r.membershipLoop()
 	go r.supervise()
-	for _, node := range c.registry.Alive() {
-		r.spawnLoop(node)
-	}
+	// Spawn the node loops from a registry snapshot taken after the
+	// membership watch started, so no change is missed — and a registry
+	// an earlier check drained fails this one at once.
+	r.reconcile()
 	r.waitDone()
 	r.stop() // release the stop context in every exit path
 
@@ -583,6 +578,7 @@ func (r *runner) complete(node string, e pendingEntry, res *service.Result, fl *
 	done := r.outstanding == 0
 	r.mu.Unlock()
 	for _, other := range losers {
+		other.abort()
 		go r.cancelJob(other.node, other.id)
 	}
 	if definitive {
@@ -708,14 +704,6 @@ func (r *runner) failLocked(err error) {
 	r.stop()
 }
 
-// noteCancelled counts an in-flight job the short-circuit cancelled.
-func (r *runner) noteCancelled() {
-	r.c.metrics.cancelled.Inc()
-	r.mu.Lock()
-	r.cancelled++
-	r.mu.Unlock()
-}
-
 // nodeLoop pulls shards and runs them on one node until the pool drains,
 // the run stops, or the node dies or retires. A shrunk shard — the
 // supervisor stole its back half — re-runs its front half on the same
@@ -786,15 +774,23 @@ func (r *runner) runShard(node string, e pendingEntry) (*service.Result, *flight
 	if err != nil {
 		return nil, nil, err
 	}
-	fl := newFlight(node, id, e)
+	fl := newFlight(r.stopCtx, node, id, e)
+	defer fl.abort()
 	r.addFlight(fl)
 	defer r.removeFlight(fl)
+	if !r.c.registry.usable(node) {
+		// The node retired after the pull; the eviction that followed may
+		// have scanned the flights before this one joined them.
+		r.evict(fl)
+	}
 	res, err := r.watch(node, id, fl)
 	return res, fl, err
 }
 
 // submit POSTs the shard to the node, absorbing transient 503s with a
-// short backoff before giving the shard back to the pool.
+// short backoff before giving the shard back to the pool. A 200 is a
+// verdict-store hit on a store-backed node: the job is already done, and
+// watching it yields the stored result.
 func (r *runner) submit(node string, req service.CheckRequest) (string, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -825,7 +821,7 @@ func (r *runner) submit(node string, req service.CheckRequest) (string, error) {
 			return "", fmt.Errorf("%w: %s: %v", errNodeDown, node, err)
 		}
 		switch {
-		case status == http.StatusAccepted:
+		case status == http.StatusAccepted || status == http.StatusOK:
 			var sub service.SubmitResponse
 			if err := json.Unmarshal(payload, &sub); err != nil || sub.ID == "" {
 				return "", fmt.Errorf("%w: %s: bad submit response", errNodeDown, node)
@@ -852,22 +848,21 @@ func (r *runner) submit(node string, req service.CheckRequest) (string, error) {
 }
 
 // poll is the fallback behind the SSE watch: it follows the job until a
-// terminal state, checking immediately and then once per interval, and
-// keeps the flight's cursor fed from the status snapshots. A coordinator
-// stop cancels the job server-side; repeated poll failures mark the node
-// dead.
+// terminal state, checking immediately and then every DefaultPoll, and
+// keeps the flight's cursor fed from the status snapshots. An abandoned
+// flight returns at once (see abandoned); repeated poll failures mark the
+// node dead.
 func (r *runner) poll(node, id string, fl *flight) (*service.Result, error) {
 	failures := 0
 	for {
-		st, err := r.jobStatus(node, id)
+		st, err := r.jobStatus(fl.ctx, node, id)
 		switch {
 		case errors.Is(err, errResponseTooLarge):
 			// Any node would produce the same oversized result for this
 			// shard; retrying elsewhere cannot fix it.
 			return nil, &fatalError{msg: err.Error()}
-		case err != nil && r.stopCtx.Err() != nil:
-			r.cancelJob(node, id)
-			return nil, errStopped
+		case err != nil && fl.ctx.Err() != nil:
+			return nil, r.abandoned(fl)
 		case err != nil:
 			failures++
 			if failures >= maxPollFailures {
@@ -881,11 +876,27 @@ func (r *runner) poll(node, id string, fl *flight) (*service.Result, error) {
 			}
 		}
 		select {
-		case <-r.stopCtx.Done():
-			r.cancelJob(node, id)
-			return nil, errStopped
-		case <-time.After(r.c.cfg.Poll):
+		case <-fl.ctx.Done():
+			return nil, r.abandoned(fl)
+		case <-time.After(DefaultPoll):
 		}
+	}
+}
+
+// abandoned names why a flight's context ended before its job did: the
+// coordinator stopped (the job is cancelled server-side here), a rival
+// won the speculative race, or the node retired. The last two already
+// sent their cancel; returning without waiting for the node to confirm it
+// keeps a frozen node from holding the shard.
+func (r *runner) abandoned(fl *flight) error {
+	switch {
+	case r.stopCtx.Err() != nil:
+		r.cancelJob(fl.node, fl.id)
+		return errStopped
+	case fl.lost.Load():
+		return errLost
+	default:
+		return errEvicted
 	}
 }
 
@@ -925,11 +936,11 @@ func (r *runner) terminalStatus(node, id string, st *service.JobStatus, fl *flig
 	return nil, nil, false
 }
 
-// jobStatus GETs one status snapshot. The request rides the stop context
-// so a short-circuit aborts even a poll blocked on an unresponsive node;
-// the poll loop's stop branch then cancels the job and exits.
-func (r *runner) jobStatus(node, id string) (*service.JobStatus, error) {
-	httpReq, err := http.NewRequestWithContext(r.stopCtx, http.MethodGet, node+"/v2/jobs/"+id, nil)
+// jobStatus GETs one status snapshot. The request rides the flight's
+// context so a short-circuit or an eviction aborts even a poll blocked on
+// an unresponsive node.
+func (r *runner) jobStatus(ctx context.Context, node, id string) (*service.JobStatus, error) {
+	httpReq, err := http.NewRequestWithContext(ctx, http.MethodGet, node+"/v2/jobs/"+id, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -951,9 +962,9 @@ func (r *runner) jobStatus(node, id string) (*service.JobStatus, error) {
 	return &st, nil
 }
 
-// cancelJob best-effort cancels an in-flight job after a short-circuit.
-// The request deliberately uses a fresh context: the stop context that
-// triggered the cancel is already done.
+// cancelJob best-effort cancels a job on its node, counting the cancels
+// the node confirms. The request deliberately uses a fresh context: the
+// stop or flight context that prompted the cancel may already be done.
 func (r *runner) cancelJob(node, id string) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -965,9 +976,11 @@ func (r *runner) cancelJob(node, id string) {
 	if err != nil {
 		return
 	}
-	_, status, _ := readBody(resp)
-	if status == http.StatusOK {
-		r.noteCancelled()
+	if _, status, _ := readBody(resp); status == http.StatusOK {
+		r.c.metrics.cancelled.Inc()
+		r.mu.Lock()
+		r.cancelled++
+		r.mu.Unlock()
 	}
 }
 

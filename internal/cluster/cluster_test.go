@@ -170,7 +170,6 @@ func TestClusterByteIdenticalWithInjectedFailure(t *testing.T) {
 	coord, err := New(Config{
 		Nodes:  []string{srvA.URL, srvB.URL},
 		Shards: 8,
-		Poll:   5 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -215,7 +214,7 @@ func TestClusterUnsoundCrossShard(t *testing.T) {
 	}
 	_, srvA := startNode(t, service.Config{Pools: 2})
 	_, srvB := startNode(t, service.Config{Pools: 2})
-	coord, err := New(Config{Nodes: []string{srvA.URL, srvB.URL}, Shards: 4, Poll: 5 * time.Millisecond})
+	coord, err := New(Config{Nodes: []string{srvA.URL, srvB.URL}, Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +262,7 @@ func TestClusterNodeDeathMidSweepReassigns(t *testing.T) {
 	srvB := httptest.NewServer(svcB.Handler())
 	t.Cleanup(svcB.Close)
 
-	coord, err := New(Config{Nodes: []string{srvA.URL, srvB.URL}, Shards: 8, Poll: 5 * time.Millisecond})
+	coord, err := New(Config{Nodes: []string{srvA.URL, srvB.URL}, Shards: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +344,7 @@ func TestClusterCounterexampleShortCircuits(t *testing.T) {
 		svcA.Close()
 		svcB.Close()
 	})
-	coord, err := New(Config{Nodes: []string{srvA.URL, srvB.URL}, Shards: 128, Poll: 5 * time.Millisecond})
+	coord, err := New(Config{Nodes: []string{srvA.URL, srvB.URL}, Shards: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +392,7 @@ func TestClusterBusyNodeRetriesInPlace(t *testing.T) {
 		Domain:  bigDomain(16),
 	}
 	_, srvA := startNode(t, service.Config{Pools: 1, QueueCap: 1})
-	coord, err := New(Config{Nodes: []string{srvA.URL}, Shards: 6, Poll: 5 * time.Millisecond})
+	coord, err := New(Config{Nodes: []string{srvA.URL}, Shards: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,7 +420,7 @@ func TestClusterMaximality(t *testing.T) {
 	}
 	_, srvA := startNode(t, service.Config{Pools: 2})
 	_, srvB := startNode(t, service.Config{Pools: 2})
-	coord, err := New(Config{Nodes: []string{srvA.URL, srvB.URL}, Shards: 6, Poll: 5 * time.Millisecond})
+	coord, err := New(Config{Nodes: []string{srvA.URL, srvB.URL}, Shards: 6})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,23 +4,25 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sort"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"spm/internal/service"
+	"spm/internal/store"
 )
 
-// elasticConfig is the common elastic test fleet: fast poll and a fast
-// supervisor so steal/speculate decisions land within test timescales.
+// elasticConfig is the common elastic test fleet: a fast supervisor so
+// steal/speculate decisions land within test timescales.
 func elasticConfig(nodes ...string) Config {
 	return Config{
 		Nodes:         nodes,
 		Registry:      NewRegistry(nodes),
-		Poll:          5 * time.Millisecond,
 		StealInterval: 5 * time.Millisecond,
 	}
 }
@@ -51,8 +53,18 @@ func TestElasticStealFromStraggler(t *testing.T) {
 		Policy:  "{2}",
 		Domain:  bigDomain(128), // 16,384 tuples
 	}
-	_, fast := startNode(t, service.Config{Pools: 2})
-	_, slow := startNode(t, service.Config{Pools: 2, Throttle: 10 * time.Millisecond})
+	// Holding status reads until both nodes are watched keeps the fast
+	// node from sweeping all four shards before the straggler has one.
+	svcFast := service.New(service.Config{Pools: 2})
+	svcSlow := service.New(service.Config{Pools: 2, Throttle: 10 * time.Millisecond})
+	held := holdStatusUntilAllWatched(svcFast.Handler(), svcSlow.Handler())
+	fast, slow := httptest.NewServer(held[0]), httptest.NewServer(held[1])
+	t.Cleanup(func() {
+		fast.Close()
+		slow.Close()
+		svcFast.Close()
+		svcSlow.Close()
+	})
 
 	cfg := elasticConfig(fast.URL, slow.URL)
 	cfg.Shards = 4
@@ -233,7 +245,7 @@ func TestReportMembershipIsPerCheck(t *testing.T) {
 		srvB.Close()
 		svcB.Close()
 	})
-	coord, err := New(Config{Nodes: []string{srvA.URL, srvB.URL}, Shards: 8, Poll: 5 * time.Millisecond})
+	coord, err := New(Config{Nodes: []string{srvA.URL, srvB.URL}, Shards: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,6 +303,152 @@ func TestReportMembershipIsPerCheck(t *testing.T) {
 			t.Fatalf("check 3 did not dispatch to both nodes: %+v", rep.Nodes)
 		}
 	}
+}
+
+// TestCheckOnDrainedRegistryFailsFast runs a second check on a
+// coordinator whose first check retired every node. With no node to spawn
+// a loop for, the second check must fail with errNoNodesLeft at once
+// rather than wait on a membership change that already happened.
+func TestCheckOnDrainedRegistryFailsFast(t *testing.T) {
+	req := service.CheckRequest{
+		Program: soundProg,
+		Policy:  "{2}",
+		Domain:  bigDomain(16),
+	}
+	var down atomic.Bool
+	down.Store(true)
+	var urls []string
+	for range 2 {
+		svc := service.New(service.Config{Pools: 1})
+		srv := httptest.NewServer(downSwitch(&down, svc.Handler()))
+		t.Cleanup(func() {
+			srv.Close()
+			svc.Close()
+		})
+		urls = append(urls, srv.URL)
+	}
+	coord, err := New(Config{Nodes: urls, Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := coord.Check(context.Background(), req); !errors.Is(err, errNoNodesLeft) {
+		t.Fatalf("check 1: err = %v, want %v", err, errNoNodesLeft)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if _, err := coord.Check(ctx, req); !errors.Is(err, errNoNodesLeft) {
+		t.Fatalf("check 2: err = %v, want %v", err, errNoNodesLeft)
+	}
+}
+
+// freezeAfterFirstSubmit wraps a node handler so that the node accepts
+// one POST /v2/check and then hangs like a stopped process: every later
+// request (event stream, status, health probe, cancel) blocks with its
+// connection open until the client gives up or release is closed.
+func freezeAfterFirstSubmit(inner http.Handler, release <-chan struct{}) http.Handler {
+	var frozen atomic.Bool
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if frozen.Load() {
+			select {
+			case <-release:
+			case <-r.Context().Done():
+			}
+			return
+		}
+		inner.ServeHTTP(w, r)
+		if r.Method == http.MethodPost && r.URL.Path == "/v2/check" {
+			frozen.Store(true)
+		}
+	})
+}
+
+// TestFrozenNodeIsEvictedMidShard freezes a node right after it accepts a
+// shard. Its event stream never answers, so only the health probes can
+// find it; once they retire it, the eviction must abort the watch on the
+// frozen stream and requeue the shard on the live node.
+func TestFrozenNodeIsEvictedMidShard(t *testing.T) {
+	req := service.CheckRequest{
+		Program: soundProg,
+		Policy:  "{2}",
+		Domain:  bigDomain(128),
+	}
+	_, live := startNode(t, service.Config{Pools: 2})
+	release := make(chan struct{})
+	svcF := service.New(service.Config{Pools: 2})
+	srvF := httptest.NewServer(freezeAfterFirstSubmit(svcF.Handler(), release))
+	t.Cleanup(func() {
+		close(release)
+		srvF.Close()
+		svcF.Close()
+	})
+
+	reg := NewRegistry(nil)
+	reg.ProbeInterval = 20 * time.Millisecond
+	reg.ProbeTimeout = 100 * time.Millisecond
+	coord, err := New(Config{Nodes: []string{live.URL, srvF.URL}, Registry: reg, Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	rep, err := coord.Check(ctx, req)
+	if err != nil {
+		t.Fatalf("check did not recover from the frozen node: %v", err)
+	}
+	if !rep.Complete {
+		t.Fatalf("run incomplete: %+v", rep)
+	}
+	requireByteIdentical(t, rep, req)
+	for _, n := range rep.Nodes {
+		if n.URL == srvF.URL && (!n.Dead || n.Shards != 0) {
+			t.Fatalf("frozen node not retired, or credited with a shard: %+v", n)
+		}
+	}
+}
+
+// TestRepeatCheckOnStoreBackedNode runs one check twice on a node with a
+// verdict store. The second run's submissions are store hits answered 200
+// with the job already done; each must complete its shard, not retire the
+// node.
+func TestRepeatCheckOnStoreBackedNode(t *testing.T) {
+	req := service.CheckRequest{
+		Program: soundProg,
+		Policy:  "{2}",
+		Domain:  bigDomain(32),
+	}
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	svc, srv := startNode(t, service.Config{Pools: 2, Store: st})
+	coord, err := New(Config{Nodes: []string{srv.URL}, Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 2; i++ {
+		rep, err := coord.Check(context.Background(), req)
+		if err != nil {
+			t.Fatalf("check %d: %v", i, err)
+		}
+		if !rep.Complete || rep.Nodes[0].Dead || rep.Nodes[0].Shards != 4 {
+			t.Fatalf("check %d: %+v", i, rep)
+		}
+		requireByteIdentical(t, rep, req)
+	}
+	if hits := svc.Stats().Store.VerdictHits; hits != 4 {
+		t.Fatalf("second check made %d verdict-store hits, want 4", hits)
+	}
+}
+
+// sortedMemberURLs lists every member URL sorted, for stable test output.
+func sortedMemberURLs(ms []Member) []string {
+	out := make([]string, len(ms))
+	for i, m := range ms {
+		out[i] = m.URL
+	}
+	sort.Strings(out)
+	return out
 }
 
 func adminPost(t *testing.T, url string) {

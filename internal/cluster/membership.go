@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -119,7 +118,16 @@ func (g *Registry) Join(url string) bool {
 // changed. A running check cancels and requeues the node's in-flight
 // shard.
 func (g *Registry) Leave(url string) bool {
-	url = strings.TrimRight(strings.TrimSpace(url), "/")
+	return g.retire(strings.TrimRight(strings.TrimSpace(url), "/"))
+}
+
+// retire marks a node retired — on a Leave, or when the dispatch path
+// sees it die mid-shard — reporting whether the registry changed. A death
+// counts as a leave, since the node is gone whether or not it said
+// goodbye, so the probe loop, the shard pool, and the report all agree on
+// who is usable. Already-retired nodes are a no-op, so a death seen by
+// both the probe loop and the dispatch path is counted once.
+func (g *Registry) retire(url string) bool {
 	g.mu.Lock()
 	m := g.members[url]
 	if m == nil || m.State == NodeRetired {
@@ -131,24 +139,6 @@ func (g *Registry) Leave(url string) bool {
 	g.mu.Unlock()
 	g.notify()
 	return true
-}
-
-// retire marks a node retired when the dispatch path sees it die
-// mid-shard. Counted as a leave — the node is gone whether or not it said
-// goodbye — so the probe loop, the shard pool, and the report all agree
-// on who is usable. Already-retired nodes are a no-op, so a death seen by
-// both the probe loop and the dispatch path is counted once.
-func (g *Registry) retire(url string) {
-	g.mu.Lock()
-	m := g.members[url]
-	if m == nil || m.State == NodeRetired {
-		g.mu.Unlock()
-		return
-	}
-	m.State = NodeRetired
-	g.left++
-	g.mu.Unlock()
-	g.notify()
 }
 
 // Members snapshots the registry in join order.
@@ -362,14 +352,4 @@ func writeAdminJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(v)
-}
-
-// sortedMemberURLs lists every member URL sorted, for stable test output.
-func sortedMemberURLs(ms []Member) []string {
-	out := make([]string, len(ms))
-	for i, m := range ms {
-		out[i] = m.URL
-	}
-	sort.Strings(out)
-	return out
 }

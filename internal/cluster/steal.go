@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"net/http"
 	"sort"
@@ -19,10 +20,10 @@ const (
 	// DefaultStealInterval is the supervisor cadence: how often the
 	// coordinator re-evaluates stragglers and idle capacity.
 	DefaultStealInterval = 50 * time.Millisecond
-	// eventsIntervalMS is the SSE progress cadence the watcher asks a node
-	// for — fine enough that the chunk cursor driving steal decisions is
-	// fresh, coarse enough to stay cheap.
-	eventsIntervalMS = 20
+	// eventsIntervalMS is the SSE progress cadence, in milliseconds, the
+	// watcher asks a node for — fine enough that the chunk cursor driving
+	// steal decisions is fresh, coarse enough to stay cheap.
+	eventsIntervalMS = "20"
 	// stealMinRemaining is the smallest remaining tuple range worth
 	// stealing; below it the cancel/resubmit round-trips cost more than
 	// the sweep.
@@ -33,13 +34,19 @@ const (
 // supervisor can watch its chunk cursor and intervene. The cursor comes
 // from the node's SSE progress events (poll snapshots on fallback);
 // lost/evicted/shrink are verdicts the supervisor or a rival's completion
-// passes to the flight's watcher, which acts on them when the job reaches
-// a terminal state.
+// passes to the flight's watcher. A shrink is acted on when the job
+// reaches its cancelled state; lost and evicted also abort the flight's
+// context, so the watcher returns even if the node never answers again.
 type flight struct {
 	node    string
 	id      string
 	sh      check.Shard
 	started time.Time
+	// ctx scopes every request that follows the job (event stream and
+	// status polls); it derives from the run's stop context, and abort
+	// cancels it.
+	ctx   context.Context
+	abort context.CancelFunc
 	// shrunk marks the re-run front of a committed steal. It is never
 	// stolen from again — each steal restarts the front from scratch, so
 	// repeated steals from one straggler turn into a chain of restarts
@@ -75,8 +82,9 @@ type splitIntent struct {
 	front, back check.Shard
 }
 
-func newFlight(node, id string, e pendingEntry) *flight {
+func newFlight(stopCtx context.Context, node, id string, e pendingEntry) *flight {
 	f := &flight{node: node, id: id, sh: e.sh, started: time.Now(), shrunk: e.shrunk}
+	f.ctx, f.abort = context.WithCancel(stopCtx)
 	f.spec.Store(e.speculative)
 	return f
 }
@@ -153,16 +161,15 @@ func (f *flight) takeShrink() (splitIntent, bool) {
 // stream — falls back to the poll loop, which reports the same terminal
 // states (and still feeds the cursor, just coarser).
 func (r *runner) watch(node, id string, f *flight) (*service.Result, error) {
-	httpReq, err := http.NewRequestWithContext(r.stopCtx, http.MethodGet,
-		node+"/v2/jobs/"+id+"/events?interval_ms="+eventsIntervalStr, nil)
+	httpReq, err := http.NewRequestWithContext(f.ctx, http.MethodGet,
+		node+"/v2/jobs/"+id+"/events?interval_ms="+eventsIntervalMS, nil)
 	if err != nil {
 		return r.poll(node, id, f)
 	}
 	resp, err := r.c.stream.Do(httpReq)
 	if err != nil {
-		if r.stopCtx.Err() != nil {
-			r.cancelJob(node, id)
-			return nil, errStopped
+		if f.ctx.Err() != nil {
+			return nil, r.abandoned(f)
 		}
 		return r.poll(node, id, f)
 	}
@@ -198,17 +205,14 @@ func (r *runner) watch(node, id string, f *flight) (*service.Result, error) {
 			}
 		}
 	}
-	// Stream ended without a terminal event: node restarted, connection
-	// dropped, or the line limit tripped. The job may still be running.
-	if r.stopCtx.Err() != nil {
-		r.cancelJob(node, id)
-		return nil, errStopped
+	// Stream ended without a terminal event: the flight was abandoned, the
+	// node restarted, the connection dropped, or the line limit tripped.
+	// Unless abandoned, the job may still be running.
+	if f.ctx.Err() != nil {
+		return nil, r.abandoned(f)
 	}
 	return r.poll(node, id, f)
 }
-
-// eventsIntervalStr is eventsIntervalMS pre-rendered for the query string.
-const eventsIntervalStr = "20"
 
 // supervise is the steal/speculate control loop: every StealInterval it
 // sizes up the in-flight shards against idle capacity and intervenes —
@@ -423,20 +427,30 @@ func (r *runner) reconcile() {
 	}
 }
 
-// evictNode cancels every flight on a retired node. The flights' watchers
-// observe the cancellations and requeue the shards without charging their
-// retry budgets — leaving is not a failure.
+// evictNode evicts every flight on a retired node.
 func (r *runner) evictNode(url string) {
 	r.mu.Lock()
 	var victims []*flight
 	for fl := range r.flights {
 		if fl.node == url && !fl.gone() {
-			fl.evicted.Store(true)
 			victims = append(victims, fl)
 		}
 	}
 	r.mu.Unlock()
 	for _, fl := range victims {
-		go r.cancelJob(fl.node, fl.id)
+		r.evict(fl)
 	}
+}
+
+// evict abandons one flight on a retired node: its watcher returns
+// errEvicted at once — even when the node is frozen and will never answer
+// the stream — and the shard is requeued without charging its retry
+// budget, since leaving is not a failure. The job is cancelled on the
+// node in the background, once however many times the flight is evicted.
+func (r *runner) evict(fl *flight) {
+	if fl.evicted.Swap(true) {
+		return
+	}
+	fl.abort()
+	go r.cancelJob(fl.node, fl.id)
 }
