@@ -94,20 +94,6 @@ func (k *Kind) UnmarshalText(text []byte) error {
 	return nil
 }
 
-// Passes returns how many enumeration passes over the domain the kind
-// costs: soundness and pass counting visit every tuple once; maximality
-// tabulates Q-constant classes and then verifies, visiting twice. Callers
-// sizing progress totals (the service's done/total fraction) multiply the
-// domain size by this. A sharded maximality run (Spec.Shard non-zero) is
-// the exception: it gathers evidence in a single pass, so sharded callers
-// count 1 regardless of kind.
-func (k Kind) Passes() int64 {
-	if k == Maximality {
-		return 2
-	}
-	return 1
-}
-
 // Shard restricts a Run to the contiguous slice [Offset, Offset+Count) of
 // the domain's mixed-radix index space — the unit the cluster coordinator
 // dispatches to one node. The zero value means the whole domain; Count 0
@@ -310,8 +296,9 @@ func WithExecTally(t *core.ExecTally) Option { return func(o *Options) { o.Exec 
 // Run decides the Spec's verdict over its domain, sweeping in parallel and
 // honouring ctx: cancellation stops every worker within one chunk and
 // returns ctx's error. Run is the only code path in the repository that
-// executes verdicts — the spm CLI, the v1 and v2 HTTP services, and the
-// experiment tables all reduce to it.
+// executes verdicts — the spm CLI, the v2 HTTP service, and the
+// experiment tables all reduce to it. Every kind is one enumeration pass
+// over the range, so WithProgress and WithCommit count its tuples.
 func Run(ctx context.Context, spec Spec, opts ...Option) (Verdict, error) {
 	o := Options{Compiled: true, Memo: true, MemoStack: true}
 	for _, opt := range opts {
@@ -377,19 +364,7 @@ func Run(ctx context.Context, spec Spec, opts ...Option) (Verdict, error) {
 		if spec.Program == nil {
 			return v, fmt.Errorf("%w: maximality needs the reference Program", ErrBadSpec)
 		}
-		var rep core.MaximalityReport
-		var err error
-		if sharded {
-			// One evidence-gathering pass; the verdict is rendered by
-			// Merge once every shard's Classes table is in.
-			rep, err = core.CheckMaximalityShard(ctx, spec.Mechanism, spec.Program, spec.Policy, spec.Domain, spec.Observation, cc)
-		} else {
-			// Whole-domain maximality enumerates the domain twice, so a
-			// single monotone commit cursor cannot describe it; the hook
-			// applies only to single-sweep runs.
-			cc.Config.Commit = nil
-			rep, err = core.CheckMaximalityContext(ctx, spec.Mechanism, spec.Program, spec.Policy, spec.Domain, spec.Observation, cc)
-		}
+		rep, err := core.CheckMaximalityContext(ctx, spec.Mechanism, spec.Program, spec.Policy, spec.Domain, spec.Observation, cc)
 		if err != nil {
 			return v, err
 		}

@@ -134,9 +134,25 @@ func TestRunProgressReachesTotal(t *testing.T) {
 	}, WithProgress(&progress)); err != nil {
 		t.Fatal(err)
 	}
-	if want := Maximality.Passes() * int64(dom.Size()); progress.Load() != want {
-		t.Errorf("progress = %d, want %d (%d passes over %d tuples)",
-			progress.Load(), want, Maximality.Passes(), dom.Size())
+	// Maximality is one evidence pass: every tuple is counted once.
+	if want := int64(dom.Size()); progress.Load() != want {
+		t.Errorf("progress = %d, want %d (one pass over the domain)", progress.Load(), want)
+	}
+}
+
+// TestRunCommitCoversWholeDomainMaximality: the one-pass engine keeps a
+// single monotone commit cursor, so WithCommit describes a whole-domain
+// maximality run and reaches the domain size.
+func TestRunCommitCoversWholeDomainMaximality(t *testing.T) {
+	q, m, pol, dom := fixtures(t)
+	var last int64
+	if _, err := Run(context.Background(), Spec{
+		Kind: Maximality, Mechanism: m, Program: q, Policy: pol, Domain: dom,
+	}, WithWorkers(2), WithChunk(2), WithCommit(func(done int64) { last = done })); err != nil {
+		t.Fatal(err)
+	}
+	if last != int64(dom.Size()) {
+		t.Errorf("committed prefix = %d, want %d", last, dom.Size())
 	}
 }
 
@@ -172,12 +188,9 @@ func TestRunCancelled(t *testing.T) {
 	}
 }
 
-func TestKindStringsAndPasses(t *testing.T) {
+func TestKindStrings(t *testing.T) {
 	if Soundness.String() != "soundness" || Maximality.String() != "maximality" || PassCount.String() != "passcount" {
 		t.Error("kind names changed")
-	}
-	if Soundness.Passes() != 1 || Maximality.Passes() != 2 || PassCount.Passes() != 1 {
-		t.Error("kind pass counts changed")
 	}
 }
 

@@ -3,6 +3,7 @@ package check
 import (
 	"context"
 	"fmt"
+	"maps"
 
 	"spm/internal/core"
 	"spm/internal/sweep"
@@ -48,12 +49,14 @@ type Checkpoint struct {
 // zero, evidence tables dropped); for a sharded spec the fold itself — a
 // partial verdict over spec.Shard with its evidence tables — is returned,
 // ready for a coordinator's Merge. Sound/maximal bits, Checked totals, and
-// pass counts are identical to an unsegmented Run. Witnesses follow the
+// pass counts are identical to an unsegmented Run. A maximality verdict
+// is byte-identical to Run's, witness and reason included, at any segment
+// size and worker count, resumed or not. Soundness witnesses follow the
 // cluster-merge contract: with one worker the run is fully deterministic —
 // an interrupted run resumed from its last checkpoint is byte-identical to
-// an uninterrupted one, witnesses included — while with several workers
-// witness choice inside a segment is scheduling-dependent, exactly as it
-// already is between the workers of a plain Run.
+// an uninterrupted one — while with several workers witness choice inside
+// a segment is scheduling-dependent, exactly as it already is between the
+// workers of a plain Run.
 //
 // A save error aborts the run. Cancelling ctx stops the current segment
 // within one chunk and returns ctx's error; the last saved Checkpoint
@@ -80,7 +83,10 @@ func RunCheckpointed(ctx context.Context, spec Spec, from *Checkpoint, every int
 	if from != nil {
 		cur = from.Cursor
 		if from.Partial != nil {
+			// The fold below updates acc's tables in place; clone them once
+			// so the caller's checkpoint stays untouched.
 			cp := *from.Partial
+			cp.Views, cp.Classes = maps.Clone(cp.Views), maps.Clone(cp.Classes)
 			acc = &cp
 		}
 		if cur < 0 || cur > span {
@@ -120,14 +126,9 @@ func RunCheckpointed(ctx context.Context, spec Spec, from *Checkpoint, every int
 			return part, err
 		}
 		if acc == nil {
-			cp := part
-			acc = &cp
-		} else {
-			folded, err := foldPartial(*acc, part)
-			if err != nil {
-				return folded, err
-			}
-			*acc = folded
+			acc = &part
+		} else if err := foldPartial(acc, part); err != nil {
+			return *acc, err
 		}
 		cur += segLen
 		if save != nil {
@@ -139,32 +140,39 @@ func RunCheckpointed(ctx context.Context, spec Spec, from *Checkpoint, every int
 
 	if !spec.Shard.IsZero() {
 		// A sharded spec's answer is partial evidence by definition; hand
-		// the fold — which spans exactly spec.Shard — to the coordinator.
+		// the fold — which spans exactly spec.Shard — to the coordinator,
+		// with the local leak Run would report over the same shard (a
+		// class may vary across segments without varying in any one).
+		if acc.Kind == Maximality {
+			acc.Witness, acc.Reason = core.LeastDeviation(acc.Classes, true)
+			acc.Maximal = acc.Witness == nil
+		}
 		return *acc, nil
 	}
 	return Merge(*acc)
 }
 
 // foldPartial folds b — the partial verdict of the segment immediately
-// following acc's range — into acc, preserving the evidence tables that
-// Merge drops: the result is itself a partial verdict over the combined
-// range, so the fold can continue segment by segment with bounded state.
-// It applies exactly Merge's cross-shard semantics (first-seen view
-// entries win, the first cross-segment disagreement decides soundness,
-// class summaries fold with core.MergeClassSummaries), so Merge of the
-// final fold equals Merge of all the segments.
-func foldPartial(acc, b Verdict) (Verdict, error) {
+// following acc's range — into acc in place, preserving the evidence
+// tables that Merge drops: acc stays a partial verdict over the combined
+// range, so the fold can continue segment by segment with bounded state
+// and no per-segment copy. It applies exactly Merge's cross-shard
+// semantics (first-seen view entries win, the first cross-segment
+// disagreement decides soundness, class summaries fold with
+// core.MergeClassSummaries), so Merge of the final fold equals Merge of
+// all the segments.
+func foldPartial(acc *Verdict, b Verdict) error {
 	if b.Kind != acc.Kind {
-		return acc, fmt.Errorf("%w: mixed kinds %v and %v", ErrBadMerge, acc.Kind, b.Kind)
+		return fmt.Errorf("%w: mixed kinds %v and %v", ErrBadMerge, acc.Kind, b.Kind)
 	}
 	if b.Mechanism != acc.Mechanism || b.Program != acc.Program ||
 		b.Policy != acc.Policy || b.Observation != acc.Observation {
-		return acc, fmt.Errorf("%w: parts describe different checks (%s/%s/%s/%s vs %s/%s/%s/%s)",
+		return fmt.Errorf("%w: parts describe different checks (%s/%s/%s/%s vs %s/%s/%s/%s)",
 			ErrBadMerge, acc.Mechanism, acc.Program, acc.Policy, acc.Observation,
 			b.Mechanism, b.Program, b.Policy, b.Observation)
 	}
 	if want := acc.Shard.Offset + acc.Shard.Count; b.Shard.Offset != want {
-		return acc, fmt.Errorf("%w: segment at offset %d does not extend fold ending at %d", ErrBadMerge, b.Shard.Offset, want)
+		return fmt.Errorf("%w: segment at offset %d does not extend fold ending at %d", ErrBadMerge, b.Shard.Offset, want)
 	}
 	acc.Checked += b.Checked
 	acc.Shard.Count += b.Shard.Count
@@ -175,15 +183,14 @@ func foldPartial(acc, b Verdict) (Verdict, error) {
 			acc.WitnessA, acc.WitnessB = b.WitnessA, b.WitnessB
 			acc.ObsA, acc.ObsB = b.ObsA, b.ObsB
 		}
-		views := make(map[string]core.ViewObs, len(acc.Views)+len(b.Views))
-		for k, v := range acc.Views {
-			views[k] = v
+		if acc.Views == nil {
+			acc.Views = make(map[string]core.ViewObs, len(b.Views))
 		}
 		for _, view := range sortedKeys(b.Views) {
 			e := b.Views[view]
-			prev, ok := views[view]
+			prev, ok := acc.Views[view]
 			if !ok {
-				views[view] = e
+				acc.Views[view] = e
 				continue
 			}
 			if prev.Obs != e.Obs && acc.Sound {
@@ -192,31 +199,26 @@ func foldPartial(acc, b Verdict) (Verdict, error) {
 				acc.ObsA, acc.ObsB = prev.Obs, e.Obs
 			}
 		}
-		acc.Views = views
 	case Maximality:
-		if acc.Maximal && !b.Maximal {
+		if !b.Maximal && (acc.Maximal || core.LessInput(b.Witness, acc.Witness)) {
 			acc.Maximal = false
-			acc.Witness = b.Witness
-			acc.Reason = b.Reason
+			acc.Witness, acc.Reason = b.Witness, b.Reason
 		}
-		classes := make(map[string]core.ClassSummary, len(acc.Classes)+len(b.Classes))
-		for k, v := range acc.Classes {
-			classes[k] = v
+		if acc.Classes == nil {
+			acc.Classes = make(map[string]core.ClassSummary, len(b.Classes))
 		}
 		for view, cs := range b.Classes {
-			if prev, ok := classes[view]; ok {
-				classes[view] = core.MergeClassSummaries(prev, cs)
-			} else {
-				classes[view] = cs
+			if prev, ok := acc.Classes[view]; ok {
+				cs = core.MergeClassSummaries(prev, cs)
 			}
+			acc.Classes[view] = cs
 		}
-		acc.Classes = classes
 	case PassCount:
 		acc.Passes += b.Passes
 	default:
-		return acc, fmt.Errorf("%w: unknown kind %v", ErrBadMerge, acc.Kind)
+		return fmt.Errorf("%w: unknown kind %v", ErrBadMerge, acc.Kind)
 	}
-	return acc, nil
+	return nil
 }
 
 // clampInt narrows an int64 shard bound to int, saturating rather than

@@ -228,6 +228,45 @@ func TestRunCheckpointedCommitSpansResume(t *testing.T) {
 	}
 }
 
+// TestRunCheckpointedResumeLeavesCheckpointUnchanged: the fold updates its
+// evidence tables in place, so a resume must work on its own copy and
+// leave the caller's from.Partial exactly as it was.
+func TestRunCheckpointedResumeLeavesCheckpointUnchanged(t *testing.T) {
+	q, m, pol, dom := fixtures(t)
+	for _, spec := range []Spec{
+		// allow(1,2) puts every tuple in its own view, so each segment
+		// adds view entries.
+		{Kind: Soundness, Mechanism: q, Policy: core.NewAllow(2, 1, 2), Domain: dom},
+		{Kind: Maximality, Mechanism: m, Program: q, Policy: pol, Domain: dom},
+	} {
+		var from, pristine Checkpoint
+		if _, err := RunCheckpointed(context.Background(), spec, nil, 4, func(ck Checkpoint) error {
+			if from.Partial == nil {
+				data, err := json.Marshal(ck)
+				if err != nil {
+					return err
+				}
+				if err := json.Unmarshal(data, &from); err != nil {
+					return err
+				}
+				return json.Unmarshal(data, &pristine)
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if len(from.Partial.Views)+len(from.Partial.Classes) == 0 {
+			t.Fatalf("%v: checkpoint carries no evidence: %+v", spec.Kind, from.Partial)
+		}
+		if _, err := RunCheckpointed(context.Background(), spec, &from, 4, nil); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(from, pristine) {
+			t.Errorf("%v: resume mutated the caller's checkpoint:\n  %+v\nwas\n  %+v", spec.Kind, from.Partial, pristine.Partial)
+		}
+	}
+}
+
 func TestRunCheckpointedBadResume(t *testing.T) {
 	_, m, pol, dom := fixtures(t)
 	spec := Spec{Kind: Soundness, Mechanism: m, Policy: pol, Domain: dom}

@@ -28,13 +28,14 @@ var ErrBadMerge = errors.New("check: cannot merge verdicts")
 //
 // Soundness: the merged verdict is unsound if any part is, or if two parts
 // observed the same policy view differently — the conflict no single shard
-// can see. Maximality: the parts' Classes tables are folded into the global
-// class table (constancy = constant in every shard with one agreed
-// observation) and the Theorem 2 conditions are applied per class; a part
-// carrying a locally-definitive failure is honoured first. Witness choice
-// prefers the lowest-offset shard and is deterministic for a given set of
-// parts, but — exactly as with the in-process parallel checkers — may
-// differ from the sequential checker's witness when several exist.
+// can see; witness choice prefers the lowest-offset shard and is
+// deterministic for a given set of parts, but — exactly as with the
+// in-process parallel checker — may differ from the sequential checker's
+// witness when several exist. Maximality: the parts' Classes tables are
+// folded into the global class table (constancy = constant in every shard
+// with one agreed observation) and rendered by core.LeastDeviation, so
+// for parts that partition the index space the merged verdict, witness
+// and reason included, is byte-identical to a whole-domain Run.
 //
 // The merged verdict is a whole-domain one: Shard is zero and the evidence
 // tables are dropped.
@@ -111,58 +112,31 @@ func mergeSoundness(out *Verdict, parts []Verdict) {
 	}
 }
 
-// mergeMaximality folds shard evidence tables into the global class table
-// and applies the Theorem 2 conditions: on a globally varying class m must
-// withhold (a pass leaks); on a globally constant violating class m must
-// violate (a pass alters); on a globally constant passing class m must
-// reproduce Q's observation everywhere (withholding or altering fails).
+// mergeMaximality folds the parts' evidence tables into the global class
+// table and renders it with core.LeastDeviation, the rule whole-domain Run
+// applies, so the merged witness is the domain's least deviating input
+// whatever the split. A part's own failure (a locally definitive leak, or
+// a whole-domain verdict without a table) is a candidate too; the least
+// candidate wins.
 func mergeMaximality(out *Verdict, parts []Verdict) {
-	out.Maximal = true
-	for _, p := range parts {
-		if !p.Maximal && out.Maximal {
-			out.Maximal = false
-			out.Witness = p.Witness
-			out.Reason = p.Reason
-		}
-	}
 	global := make(map[string]core.ClassSummary)
 	for _, p := range parts {
 		for view, cs := range p.Classes {
 			if prev, ok := global[view]; ok {
-				global[view] = core.MergeClassSummaries(prev, cs)
-			} else {
-				global[view] = cs
+				cs = core.MergeClassSummaries(prev, cs)
 			}
+			global[view] = cs
 		}
 	}
-	for _, view := range sortedKeys(global) {
-		if !out.Maximal {
-			return
+	out.Witness, out.Reason = core.LeastDeviation(global, false)
+	out.Maximal = out.Witness == nil
+	for _, p := range parts {
+		if p.Maximal {
+			continue
 		}
-		cs := global[view]
-		switch {
-		case !cs.QConstant:
-			if cs.PassWitness != nil {
-				out.Maximal = false
-				out.Witness = cs.PassWitness
-				out.Reason = core.ReasonLeaks
-			}
-		case cs.QViolates:
-			if cs.AlterWitness != nil {
-				out.Maximal = false
-				out.Witness = cs.AlterWitness
-				out.Reason = core.ReasonAlters
-			}
-		default:
-			if cs.WithholdWitness != nil {
-				out.Maximal = false
-				out.Witness = cs.WithholdWitness
-				out.Reason = core.ReasonWithholds
-			} else if cs.AlterWitness != nil {
-				out.Maximal = false
-				out.Witness = cs.AlterWitness
-				out.Reason = core.ReasonAlters
-			}
+		out.Maximal = false
+		if core.LessInput(p.Witness, out.Witness) {
+			out.Witness, out.Reason = p.Witness, p.Reason
 		}
 	}
 }

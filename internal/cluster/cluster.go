@@ -787,10 +787,19 @@ func (r *runner) runShard(node string, e pendingEntry) (*service.Result, *flight
 	return res, fl, err
 }
 
+// submitTimeout bounds one shard POST. It matches the default client's
+// own bound; the POST does not ride the stop context (see submit).
+const submitTimeout = 30 * time.Second
+
 // submit POSTs the shard to the node, absorbing transient 503s with a
 // short backoff before giving the shard back to the pool. A 200 is a
 // verdict-store hit on a store-backed node: the job is already done, and
 // watching it yields the stored result.
+//
+// The POST runs under its own timeout, not the stop context: a run that
+// stops after the node has accepted the job but before its 202 arrives
+// must still learn the job's id, or the node sweeps an orphan nobody
+// cancels. A job accepted after the run stopped is cancelled at once.
 func (r *runner) submit(node string, req service.CheckRequest) (string, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -801,23 +810,14 @@ func (r *runner) submit(node string, req service.CheckRequest) (string, error) {
 		if r.stopCtx.Err() != nil {
 			return "", errStopped
 		}
-		httpReq, err := http.NewRequestWithContext(r.stopCtx, http.MethodPost, node+"/v2/check", bytes.NewReader(body))
-		if err != nil {
-			return "", &fatalError{msg: err.Error()}
-		}
-		httpReq.Header.Set("Content-Type", "application/json")
-		resp, err := r.c.client.Do(httpReq)
-		if err != nil {
-			if r.stopCtx.Err() != nil {
-				return "", errStopped
-			}
-			return "", fmt.Errorf("%w: %s: %v", errNodeDown, node, err)
-		}
-		payload, status, err := readBody(resp)
-		if errors.Is(err, errResponseTooLarge) {
-			return "", &fatalError{msg: err.Error()}
-		}
-		if err != nil {
+		payload, status, err := r.post(node, body)
+		var fe *fatalError
+		switch {
+		case errors.As(err, &fe):
+			return "", err
+		case err != nil && r.stopCtx.Err() != nil:
+			return "", errStopped
+		case err != nil:
 			return "", fmt.Errorf("%w: %s: %v", errNodeDown, node, err)
 		}
 		switch {
@@ -825,6 +825,10 @@ func (r *runner) submit(node string, req service.CheckRequest) (string, error) {
 			var sub service.SubmitResponse
 			if err := json.Unmarshal(payload, &sub); err != nil || sub.ID == "" {
 				return "", fmt.Errorf("%w: %s: bad submit response", errNodeDown, node)
+			}
+			if r.stopCtx.Err() != nil {
+				r.cancelJob(node, sub.ID)
+				return "", errStopped
 			}
 			return sub.ID, nil
 		case status == http.StatusServiceUnavailable:
@@ -845,6 +849,28 @@ func (r *runner) submit(node string, req service.CheckRequest) (string, error) {
 			return "", fmt.Errorf("%w: %s: unexpected status %d", errNodeDown, node, status)
 		}
 	}
+}
+
+// post sends one shard submission and reads the node's answer under
+// submitTimeout. A request that cannot be built, or an answer over
+// maxResponseBytes, is a fatalError: no node would do better.
+func (r *runner) post(node string, body []byte) ([]byte, int, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), submitTimeout)
+	defer cancel()
+	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, node+"/v2/check", bytes.NewReader(body))
+	if err != nil {
+		return nil, 0, &fatalError{msg: err.Error()}
+	}
+	httpReq.Header.Set("Content-Type", "application/json")
+	resp, err := r.c.client.Do(httpReq)
+	if err != nil {
+		return nil, 0, err
+	}
+	payload, status, err := readBody(resp)
+	if errors.Is(err, errResponseTooLarge) {
+		return nil, status, &fatalError{msg: err.Error()}
+	}
+	return payload, status, err
 }
 
 // poll is the fallback behind the SSE watch: it follows the job until a
@@ -1026,21 +1052,8 @@ func (r *runner) report() (*Report, error) {
 	}
 	rep.Soundness = merged
 	if len(maxParts) > 0 {
-		mv, err := check.Merge(maxParts...)
-		if err != nil {
+		if rep.Maximality, err = mergeMaximality(maxParts, rep.Complete); err != nil {
 			return nil, err
-		}
-		// On full coverage the merged verdict is exact. On partial
-		// coverage (a soundness short-circuit) only some negatives are
-		// definitive: a leak (Q varied within seen data; passing is wrong
-		// either way) or an alter (m passed disagreeing with Q at the same
-		// input — a leak instead if the class turns out varying, non-
-		// maximal either way). An affirmative, or a withhold verdict —
-		// withholding is *correct* if a missing shard flips the class to
-		// varying — cannot be settled without every shard, so those are
-		// dropped rather than rendered as whole-domain claims.
-		if rep.Complete || (!mv.Maximal && mv.Reason != core.ReasonWithholds) {
-			rep.Maximality = &mv
 		}
 	}
 	// Membership order, with each node's final health state; a retired
@@ -1054,6 +1067,33 @@ func (r *runner) report() (*Report, error) {
 		rep.Nodes = append(rep.Nodes, *nr)
 	}
 	return rep, nil
+}
+
+// mergeMaximality merges the shards' maximality verdicts. On full
+// coverage the merged verdict is exact. On partial coverage (a
+// short-circuit) only some deviations are definitive: a leak (Q varied
+// within seen data; passing is wrong either way) or an alter (m passed
+// disagreeing with Q at the same input — a leak instead if the class
+// turns out varying, non-maximal either way). A withhold is *correct* if
+// a missing shard flips the class to varying, so withhold evidence is
+// dropped before the merge ranks the rest, and an affirmative is not
+// rendered as a whole-domain claim (nil).
+func mergeMaximality(parts []check.Verdict, complete bool) (*check.Verdict, error) {
+	if !complete {
+		for i := range parts {
+			classes := make(map[string]core.ClassSummary, len(parts[i].Classes))
+			for view, cs := range parts[i].Classes {
+				cs.WithholdWitness = nil
+				classes[view] = cs
+			}
+			parts[i].Classes = classes
+		}
+	}
+	mv, err := check.Merge(parts...)
+	if err != nil || (!complete && mv.Maximal) {
+		return nil, err
+	}
+	return &mv, nil
 }
 
 // soundnessVerdict reconstructs the shard's partial soundness verdict from

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -470,3 +471,102 @@ func TestClusterRejectsShardedRequest(t *testing.T) {
 
 // splitIndexSpace invariants are property-checked (and fuzzed) in
 // split_test.go.
+
+// TestClusterStopCancelsJobAcceptedOnTheWire holds a shard's 202 on the
+// wire until the run has stopped. The node has already accepted the job,
+// so the coordinator must still read its id and cancel it rather than
+// leave it sweeping on the node.
+func TestClusterStopCancelsJobAcceptedOnTheWire(t *testing.T) {
+	svc := service.New(service.Config{Pools: 1, SweepWorkers: 1})
+	inner := svc.Handler()
+	accepted := make(chan string, 1)
+	release := make(chan struct{})
+	var mu sync.Mutex
+	var deleted []string
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodDelete {
+			mu.Lock()
+			deleted = append(deleted, strings.TrimPrefix(r.URL.Path, "/v2/jobs/"))
+			mu.Unlock()
+		}
+		if r.Method != http.MethodPost || r.URL.Path != "/v2/check" {
+			inner.ServeHTTP(w, r)
+			return
+		}
+		rec := httptest.NewRecorder()
+		inner.ServeHTTP(rec, r)
+		var sub service.SubmitResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &sub); err != nil {
+			t.Errorf("submit response %q: %v", rec.Body.String(), err)
+		}
+		accepted <- sub.ID
+		<-release
+		for k, v := range rec.Header() {
+			w.Header()[k] = v
+		}
+		w.WriteHeader(rec.Code)
+		w.Write(rec.Body.Bytes())
+	}))
+	t.Cleanup(func() {
+		srv.Close()
+		svc.Close()
+	})
+	coord, err := New(Config{Nodes: []string{srv.URL}, Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := coord.Check(ctx, service.CheckRequest{Program: skewProg, Policy: "{}", Raw: true, Domain: bigDomain(16)})
+		done <- err
+	}()
+	id := <-accepted
+	cancel() // the run stops while the 202 is still on the wire
+	close(release)
+	if err := <-done; err == nil {
+		t.Fatal("cancelled check returned no error")
+	}
+	// Check returns only after its node loops have, so the cancel has
+	// been sent by now; the node stops the sweep within one chunk.
+	mu.Lock()
+	defer mu.Unlock()
+	if !slices.Contains(deleted, id) {
+		t.Fatalf("job %s left sweeping on the node after the run stopped (cancelled: %v)", id, deleted)
+	}
+}
+
+// TestPartialMaximalityKeepsDefinitiveLeak: after a short-circuit a
+// withhold on a class that only looks constant is no evidence, so it must
+// not outrank — and so hide — a definitive leak with a larger witness.
+func TestPartialMaximalityKeepsDefinitiveLeak(t *testing.T) {
+	part := func(off int64, classes map[string]core.ClassSummary) check.Verdict {
+		return check.Verdict{Kind: check.Maximality, Mechanism: "m", Program: "q", Policy: "allow()",
+			Observation: "value", Checked: 4, Maximal: true, Shard: check.Shard{Offset: off, Count: 4}, Classes: classes}
+	}
+	withhold := part(0, map[string]core.ClassSummary{
+		"a": {QObs: "v=1", QConstant: true, WithholdWitness: []int64{0, 0}},
+	})
+	leak := part(4, map[string]core.ClassSummary{
+		"b": {QObs: "v=1", PassWitness: []int64{1, 1}},
+	})
+	leak.Maximal, leak.Witness, leak.Reason = false, []int64{1, 1}, core.ReasonLeaks
+
+	mv, err := mergeMaximality([]check.Verdict{withhold, leak}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mv == nil || mv.Reason != core.ReasonLeaks || !reflect.DeepEqual(mv.Witness, []int64{1, 1}) {
+		t.Fatalf("partial coverage lost the definitive leak: %+v", mv)
+	}
+	if mv, err := mergeMaximality([]check.Verdict{withhold}, false); err != nil || mv != nil {
+		t.Fatalf("partial coverage rendered a withhold-only verdict: %+v, %v", mv, err)
+	}
+	mv, err = mergeMaximality([]check.Verdict{withhold, leak}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mv.Reason != core.ReasonWithholds || !reflect.DeepEqual(mv.Witness, []int64{0, 0}) {
+		t.Fatalf("full coverage must rank the least deviation: %+v", mv)
+	}
+}

@@ -1,10 +1,7 @@
 package core
 
 import (
-	"context"
 	"fmt"
-
-	"spm/internal/sweep"
 )
 
 // MaximalityReport is the result of CheckMaximality: whether a mechanism is
@@ -22,9 +19,10 @@ type MaximalityReport struct {
 	Witness []int64
 	Reason  string
 	// Classes is the per-class evidence table of a sharded run
-	// (CheckMaximalityShard): maximality over a shard cannot be decided
-	// locally because class constancy is a whole-domain property, so the
-	// shard exports what it saw and check.Merge renders the verdict.
+	// (CheckMaximalityContext with CheckConfig.CollectViews): maximality
+	// over a shard cannot be decided locally because class constancy is a
+	// whole-domain property, so the shard exports what it saw and
+	// check.Merge renders the verdict.
 	Classes map[string]ClassSummary
 }
 
@@ -70,22 +68,6 @@ func (t classTable) add(view, rendered string) {
 	t[view] = &classState{obs: rendered, constant: true}
 }
 
-// merge folds other into t; a class seen by both workers with different
-// observations is non-constant even if each worker saw it as constant —
-// the cross-shard case.
-func (t classTable) merge(other classTable) {
-	for view, ocs := range other {
-		cs, ok := t[view]
-		if !ok {
-			t[view] = ocs
-			continue
-		}
-		if !ocs.constant || cs.obs != ocs.obs {
-			cs.constant = false
-		}
-	}
-}
-
 // maximalVerdict applies the maximality rule at one input: on a Q-constant
 // class m must reproduce Q's observation (a violation if Q violates, the
 // same rendered value otherwise); on a varying class m must issue Λ.
@@ -116,8 +98,11 @@ func maximalVerdict(classes classTable, view string, qo, mo Outcome, obs Observa
 // the maximal sound protection mechanism for program q and policy pol under
 // obs (Theorem 2), treating all violation notices as equivalent: m must
 // release Q's observation exactly on the inputs whose policy class is
-// Q-constant, and issue Λ everywhere else. CheckMaximalityContext is the
-// parallel equivalent.
+// Q-constant, and issue Λ everywhere else. It is the test oracle for
+// CheckMaximalityContext, the one-pass parallel engine: both agree on
+// Maximal, Checked and Reason, and on an ascending domain (every axis
+// listed in increasing order) on Witness too — the first deviating input
+// in enumeration order is then also the lexicographically least.
 func CheckMaximality(m, q Mechanism, pol Policy, dom Domain, obs Observation) (MaximalityReport, error) {
 	rep, err := maximalityPreflight(m, q, pol, dom, obs)
 	if err != nil {
@@ -154,67 +139,6 @@ func CheckMaximality(m, q Mechanism, pol Policy, dom Domain, obs Observation) (M
 		return nil
 	}); err != nil {
 		return rep, err
-	}
-	return rep, nil
-}
-
-// CheckMaximalityContext is the engine behind every parallel maximality
-// verdict — check.Run dispatches here. Both enumeration passes run on the
-// sweep engine: per-worker class tables over Q are merged between passes
-// (so constancy is judged across chunks), then a sharded verdict pass
-// checks m against the merged table. Cancelling ctx stops
-// whichever enumeration pass is running within one chunk and returns ctx's
-// error with a partial report.
-func CheckMaximalityContext(ctx context.Context, m, q Mechanism, pol Policy, dom Domain, obs Observation, cc CheckConfig) (MaximalityReport, error) {
-	rep, err := maximalityPreflight(m, q, pol, dom, obs)
-	if err != nil {
-		return rep, err
-	}
-	workers := cc.ResolvedWorkers(sweep.Size(dom))
-
-	// Pass 1: per-worker class tables over Q, merged into one.
-	tables := make([]classTable, workers)
-	for w := 0; w < workers; w++ {
-		tables[w] = make(classTable)
-	}
-	if err := sweepOutcomes(ctx, dom, cc, []Mechanism{q}, func(w int, input []int64, outs []Outcome) error {
-		tables[w].add(pol.View(input), obs.Render(outs[0]))
-		return nil
-	}); err != nil {
-		return rep, err
-	}
-	classes := tables[0]
-	for _, t := range tables[1:] {
-		classes.merge(t)
-	}
-
-	// Pass 2: sharded verdicts against the merged table (read-only now).
-	type shard struct {
-		checked int
-		witness []int64
-		reason  string
-	}
-	shards := make([]shard, workers)
-	if err := sweepOutcomes(ctx, dom, cc, []Mechanism{q, m}, func(w int, input []int64, outs []Outcome) error {
-		s := &shards[w]
-		qo, mo := outs[0], outs[1]
-		s.checked++
-		if ok, reason := maximalVerdict(classes, pol.View(input), qo, mo, obs); !ok && s.witness == nil {
-			s.witness = append([]int64(nil), input...)
-			s.reason = reason
-		}
-		return nil
-	}); err != nil {
-		return rep, err
-	}
-	for w := range shards {
-		s := &shards[w]
-		rep.Checked += s.checked
-		if s.witness != nil && rep.Maximal {
-			rep.Maximal = false
-			rep.Witness = s.witness
-			rep.Reason = s.reason
-		}
 	}
 	return rep, nil
 }

@@ -18,9 +18,10 @@ import (
 // prefix memoization but disables the snapshot-stack tier — per-axis
 // captures, constant-suffix pruning, and the content-addressed row cache
 // (the ablation knob behind check.WithMemoStack(false), and the baseline
-// the snapshot-stack benchmarks compare against); CollectViews asks
-// CheckSoundnessContext to export its merged per-class observation table
-// so a shard verdict can be folded with its siblings by check.Merge.
+// the snapshot-stack benchmarks compare against); CollectViews marks the
+// range as one shard of a larger run: the engines export their merged
+// per-class evidence (SoundnessReport.Views, MaximalityReport.Classes) so
+// the shard verdict can be folded with its siblings by check.Merge.
 // Batch is the stride width (the knob behind check.WithBatch): each
 // worker hands every mechanism strides of up to Batch innermost-axis
 // tuples, which compiled mechanisms execute in lockstep over

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"spm/internal/flowchart"
@@ -120,6 +121,12 @@ func TestSweepMaximalityMatchesSequentialRandomized(t *testing.T) {
 		if par.Maximal != seq.Maximal || par.Checked != seq.Checked {
 			t.Fatalf("trial %d cfg %+v: engine (maximal=%v checked=%d) vs sequential (maximal=%v checked=%d)",
 				trial, cfg, par.Maximal, par.Checked, seq.Maximal, seq.Checked)
+		}
+		// randomDomain lists every axis in ascending order, so the least
+		// deviating input is the sequential checker's first.
+		if !reflect.DeepEqual(par.Witness, seq.Witness) || par.Reason != seq.Reason {
+			t.Fatalf("trial %d cfg %+v: engine witness %v (%q) vs sequential %v (%q)",
+				trial, cfg, par.Witness, par.Reason, seq.Witness, seq.Reason)
 		}
 		if trial%3 == 0 && !par.Maximal {
 			t.Fatalf("trial %d: Theorem 2 tabulation rejected as non-maximal: %s", trial, par)
@@ -294,7 +301,7 @@ func TestPassCountParallel(t *testing.T) {
 }
 
 // TestMaximalityErrorPropagation: a failing mechanism run surfaces as an
-// error, not a verdict, from both passes.
+// error, not a verdict.
 func TestMaximalityErrorPropagation(t *testing.T) {
 	bad := &errOnValue{v: 5}
 	dom := Grid(1, Range(0, 7)...)

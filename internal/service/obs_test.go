@@ -65,7 +65,7 @@ func TestMetricsExposition(t *testing.T) {
 		counter("spm_stack_constants_total")+counter("spm_stack_rowhits_total") < 18 {
 		t.Error("stack answers do not cover the swept tuples")
 	}
-	// 2-ary testProg over {0,1,2} is 9 tuples; maximal adds two passes.
+	// 2-ary testProg over {0,1,2} is 9 tuples; maximal adds one pass.
 	if got := counter("spm_sweep_tuples_total"); got < 18 {
 		t.Errorf("spm_sweep_tuples_total = %v, want >= 18", got)
 	}

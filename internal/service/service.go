@@ -268,18 +268,11 @@ func (s *Service) submit(req CheckRequest, id string, resume *jobCheckpoint, ten
 		}
 		return nil, fmt.Errorf("%w: %s has %d tuples, limit %d", ErrBadRequest, noun, span, s.cfg.MaxTuples)
 	}
-	// Soundness is one pass over the shard; whole-domain maximality adds
-	// two more (class tabulation, then verdicts), while sharded maximality
-	// is a single evidence pass (see check.Kind.Passes). Store-backed jobs
-	// sweep whole-domain maximality as checkpointable evidence segments —
-	// one pass — and render the verdict from the fold (check.RunCheckpointed).
-	passes := check.Soundness.Passes()
+	// Every check.Run kind is one pass over the span: soundness, then the
+	// maximality evidence pass when requested.
+	passes := int64(1)
 	if req.Maximal {
-		if req.Sharded() || s.store != nil {
-			passes++
-		} else {
-			passes += check.Maximality.Passes()
-		}
+		passes++
 	}
 	if span > 0 && span > math.MaxInt64/passes {
 		return nil, fmt.Errorf("%w: domain too large", ErrBadRequest)

@@ -2,6 +2,7 @@ package service
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -94,23 +95,37 @@ func TestSubmitRawUnsoundWithWitness(t *testing.T) {
 }
 
 func TestSubmitMaximalProgressCountsAllPasses(t *testing.T) {
-	s := newTestService(t, Config{Pools: 1})
-	j, err := s.Submit(CheckRequest{Program: testProg, Policy: "{2}", Maximal: true, Domain: []int64{0, 1, 2}})
-	if err != nil {
-		t.Fatal(err)
+	// Plain and store-backed services run the same passes — soundness,
+	// then one maximality evidence pass — and reach the same verdict.
+	services := map[string]*Service{
+		"plain":  newTestService(t, Config{Pools: 1}),
+		"stored": storedService(t, t.TempDir(), Config{Pools: 1}),
 	}
-	if want := int64(3 * 9); j.Total != want {
-		t.Errorf("maximal job total = %d, want %d (three passes)", j.Total, want)
+	results := map[string]*Result{}
+	for name, s := range services {
+		j, err := s.Submit(CheckRequest{Program: testProg, Policy: "{2}", Maximal: true, Domain: []int64{0, 1, 2}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := int64(2 * 9); j.Total != want {
+			t.Errorf("%s: maximal job total = %d, want %d (soundness + evidence pass)", name, j.Total, want)
+		}
+		st := waitJob(t, j)
+		if st.State != StateDone {
+			t.Fatalf("%s: state = %s, want done", name, st.State)
+		}
+		if st.Result.Maximal == nil {
+			t.Fatalf("%s: maximal verdict missing", name)
+		}
+		if st.Progress.Done != j.Total {
+			t.Errorf("%s: progress %d, want %d", name, st.Progress.Done, j.Total)
+		}
+		results[name] = st.Result
 	}
-	st := waitJob(t, j)
-	if st.State != StateDone {
-		t.Fatalf("state = %s, want done", st.State)
-	}
-	if st.Result.Maximal == nil {
-		t.Fatal("maximal verdict missing")
-	}
-	if st.Progress.Done != j.Total {
-		t.Errorf("progress %d, want %d", st.Progress.Done, j.Total)
+	p, s := results["plain"], results["stored"]
+	if *p.Maximal != *s.Maximal || !reflect.DeepEqual(p.MaximalWitness, s.MaximalWitness) || p.MaximalReason != s.MaximalReason {
+		t.Errorf("plain and store-backed maximality verdicts differ: %v %v %q vs %v %v %q",
+			*p.Maximal, p.MaximalWitness, p.MaximalReason, *s.Maximal, s.MaximalWitness, s.MaximalReason)
 	}
 }
 
