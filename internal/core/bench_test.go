@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"testing"
+
+	"spm/internal/sweep"
 )
 
 func BenchmarkCheckSoundnessSequential(b *testing.B) {
@@ -65,4 +67,37 @@ func BenchmarkMeasureLeak(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// benchFold3 runs check on the compiled 3-input fold3 program over a 30³
+// domain under allow(1) — one sweep worker at the service's stride width,
+// every execution tier on — and reports the cost per tuple, so the verdict
+// fold's time and allocations show next to the runner's.
+func benchFold3(b *testing.B, check func(ctx context.Context, m Mechanism, pol Policy, dom Domain, cc CheckConfig) error) {
+	m := fold3(b)
+	pol := NewAllow(3, 1)
+	dom := Grid(3, Range(0, 29)...)
+	cc := CheckConfig{Config: sweep.Config{Workers: 1}, Batch: 16}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := check(context.Background(), m, pol, dom, cc); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*dom.Size()), "ns/tuple")
+}
+
+func BenchmarkFoldSoundness3(b *testing.B) {
+	benchFold3(b, func(ctx context.Context, m Mechanism, pol Policy, dom Domain, cc CheckConfig) error {
+		_, err := CheckSoundnessContext(ctx, m, pol, dom, ObserveValue, cc)
+		return err
+	})
+}
+
+func BenchmarkFoldMaximality3(b *testing.B) {
+	benchFold3(b, func(ctx context.Context, m Mechanism, pol Policy, dom Domain, cc CheckConfig) error {
+		_, err := CheckMaximalityContext(ctx, m, m, pol, dom, ObserveValue, cc)
+		return err
+	})
 }

@@ -292,21 +292,43 @@ func (cc CheckConfig) runnerFactory(m Mechanism, width int) func() BatchRunFunc 
 	return func() BatchRunFunc { return laneRunner(m) }
 }
 
-// visitFunc is the per-tuple fold the checkers hand to sweepOutcomes:
-// outs[i] is mechs[i]'s outcome on input. input is the engine's reused
-// buffer (copy to retain); outs is reused between calls.
-type visitFunc func(worker int, input []int64, outs []Outcome) error
+// strideFunc is the fold the checkers hand to sweepOutcomes, called once
+// per stride: input is the stride's first tuple and last the innermost
+// coordinate of each of its lanes (nil for the nullary domain's single
+// tuple), as in sweep.BatchFunc, and outs[i][lane] is mechs[i]'s outcome
+// on that lane; every outs[i] has one entry per lane. input is the
+// engine's reused buffer (copy to retain) and outs is reused between
+// calls.
+type strideFunc func(worker int, input, last []int64, outs [][]Outcome) error
+
+// eachTuple adapts a per-tuple fold to a strideFunc: it replays the
+// stride tuple by tuple, substituting each lane's innermost coordinate
+// into input, and calls visit with that lane, whose outcomes are
+// outs[i][lane].
+func eachTuple(visit func(worker int, input []int64, outs [][]Outcome, lane int) error) strideFunc {
+	return func(w int, input, last []int64, outs [][]Outcome) error {
+		k := len(input)
+		for lane := range outs[0] {
+			if k > 0 {
+				input[k-1] = last[lane]
+			}
+			if err := visit(w, input, outs, lane); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
 
 // sweepOutcomes is the execution seam every checker enumerates through: it
 // sweeps dom once in innermost-axis strides of up to max(cc.Batch, 1)
 // tuples (sweep.RunBatchContext), lets each mechanism in mechs evaluate
-// the whole stride on its own runner (see runnerFactory), then replays the
-// stride tuple by tuple through visit, reconstructing each lane's full
-// input by substituting its innermost coordinate — the per-tuple fold
-// never knows the width or the tier. A nullary domain is swept at width 1
-// as its single empty tuple. The differential suites pin every width and
-// tier to byte-identical verdicts.
-func sweepOutcomes(ctx context.Context, dom Domain, cc CheckConfig, mechs []Mechanism, visit visitFunc) error {
+// the whole stride on its own runner (see runnerFactory), then hands the
+// stride and its outcome columns to fold — the fold never knows the width
+// or the tier. A nullary domain is swept at width 1 as its single empty
+// tuple. The differential suites pin every width and tier to
+// byte-identical verdicts.
+func sweepOutcomes(ctx context.Context, dom Domain, cc CheckConfig, mechs []Mechanism, fold strideFunc) error {
 	k := len(dom)
 	width := max(cc.Batch, 1)
 	if k == 0 {
@@ -319,7 +341,7 @@ func sweepOutcomes(ctx context.Context, dom Domain, cc CheckConfig, mechs []Mech
 	type wstate struct {
 		runs    []BatchRunFunc
 		outCols [][]Outcome
-		outs    []Outcome
+		outs    [][]Outcome
 	}
 	states := make([]wstate, cc.ResolvedWorkers(sweep.Size(dom)))
 	for w := range states {
@@ -329,27 +351,17 @@ func sweepOutcomes(ctx context.Context, dom Domain, cc CheckConfig, mechs []Mech
 			runs[i] = factories[i]()
 			cols[i] = make([]Outcome, width)
 		}
-		states[w] = wstate{runs: runs, outCols: cols, outs: make([]Outcome, len(factories))}
+		states[w] = wstate{runs: runs, outCols: cols, outs: make([][]Outcome, len(factories))}
 	}
 	return sweep.RunBatchContext(ctx, dom, cc.Config, width, func(w int, input []int64, last []int64, carry int) error {
 		s := &states[w]
 		n := max(len(last), 1)
 		for i, run := range s.runs {
-			if err := run(input, last, carry, s.outCols[i][:n]); err != nil {
+			s.outs[i] = s.outCols[i][:n]
+			if err := run(input, last, carry, s.outs[i]); err != nil {
 				return err
 			}
 		}
-		for lane := 0; lane < n; lane++ {
-			if k > 0 {
-				input[k-1] = last[lane]
-			}
-			for i := range s.runs {
-				s.outs[i] = s.outCols[i][lane]
-			}
-			if err := visit(w, input, s.outs); err != nil {
-				return err
-			}
-		}
-		return nil
+		return fold(w, input, last, s.outs)
 	})
 }

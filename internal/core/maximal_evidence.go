@@ -131,7 +131,12 @@ func LeastDeviation(classes map[string]ClassSummary, local bool) (witness []int6
 // verdict — check.Run dispatches here, whole-domain and sharded alike. A
 // single enumeration pass over cc's range runs Q and m per tuple and folds
 // per-class evidence (ClassSummary) into per-worker tables, merged at the
-// end; LeastDeviation then renders the verdict. Class constancy is a
+// end; LeastDeviation then renders the verdict. For an Allow or Integrity
+// policy, a built-in observation and a domain of strictly ascending axes
+// the tables are keyed by integers (see foldKeys), the same rule runs on
+// flat indices, and ClassSummary strings are rendered only under
+// cc.CollectViews; any other question folds on rendered views and
+// observations. Both give the same report. Class constancy is a
 // whole-domain property, so with cc.CollectViews — the range is one shard
 // of a larger run — the report carries the merged table as Classes and
 // fails only on a locally definitive leak, leaving the rest to
@@ -146,6 +151,9 @@ func CheckMaximalityContext(ctx context.Context, m, q Mechanism, pol Policy, dom
 	if err != nil {
 		return rep, err
 	}
+	if fk := newFoldKeys(pol, dom, obs, cc); fk != nil {
+		return maximalityByKey(ctx, m, q, pol, obs, cc, fk, rep)
+	}
 	workers := cc.ResolvedWorkers(sweep.Size(dom))
 
 	type shard struct {
@@ -156,9 +164,9 @@ func CheckMaximalityContext(ctx context.Context, m, q Mechanism, pol Policy, dom
 	for w := range shards {
 		shards[w] = shard{classes: make(map[string]ClassSummary)}
 	}
-	if err := sweepOutcomes(ctx, dom, cc, []Mechanism{q, m}, func(w int, input []int64, outs []Outcome) error {
+	if err := sweepOutcomes(ctx, dom, cc, []Mechanism{q, m}, eachTuple(func(w int, input []int64, outs [][]Outcome, lane int) error {
 		s := &shards[w]
-		qo, mo := outs[0], outs[1]
+		qo, mo := outs[0][lane], outs[1][lane]
 		s.checked++
 		view := pol.View(input)
 		rq := obs.Render(qo)
@@ -184,7 +192,7 @@ func CheckMaximalityContext(ctx context.Context, m, q Mechanism, pol Policy, dom
 			s.classes[view] = cs
 		}
 		return nil
-	}); err != nil {
+	})); err != nil {
 		return rep, err
 	}
 
@@ -206,6 +214,135 @@ func CheckMaximalityContext(ctx context.Context, m, q Mechanism, pol Policy, dom
 	rep.Maximal = rep.Witness == nil
 	if cc.CollectViews {
 		rep.Classes = classes
+	}
+	return rep, nil
+}
+
+// keyedClass is ClassSummary on integer keys: Q's first-seen outcome
+// instead of its rendering, and the witnesses as flat indices, noWitness
+// for none. at is the flat index of the class's first-seen tuple plus
+// one; 0 marks an empty slot.
+type keyedClass struct {
+	at                    int
+	q                     Outcome
+	qConstant             bool
+	pass, alter, withhold int
+}
+
+// merge is MergeClassSummaries on integer keys, comparing outcomes as
+// sees does.
+func (a *keyedClass) merge(b *keyedClass, sees visibility) {
+	if !b.qConstant || !sees.same(&a.q, &b.q) {
+		a.qConstant = false
+	}
+	a.pass = min(a.pass, b.pass)
+	a.alter = min(a.alter, b.alter)
+	a.withhold = min(a.withhold, b.withhold)
+}
+
+// deviation is ClassSummary.Deviation on integer keys; the witness is
+// noWitness when m agrees with the maximal mechanism on the class.
+func (a *keyedClass) deviation() (witness int, reason string) {
+	switch {
+	case !a.qConstant:
+		return a.pass, ReasonLeaks
+	case !a.q.Violation && a.withhold < a.alter:
+		return a.withhold, ReasonWithholds
+	default:
+		return a.alter, ReasonAlters
+	}
+}
+
+// maximalityByKey is CheckMaximalityContext's fold on integer keys: the
+// same per-class evidence, worker merge and LeastDeviation rule as the
+// string fold. Flat indices order as LessInput orders their inputs, so
+// the least index is the least input.
+func maximalityByKey(ctx context.Context, m, q Mechanism, pol Policy, obs Observation, cc CheckConfig, fk *foldKeys, rep MaximalityReport) (MaximalityReport, error) {
+	type shard struct {
+		classes keyTable[keyedClass]
+		checked int
+	}
+	shards := make([]shard, cc.ResolvedWorkers(sweep.Size(fk.dom)))
+	for w := range shards {
+		shards[w].classes = newKeyTable[keyedClass](fk)
+	}
+	if err := sweepOutcomes(ctx, fk.dom, cc, []Mechanism{q, m}, func(w int, input, last []int64, outs [][]Outcome) error {
+		s := &shards[w]
+		s.checked += len(outs[0])
+		at0, key0 := fk.prefix(input)
+		for lane := range outs[0] {
+			at, key := fk.lane(at0, key0, last, lane)
+			qo, mo := &outs[0][lane], &outs[1][lane]
+			c := s.classes.at(key)
+			if c.at == 0 {
+				*c = keyedClass{at: at + 1, q: *qo, qConstant: true, pass: noWitness, alter: noWitness, withhold: noWitness}
+			} else if c.qConstant && !fk.sees.same(&c.q, qo) {
+				c.qConstant = false
+			}
+			if !mo.Violation {
+				c.pass = min(c.pass, at)
+				if at < c.alter && (qo.Violation || !fk.sees.same(mo, qo)) {
+					c.alter = at
+				}
+			} else if !qo.Violation {
+				c.withhold = min(c.withhold, at)
+			}
+		}
+		return nil
+	}); err != nil {
+		return rep, err
+	}
+
+	// Fold every worker's table into the first, in worker order.
+	classes := &shards[0].classes
+	for w := range shards {
+		rep.Checked += shards[w].checked
+		if w == 0 {
+			continue
+		}
+		shards[w].classes.each(func(key int, c *keyedClass) {
+			if c.at == 0 {
+				return
+			}
+			if prev := classes.at(key); prev.at == 0 {
+				*prev = *c
+			} else {
+				prev.merge(c, fk.sees)
+			}
+		})
+	}
+	witness := func(at int) []int64 {
+		if at == noWitness {
+			return nil
+		}
+		return fk.input(at)
+	}
+	least, reason := noWitness, ""
+	classes.each(func(_ int, c *keyedClass) {
+		if c.at == 0 || cc.CollectViews && c.qConstant {
+			return
+		}
+		if w, r := c.deviation(); w < least {
+			least, reason = w, r
+		}
+	})
+	rep.Witness, rep.Reason = witness(least), reason
+	rep.Maximal = rep.Witness == nil
+	if cc.CollectViews {
+		rep.Classes = make(map[string]ClassSummary)
+		classes.each(func(_ int, c *keyedClass) {
+			if c.at == 0 {
+				return
+			}
+			rep.Classes[pol.View(fk.input(c.at-1))] = ClassSummary{
+				QObs:            obs.Render(c.q),
+				QConstant:       c.qConstant,
+				QViolates:       c.q.Violation,
+				PassWitness:     witness(c.pass),
+				AlterWitness:    witness(c.alter),
+				WithholdWitness: witness(c.withhold),
+			}
+		})
 	}
 	return rep, nil
 }

@@ -50,16 +50,26 @@ type viewEntry struct {
 
 // CheckSoundnessContext is the engine behind every parallel soundness
 // verdict — check.Run dispatches here. Workers pull chunks from a shared
-// cursor and build per-worker view tables merged at the end; the verdict
+// cursor and build per-worker class tables merged at the end; the verdict
 // is deterministic, and with several workers the reported witness pair may
 // differ from the sequential checker's when multiple counterexamples
 // exist. Cancelling ctx stops the sweep within one chunk and returns
 // ctx's error with a partial report.
+//
+// For an Allow or Integrity policy, a built-in observation and a domain
+// of strictly ascending axes, the tables are keyed by integers (see
+// foldKeys) and hold flat indices and outcomes, compared as the
+// observation sees them; strings are rendered only for the witnesses,
+// ObsA/ObsB and Views. Any other question folds on rendered views and
+// observations. Both give the same report.
 func CheckSoundnessContext(ctx context.Context, m Mechanism, pol Policy, dom Domain, obs Observation, cc CheckConfig) (SoundnessReport, error) {
 	rep := SoundnessReport{Mechanism: m.Name(), Policy: pol.Name(), Observation: obs.ObsName, Sound: true}
 	if m.Arity() != pol.Arity() || len(dom) != m.Arity() {
 		return rep, fmt.Errorf("core: arity mismatch: mechanism %d, policy %d, domain %d",
 			m.Arity(), pol.Arity(), len(dom))
+	}
+	if fk := newFoldKeys(pol, dom, obs, cc); fk != nil {
+		return soundnessByKey(ctx, m, pol, obs, cc, fk, rep)
 	}
 
 	// Each worker builds a view → observation table and notes the first
@@ -77,12 +87,11 @@ func CheckSoundnessContext(ctx context.Context, m Mechanism, pol Policy, dom Dom
 	for w := range shards {
 		shards[w] = shard{views: make(map[string]viewEntry)}
 	}
-	err := sweepOutcomes(ctx, dom, cc, []Mechanism{m}, func(w int, input []int64, outs []Outcome) error {
+	err := sweepOutcomes(ctx, dom, cc, []Mechanism{m}, eachTuple(func(w int, input []int64, outs [][]Outcome, lane int) error {
 		s := &shards[w]
-		o := outs[0]
 		s.checked++
 		view := pol.View(input)
-		rendered := obs.Render(o)
+		rendered := obs.Render(outs[0][lane])
 		prev, ok := s.views[view]
 		if !ok {
 			s.views[view] = viewEntry{obs: rendered, input: append([]int64(nil), input...)}
@@ -93,7 +102,7 @@ func CheckSoundnessContext(ctx context.Context, m Mechanism, pol Policy, dom Dom
 			s.conflictA, s.conflictB = &prev, &b
 		}
 		return nil
-	})
+	}))
 	if err != nil {
 		return rep, err
 	}
@@ -129,6 +138,94 @@ func CheckSoundnessContext(ctx context.Context, m Mechanism, pol Policy, dom Dom
 	return rep, nil
 }
 
+// keyedView is one policy class's first-seen outcome and the flat index
+// of its witness plus one; 0 marks an empty slot.
+type keyedView struct {
+	obs Outcome
+	at  int
+}
+
+// soundnessByKey is CheckSoundnessContext's fold on integer keys: the
+// same per-worker first-seen tables, conflicts and merge as the string
+// fold, with views as keys, observations compared as the observation sees
+// them, and inputs as flat indices.
+func soundnessByKey(ctx context.Context, m Mechanism, pol Policy, obs Observation, cc CheckConfig, fk *foldKeys, rep SoundnessReport) (SoundnessReport, error) {
+	type shard struct {
+		views                keyTable[keyedView]
+		conflictA, conflictB keyedView
+		checked              int
+	}
+	shards := make([]shard, cc.ResolvedWorkers(sweep.Size(fk.dom)))
+	for w := range shards {
+		shards[w].views = newKeyTable[keyedView](fk)
+	}
+	err := sweepOutcomes(ctx, fk.dom, cc, []Mechanism{m}, func(w int, input, last []int64, outs [][]Outcome) error {
+		s := &shards[w]
+		s.checked += len(outs[0])
+		at0, key0 := fk.prefix(input)
+		for lane := range outs[0] {
+			at, key := fk.lane(at0, key0, last, lane)
+			o := &outs[0][lane]
+			e := s.views.at(key)
+			if e.at == 0 {
+				*e = keyedView{obs: *o, at: at + 1}
+			} else if s.conflictA.at == 0 && !fk.sees.same(&e.obs, o) {
+				s.conflictA, s.conflictB = *e, keyedView{obs: *o, at: at + 1}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return rep, err
+	}
+
+	// The nullary domain's witness is nil, as the string fold's copy of
+	// its empty input is.
+	witness := func(e keyedView) []int64 {
+		if len(fk.dom) == 0 {
+			return nil
+		}
+		return fk.input(e.at - 1)
+	}
+	conflict := func(a, b keyedView) {
+		rep.Sound = false
+		rep.WitnessA, rep.WitnessB = witness(a), witness(b)
+		rep.ObsA, rep.ObsB = obs.Render(a.obs), obs.Render(b.obs)
+	}
+	merged := &shards[0].views
+	for w := range shards {
+		s := &shards[w]
+		rep.Checked += s.checked
+		if s.conflictA.at != 0 && rep.Sound {
+			conflict(s.conflictA, s.conflictB)
+		}
+		if w == 0 {
+			continue
+		}
+		s.views.each(func(key int, e *keyedView) {
+			if e.at == 0 {
+				return
+			}
+			prev := merged.at(key)
+			if prev.at == 0 {
+				*prev = *e
+			} else if rep.Sound && !fk.sees.same(&prev.obs, &e.obs) {
+				conflict(*prev, *e)
+			}
+		})
+	}
+	if cc.CollectViews {
+		rep.Views = make(map[string]ViewObs)
+		merged.each(func(_ int, e *keyedView) {
+			if e.at != 0 {
+				in := witness(*e)
+				rep.Views[pol.View(in)] = ViewObs{Obs: obs.Render(e.obs), Witness: in}
+			}
+		})
+	}
+	return rep, nil
+}
+
 // PassCountContext counts the inputs in dom on which m returns real output
 // (no violation notice) — the utility column of the experiment tables —
 // and is the engine behind every pass count: check.Run dispatches here. Cancelling ctx stops the sweep within one chunk and
@@ -139,9 +236,11 @@ func PassCountContext(ctx context.Context, m Mechanism, dom Domain, cc CheckConf
 	}
 	workers := cc.ResolvedWorkers(sweep.Size(dom))
 	counts := make([]int, workers)
-	err := sweepOutcomes(ctx, dom, cc, []Mechanism{m}, func(w int, input []int64, outs []Outcome) error {
-		if !outs[0].Violation {
-			counts[w]++
+	err := sweepOutcomes(ctx, dom, cc, []Mechanism{m}, func(w int, _, _ []int64, outs [][]Outcome) error {
+		for _, o := range outs[0] {
+			if !o.Violation {
+				counts[w]++
+			}
 		}
 		return nil
 	})

@@ -61,11 +61,11 @@ func (a *Allow) Name() string {
 func (a *Allow) Arity() int { return a.K }
 
 // renderView canonically encodes the projection of input onto the indices
-// in set. This is the hottest string in every sweep — one call per
-// enumerated tuple — so it walks the index bitmask directly instead of
-// materialising the index slice and formatting through fmt, and appends
-// into a stack buffer so the string conversion is its only allocation
-// (for views up to 64 bytes).
+// in set. The parallel engines key their tables by integers and call it
+// only where a verdict leaves core (Views and Classes evidence); the
+// sequential oracles call it once per tuple, so it walks the index bitmask
+// directly and appends into a stack buffer, leaving the string conversion
+// its only allocation (for views up to 64 bytes).
 func renderView(set lattice.IndexSet, input []int64) string {
 	var stack [64]byte
 	buf := stack[:0]
@@ -152,11 +152,38 @@ type Observation struct {
 	ObsName string
 	// Render canonically encodes the observable part of an outcome.
 	Render func(Outcome) string
+	// sees is what of an outcome the observation shows, so that the
+	// parallel engines compare outcomes without rendering them and call
+	// Render only where a verdict leaves core. The built-in observations
+	// set it; a user-built Observation leaves it unset and is compared by
+	// its rendering.
+	sees visibility
+}
+
+// visibility lists what an observation shows of an outcome beyond the
+// violation bit and the value of a real output.
+type visibility struct {
+	// ok marks a set visibility.
+	ok bool
+	// steps and violationSteps show the running time of a real output
+	// and of a violation notice; notices shows the notice text.
+	steps, violationSteps, notices bool
+}
+
+// same reports whether a and b look the same: for every built-in
+// observation, exactly when they render equal.
+func (v visibility) same(a, b *Outcome) bool {
+	if a.Violation != b.Violation {
+		return false
+	}
+	if a.Violation {
+		return (!v.violationSteps || a.Steps == b.Steps) && (!v.notices || a.Notice == b.Notice)
+	}
+	return a.Value == b.Value && (!v.steps || a.Steps == b.Steps)
 }
 
 // ObserveValue sees the output value (or the violation notice) but not the
-// running time: the paper's first flowchart case, range Z. Render is on
-// every sweep's per-tuple path, hence strconv rather than fmt.
+// running time: the paper's first flowchart case, range Z.
 var ObserveValue = Observation{
 	ObsName: "value",
 	Render: func(o Outcome) string {
@@ -165,6 +192,7 @@ var ObserveValue = Observation{
 		}
 		return "v=" + strconv.FormatInt(o.Value, 10)
 	},
+	sees: visibility{ok: true, notices: true},
 }
 
 // ObserveValueAndTime sees the pair (value, steps): the paper's second
@@ -177,6 +205,7 @@ var ObserveValueAndTime = Observation{
 		}
 		return "v=" + strconv.FormatInt(o.Value, 10) + "@" + strconv.FormatInt(o.Steps, 10)
 	},
+	sees: visibility{ok: true, steps: true, violationSteps: true, notices: true},
 }
 
 // CoarseNotices wraps an observation so all violation notices look
@@ -186,16 +215,20 @@ var ObserveValueAndTime = Observation{
 // Denning's and Rotenberg's examples (the paper's Example 4) — are caught
 // as unsound.
 func CoarseNotices(obs Observation) Observation {
+	timed := obs.ObsName == ObserveValueAndTime.ObsName
+	sees := obs.sees
+	sees.violationSteps, sees.notices = timed, false
 	return Observation{
 		ObsName: obs.ObsName + "/coarse-Λ",
 		Render: func(o Outcome) string {
 			if o.Violation {
-				if obs.ObsName == ObserveValueAndTime.ObsName {
+				if timed {
 					return fmt.Sprintf("Λ@%d", o.Steps)
 				}
 				return "Λ"
 			}
 			return obs.Render(o)
 		},
+		sees: sees,
 	}
 }

@@ -101,7 +101,7 @@ type SoundnessReport struct {
 
 // ViewObs is one policy class's first-seen observation and a witness input
 // that produced it: the unit of the cross-shard soundness merge. It is the
-// exported form of the per-worker view tables the parallel checker already
+// rendered form of one entry of the per-worker tables the parallel checker
 // merges in-process.
 type ViewObs struct {
 	Obs     string  `json:"obs"`
