@@ -7,6 +7,7 @@ import (
 	"maps"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"spm/internal/core"
@@ -15,15 +16,17 @@ import (
 	"spm/internal/surveillance"
 )
 
-// The parallel engines fold an Allow or Integrity question with a
-// built-in observation over strictly ascending axes on integer view keys
-// and projected outcomes; every other question folds on rendered strings.
-// The tests here put each question through both folds and require the
-// same verdict.
+// The parallel engines run one fold. An Allow or Integrity policy keys its
+// classes by view key, any other policy by ids interned from its rendered
+// views; a built-in observation compares outcomes field by field, any
+// other observation by rendering. The tests here put each question
+// through both routes and require byte-identical verdicts, and at one
+// worker they require the sequential oracles' verdicts too.
 
-// stringRoute returns the same question routed onto the string fold: the
-// policy as a Content policy with the same name and view, and the
-// observation without its projection.
+// stringRoute returns the same question on the string route: the policy
+// as a Content policy with the same name and view, so its classes are
+// interned from rendered views, and the observation without its
+// visibility, so outcomes are compared by rendering.
 func stringRoute(spec Spec) Spec {
 	pol := spec.Policy
 	spec.Policy = core.NewContent(pol.Name(), pol.Arity(), pol.View)
@@ -109,10 +112,50 @@ func jsonOf(t testing.TB, v Verdict) string {
 	return string(data)
 }
 
-// sameFold runs spec through both folds and compares. At one worker the
-// verdicts must be byte-identical, and so must each shard's of a 3-way
-// split, evidence tables included, and the merged verdicts must agree as
-// the whole-domain ones do. At several workers the verdict, the
+// sortedDomain returns dom with each axis sorted and de-duplicated.
+func sortedDomain(dom core.Domain) core.Domain {
+	out := make(core.Domain, len(dom))
+	for i, vs := range dom {
+		out[i] = slices.Compact(slices.Sorted(slices.Values(vs)))
+	}
+	return out
+}
+
+// matchOracle requires a one-worker whole-domain verdict to be the
+// sequential oracle's: CheckSoundness's report byte for byte on any
+// domain; for maximality, CheckMaximality's Maximal, Witness and Reason on
+// the domain with each axis sorted and de-duplicated, where its first
+// deviating input is the least, and its Checked on the domain itself.
+func matchOracle(t testing.TB, how string, spec Spec, got Verdict) {
+	switch spec.Kind {
+	case Soundness:
+		want, err := core.CheckSoundness(spec.Mechanism, spec.Policy, spec.Domain, spec.Observation)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g := got.SoundnessReport(); !reflect.DeepEqual(g, want) {
+			t.Fatalf("%s: fold %+v, CheckSoundness %+v", how, g, want)
+		}
+	case Maximality:
+		want, err := core.CheckMaximality(spec.Mechanism, spec.Program, spec.Policy, sortedDomain(spec.Domain), spec.Observation)
+		if err != nil {
+			t.Fatal(err)
+		}
+		whole, err := core.CheckMaximality(spec.Mechanism, spec.Program, spec.Policy, spec.Domain, spec.Observation)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Maximal != want.Maximal || !slices.Equal(got.Witness, want.Witness) || got.Reason != want.Reason || got.Checked != whole.Checked {
+			t.Fatalf("%s: fold %s (checked %d), CheckMaximality %s (checked %d)", how, got, got.Checked, want, whole.Checked)
+		}
+	}
+}
+
+// sameFold runs spec through both routes and compares. At one worker the
+// verdicts must be byte-identical and the sequential oracles' (see
+// matchOracle), and so must each shard's of a 3-way split be
+// byte-identical, evidence tables included, and the merged verdicts must
+// agree as the whole-domain ones do. At several workers the verdict, the
 // maximality witness and the evidence no schedule changes must agree.
 func sameFold(t testing.TB, spec Spec, workers, width int) {
 	ctx := context.Background()
@@ -121,13 +164,13 @@ func sameFold(t testing.TB, spec Spec, workers, width int) {
 	compare := func(how string, got, want Verdict) {
 		if exact {
 			if !reflect.DeepEqual(got, want) || jsonOf(t, got) != jsonOf(t, want) {
-				t.Fatalf("%s: integer fold\n  %s\nstring fold\n  %s", how, jsonOf(t, got), jsonOf(t, want))
+				t.Fatalf("%s: view-key route\n  %s\nstring route\n  %s", how, jsonOf(t, got), jsonOf(t, want))
 			}
 			return
 		}
 		if got.Sound != want.Sound || got.Maximal != want.Maximal || got.Checked != want.Checked ||
 			got.Reason != want.Reason || !reflect.DeepEqual(got.Witness, want.Witness) {
-			t.Fatalf("%s: integer fold %s, string fold %s", how, got, want)
+			t.Fatalf("%s: view-key route %s, string route %s", how, got, want)
 		}
 	}
 	run := func(s Spec) (Verdict, Verdict) {
@@ -144,6 +187,10 @@ func sameFold(t testing.TB, spec Spec, workers, width int) {
 	how := fmt.Sprintf("%s %s/%s workers=%d width=%d", spec.Kind, spec.Policy.Name(), spec.Observation.ObsName, workers, width)
 	got, want := run(spec)
 	compare(how, got, want)
+	if exact {
+		matchOracle(t, how, spec, got)
+		matchOracle(t, how+" string route", stringRoute(spec), want)
+	}
 	size := int64(spec.Domain.Size())
 	if !exact {
 		// One shard spanning the domain exports the evidence tables.
@@ -159,7 +206,7 @@ func sameFold(t testing.TB, spec Spec, workers, width int) {
 				a.QObs, a.QViolates, b.QObs, b.QViolates = "", false, "", false
 				return reflect.DeepEqual(a, b)
 			}) {
-			t.Fatalf("%s: integer fold evidence\n  %s\nstring fold\n  %s", how, jsonOf(t, g), jsonOf(t, w))
+			t.Fatalf("%s: view-key route evidence\n  %s\nstring route\n  %s", how, jsonOf(t, g), jsonOf(t, w))
 		}
 		return
 	}
@@ -192,8 +239,10 @@ func sameFold(t testing.TB, spec Spec, workers, width int) {
 	}
 }
 
-// TestFoldKeysMatchStringFold is the differential test of the integer
-// fold: table-driven and compiled mechanisms, Allow and Integrity, every
+// TestFoldKeysMatchStringFold is the differential test of the fold's two
+// routes, view keys with field comparison against interned views with
+// rendered comparison, and of both against the sequential oracles:
+// table-driven and compiled mechanisms, Allow and Integrity, every
 // built-in observation, 1, 2 and 4 workers, widths 1 and 16, and a 3-way
 // shard split, over contiguous, gapped, descending and repeated-value
 // domains, allow() and all-allowed, and the nullary domain.
@@ -277,8 +326,9 @@ func TestFoldKeysMatchStringFold(t *testing.T) {
 // FuzzFoldKeys builds a question from the fuzz bytes — a domain whose
 // axes may be gapped, unsorted or carry repeated values, an allow set, a
 // table-driven Q and mechanism, an observation and a worker count — and
-// requires the integer fold and the string fold to agree (see sameFold)
-// and neither to panic.
+// requires the fold's two routes to agree with each other and, at one
+// worker, with the sequential oracles (see sameFold), and neither to
+// panic.
 func FuzzFoldKeys(f *testing.F) {
 	f.Add([]byte{3, 4, 0, 1, 3, 1, 2, 0, 5, 1, 9, 2, 1, 0, 1})
 	f.Add([]byte{2, 3, 1, 2, 2, 2, 0, 3, 7, 3, 3, 4, 1, 1, 0})

@@ -301,25 +301,6 @@ func (cc CheckConfig) runnerFactory(m Mechanism, width int) func() BatchRunFunc 
 // calls.
 type strideFunc func(worker int, input, last []int64, outs [][]Outcome) error
 
-// eachTuple adapts a per-tuple fold to a strideFunc: it replays the
-// stride tuple by tuple, substituting each lane's innermost coordinate
-// into input, and calls visit with that lane, whose outcomes are
-// outs[i][lane].
-func eachTuple(visit func(worker int, input []int64, outs [][]Outcome, lane int) error) strideFunc {
-	return func(w int, input, last []int64, outs [][]Outcome) error {
-		k := len(input)
-		for lane := range outs[0] {
-			if k > 0 {
-				input[k-1] = last[lane]
-			}
-			if err := visit(w, input, outs, lane); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-}
-
 // sweepOutcomes is the execution seam every checker enumerates through: it
 // sweeps dom once in innermost-axis strides of up to max(cc.Batch, 1)
 // tuples (sweep.RunBatchContext), lets each mechanism in mechs evaluate

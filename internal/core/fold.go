@@ -8,43 +8,60 @@ import (
 	"spm/internal/sweep"
 )
 
-// foldKeys is the integer form of one soundness or maximality question,
-// which lets the parallel engines fold on machine words and render
-// strings only where a verdict leaves core. A tuple is its flat index:
-// its position in the mixed-radix index space the sweep enumerates
-// (DESIGN.md), so a table entry holds an int instead of a copied input.
-// A policy class is its view key: the mixed-radix number of the tuple's
-// allowed coordinates, the same bijection restricted to the axes the
-// policy shows. Outcomes are compared field by field as the observation
-// sees them (Observation.sees), not by their renderings.
+// foldKeys is the integer form of a soundness or maximality question, the
+// one fold both parallel engines run: they fold on machine words and
+// render strings only where a verdict leaves core. A tuple is its value
+// index: the mixed-radix number of its coordinates' ranks among their
+// axis's sorted, distinct values. It decodes back to the tuple's values,
+// orders tuples as LessInput does, and gives equal tuples one index, so a
+// table entry holds an int instead of a copied input, and the least index
+// is the least input whatever order the axes list their values in. On a
+// strictly ascending domain it is the tuple's position in the sweep.
 //
-// Two conditions make the integers exact stand-ins for the strings. The
-// view key must separate projected values, not positions, and comparing
-// flat indices must order witnesses as LessInput does. Both hold when
-// every axis is strictly ascending, which is the domain newFoldKeys
-// accepts; any other domain, a policy other than Allow or Integrity, or
-// a user-built observation stays on the string path.
+// A policy class is a class key. For Allow and Integrity it is the view
+// key: the mixed-radix number of the ranks of the allowed coordinates.
+// Any other policy has its classes interned per worker (classIDs).
+// Outcomes are compared as the observation sees them: field by field for
+// a built-in observation (Observation.sees), by rendering otherwise.
 type foldKeys struct {
-	dom  Domain
 	axes []axisIndex
-	// flatW[i] and keyW[i] are axis i's weights in the flat index and
-	// the view key; keyW[i] is 0 on an axis the policy hides.
-	flatW, keyW []int
+	// atW[i] and keyW[i] are axis i's weights in the value index and the
+	// view key; keyW[i] is 0 on an axis the policy hides.
+	atW, keyW []int
+	// intern is the policy when it has no view key: every keyW is then 0
+	// and a class key is an id interned from intern.View.
+	intern Policy
 	// classes is the number of view keys, the projected product: keys
 	// range over [0, classes).
 	classes int
-	// dense selects slices indexed by view key for the class tables;
+	// dense selects slices indexed by class key for the class tables;
 	// otherwise they are maps (see keyTable).
 	dense bool
 	sees  visibility
+	// render compares outcomes when sees is unset.
+	render func(Outcome) string
 }
 
-// axisIndex maps a value of a strictly ascending axis to its position:
-// an offset from lo when the axis is contiguous (vals nil), a binary
-// search of vals otherwise.
+// axisIndex ranks the values of one axis among its sorted, distinct
+// values: an offset from lo when they are contiguous (vals nil), a binary
+// search of vals otherwise. n is the number of distinct values.
 type axisIndex struct {
 	lo   int64
+	n    int
 	vals []int64
+}
+
+func newAxisIndex(vs []int64) axisIndex {
+	vs = slices.Clone(vs)
+	slices.Sort(vs)
+	vs = slices.Compact(vs)
+	// Wrapping subtraction is exact here: the true difference of sorted
+	// distinct values is at least len-1, so it wraps to len-1 only if it
+	// is len-1.
+	if len(vs) > 0 && vs[len(vs)-1]-vs[0] == int64(len(vs)-1) {
+		return axisIndex{lo: vs[0], n: len(vs)}
+	}
+	return axisIndex{n: len(vs), vals: vs}
 }
 
 func (a axisIndex) index(v int64) int {
@@ -55,13 +72,34 @@ func (a axisIndex) index(v int64) int {
 	return i
 }
 
-// newFoldKeys returns the integer form of the question, or nil when it
-// must stay on the string path. Every sweep worker keeps its own class
-// table, so the tables are dense only while their slots, over all
-// workers, number at most twice the range's tuple count; past that — a
-// shard, or many workers, under a policy that shows most axes — most
-// slots would stay empty and the tables are maps.
-func newFoldKeys(pol Policy, dom Domain, obs Observation, cc CheckConfig) *foldKeys {
+func (a axisIndex) value(i int) int64 {
+	if a.vals == nil {
+		return a.lo + int64(i)
+	}
+	return a.vals[i]
+}
+
+// newFoldKeys returns the integer form of the question, or the sweep's
+// error for an oversized domain or a bad shard. Every sweep worker keeps
+// its own class table, so the tables are dense only while their slots,
+// over all workers, number at most twice the range's tuple count; past
+// that — a shard, or many workers, under a policy that shows most axes —
+// most slots would stay empty and the tables are maps. Interned classes
+// always use maps.
+func newFoldKeys(pol Policy, dom Domain, obs Observation, cc CheckConfig) (*foldKeys, error) {
+	size := sweep.Size(dom)
+	if size == math.MaxInt {
+		return nil, sweep.ErrTooLarge
+	}
+	lo, hi, err := cc.Bounds(size)
+	if err != nil {
+		return nil, err
+	}
+	k := len(dom)
+	fk := &foldKeys{axes: make([]axisIndex, k), atW: make([]int, k), keyW: make([]int, k), sees: obs.sees}
+	if !obs.sees.ok {
+		fk.render = obs.Render
+	}
 	var shown lattice.IndexSet
 	switch p := pol.(type) {
 	case *Allow:
@@ -69,35 +107,16 @@ func newFoldKeys(pol Policy, dom Domain, obs Observation, cc CheckConfig) *foldK
 	case *Integrity:
 		shown = p.Trusted
 	default:
-		return nil
+		fk.intern = pol
 	}
-	size := sweep.Size(dom)
-	lo, hi, err := cc.Bounds(size)
-	if !obs.sees.ok || size == 0 || size == math.MaxInt || err != nil {
-		return nil
-	}
-	k := len(dom)
-	fk := &foldKeys{dom: dom, axes: make([]axisIndex, k), flatW: make([]int, k), keyW: make([]int, k), sees: obs.sees}
-	flat, key := 1, 1
+	at, key := 1, 1
 	for i := k - 1; i >= 0; i-- {
-		vs := dom[i]
-		for j := 1; j < len(vs); j++ {
-			if vs[j] <= vs[j-1] {
-				return nil
-			}
-		}
-		// Wrapping subtraction is exact here: the true difference of a
-		// strictly ascending axis is at least len-1, so it wraps to
-		// len-1 only if it is len-1.
-		fk.axes[i] = axisIndex{lo: vs[0]}
-		if vs[len(vs)-1]-vs[0] != int64(len(vs)-1) {
-			fk.axes[i].vals = vs
-		}
-		fk.flatW[i] = flat
-		flat *= len(vs)
+		fk.axes[i] = newAxisIndex(dom[i])
+		fk.atW[i] = at
+		at *= fk.axes[i].n
 		if shown.Contains(i + 1) {
 			fk.keyW[i] = key
-			key *= len(vs)
+			key *= fk.axes[i].n
 		}
 	}
 	fk.classes = key
@@ -105,22 +124,22 @@ func newFoldKeys(pol Policy, dom Domain, obs Observation, cc CheckConfig) *foldK
 	if n := hi - lo; n > 0 {
 		perWorker = (n-1)/cc.ResolvedWorkers(size) + 1
 	}
-	fk.dense = key-perWorker <= perWorker
-	return fk
+	fk.dense = fk.intern == nil && key-perWorker <= perWorker
+	return fk, nil
 }
 
-// prefix returns the flat index and view key of the stride whose first
+// prefix returns the value index and view key of the stride whose first
 // tuple is input, without its innermost coordinate; lane adds it.
 func (fk *foldKeys) prefix(input []int64) (at, key int) {
 	for i := 0; i < len(input)-1; i++ {
 		j := fk.axes[i].index(input[i])
-		at += j * fk.flatW[i]
+		at += j * fk.atW[i]
 		key += j * fk.keyW[i]
 	}
 	return at, key
 }
 
-// lane returns the flat index and view key of the stride's lane whose
+// lane returns the value index and view key of the stride's lane whose
 // innermost coordinate is last[lane], given the stride's prefix (at, key).
 // The nullary domain's single tuple, with nil last, is (0, 0).
 func (fk *foldKeys) lane(at, key int, last []int64, lane int) (int, int) {
@@ -132,22 +151,72 @@ func (fk *foldKeys) lane(at, key int, last []int64, lane int) (int, int) {
 	return at + j, key + j*fk.keyW[k-1]
 }
 
-// input decodes flat index at back to its tuple, as a fresh slice.
+// interned returns the class key of the stride's lane whose innermost
+// coordinate is last[lane] when the classes are interned: the id of its
+// view in ids, the worker's own. input is the stride's first tuple; its
+// innermost coordinate is overwritten.
+func (fk *foldKeys) interned(ids *classIDs, input, last []int64, lane int) int {
+	if k := len(input); k > 0 {
+		input[k-1] = last[lane]
+	}
+	return ids.of(fk.intern.View(input))
+}
+
+// input decodes value index at back to its tuple, as a fresh slice.
 func (fk *foldKeys) input(at int) []int64 {
-	in := make([]int64, len(fk.dom))
+	in := make([]int64, len(fk.axes))
 	for i := len(in) - 1; i >= 0; i-- {
-		n := len(fk.dom[i])
-		in[i] = fk.dom[i][at%n]
+		n := fk.axes[i].n
+		in[i] = fk.axes[i].value(at % n)
 		at /= n
 	}
 	return in
 }
 
+// same reports whether the observation shows a and b alike.
+func (fk *foldKeys) same(a, b *Outcome) bool {
+	if fk.render == nil {
+		return fk.sees.same(a, b)
+	}
+	return fk.render(*a) == fk.render(*b)
+}
+
+// classIDs interns one sweep worker's policy views as class keys: a
+// view's key is its position in views. Each worker owns its own, so the
+// fold takes no lock; merging translates a worker's keys into the first
+// worker's through the view (rekey). The zero value is empty.
+type classIDs struct {
+	ids   map[string]int
+	views []string
+}
+
+func (c *classIDs) of(view string) int {
+	id, ok := c.ids[view]
+	if !ok {
+		if c.ids == nil {
+			c.ids = make(map[string]int)
+		}
+		id = len(c.views)
+		c.ids[view] = id
+		c.views = append(c.views, view)
+	}
+	return id
+}
+
+// rekey translates class key key of the worker whose interner is from
+// into the key of the same class in into's worker.
+func (fk *foldKeys) rekey(into, from *classIDs, key int) int {
+	if fk.intern == nil {
+		return key
+	}
+	return into.of(from.views[key])
+}
+
 // noWitness is the integer witness slot's "none". It orders after every
-// flat index, as nil orders after every input in LessInput.
+// value index, as nil orders after every input in LessInput.
 const noWitness = math.MaxInt
 
-// keyTable maps view keys to per-class entries, one table per sweep
+// keyTable maps class keys to per-class entries, one table per sweep
 // worker: a slice indexed by key when the keys are dense against the
 // range, otherwise a map from key to a slot of an append-only slice. An
 // entry starts as E's zero value; the engines mark the slots they fill.

@@ -72,19 +72,6 @@ func leastInput(a, b []int64) []int64 {
 	return a
 }
 
-// keepLeast stores input into *w if it precedes the witness held there,
-// reusing the held slice's storage. It reports whether *w is a new slice.
-func keepLeast(w *[]int64, input []int64) (fresh bool) {
-	switch {
-	case *w == nil:
-		*w = append(make([]int64, 0, len(input)), input...)
-		return true
-	case LessInput(input, *w):
-		copy(*w, input)
-	}
-	return false
-}
-
 // Deviation applies Theorem 2 to one class's whole-domain evidence. On a
 // varying class the maximal mechanism issues Λ, so any pass leaks; on a
 // constant class it reproduces Q, so a pass that alters Q's observation
@@ -127,100 +114,9 @@ func LeastDeviation(classes map[string]ClassSummary, local bool) (witness []int6
 	return witness, reason
 }
 
-// CheckMaximalityContext is the engine behind every parallel maximality
-// verdict — check.Run dispatches here, whole-domain and sharded alike. A
-// single enumeration pass over cc's range runs Q and m per tuple and folds
-// per-class evidence (ClassSummary) into per-worker tables, merged at the
-// end; LeastDeviation then renders the verdict. For an Allow or Integrity
-// policy, a built-in observation and a domain of strictly ascending axes
-// the tables are keyed by integers (see foldKeys), the same rule runs on
-// flat indices, and ClassSummary strings are rendered only under
-// cc.CollectViews; any other question folds on rendered views and
-// observations. Both give the same report. Class constancy is a
-// whole-domain property, so with cc.CollectViews — the range is one shard
-// of a larger run — the report carries the merged table as Classes and
-// fails only on a locally definitive leak, leaving the rest to
-// check.Merge; without it the range is the whole question and the report
-// is final. Either way the witness is the lexicographically least
-// deviating input the rule sees, so the verdict does not depend on worker
-// count, chunking, shard split or segmenting. Checked counts each tuple
-// once. Cancelling ctx stops the sweep within one chunk and returns ctx's
-// error with a partial report.
-func CheckMaximalityContext(ctx context.Context, m, q Mechanism, pol Policy, dom Domain, obs Observation, cc CheckConfig) (MaximalityReport, error) {
-	rep, err := maximalityPreflight(m, q, pol, dom, obs)
-	if err != nil {
-		return rep, err
-	}
-	if fk := newFoldKeys(pol, dom, obs, cc); fk != nil {
-		return maximalityByKey(ctx, m, q, pol, obs, cc, fk, rep)
-	}
-	workers := cc.ResolvedWorkers(sweep.Size(dom))
-
-	type shard struct {
-		classes map[string]ClassSummary
-		checked int
-	}
-	shards := make([]shard, workers)
-	for w := range shards {
-		shards[w] = shard{classes: make(map[string]ClassSummary)}
-	}
-	if err := sweepOutcomes(ctx, dom, cc, []Mechanism{q, m}, eachTuple(func(w int, input []int64, outs [][]Outcome, lane int) error {
-		s := &shards[w]
-		qo, mo := outs[0][lane], outs[1][lane]
-		s.checked++
-		view := pol.View(input)
-		rq := obs.Render(qo)
-		cs, seen := s.classes[view]
-		if !seen {
-			cs = ClassSummary{QObs: rq, QConstant: true, QViolates: qo.Violation}
-		}
-		// Witness storage is reused in place, so the map needs a write
-		// only when a field changes identity.
-		dirty := !seen
-		if cs.QConstant && cs.QObs != rq {
-			cs.QConstant, dirty = false, true
-		}
-		if !mo.Violation {
-			dirty = keepLeast(&cs.PassWitness, input) || dirty
-			if LessInput(input, cs.AlterWitness) && (qo.Violation || obs.Render(mo) != rq) {
-				dirty = keepLeast(&cs.AlterWitness, input) || dirty
-			}
-		} else if !qo.Violation {
-			dirty = keepLeast(&cs.WithholdWitness, input) || dirty
-		}
-		if dirty {
-			s.classes[view] = cs
-		}
-		return nil
-	})); err != nil {
-		return rep, err
-	}
-
-	// Fold every worker's table into the first, in place.
-	classes := shards[0].classes
-	for w := range shards {
-		rep.Checked += shards[w].checked
-		if w == 0 {
-			continue
-		}
-		for view, cs := range shards[w].classes {
-			if prev, ok := classes[view]; ok {
-				cs = MergeClassSummaries(prev, cs)
-			}
-			classes[view] = cs
-		}
-	}
-	rep.Witness, rep.Reason = LeastDeviation(classes, cc.CollectViews)
-	rep.Maximal = rep.Witness == nil
-	if cc.CollectViews {
-		rep.Classes = classes
-	}
-	return rep, nil
-}
-
 // keyedClass is ClassSummary on integer keys: Q's first-seen outcome
-// instead of its rendering, and the witnesses as flat indices, noWitness
-// for none. at is the flat index of the class's first-seen tuple plus
+// instead of its rendering, and the witnesses as value indices, noWitness
+// for none. at is the value index of the class's first-seen tuple plus
 // one; 0 marks an empty slot.
 type keyedClass struct {
 	at                    int
@@ -230,9 +126,9 @@ type keyedClass struct {
 }
 
 // merge is MergeClassSummaries on integer keys, comparing outcomes as
-// sees does.
-func (a *keyedClass) merge(b *keyedClass, sees visibility) {
-	if !b.qConstant || !sees.same(&a.q, &b.q) {
+// fk does.
+func (a *keyedClass) merge(b *keyedClass, fk *foldKeys) {
+	if !b.qConstant || !fk.same(&a.q, &b.q) {
 		a.qConstant = false
 	}
 	a.pass = min(a.pass, b.pass)
@@ -253,35 +149,60 @@ func (a *keyedClass) deviation() (witness int, reason string) {
 	}
 }
 
-// maximalityByKey is CheckMaximalityContext's fold on integer keys: the
-// same per-class evidence, worker merge and LeastDeviation rule as the
-// string fold. Flat indices order as LessInput orders their inputs, so
-// the least index is the least input.
-func maximalityByKey(ctx context.Context, m, q Mechanism, pol Policy, obs Observation, cc CheckConfig, fk *foldKeys, rep MaximalityReport) (MaximalityReport, error) {
+// CheckMaximalityContext is the engine behind every parallel maximality
+// verdict — check.Run dispatches here, whole-domain and sharded alike. A
+// single enumeration pass over cc's range runs Q and m per tuple and folds
+// per-class evidence into per-worker tables keyed by integers (see
+// foldKeys), merged at the end; the LeastDeviation rule then runs on value
+// indices, which order as LessInput orders their inputs, and ClassSummary
+// strings are rendered only under cc.CollectViews. Class constancy is a
+// whole-domain property, so with cc.CollectViews — the range is one shard
+// of a larger run — the report carries the merged table as Classes and
+// fails only on a locally definitive leak, leaving the rest to
+// check.Merge; without it the range is the whole question and the report
+// is final. Either way the witness is the lexicographically least
+// deviating input the rule sees, so the verdict does not depend on worker
+// count, chunking, shard split, segmenting or the order the axes list
+// their values in. Checked counts each tuple once. Cancelling ctx stops
+// the sweep within one chunk and returns ctx's error with a partial
+// report.
+func CheckMaximalityContext(ctx context.Context, m, q Mechanism, pol Policy, dom Domain, obs Observation, cc CheckConfig) (MaximalityReport, error) {
+	rep, err := maximalityPreflight(m, q, pol, dom, obs)
+	if err != nil {
+		return rep, err
+	}
+	fk, err := newFoldKeys(pol, dom, obs, cc)
+	if err != nil {
+		return rep, err
+	}
 	type shard struct {
 		classes keyTable[keyedClass]
+		ids     classIDs
 		checked int
 	}
-	shards := make([]shard, cc.ResolvedWorkers(sweep.Size(fk.dom)))
+	shards := make([]shard, cc.ResolvedWorkers(sweep.Size(dom)))
 	for w := range shards {
 		shards[w].classes = newKeyTable[keyedClass](fk)
 	}
-	if err := sweepOutcomes(ctx, fk.dom, cc, []Mechanism{q, m}, func(w int, input, last []int64, outs [][]Outcome) error {
+	if err := sweepOutcomes(ctx, dom, cc, []Mechanism{q, m}, func(w int, input, last []int64, outs [][]Outcome) error {
 		s := &shards[w]
 		s.checked += len(outs[0])
 		at0, key0 := fk.prefix(input)
 		for lane := range outs[0] {
 			at, key := fk.lane(at0, key0, last, lane)
+			if fk.intern != nil {
+				key = fk.interned(&s.ids, input, last, lane)
+			}
 			qo, mo := &outs[0][lane], &outs[1][lane]
 			c := s.classes.at(key)
 			if c.at == 0 {
 				*c = keyedClass{at: at + 1, q: *qo, qConstant: true, pass: noWitness, alter: noWitness, withhold: noWitness}
-			} else if c.qConstant && !fk.sees.same(&c.q, qo) {
+			} else if c.qConstant && !fk.same(&c.q, qo) {
 				c.qConstant = false
 			}
 			if !mo.Violation {
 				c.pass = min(c.pass, at)
-				if at < c.alter && (qo.Violation || !fk.sees.same(mo, qo)) {
+				if at < c.alter && (qo.Violation || !fk.same(mo, qo)) {
 					c.alter = at
 				}
 			} else if !qo.Violation {
@@ -300,14 +221,15 @@ func maximalityByKey(ctx context.Context, m, q Mechanism, pol Policy, obs Observ
 		if w == 0 {
 			continue
 		}
-		shards[w].classes.each(func(key int, c *keyedClass) {
+		s := &shards[w]
+		s.classes.each(func(key int, c *keyedClass) {
 			if c.at == 0 {
 				return
 			}
-			if prev := classes.at(key); prev.at == 0 {
+			if prev := classes.at(fk.rekey(&shards[0].ids, &s.ids, key)); prev.at == 0 {
 				*prev = *c
 			} else {
-				prev.merge(c, fk.sees)
+				prev.merge(c, fk)
 			}
 		})
 	}

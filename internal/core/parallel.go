@@ -42,10 +42,11 @@ type CheckConfig struct {
 	Exec         *ExecTally
 }
 
-// viewEntry is one policy class's first-seen observation and witness input.
-type viewEntry struct {
-	obs   string
-	input []int64
+// keyedView is one policy class's first-seen outcome and the value index
+// of its witness plus one; 0 marks an empty slot.
+type keyedView struct {
+	obs Outcome
+	at  int
 }
 
 // CheckSoundnessContext is the engine behind every parallel soundness
@@ -56,120 +57,49 @@ type viewEntry struct {
 // exist. Cancelling ctx stops the sweep within one chunk and returns
 // ctx's error with a partial report.
 //
-// For an Allow or Integrity policy, a built-in observation and a domain
-// of strictly ascending axes, the tables are keyed by integers (see
-// foldKeys) and hold flat indices and outcomes, compared as the
-// observation sees them; strings are rendered only for the witnesses,
-// ObsA/ObsB and Views. Any other question folds on rendered views and
-// observations. Both give the same report.
+// The tables are keyed by integers (see foldKeys) and hold value indices
+// and outcomes, compared as the observation sees them; strings are
+// rendered only for the witnesses, ObsA/ObsB and Views. At one worker,
+// over the whole domain, the report is CheckSoundness's, byte for byte.
 func CheckSoundnessContext(ctx context.Context, m Mechanism, pol Policy, dom Domain, obs Observation, cc CheckConfig) (SoundnessReport, error) {
 	rep := SoundnessReport{Mechanism: m.Name(), Policy: pol.Name(), Observation: obs.ObsName, Sound: true}
 	if m.Arity() != pol.Arity() || len(dom) != m.Arity() {
 		return rep, fmt.Errorf("core: arity mismatch: mechanism %d, policy %d, domain %d",
 			m.Arity(), pol.Arity(), len(dom))
 	}
-	if fk := newFoldKeys(pol, dom, obs, cc); fk != nil {
-		return soundnessByKey(ctx, m, pol, obs, cc, fk, rep)
-	}
-
-	// Each worker builds a view → observation table and notes the first
-	// conflict it sees; the merge then catches conflicts whose two inputs
-	// were visited by different workers (views span chunks whenever the
-	// policy ignores part of the input).
-	type shard struct {
-		views     map[string]viewEntry
-		conflictA *viewEntry
-		conflictB *viewEntry
-		checked   int
-	}
-	workers := cc.ResolvedWorkers(sweep.Size(dom))
-	shards := make([]shard, workers)
-	for w := range shards {
-		shards[w] = shard{views: make(map[string]viewEntry)}
-	}
-	err := sweepOutcomes(ctx, dom, cc, []Mechanism{m}, eachTuple(func(w int, input []int64, outs [][]Outcome, lane int) error {
-		s := &shards[w]
-		s.checked++
-		view := pol.View(input)
-		rendered := obs.Render(outs[0][lane])
-		prev, ok := s.views[view]
-		if !ok {
-			s.views[view] = viewEntry{obs: rendered, input: append([]int64(nil), input...)}
-			return nil
-		}
-		if prev.obs != rendered && s.conflictA == nil {
-			b := viewEntry{obs: rendered, input: append([]int64(nil), input...)}
-			s.conflictA, s.conflictB = &prev, &b
-		}
-		return nil
-	}))
+	fk, err := newFoldKeys(pol, dom, obs, cc)
 	if err != nil {
 		return rep, err
 	}
 
-	merged := make(map[string]viewEntry)
-	for w := range shards {
-		s := &shards[w]
-		rep.Checked += s.checked
-		if s.conflictA != nil && rep.Sound {
-			rep.Sound = false
-			rep.WitnessA, rep.WitnessB = s.conflictA.input, s.conflictB.input
-			rep.ObsA, rep.ObsB = s.conflictA.obs, s.conflictB.obs
-		}
-		for view, e := range s.views {
-			prev, ok := merged[view]
-			if !ok {
-				merged[view] = e
-				continue
-			}
-			if prev.obs != e.obs && rep.Sound {
-				rep.Sound = false
-				rep.WitnessA, rep.WitnessB = prev.input, e.input
-				rep.ObsA, rep.ObsB = prev.obs, e.obs
-			}
-		}
-	}
-	if cc.CollectViews {
-		rep.Views = make(map[string]ViewObs, len(merged))
-		for view, e := range merged {
-			rep.Views[view] = ViewObs{Obs: e.obs, Witness: e.input}
-		}
-	}
-	return rep, nil
-}
-
-// keyedView is one policy class's first-seen outcome and the flat index
-// of its witness plus one; 0 marks an empty slot.
-type keyedView struct {
-	obs Outcome
-	at  int
-}
-
-// soundnessByKey is CheckSoundnessContext's fold on integer keys: the
-// same per-worker first-seen tables, conflicts and merge as the string
-// fold, with views as keys, observations compared as the observation sees
-// them, and inputs as flat indices.
-func soundnessByKey(ctx context.Context, m Mechanism, pol Policy, obs Observation, cc CheckConfig, fk *foldKeys, rep SoundnessReport) (SoundnessReport, error) {
+	// Each worker builds a class → first-seen outcome table and notes the
+	// first conflict it sees; the merge then catches conflicts whose two
+	// inputs were visited by different workers (classes span chunks
+	// whenever the policy ignores part of the input).
 	type shard struct {
 		views                keyTable[keyedView]
+		ids                  classIDs
 		conflictA, conflictB keyedView
 		checked              int
 	}
-	shards := make([]shard, cc.ResolvedWorkers(sweep.Size(fk.dom)))
+	shards := make([]shard, cc.ResolvedWorkers(sweep.Size(dom)))
 	for w := range shards {
 		shards[w].views = newKeyTable[keyedView](fk)
 	}
-	err := sweepOutcomes(ctx, fk.dom, cc, []Mechanism{m}, func(w int, input, last []int64, outs [][]Outcome) error {
+	err = sweepOutcomes(ctx, dom, cc, []Mechanism{m}, func(w int, input, last []int64, outs [][]Outcome) error {
 		s := &shards[w]
 		s.checked += len(outs[0])
 		at0, key0 := fk.prefix(input)
 		for lane := range outs[0] {
 			at, key := fk.lane(at0, key0, last, lane)
+			if fk.intern != nil {
+				key = fk.interned(&s.ids, input, last, lane)
+			}
 			o := &outs[0][lane]
 			e := s.views.at(key)
 			if e.at == 0 {
 				*e = keyedView{obs: *o, at: at + 1}
-			} else if s.conflictA.at == 0 && !fk.sees.same(&e.obs, o) {
+			} else if s.conflictA.at == 0 && !fk.same(&e.obs, o) {
 				s.conflictA, s.conflictB = *e, keyedView{obs: *o, at: at + 1}
 			}
 		}
@@ -179,10 +109,10 @@ func soundnessByKey(ctx context.Context, m Mechanism, pol Policy, obs Observatio
 		return rep, err
 	}
 
-	// The nullary domain's witness is nil, as the string fold's copy of
+	// The nullary domain's witness is nil, as CheckSoundness's copy of
 	// its empty input is.
 	witness := func(e keyedView) []int64 {
-		if len(fk.dom) == 0 {
+		if len(dom) == 0 {
 			return nil
 		}
 		return fk.input(e.at - 1)
@@ -206,10 +136,10 @@ func soundnessByKey(ctx context.Context, m Mechanism, pol Policy, obs Observatio
 			if e.at == 0 {
 				return
 			}
-			prev := merged.at(key)
+			prev := merged.at(fk.rekey(&shards[0].ids, &s.ids, key))
 			if prev.at == 0 {
 				*prev = *e
-			} else if rep.Sound && !fk.sees.same(&prev.obs, &e.obs) {
+			} else if rep.Sound && !fk.same(&prev.obs, &e.obs) {
 				conflict(*prev, *e)
 			}
 		})

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -143,8 +144,8 @@ func ParseIndexSet(text string) (IndexSet, error) {
 	}
 	var s IndexSet
 	for _, part := range strings.Split(inner, ",") {
-		var i int
-		if _, err := fmt.Sscanf(strings.TrimSpace(part), "%d", &i); err != nil {
+		i, err := strconv.Atoi(strings.TrimSpace(part))
+		if err != nil {
 			return 0, fmt.Errorf("lattice: bad index %q in %q", part, text)
 		}
 		if i < 1 || i > MaxIndex {

@@ -2,6 +2,7 @@ package lattice
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -152,10 +153,14 @@ func TestStringAndParse(t *testing.T) {
 }
 
 func TestParseIndexSetErrors(t *testing.T) {
-	for _, text := range []string{"", "1,2", "{1", "1}", "{a}", "{0}", "{64}", "{1,,2}"} {
-		if _, err := ParseIndexSet(text); err == nil {
-			t.Errorf("ParseIndexSet(%q) succeeded, want error", text)
+	for _, text := range []string{"", "1,2", "{1", "1}", "{a}", "{0}", "{64}", "{1,,2}", "{2 3}", "{1x}", "{1,2x}", "{0x2}", "{1.0}"} {
+		if s, err := ParseIndexSet(text); err == nil {
+			t.Errorf("ParseIndexSet(%q) = %v, want error", text, s)
 		}
+	}
+	// A malformed index is reported as malformed, not as out of range.
+	if _, err := ParseIndexSet("{0x2}"); err == nil || strings.Contains(err.Error(), "out of range") {
+		t.Errorf("ParseIndexSet(%q): %v, want a bad-index error", "{0x2}", err)
 	}
 	// Whitespace tolerated.
 	got, err := ParseIndexSet(" { 1 , 2 } ")
@@ -248,4 +253,22 @@ func TestIndicesSorted(t *testing.T) {
 			t.Fatalf("len(Indices()) = %d, Len() = %d", len(idx), s.Len())
 		}
 	}
+}
+
+// FuzzParseIndexSet requires ParseIndexSet never to panic and every set it
+// accepts to round-trip through String.
+func FuzzParseIndexSet(f *testing.F) {
+	for _, seed := range []string{"{}", "{1}", "{1,3}", " { 1 , 2 } ", "{2 3}", "{1x}", "{0x2}", "{63}", "{64}", "{-1}", "{+1}", "{1,,2}"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		s, err := ParseIndexSet(text)
+		if err != nil {
+			return
+		}
+		back, err := ParseIndexSet(s.String())
+		if err != nil || back != s {
+			t.Fatalf("ParseIndexSet(%q) = %v; its String %q parses to %v, %v", text, s, s.String(), back, err)
+		}
+	})
 }

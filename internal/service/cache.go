@@ -239,9 +239,13 @@ func boolKey(b bool) string {
 }
 
 // ParsePolicy resolves a policy spec ("", "all", or "{1,3}") against the
-// program arity, rejecting indices beyond it. Shared by the HTTP service
-// and the spm CLI so both surfaces accept exactly the same inputs.
+// program arity, rejecting indices beyond it and programs with more
+// inputs than an index set can name. Shared by the HTTP service and the
+// spm CLI so both surfaces accept exactly the same inputs.
 func ParsePolicy(spec string, arity int) (lattice.IndexSet, error) {
+	if arity > lattice.MaxIndex {
+		return 0, fmt.Errorf("program has %d inputs; a policy can name at most %d", arity, lattice.MaxIndex)
+	}
 	if spec == "" {
 		return lattice.EmptySet, nil
 	}

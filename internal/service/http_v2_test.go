@@ -293,3 +293,24 @@ func TestV2EventsBadInterval(t *testing.T) {
 		t.Errorf("unknown job events: status %d, want 404", resp.StatusCode)
 	}
 }
+
+// TestV2SubmitRejectsTooManyInputs pins that a program with more inputs
+// than an index set can name is a bad request under every policy spec,
+// not a panic in the compile cache.
+func TestV2SubmitRejectsTooManyInputs(t *testing.T) {
+	_, srv := newTestServer(t, Config{Pools: 1})
+	var prog strings.Builder
+	prog.WriteString("program wide\ninputs")
+	for i := 1; i <= 64; i++ {
+		prog.WriteString(" x" + strconv.Itoa(i))
+	}
+	prog.WriteString("\n    y := x1\n    halt\n")
+	for _, policy := range []string{"all", "{1}", ""} {
+		var e errorResponse
+		resp := doJSON(t, srv, http.MethodPost, "/v2/check",
+			marshalReq(t, CheckRequest{Program: prog.String(), Policy: policy, Domain: []int64{0}}), &e)
+		if resp.StatusCode != http.StatusBadRequest || e.Error.Code != CodeBadRequest {
+			t.Errorf("policy %q: status %d, code %q, want 400 %s", policy, resp.StatusCode, e.Error.Code, CodeBadRequest)
+		}
+	}
+}
