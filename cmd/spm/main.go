@@ -358,8 +358,8 @@ func cmdSweep(args []string) error {
 	policy := fs.String("policy", "{}", "allowed input indices, e.g. {1,3} or all")
 	variant := fs.String("variant", "untimed", "untimed, timed, or highwater")
 	domain := fs.String("domain", "0,1,2", "comma-separated values every input ranges over")
-	workers := fs.Int("workers", 0, "sweep workers (0 = all CPUs)")
-	chunk := fs.Int("chunk", 0, "tuples claimed per cursor advance (0 = auto)")
+	workers := fs.Int("workers", 0, "sweep workers (0 = lend idle CPUs)")
+	chunk := fs.Int("chunk", 0, "tuples a sweep worker claims at a time (0 = auto)")
 	batch := fs.Int("batch", 0, "stride width: compiled mechanisms run up to this many tuples in lockstep (0 or 1 = one-lane strides on the scalar kernels)")
 	timed := fs.Bool("time", false, "observe running time as well as the value")
 	raw := fs.Bool("raw", false, "check the bare program instead of instrumenting")

@@ -50,7 +50,7 @@ func cmdServe(args []string) error {
 	addr := fs.String("addr", ":8135", "listen address")
 	pools := fs.Int("pools", 0, "worker pools (0 = default)")
 	queue := fs.Int("queue", 0, "per-pool queue bound (0 = default)")
-	sweepWorkers := fs.Int("sweep-workers", 0, "sweep parallelism per job (0 = CPUs/pools)")
+	sweepWorkers := fs.Int("sweep-workers", 0, "sweep workers per job (0 = lend idle CPUs: a job adds workers while the process has a CPU free)")
 	sweepBatch := fs.Int("sweep-batch", 0, "stride width per job (0 = default, 1 = one-lane strides on the scalar kernels)")
 	cacheCap := fs.Int("cache", 0, "compile-cache entries (0 = default)")
 	maxTuples := fs.Int64("max-tuples", 0, "reject domains larger than this (0 = default)")
@@ -93,8 +93,12 @@ func cmdServe(args []string) error {
 	svc := service.New(cfg)
 	defer svc.Close()
 	cfg = svc.Config()
-	fmt.Fprintf(os.Stderr, "spm serve: listening on %s (%d pools × queue %d, %d sweep workers/job)\n",
-		*addr, cfg.Pools, cfg.QueueCap, cfg.SweepWorkers)
+	workers := fmt.Sprintf("%d sweep workers/job", cfg.SweepWorkers)
+	if *sweepWorkers <= 0 {
+		workers = fmt.Sprintf("up to %d sweep workers/job on idle CPUs", cfg.SweepWorkers)
+	}
+	fmt.Fprintf(os.Stderr, "spm serve: listening on %s (%d pools × queue %d, %s)\n",
+		*addr, cfg.Pools, cfg.QueueCap, workers)
 	if *storeDir != "" {
 		st := svc.Stats().Store
 		fmt.Fprintf(os.Stderr, "spm serve: store %s (%d verdicts, %d jobs resumed)\n",

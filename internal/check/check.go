@@ -163,9 +163,11 @@ type Spec struct {
 
 // Options collects the resolved functional options.
 type Options struct {
-	// Workers is the sweep parallelism; ≤ 0 means runtime.NumCPU().
+	// Workers is the sweep parallelism; ≤ 0 lends the run idle CPUs
+	// (see sweep.Config.Workers).
 	Workers int
-	// Chunk is the tuples claimed per cursor advance; ≤ 0 picks a default.
+	// Chunk is the tuples a sweep worker claims at a time; ≤ 0 picks a
+	// default.
 	Chunk int
 	// Progress, when non-nil, is advanced by the sweep engine as chunks
 	// complete — the cursor behind job progress reporting.
@@ -205,10 +207,13 @@ type Options struct {
 // Option tunes one Run call.
 type Option func(*Options)
 
-// WithWorkers sets the sweep parallelism (≤ 0 means all CPUs).
+// WithWorkers sets the sweep parallelism: n workers, or for n ≤ 0 one
+// worker plus helpers added while the process has idle CPUs. The verdict
+// is the same either way.
 func WithWorkers(n int) Option { return func(o *Options) { o.Workers = n } }
 
-// WithChunk sets the tuples claimed per cursor advance (≤ 0 means auto).
+// WithChunk sets the tuples a sweep worker claims at a time (≤ 0 means
+// auto).
 // The chunk also bounds cancellation latency: a cancelled sweep stops
 // after at most one chunk per worker.
 func WithChunk(n int) Option { return func(o *Options) { o.Chunk = n } }
@@ -298,7 +303,10 @@ func WithExecTally(t *core.ExecTally) Option { return func(o *Options) { o.Exec 
 // returns ctx's error. Run is the only code path in the repository that
 // executes verdicts — the spm CLI, the v2 HTTP service, and the
 // experiment tables all reduce to it. Every kind is one enumeration pass
-// over the range, so WithProgress and WithCommit count its tuples.
+// over the range, so WithProgress and WithCommit count its tuples. The
+// verdict, witnesses included, does not depend on the worker count,
+// stride width or schedule (see core.CheckSoundnessContext and
+// core.CheckMaximalityContext).
 func Run(ctx context.Context, spec Spec, opts ...Option) (Verdict, error) {
 	o := Options{Compiled: true, Memo: true, MemoStack: true}
 	for _, opt := range opts {

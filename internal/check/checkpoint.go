@@ -49,14 +49,11 @@ type Checkpoint struct {
 // zero, evidence tables dropped); for a sharded spec the fold itself — a
 // partial verdict over spec.Shard with its evidence tables — is returned,
 // ready for a coordinator's Merge. Sound/maximal bits, Checked totals, and
-// pass counts are identical to an unsegmented Run. A maximality verdict
-// is byte-identical to Run's, witness and reason included, at any segment
-// size and worker count, resumed or not. Soundness witnesses follow the
-// cluster-merge contract: with one worker the run is fully deterministic —
-// an interrupted run resumed from its last checkpoint is byte-identical to
-// an uninterrupted one — while with several workers witness choice inside
-// a segment is scheduling-dependent, exactly as it already is between the
-// workers of a plain Run.
+// pass counts are identical to an unsegmented Run, and so are the
+// witnesses: a whole-domain verdict is byte-identical to Run's, witness
+// pairs, ObsA/ObsB, maximality witness and reason included, at any segment
+// size and worker count, and a resumed run is byte-identical to an
+// uninterrupted one.
 //
 // A save error aborts the run. Cancelling ctx stops the current segment
 // within one chunk and returns ctx's error; the last saved Checkpoint
@@ -157,8 +154,8 @@ func RunCheckpointed(ctx context.Context, spec Spec, from *Checkpoint, every int
 // tables that Merge drops: acc stays a partial verdict over the combined
 // range, so the fold can continue segment by segment with bounded state
 // and no per-segment copy. It applies exactly Merge's cross-shard
-// semantics (first-seen view entries win, the first cross-segment
-// disagreement decides soundness, class summaries fold with
+// semantics (view summaries fold with core.MergeViewObs and the least
+// conflict decides soundness, class summaries fold with
 // core.MergeClassSummaries), so Merge of the final fold equals Merge of
 // all the segments.
 func foldPartial(acc *Verdict, b Verdict) error {
@@ -178,27 +175,12 @@ func foldPartial(acc *Verdict, b Verdict) error {
 	acc.Shard.Count += b.Shard.Count
 	switch acc.Kind {
 	case Soundness:
-		if acc.Sound && !b.Sound {
-			acc.Sound = false
-			acc.WitnessA, acc.WitnessB = b.WitnessA, b.WitnessB
-			acc.ObsA, acc.ObsB = b.ObsA, b.ObsB
-		}
+		before := *acc
 		if acc.Views == nil {
 			acc.Views = make(map[string]core.ViewObs, len(b.Views))
 		}
-		for _, view := range sortedKeys(b.Views) {
-			e := b.Views[view]
-			prev, ok := acc.Views[view]
-			if !ok {
-				acc.Views[view] = e
-				continue
-			}
-			if prev.Obs != e.Obs && acc.Sound {
-				acc.Sound = false
-				acc.WitnessA, acc.WitnessB = prev.Witness, e.Witness
-				acc.ObsA, acc.ObsB = prev.Obs, e.Obs
-			}
-		}
+		foldViews(acc.Views, b.Views)
+		renderSoundness(acc, acc.Views, []Verdict{before, b})
 	case Maximality:
 		if !b.Maximal && (acc.Maximal || core.LessInput(b.Witness, acc.Witness)) {
 			acc.Maximal = false

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"maps"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -20,8 +19,8 @@ import (
 // classes by view key, any other policy by ids interned from its rendered
 // views; a built-in observation compares outcomes field by field, any
 // other observation by rendering. The tests here put each question
-// through both routes and require byte-identical verdicts, and at one
-// worker they require the sequential oracles' verdicts too.
+// through both routes and require byte-identical verdicts, and the
+// sequential oracles' verdicts too, at every worker count.
 
 // stringRoute returns the same question on the string route: the policy
 // as a Content policy with the same name and view, so its classes are
@@ -121,18 +120,23 @@ func sortedDomain(dom core.Domain) core.Domain {
 	return out
 }
 
-// matchOracle requires a one-worker whole-domain verdict to be the
-// sequential oracle's: CheckSoundness's report byte for byte on any
-// domain; for maximality, CheckMaximality's Maximal, Witness and Reason on
-// the domain with each axis sorted and de-duplicated, where its first
-// deviating input is the least, and its Checked on the domain itself.
+// matchOracle requires a whole-domain verdict to be the sequential
+// oracle's on the domain with each axis sorted and de-duplicated, where
+// the oracle's first counterexample in enumeration order is the least:
+// CheckSoundness's report byte for byte, and CheckMaximality's Maximal,
+// Witness and Reason; Checked is the oracle's on the domain itself.
 func matchOracle(t testing.TB, how string, spec Spec, got Verdict) {
 	switch spec.Kind {
 	case Soundness:
-		want, err := core.CheckSoundness(spec.Mechanism, spec.Policy, spec.Domain, spec.Observation)
+		want, err := core.CheckSoundness(spec.Mechanism, spec.Policy, sortedDomain(spec.Domain), spec.Observation)
 		if err != nil {
 			t.Fatal(err)
 		}
+		whole, err := core.CheckSoundness(spec.Mechanism, spec.Policy, spec.Domain, spec.Observation)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Checked = whole.Checked
 		if g := got.SoundnessReport(); !reflect.DeepEqual(g, want) {
 			t.Fatalf("%s: fold %+v, CheckSoundness %+v", how, g, want)
 		}
@@ -151,26 +155,17 @@ func matchOracle(t testing.TB, how string, spec Spec, got Verdict) {
 	}
 }
 
-// sameFold runs spec through both routes and compares. At one worker the
-// verdicts must be byte-identical and the sequential oracles' (see
-// matchOracle), and so must each shard's of a 3-way split be
-// byte-identical, evidence tables included, and the merged verdicts must
-// agree as the whole-domain ones do. At several workers the verdict, the
-// maximality witness and the evidence no schedule changes must agree.
+// sameFold runs spec through both routes at the given worker count and
+// width. The verdicts must be byte-identical and the sequential oracles'
+// (see matchOracle); so must each shard's of a 3-way split be
+// byte-identical, evidence tables included; and the merged shards must be
+// byte-identical to the whole-domain verdict.
 func sameFold(t testing.TB, spec Spec, workers, width int) {
 	ctx := context.Background()
 	opts := []Option{WithWorkers(workers), WithBatch(width), WithChunk(3)}
-	exact := workers == 1
 	compare := func(how string, got, want Verdict) {
-		if exact {
-			if !reflect.DeepEqual(got, want) || jsonOf(t, got) != jsonOf(t, want) {
-				t.Fatalf("%s: view-key route\n  %s\nstring route\n  %s", how, jsonOf(t, got), jsonOf(t, want))
-			}
-			return
-		}
-		if got.Sound != want.Sound || got.Maximal != want.Maximal || got.Checked != want.Checked ||
-			got.Reason != want.Reason || !reflect.DeepEqual(got.Witness, want.Witness) {
-			t.Fatalf("%s: view-key route %s, string route %s", how, got, want)
+		if !reflect.DeepEqual(got, want) || jsonOf(t, got) != jsonOf(t, want) {
+			t.Fatalf("%s:\n  %s\nwant\n  %s", how, jsonOf(t, got), jsonOf(t, want))
 		}
 	}
 	run := func(s Spec) (Verdict, Verdict) {
@@ -186,31 +181,10 @@ func sameFold(t testing.TB, spec Spec, workers, width int) {
 	}
 	how := fmt.Sprintf("%s %s/%s workers=%d width=%d", spec.Kind, spec.Policy.Name(), spec.Observation.ObsName, workers, width)
 	got, want := run(spec)
-	compare(how, got, want)
-	if exact {
-		matchOracle(t, how, spec, got)
-		matchOracle(t, how+" string route", stringRoute(spec), want)
-	}
-	size := int64(spec.Domain.Size())
-	if !exact {
-		// One shard spanning the domain exports the evidence tables.
-		// Which worker saw a class first is the schedule's choice, so
-		// compare only what the schedule cannot change: the classes and,
-		// for maximality, each one's constancy and least witnesses.
-		s := spec
-		s.Shard = Shard{Count: size}
-		g, w := run(s)
-		compare(how+" evidence", g, w)
-		if !maps.EqualFunc(g.Views, w.Views, func(core.ViewObs, core.ViewObs) bool { return true }) ||
-			!maps.EqualFunc(g.Classes, w.Classes, func(a, b core.ClassSummary) bool {
-				a.QObs, a.QViolates, b.QObs, b.QViolates = "", false, "", false
-				return reflect.DeepEqual(a, b)
-			}) {
-			t.Fatalf("%s: view-key route evidence\n  %s\nstring route\n  %s", how, jsonOf(t, g), jsonOf(t, w))
-		}
-		return
-	}
+	compare(how+": view-key route vs string route", got, want)
+	matchOracle(t, how, spec, got)
 
+	size := int64(spec.Domain.Size())
 	var gotParts, wantParts []Verdict
 	for i := int64(0); i < 3; i++ {
 		s := spec
@@ -219,7 +193,7 @@ func sameFold(t testing.TB, spec Spec, workers, width int) {
 			continue
 		}
 		g, w := run(s)
-		compare(fmt.Sprintf("%s shard %d", how, i), g, w)
+		compare(fmt.Sprintf("%s shard %d: view-key route vs string route", how, i), g, w)
 		gotParts, wantParts = append(gotParts, g), append(wantParts, w)
 	}
 	if len(gotParts) == 0 {
@@ -233,10 +207,8 @@ func sameFold(t testing.TB, spec Spec, workers, width int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	compare(how+" merged", gotMerged, wantMerged)
-	if gotMerged.Sound != got.Sound || gotMerged.Maximal != got.Maximal || gotMerged.Checked != got.Checked {
-		t.Fatalf("%s: merged %s, whole domain %s", how, gotMerged, got)
-	}
+	compare(how+" merged: view-key route vs string route", gotMerged, wantMerged)
+	compare(how+" merged vs whole domain", gotMerged, got)
 }
 
 // TestFoldKeysMatchStringFold is the differential test of the fold's two
@@ -245,7 +217,8 @@ func sameFold(t testing.TB, spec Spec, workers, width int) {
 // table-driven and compiled mechanisms, Allow and Integrity, every
 // built-in observation, 1, 2 and 4 workers, widths 1 and 16, and a 3-way
 // shard split, over contiguous, gapped, descending and repeated-value
-// domains, allow() and all-allowed, and the nullary domain.
+// domains, allow() and all-allowed, and the nullary domain. Soundness
+// witnesses, like everything else, must match at every worker count.
 func TestFoldKeysMatchStringFold(t *testing.T) {
 	domains := []struct {
 		name string
@@ -326,9 +299,8 @@ func TestFoldKeysMatchStringFold(t *testing.T) {
 // FuzzFoldKeys builds a question from the fuzz bytes — a domain whose
 // axes may be gapped, unsorted or carry repeated values, an allow set, a
 // table-driven Q and mechanism, an observation and a worker count — and
-// requires the fold's two routes to agree with each other and, at one
-// worker, with the sequential oracles (see sameFold), and neither to
-// panic.
+// requires the fold's two routes to agree with each other and with the
+// sequential oracles (see sameFold), and neither to panic.
 func FuzzFoldKeys(f *testing.F) {
 	f.Add([]byte{3, 4, 0, 1, 3, 1, 2, 0, 5, 1, 9, 2, 1, 0, 1})
 	f.Add([]byte{2, 3, 1, 2, 2, 2, 0, 3, 7, 3, 3, 4, 1, 1, 0})

@@ -26,16 +26,17 @@ var ErrBadMerge = errors.New("check: cannot merge verdicts")
 // inflate Checked, which is why the cluster coordinator keeps exactly one
 // result per shard.
 //
-// Soundness: the merged verdict is unsound if any part is, or if two parts
-// observed the same policy view differently — the conflict no single shard
-// can see; witness choice prefers the lowest-offset shard and is
-// deterministic for a given set of parts, but — exactly as with the
-// in-process parallel checker — may differ from the sequential checker's
-// witness when several exist. Maximality: the parts' Classes tables are
-// folded into the global class table (constancy = constant in every shard
-// with one agreed observation) and rendered by core.LeastDeviation, so
-// for parts that partition the index space the merged verdict, witness
-// and reason included, is byte-identical to a whole-domain Run.
+// Soundness: the parts' Views tables are folded class by class with
+// core.MergeViewObs and rendered by core.LeastConflict, the rule the
+// in-process checker applies, so for parts that partition the index space
+// the merged verdict, witness pair and ObsA/ObsB included, is
+// byte-identical to a whole-domain Run. A part without a table (a
+// whole-domain verdict) contributes its own witness pair. Maximality: the
+// parts' Classes tables are folded into the global class table (constancy
+// = constant in every shard with one agreed observation) and rendered by
+// core.LeastDeviation, so for parts that partition the index space the
+// merged verdict, witness and reason included, is byte-identical to a
+// whole-domain Run.
 //
 // The merged verdict is a whole-domain one: Shard is zero and the evidence
 // tables are dropped.
@@ -82,32 +83,40 @@ func Merge(parts ...Verdict) (Verdict, error) {
 	return out, nil
 }
 
-// mergeSoundness folds shard soundness verdicts: any locally-unsound part
-// decides the verdict; otherwise the per-shard view tables are merged and
-// the first cross-shard disagreement on a class does.
+// mergeSoundness folds the parts' view tables and renders the verdict.
 func mergeSoundness(out *Verdict, parts []Verdict) {
-	out.Sound = true
-	for _, p := range parts {
-		if !p.Sound && out.Sound {
-			out.Sound = false
-			out.WitnessA, out.WitnessB = p.WitnessA, p.WitnessB
-			out.ObsA, out.ObsB = p.ObsA, p.ObsB
-		}
-	}
 	merged := make(map[string]core.ViewObs)
 	for _, p := range parts {
-		for _, view := range sortedKeys(p.Views) {
-			e := p.Views[view]
-			prev, ok := merged[view]
-			if !ok {
-				merged[view] = e
-				continue
-			}
-			if prev.Obs != e.Obs && out.Sound {
-				out.Sound = false
-				out.WitnessA, out.WitnessB = prev.Witness, e.Witness
-				out.ObsA, out.ObsB = prev.Obs, e.Obs
-			}
+		foldViews(merged, p.Views)
+	}
+	renderSoundness(out, merged, parts)
+}
+
+// foldViews folds the view table from into into, class by class.
+func foldViews(into, from map[string]core.ViewObs) {
+	for view, e := range from {
+		if prev, ok := into[view]; ok {
+			e = core.MergeViewObs(prev, e)
+		}
+		into[view] = e
+	}
+}
+
+// renderSoundness sets out's soundness fields from the folded view table:
+// the class with the least conflict decides (core.LeastConflict). A part's
+// own witness pair wins only where its conflict is strictly less, which
+// happens only for a part that carries no table — a table's least conflict
+// never exceeds a part's own.
+func renderSoundness(out *Verdict, views map[string]core.ViewObs, parts []Verdict) {
+	out.Sound, out.WitnessA, out.WitnessB, out.ObsA, out.ObsB = true, nil, nil, "", ""
+	if e, ok := core.LeastConflict(views); ok {
+		out.Sound = false
+		out.WitnessA, out.WitnessB, out.ObsA, out.ObsB = e.Witness, e.Conflict.Input, e.Obs, e.Conflict.Obs
+	}
+	for _, p := range parts {
+		if !p.Sound && (out.Sound || core.LessInput(p.WitnessB, out.WitnessB)) {
+			out.Sound = false
+			out.WitnessA, out.WitnessB, out.ObsA, out.ObsB = p.WitnessA, p.WitnessB, p.ObsA, p.ObsB
 		}
 	}
 }
@@ -139,15 +148,4 @@ func mergeMaximality(out *Verdict, parts []Verdict) {
 			out.Witness, out.Reason = p.Witness, p.Reason
 		}
 	}
-}
-
-// sortedKeys returns m's keys in sorted order, so merge results are
-// deterministic for a given set of parts.
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

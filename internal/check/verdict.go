@@ -48,7 +48,8 @@ type Verdict struct {
 	Shard Shard `json:"shard,omitzero"`
 
 	// Views is the soundness evidence of a sharded run: per policy class,
-	// the first observation and a witness input. Two shards each
+	// its least input in the shard, the observation there, and the least
+	// input observed differently (core.ViewObs). Two shards each
 	// internally sound can still disagree on a class spanning them; Merge
 	// needs these tables to catch that. Nil on whole-domain verdicts.
 	Views map[string]core.ViewObs `json:"views,omitempty"`

@@ -12,9 +12,12 @@
 // result carries its cross-shard evidence tables the re-run verdict is
 // still exact. A shard that comes back with a definitive counterexample —
 // unsound, or a locally-decidable maximality leak — short-circuits the
-// rest: outstanding jobs are cancelled via DELETE /v2/jobs/{id} (the
-// service stops them within one sweep chunk) and pending shards are never
-// dispatched.
+// rest once every shard below it has completed (at once when the domain
+// is not listed in ascending order): outstanding jobs are cancelled via
+// DELETE /v2/jobs/{id} (the service stops them within one sweep chunk)
+// and pending shards above it are never dispatched. On an ascending
+// domain the short-circuited soundness witness is still the whole
+// domain's, since the least conflict lies below the first one found.
 //
 // Work placement is join-the-shortest-queue in the degenerate per-node
 // form: each node runs one shard at a time and pulls the next pending
@@ -64,8 +67,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"net/http"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -204,7 +209,8 @@ type Report struct {
 	// Soundness is the merged whole-domain soundness verdict. When the
 	// run short-circuited it covers exactly the shards that completed
 	// (Complete false, Checked partial) — still exact for every tuple it
-	// counts.
+	// counts, and on an ascending domain its witness pair is the whole
+	// domain's.
 	Soundness check.Verdict
 	// Maximality is the merged maximality verdict, when requested. After
 	// a short-circuited run it is present only when the seen shards are
@@ -401,6 +407,9 @@ type runner struct {
 	fatal       error
 	definitive  bool
 	stopped     bool
+	// cut is, once a shard returned a definitive counterexample, the
+	// index below which every shard must complete before the run stops.
+	cut int64
 
 	// flights is every shard attempt currently on a node; idle counts
 	// node loops blocked in next with nothing to pull; loopsActive and
@@ -514,6 +523,11 @@ func (r *runner) next() (pendingEntry, bool) {
 				// The primary finished while this duplicate waited.
 				continue
 			}
+			if r.definitive && e.sh.Offset >= r.cut {
+				// A counterexample below this shard already decides
+				// everything it could have.
+				continue
+			}
 			return e, true
 		}
 		// Shards are all in flight on other nodes; one may yet fail and
@@ -570,9 +584,22 @@ func (r *runner) complete(node string, e pendingEntry, res *service.Result, fl *
 		}
 		r.pending = kept
 	}
-	definitive := !res.Sound || (res.Maximal != nil && !*res.Maximal)
-	if definitive {
+	if !res.Sound || (res.Maximal != nil && !*res.Maximal) {
+		// On an ascending domain the index order is the witness order, so
+		// once every shard below this one is in, no shard above it can
+		// hold a lesser conflict: the merged witness is the whole
+		// domain's. On any other domain stop at once.
+		cut := int64(0)
+		if slices.IsSorted(r.req.Domain) && len(slices.Compact(slices.Clone(r.req.Domain))) == len(r.req.Domain) {
+			cut = off
+		}
+		if !r.definitive || cut < r.cut {
+			r.cut = cut
+		}
 		r.definitive = true
+	}
+	halt := r.definitive && !r.stopped && r.coveredLocked(r.cut)
+	if halt {
 		r.stopped = true
 	}
 	done := r.outstanding == 0
@@ -581,14 +608,27 @@ func (r *runner) complete(node string, e pendingEntry, res *service.Result, fl *
 		other.abort()
 		go r.cancelJob(other.node, other.id)
 	}
-	if definitive {
+	if halt {
 		r.stop()
 	}
-	if definitive || done {
+	if halt || done {
 		r.cond.Broadcast()
 	} else {
 		r.cond.Signal()
 	}
+}
+
+// coveredLocked reports whether the completed shards cover [0, end).
+// Callers hold r.mu.
+func (r *runner) coveredLocked(end int64) bool {
+	covered := int64(0)
+	for _, off := range slices.Sorted(maps.Keys(r.results)) {
+		if covered >= end || off > covered {
+			break
+		}
+		covered = max(covered, off+r.results[off].Count)
+	}
+	return covered >= end
 }
 
 // addFlight / removeFlight bracket one shard attempt for the supervisor.

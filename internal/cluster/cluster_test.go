@@ -230,11 +230,55 @@ func TestClusterUnsoundCrossShard(t *testing.T) {
 	if want.Sound {
 		t.Fatalf("fixture broken: single-node says sound")
 	}
-	// Witness pairs are scheduling-dependent, but the pair must be a real
-	// counterexample under the policy.
-	pol := core.NewAllow(2, 2)
-	if pol.View(rep.Soundness.WitnessA) != pol.View(rep.Soundness.WitnessB) || rep.Soundness.ObsA == rep.Soundness.ObsB {
-		t.Fatalf("merged witness pair is not a counterexample: %+v", rep.Soundness)
+	// Witness pairs are canonical: the merged one is the single-node one.
+	got := rep.Soundness
+	if !slices.Equal(got.WitnessA, want.WitnessA) || !slices.Equal(got.WitnessB, want.WitnessB) || got.ObsA != want.ObsA || got.ObsB != want.ObsB {
+		t.Fatalf("merged witness pair %v/%v (%q/%q), single-node %v/%v (%q/%q)",
+			got.WitnessA, got.WitnessB, got.ObsA, got.ObsB, want.WitnessA, want.WitnessB, want.ObsA, want.ObsB)
+	}
+}
+
+// slowFirstProg leaks x1 everywhere, but the x1=0 slice — the start of
+// the first shard, where the least witness pair lies — grinds ~300k steps
+// per tuple, so every other shard's counterexample lands first.
+const slowFirstProg = `
+program slowfirst
+inputs x1 x2
+    if x1 == 0 goto Slow else Out
+Slow: r := 300000 + (x2 & 1)
+Loop: if r == 0 goto Out else Body
+Body: r := r - 1
+      goto Loop
+Out:  y := x1 + x2
+      halt
+`
+
+// TestClusterShortCircuitKeepsLeastWitness: on an ascending domain a
+// definitive counterexample stops the run only once every shard below it
+// has completed, so the witness pair is the whole domain's even though
+// the shard holding it finishes last.
+func TestClusterShortCircuitKeepsLeastWitness(t *testing.T) {
+	req := service.CheckRequest{
+		Program: slowFirstProg,
+		Policy:  "{2}",
+		Raw:     true,
+		Domain:  bigDomain(32), // 1024 tuples; shard 0 is x1 in 0..7
+	}
+	_, srvA := startNode(t, service.Config{Pools: 2})
+	_, srvB := startNode(t, service.Config{Pools: 2})
+	coord, err := New(Config{Nodes: []string{srvA.URL, srvB.URL}, Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := coord.Check(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := localVerdict(t, req)
+	got := rep.Soundness
+	if got.Sound || !slices.Equal(got.WitnessA, want.WitnessA) || !slices.Equal(got.WitnessB, want.WitnessB) || got.ObsA != want.ObsA || got.ObsB != want.ObsB {
+		t.Fatalf("short-circuited witness pair %v/%v (%q/%q), single-node %v/%v (%q/%q)",
+			got.WitnessA, got.WitnessB, got.ObsA, got.ObsB, want.WitnessA, want.WitnessB, want.ObsA, want.ObsB)
 	}
 }
 

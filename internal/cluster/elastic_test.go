@@ -149,7 +149,10 @@ func TestElasticJoinLeaveMidCheck(t *testing.T) {
 		Policy:  "{2}",
 		Domain:  bigDomain(128),
 	}
-	_, first := startNode(t, service.Config{Pools: 2, Throttle: 10 * time.Millisecond})
+	// Throttled so that one shard outlasts the join and the leave below
+	// (8 chunk naps of 30 ms), whatever the sweep's worker count: the
+	// leave must find a shard in flight.
+	_, first := startNode(t, service.Config{Pools: 2, Throttle: 30 * time.Millisecond})
 	_, joiner := startNode(t, service.Config{Pools: 2})
 
 	cfg := elasticConfig(first.URL)

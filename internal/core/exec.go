@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"sync"
 
 	"spm/internal/flowchart"
 	"spm/internal/sweep"
@@ -324,18 +325,24 @@ func sweepOutcomes(ctx context.Context, dom Domain, cc CheckConfig, mechs []Mech
 		outCols [][]Outcome
 		outs    [][]Outcome
 	}
+	// A worker's runners are built on its first stride, so a worker the
+	// sweep never starts costs nothing. Factories are called one at a
+	// time, as a BatchRunnerProvider may expect.
+	var mu sync.Mutex
 	states := make([]wstate, cc.ResolvedWorkers(sweep.Size(dom)))
-	for w := range states {
-		runs := make([]BatchRunFunc, len(factories))
-		cols := make([][]Outcome, len(factories))
-		for i := range factories {
-			runs[i] = factories[i]()
-			cols[i] = make([]Outcome, width)
-		}
-		states[w] = wstate{runs: runs, outCols: cols, outs: make([][]Outcome, len(factories))}
-	}
 	return sweep.RunBatchContext(ctx, dom, cc.Config, width, func(w int, input []int64, last []int64, carry int) error {
 		s := &states[w]
+		if s.runs == nil {
+			mu.Lock()
+			s.runs = make([]BatchRunFunc, len(factories))
+			s.outCols = make([][]Outcome, len(factories))
+			s.outs = make([][]Outcome, len(factories))
+			for i := range factories {
+				s.runs[i] = factories[i]()
+				s.outCols[i] = make([]Outcome, width)
+			}
+			mu.Unlock()
+		}
 		n := max(len(last), 1)
 		for i, run := range s.runs {
 			s.outs[i] = s.outCols[i][:n]

@@ -25,9 +25,9 @@ import (
 //   - WithholdWitness: m issued Λ where Q passed. Fatal on a globally
 //     constant non-violating class (ReasonWithholds).
 type ClassSummary struct {
-	// QObs is Q's first-seen rendered observation in the range's slice of
-	// the class; QConstant reports whether it stayed constant within the
-	// range; QViolates whether Q issued a violation notice at that first
+	// QObs is Q's rendered observation at the class's least input in the
+	// range; QConstant reports whether it stayed constant within the
+	// range; QViolates whether Q issued a violation notice at that least
 	// input. Merging requires observations that render violations
 	// distinguishably, which every Observation in this library does.
 	QObs      string `json:"q_obs"`
@@ -114,10 +114,10 @@ func LeastDeviation(classes map[string]ClassSummary, local bool) (witness []int6
 	return witness, reason
 }
 
-// keyedClass is ClassSummary on integer keys: Q's first-seen outcome
-// instead of its rendering, and the witnesses as value indices, noWitness
-// for none. at is the value index of the class's first-seen tuple plus
-// one; 0 marks an empty slot.
+// keyedClass is ClassSummary on integer keys: Q's outcome at the class's
+// least value index instead of its rendering, and the witnesses as value
+// indices, noWitness for none. at is that least value index plus one; 0
+// marks an empty slot.
 type keyedClass struct {
 	at                    int
 	q                     Outcome
@@ -130,6 +130,9 @@ type keyedClass struct {
 func (a *keyedClass) merge(b *keyedClass, fk *foldKeys) {
 	if !b.qConstant || !fk.same(&a.q, &b.q) {
 		a.qConstant = false
+	}
+	if b.at < a.at {
+		a.at, a.q = b.at, b.q
 	}
 	a.pass = min(a.pass, b.pass)
 	a.alter = min(a.alter, b.alter)
@@ -179,13 +182,14 @@ func CheckMaximalityContext(ctx context.Context, m, q Mechanism, pol Policy, dom
 		classes keyTable[keyedClass]
 		ids     classIDs
 		checked int
+		live    bool
 	}
 	shards := make([]shard, cc.ResolvedWorkers(sweep.Size(dom)))
-	for w := range shards {
-		shards[w].classes = newKeyTable[keyedClass](fk)
-	}
 	if err := sweepOutcomes(ctx, dom, cc, []Mechanism{q, m}, func(w int, input, last []int64, outs [][]Outcome) error {
 		s := &shards[w]
+		if !s.live {
+			s.classes, s.live = newKeyTable[keyedClass](fk), true
+		}
 		s.checked += len(outs[0])
 		at0, key0 := fk.prefix(input)
 		for lane := range outs[0] {
@@ -197,8 +201,13 @@ func CheckMaximalityContext(ctx context.Context, m, q Mechanism, pol Policy, dom
 			c := s.classes.at(key)
 			if c.at == 0 {
 				*c = keyedClass{at: at + 1, q: *qo, qConstant: true, pass: noWitness, alter: noWitness, withhold: noWitness}
-			} else if c.qConstant && !fk.same(&c.q, qo) {
-				c.qConstant = false
+			} else {
+				if c.qConstant && !fk.same(&c.q, qo) {
+					c.qConstant = false
+				}
+				if at < c.at-1 {
+					c.at, c.q = at+1, *qo
+				}
 			}
 			if !mo.Violation {
 				c.pass = min(c.pass, at)
@@ -214,11 +223,14 @@ func CheckMaximalityContext(ctx context.Context, m, q Mechanism, pol Policy, dom
 		return rep, err
 	}
 
-	// Fold every worker's table into the first, in worker order.
+	// Fold every worker's table into the first.
+	if !shards[0].live {
+		shards[0].classes = newKeyTable[keyedClass](fk)
+	}
 	classes := &shards[0].classes
 	for w := range shards {
 		rep.Checked += shards[w].checked
-		if w == 0 {
+		if w == 0 || !shards[w].live {
 			continue
 		}
 		s := &shards[w]

@@ -42,25 +42,102 @@ type CheckConfig struct {
 	Exec         *ExecTally
 }
 
-// keyedView is one policy class's first-seen outcome and the value index
-// of its witness plus one; 0 marks an empty slot.
+// keyedView is one policy class's soundness summary on integer keys: its
+// least value index plus one (0 marks an empty slot) and the outcome
+// there, and conflict, which indexes the worker's conflict list plus one
+// (0 for none): the least value index in the class whose outcome the
+// observation tells apart from the one at at.
 type keyedView struct {
-	obs Outcome
+	obs      Outcome
+	at       int
+	conflict int
+}
+
+// keyedConflict is a class's least conflicting value index and its
+// outcome.
+type keyedConflict struct {
 	at  int
+	obs Outcome
+}
+
+// viewShard is one sweep worker's soundness fold: a summary per class, the
+// conflicts they point to, and the tuples it visited.
+type viewShard struct {
+	views     keyTable[keyedView]
+	conflicts []keyedConflict
+	ids       classIDs
+	checked   int
+	live      bool
+}
+
+// conflictAt returns the value index of e's conflict, noWitness for none.
+func (s *viewShard) conflictAt(e *keyedView) int {
+	if e.conflict == 0 {
+		return noWitness
+	}
+	return s.conflicts[e.conflict-1].at
+}
+
+// setConflict makes (at, o) the conflict of e.
+func (s *viewShard) setConflict(e *keyedView, at int, o *Outcome) {
+	if e.conflict == 0 {
+		s.conflicts = append(s.conflicts, keyedConflict{})
+		e.conflict = len(s.conflicts)
+	}
+	s.conflicts[e.conflict-1] = keyedConflict{at: at, obs: *o}
+}
+
+// add folds the outcome o at value index at into the summary e. The
+// summary does not depend on the order the indices arrive in: a lower
+// index takes over as representative, and the old one, if the
+// observation tells the two apart, is then the least conflict (every
+// other index seen is above it).
+func (s *viewShard) add(e *keyedView, at int, o *Outcome, fk *foldKeys) {
+	switch {
+	case e.at == 0:
+		*e = keyedView{obs: *o, at: at + 1}
+	case at+1 >= e.at:
+		if at < s.conflictAt(e) && !fk.same(&e.obs, o) {
+			s.setConflict(e, at, o)
+		}
+	default:
+		old := *e
+		e.obs, e.at = *o, at+1
+		if !fk.same(&old.obs, o) {
+			s.setConflict(e, old.at-1, &old.obs)
+		}
+	}
+}
+
+// merge folds the summary b, kept by from, into e. A summary stands for
+// its class's tuples as far as the fold can tell: adding b's conflict and
+// representative leaves e as adding every tuple b summarises would.
+func (s *viewShard) merge(e *keyedView, from *viewShard, b *keyedView, fk *foldKeys) {
+	s.add(e, b.at-1, &b.obs, fk)
+	if b.conflict != 0 {
+		c := &from.conflicts[b.conflict-1]
+		s.add(e, c.at, &c.obs, fk)
+	}
 }
 
 // CheckSoundnessContext is the engine behind every parallel soundness
-// verdict — check.Run dispatches here. Workers pull chunks from a shared
-// cursor and build per-worker class tables merged at the end; the verdict
-// is deterministic, and with several workers the reported witness pair may
-// differ from the sequential checker's when multiple counterexamples
-// exist. Cancelling ctx stops the sweep within one chunk and returns
+// verdict — check.Run dispatches here. Workers sweep chunks of the range
+// and fold per-class summaries merged at the end. A class's
+// representative is its least value index and its conflict the least
+// value index in it the observation tells apart from the representative;
+// the report's witness pair is the representative and conflict of the
+// class whose conflict is least. The summaries do not depend on the order
+// tuples arrive in, so neither does the verdict: it is the same, witnesses
+// and ObsA/ObsB included, at any worker count, stride width or schedule,
+// and on an ascending domain (every axis listed in increasing order) it is
+// CheckSoundness's, whose first conflict in enumeration order is then the
+// least. Cancelling ctx stops the sweep within one chunk and returns
 // ctx's error with a partial report.
 //
 // The tables are keyed by integers (see foldKeys) and hold value indices
 // and outcomes, compared as the observation sees them; strings are
-// rendered only for the witnesses, ObsA/ObsB and Views. At one worker,
-// over the whole domain, the report is CheckSoundness's, byte for byte.
+// rendered only for the witnesses, ObsA/ObsB and Views. Per-worker tables
+// are allocated on the worker's first stride.
 func CheckSoundnessContext(ctx context.Context, m Mechanism, pol Policy, dom Domain, obs Observation, cc CheckConfig) (SoundnessReport, error) {
 	rep := SoundnessReport{Mechanism: m.Name(), Policy: pol.Name(), Observation: obs.ObsName, Sound: true}
 	if m.Arity() != pol.Arity() || len(dom) != m.Arity() {
@@ -72,22 +149,12 @@ func CheckSoundnessContext(ctx context.Context, m Mechanism, pol Policy, dom Dom
 		return rep, err
 	}
 
-	// Each worker builds a class → first-seen outcome table and notes the
-	// first conflict it sees; the merge then catches conflicts whose two
-	// inputs were visited by different workers (classes span chunks
-	// whenever the policy ignores part of the input).
-	type shard struct {
-		views                keyTable[keyedView]
-		ids                  classIDs
-		conflictA, conflictB keyedView
-		checked              int
-	}
-	shards := make([]shard, cc.ResolvedWorkers(sweep.Size(dom)))
-	for w := range shards {
-		shards[w].views = newKeyTable[keyedView](fk)
-	}
+	shards := make([]viewShard, cc.ResolvedWorkers(sweep.Size(dom)))
 	err = sweepOutcomes(ctx, dom, cc, []Mechanism{m}, func(w int, input, last []int64, outs [][]Outcome) error {
 		s := &shards[w]
+		if !s.live {
+			s.views, s.live = newKeyTable[keyedView](fk), true
+		}
 		s.checked += len(outs[0])
 		at0, key0 := fk.prefix(input)
 		for lane := range outs[0] {
@@ -95,13 +162,7 @@ func CheckSoundnessContext(ctx context.Context, m Mechanism, pol Policy, dom Dom
 			if fk.intern != nil {
 				key = fk.interned(&s.ids, input, last, lane)
 			}
-			o := &outs[0][lane]
-			e := s.views.at(key)
-			if e.at == 0 {
-				*e = keyedView{obs: *o, at: at + 1}
-			} else if s.conflictA.at == 0 && !fk.same(&e.obs, o) {
-				s.conflictA, s.conflictB = *e, keyedView{obs: *o, at: at + 1}
-			}
+			s.add(s.views.at(key), at, &outs[0][lane], fk)
 		}
 		return nil
 	})
@@ -109,48 +170,58 @@ func CheckSoundnessContext(ctx context.Context, m Mechanism, pol Policy, dom Dom
 		return rep, err
 	}
 
-	// The nullary domain's witness is nil, as CheckSoundness's copy of
-	// its empty input is.
-	witness := func(e keyedView) []int64 {
-		if len(dom) == 0 {
-			return nil
-		}
-		return fk.input(e.at - 1)
+	// Fold every worker's table into the first one's; classes span
+	// workers whenever the policy ignores part of the input.
+	merged := &shards[0]
+	if !merged.live {
+		merged.views = newKeyTable[keyedView](fk)
 	}
-	conflict := func(a, b keyedView) {
-		rep.Sound = false
-		rep.WitnessA, rep.WitnessB = witness(a), witness(b)
-		rep.ObsA, rep.ObsB = obs.Render(a.obs), obs.Render(b.obs)
-	}
-	merged := &shards[0].views
 	for w := range shards {
 		s := &shards[w]
 		rep.Checked += s.checked
-		if s.conflictA.at != 0 && rep.Sound {
-			conflict(s.conflictA, s.conflictB)
-		}
-		if w == 0 {
+		if w == 0 || !s.live {
 			continue
 		}
 		s.views.each(func(key int, e *keyedView) {
-			if e.at == 0 {
-				return
-			}
-			prev := merged.at(fk.rekey(&shards[0].ids, &s.ids, key))
-			if prev.at == 0 {
-				*prev = *e
-			} else if rep.Sound && !fk.same(&prev.obs, &e.obs) {
-				conflict(*prev, *e)
+			if e.at != 0 {
+				merged.merge(merged.views.at(fk.rekey(&merged.ids, &s.ids, key)), s, e, fk)
 			}
 		})
 	}
+
+	// The nullary domain's witness is nil, as CheckSoundness's copy of
+	// its empty input is.
+	witness := func(at int) []int64 {
+		if len(dom) == 0 {
+			return nil
+		}
+		return fk.input(at)
+	}
+	var least keyedView
+	merged.views.each(func(_ int, e *keyedView) {
+		if e.at != 0 && merged.conflictAt(e) < merged.conflictAt(&least) {
+			least = *e
+		}
+	})
+	if least.conflict != 0 {
+		c := merged.conflicts[least.conflict-1]
+		rep.Sound = false
+		rep.WitnessA, rep.WitnessB = witness(least.at-1), witness(c.at)
+		rep.ObsA, rep.ObsB = obs.Render(least.obs), obs.Render(c.obs)
+	}
 	if cc.CollectViews {
 		rep.Views = make(map[string]ViewObs)
-		merged.each(func(_ int, e *keyedView) {
-			if e.at != 0 {
-				in := witness(*e)
-				rep.Views[pol.View(in)] = ViewObs{Obs: obs.Render(e.obs), Witness: in}
+		merged.views.each(func(_ int, e *keyedView) {
+			if e.at == 0 {
+				return
 			}
+			in := witness(e.at - 1)
+			v := ViewObs{Obs: obs.Render(e.obs), Witness: in}
+			if e.conflict != 0 {
+				c := merged.conflicts[e.conflict-1]
+				v.Conflict = &ViewConflict{Input: witness(c.at), Obs: obs.Render(c.obs)}
+			}
+			rep.Views[pol.View(in)] = v
 		})
 	}
 	return rep, nil

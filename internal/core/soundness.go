@@ -90,22 +90,71 @@ type SoundnessReport struct {
 	// observable outcomes — a counterexample to M = M′ ∘ I.
 	WitnessA, WitnessB []int64
 	ObsA, ObsB         string
-	// Views is the per-class observation table, populated only when
+	// Views is the per-class summary table, populated only when
 	// CheckConfig.CollectViews asked for it: one entry per policy view
-	// seen, carrying the first observation and a witness input. A verdict
+	// seen, carrying its least input and least conflict (ViewObs). A verdict
 	// over a shard of the index space is exact only together with this
 	// table — two shards each internally sound can still conflict on a
 	// class that spans them, which is what check.Merge detects.
 	Views map[string]ViewObs
 }
 
-// ViewObs is one policy class's first-seen observation and a witness input
-// that produced it: the unit of the cross-shard soundness merge. It is the
-// rendered form of one entry of the per-worker tables the parallel checker
-// merges in-process.
+// ViewObs is one policy class's soundness summary over part of the index
+// space: the unit of the cross-shard soundness merge and the rendered form
+// of one entry of the per-worker tables the parallel checker merges
+// in-process. Witness is the class's lexicographically least input there
+// (see LessInput) and Obs its observation; Conflict is the least input
+// there observed differently from Witness, nil while the class is
+// constant there (a pointer, so the many constant classes of a sound
+// shard carry one word for it).
 type ViewObs struct {
-	Obs     string  `json:"obs"`
-	Witness []int64 `json:"witness"`
+	Obs      string        `json:"obs"`
+	Witness  []int64       `json:"witness"`
+	Conflict *ViewConflict `json:"conflict,omitempty"`
+}
+
+// ViewConflict is a class's least input observed differently from its
+// least input, and that observation.
+type ViewConflict struct {
+	Input []int64 `json:"input"`
+	Obs   string  `json:"obs"`
+}
+
+// MergeViewObs folds two summaries of the same class from parts of the
+// index space: the lesser Witness stays, and the other part offers its
+// Witness as a conflict when the two observations differ, its Conflict
+// otherwise; the lesser conflict stays. The result does not depend on
+// which part comes first, and parts that overlap fold as if the overlap
+// were counted once. It is the cross-node fold of check.Merge and the
+// segment fold of check.RunCheckpointed.
+func MergeViewObs(a, b ViewObs) ViewObs {
+	if LessInput(b.Witness, a.Witness) {
+		a, b = b, a
+	}
+	offer := b.Conflict
+	if b.Obs != a.Obs {
+		offer = &ViewConflict{Input: b.Witness, Obs: b.Obs}
+	}
+	if offer != nil && (a.Conflict == nil || LessInput(offer.Input, a.Conflict.Input)) {
+		a.Conflict = offer
+	}
+	return a
+}
+
+// LeastConflict is the one soundness verdict rule: of the classes in
+// views, it returns the one whose Conflict is least, and false when no
+// class has a conflict. No input belongs to two classes, so the result
+// depends only on the table's contents. Its Witness and Conflict are the
+// verdict's witness pair: on a table covering the whole domain, the one
+// CheckSoundnessContext reports.
+func LeastConflict(views map[string]ViewObs) (ViewObs, bool) {
+	var least ViewObs
+	for _, v := range views {
+		if v.Conflict != nil && (least.Conflict == nil || LessInput(v.Conflict.Input, least.Conflict.Input)) {
+			least = v
+		}
+	}
+	return least, least.Conflict != nil
 }
 
 // String summarises the report.

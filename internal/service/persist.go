@@ -177,8 +177,8 @@ func (s *Service) cachedJob(req CheckRequest, entry *compiled, hit bool, total i
 // swept through check.RunCheckpointed with the job's fold persisted to
 // the store after every segment, plus a fine chunk-level cursor between
 // checkpoints. A job interrupted by a crash resumes from the last
-// checkpoint that reached disk; the resumed verdict matches the
-// uninterrupted one (byte-identically at one sweep worker — see
+// checkpoint that reached disk; the resumed verdict is byte-identical to
+// the uninterrupted one at any sweep worker count (see
 // check.RunCheckpointed).
 func (s *Service) checkStore(ctx context.Context, j *Job) (*Result, error) {
 	entry := j.entry

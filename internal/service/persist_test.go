@@ -130,8 +130,9 @@ func TestCrashResume(t *testing.T) {
 		req := slowRequest()
 		req.Maximal = maximal
 
-		// Reference: uninterrupted run at one sweep worker (the fully
-		// deterministic configuration the byte-identity contract pins).
+		// Reference: uninterrupted run at one sweep worker; the crashed
+		// and resumed runs lend themselves idle CPUs, and the verdict must
+		// not change.
 		ref := storedService(t, t.TempDir(), Config{Pools: 1, SweepWorkers: 1})
 		rj, err := ref.Submit(req)
 		if err != nil {
@@ -149,7 +150,7 @@ func TestCrashResume(t *testing.T) {
 		// while the job's own terminal bookkeeping is lost.
 		dir2 := t.TempDir()
 		st2 := openStore(t, dir2)
-		s2 := New(Config{Pools: 1, SweepWorkers: 1, Store: st2, CheckpointEvery: 32})
+		s2 := New(Config{Pools: 1, Store: st2, CheckpointEvery: 32})
 		j2, err := s2.Submit(req)
 		if err != nil {
 			t.Fatal(err)
@@ -165,7 +166,7 @@ func TestCrashResume(t *testing.T) {
 
 		// Restart on the same directory: the job must come back pending,
 		// under its original ID, and run to the reference verdict.
-		s3 := storedService(t, dir2, Config{Pools: 1, SweepWorkers: 1, CheckpointEvery: 32})
+		s3 := storedService(t, dir2, Config{Pools: 1, CheckpointEvery: 32})
 		j3, err := s3.Job(j2.ID)
 		if err != nil {
 			t.Fatalf("resumed job %s not found after restart: %v", j2.ID, err)

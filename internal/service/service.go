@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -71,8 +70,13 @@ type Config struct {
 	Pools int
 	// QueueCap bounds each pool's queue; ≤ 0 means DefaultQueueCap.
 	QueueCap int
-	// SweepWorkers is the sweep parallelism of each job; ≤ 0 divides the
-	// CPUs evenly across pools (at least 1 each).
+	// SweepWorkers is the sweep parallelism of each job. ≤ 0 lends idle
+	// CPUs to running jobs: each job starts on one sweep worker and, past
+	// its first 100 µs, adds one while the process runs fewer sweep
+	// workers than GOMAXPROCS, so a lone job spreads over the machine and
+	// concurrent jobs keep one each (sweep.Config.Workers); Config then
+	// reports the most workers one job may use, runtime.NumCPU(). A
+	// positive value fixes every job at that many.
 	SweepWorkers int
 	// SweepBatch is the stride width of each job's sweep
 	// (check.WithBatch): ≤ 0 means DefaultSweepBatch, 1 means one-lane
@@ -122,11 +126,8 @@ func (c Config) normalized() Config {
 	if c.QueueCap <= 0 {
 		c.QueueCap = DefaultQueueCap
 	}
-	if c.SweepWorkers <= 0 {
-		c.SweepWorkers = runtime.NumCPU() / c.Pools
-		if c.SweepWorkers < 1 {
-			c.SweepWorkers = 1
-		}
+	if c.SweepWorkers < 0 {
+		c.SweepWorkers = 0
 	}
 	if c.SweepBatch <= 0 {
 		c.SweepBatch = DefaultSweepBatch
@@ -196,8 +197,16 @@ func (s *Service) Close() {
 	s.sched.Close()
 }
 
-// Config returns the normalized configuration in effect.
-func (s *Service) Config() Config { return s.cfg }
+// Config returns the normalized configuration in effect. A service that
+// lends idle CPUs to its jobs reports SweepWorkers as the most sweep
+// workers one job may use.
+func (s *Service) Config() Config {
+	c := s.cfg
+	if c.SweepWorkers == 0 {
+		c.SweepWorkers = sweep.Config{}.ResolvedWorkers(math.MaxInt)
+	}
+	return c
+}
 
 // Submit validates the request, resolves it against the compile cache, and
 // dispatches a job join-the-shortest-queue. It returns the queued job;

@@ -3,6 +3,8 @@ package service
 import (
 	"errors"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -245,4 +247,47 @@ func mustPolicy(t *testing.T, spec string) lattice.IndexSet {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// TestLoneJobLendsIdleCPUs: on an idle service a lone job's sweep adds a
+// helper on the idle CPU — its trace shows chunks from worker 1 — and the
+// verdict, an unsound one with its witness pair, is the one a single sweep
+// worker reaches.
+func TestLoneJobLendsIdleCPUs(t *testing.T) {
+	if runtime.NumCPU() < 2 {
+		t.Skip("lending needs two CPUs")
+	}
+	prev := runtime.GOMAXPROCS(2)
+	defer runtime.GOMAXPROCS(prev)
+	req := slowRequest()
+	req.Policy = "{1}" // slowProg outputs x2
+	req.Domain = req.Domain[:8]
+
+	s := newTestService(t, Config{Pools: 2})
+	j, err := s.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := waitJob(t, j)
+	tr, ok := s.JobTrace(j.ID)
+	if !ok {
+		t.Fatal("no trace")
+	}
+	helper := false
+	for _, e := range tr.Events {
+		helper = helper || e.Name == "chunk" && strings.HasPrefix(e.Detail, "worker=1 ")
+	}
+	if !helper {
+		t.Errorf("lone job ran on one sweep worker: %+v", tr.Events)
+	}
+
+	ref := newTestService(t, Config{Pools: 2, SweepWorkers: 1})
+	rj, err := ref.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := waitJob(t, rj)
+	if got.State != StateDone || got.Result.Sound || !reflect.DeepEqual(stripTiming(got.Result), stripTiming(want.Result)) {
+		t.Errorf("lending verdict %+v, one worker's %+v", got, want)
+	}
 }

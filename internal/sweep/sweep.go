@@ -5,13 +5,17 @@
 // observations".
 //
 // The engine indexes the product 0..Size-1 in mixed radix (last position
-// fastest, matching core.Domain.Enumerate) and hands out fixed-size chunks
-// of that index space from a single atomic cursor. Workers that finish a
-// chunk immediately claim the next one, so load balances dynamically even
-// when per-tuple cost is skewed — the work-stealing counterpart of the
+// fastest, matching core.Domain.Enumerate) and cuts that index space into
+// fixed-size chunks. Each worker owns a contiguous run of chunks and takes
+// them front to back; a worker whose run is used up steals the back half
+// of the largest run left, so load balances dynamically even when
+// per-tuple cost is skewed, while each worker keeps walking neighbouring
+// tuples (warm prefix snapshots) — the work-stealing counterpart of the
 // join-the-shortest-queue results motivating the design. Within a chunk a
 // worker advances an odometer rather than re-dividing, so the per-tuple
-// scheduling cost is a few array writes.
+// scheduling cost is a few array writes. By default a run lends itself the
+// process's idle CPUs: it adds workers while fewer sweep workers run in
+// the process than GOMAXPROCS and gives them back when other runs start.
 //
 // RunBatchContext is the one entry point. It delivers tuples in
 // innermost-axis strides of up to a caller-chosen width, with the
@@ -27,6 +31,7 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -42,8 +47,8 @@ var ErrTooLarge = errors.New("sweep: domain product overflows int")
 var ErrBadRange = errors.New("sweep: negative shard offset or count")
 
 // DefaultChunk is the chunk size used when Config.Chunk is unset. It is
-// large enough that cursor contention is negligible and small enough that
-// a skewed tail still balances across workers.
+// large enough that claiming a chunk is noise against sweeping it and
+// small enough that a skewed tail still balances across workers.
 const DefaultChunk = 1024
 
 // Observer receives engine events as a sweep runs — the instrumentation
@@ -61,10 +66,16 @@ type Observer interface {
 
 // Config tunes the engine. The zero value means "pick sensible defaults".
 type Config struct {
-	// Workers is the number of goroutines; ≤ 0 means runtime.NumCPU().
+	// Workers is the number of goroutines, fixed for the whole run. ≤ 0
+	// lends the run idle CPUs: it starts on one worker and, once it has
+	// run for 100 µs, adds one at a chunk boundary while fewer sweep
+	// workers run in the process than GOMAXPROCS, up to runtime.NumCPU();
+	// an added worker leaves at its next chunk boundary once the process
+	// runs more than GOMAXPROCS.
 	Workers int
-	// Chunk is the number of tuples claimed per cursor advance; ≤ 0 picks
-	// a size that gives every worker several chunks.
+	// Chunk is the number of tuples a worker claims at a time, the grain
+	// of stealing, cancellation, progress and commits; ≤ 0 picks a size
+	// that gives every worker several chunks.
 	Chunk int
 	// Offset restricts the run to the suffix of the mixed-radix index
 	// space starting at this product index — the shard primitive behind
@@ -148,9 +159,11 @@ func size(values [][]int64) (int, error) {
 	return n, nil
 }
 
-// ResolvedWorkers returns the worker count RunBatchContext will actually
-// use for a product of the given size, so callers can size per-worker
-// state once and agree with the engine.
+// ResolvedWorkers returns the most workers RunBatchContext runs at once
+// for a product of the given size — the bound on its worker indices — so
+// callers can size per-worker state and agree with the engine. A lending
+// run (Workers ≤ 0) may use fewer; callers that keep costly per-worker
+// state allocate it on a worker's first stride.
 func (c Config) ResolvedWorkers(size int) int {
 	lo, hi, err := c.Bounds(size)
 	if err != nil {
@@ -208,30 +221,40 @@ type BatchFunc func(worker int, input []int64, last []int64, carry int) error
 
 // RunBatchContext enumerates the cartesian product of values in
 // innermost-axis strides of up to width tuples, calling fn once per
-// stride; width < 1 is treated as 1, the scalar sweep. fn is invoked
-// concurrently from cfg.Workers goroutines; the worker argument
-// (0 ≤ worker < cfg.Workers) lets the callback address per-worker state
-// without locking. Enumeration visits every tuple of the configured range
-// exactly once (the whole product by default; the contiguous shard
-// [Offset, Offset+Count) when cfg restricts it), in odometer order within
-// each chunk, so per-worker fold state (view tables, first-witness
-// selection) does not depend on width. The zero-arity product delivers
-// its single empty tuple as one call with nil input and nil last.
+// stride; width < 1 is treated as 1, the scalar sweep. Enumeration visits
+// every tuple of the configured range exactly once (the whole product by
+// default; the contiguous shard [Offset, Offset+Count) when cfg restricts
+// it), in odometer order within each chunk. The zero-arity product
+// delivers its single empty tuple as one call with nil input and nil last.
+//
+// The first worker runs on the calling goroutine and starts out owning the
+// whole range; every other worker steals the back half of the largest
+// range another worker still has, so each works through contiguous runs
+// of chunks. With cfg.Workers > 0 the sweep starts that many workers at
+// once. With cfg.Workers ≤ 0 it lends idle CPUs to the run instead: once
+// the run has lasted longer than a helper costs to start, at each chunk
+// boundary a worker adds a helper while fewer sweep workers run in the
+// whole process than GOMAXPROCS (and fewer than runtime.NumCPU in this
+// run), and a helper leaves at its next chunk boundary once the
+// process runs more than GOMAXPROCS; what it had not swept goes to the
+// others. The worker argument (0 ≤ worker < cfg.ResolvedWorkers) lets the
+// callback address per-worker state without locking: a worker index is
+// used by one goroutine at a time, and a helper that reuses the index of
+// one that left starts after it stopped.
 //
 // The first error returned by fn stops all workers (strides already in
 // flight may still be visited) and is returned. Workers observe ctx
 // between chunks, so after ctx is cancelled every worker stops within one
 // chunk of tuples and RunBatchContext returns ctx's error. A cancelled
-// sweep has visited a prefix-plus-in-flight-chunks subset of the product;
-// cfg.Progress reflects exactly the tuples whose chunks completed. fn
-// errors take precedence over cancellation, and a cancellation that loses
-// the race with the final chunks — every tuple visited — reports success
-// rather than discarding a complete enumeration.
+// sweep has visited a subset of the range; cfg.Progress reflects exactly
+// the tuples whose chunks completed. fn errors take precedence over
+// cancellation, and a cancellation that loses the race with the final
+// chunks — every tuple visited — reports success rather than discarding a
+// complete enumeration.
 func RunBatchContext(ctx context.Context, values [][]int64, cfg Config, width int, fn BatchFunc) error {
 	if width < 1 {
 		width = 1
 	}
-	chunk := func(start, end, worker int) error { return runChunkBatch(values, start, end, worker, width, fn) }
 	size, err := size(values)
 	if err != nil {
 		return err
@@ -244,16 +267,7 @@ func RunBatchContext(ctx context.Context, values [][]int64, cfg Config, width in
 	if span == 0 {
 		return nil
 	}
-	done := ctx.Done()
-	cancelled := func() bool {
-		select {
-		case <-done:
-			return true
-		default:
-			return false
-		}
-	}
-	if cancelled() {
+	if ctx.Err() != nil {
 		return ctx.Err()
 	}
 	if len(values) == 0 {
@@ -271,96 +285,266 @@ func RunBatchContext(ctx context.Context, values [][]int64, cfg Config, width in
 		}
 		return err
 	}
-	cfg = cfg.normalized(span)
-	if cfg.Workers == 1 {
-		for start := lo; start < hi; start += cfg.Chunk {
-			if cancelled() {
-				return ctx.Err()
-			}
-			end := start + cfg.Chunk
-			if end > hi {
-				end = hi
-			}
-			if err := runObserved(chunk, start, end, 0, cfg.Observer); err != nil {
-				return err
-			}
-			if cfg.Progress != nil {
-				cfg.Progress.Add(int64(end - start))
-			}
-			if cfg.Commit != nil {
-				// One worker completes chunks in range order, so every
-				// chunk end is itself the contiguous prefix.
-				cfg.Commit(end - lo)
-			}
-			// No sleep after the final chunk: a complete enumeration must
-			// report success even if cancellation lands during the pause,
-			// matching the multi-worker visited==span rule.
-			if end < hi {
-				if err := throttle(ctx, cfg.Throttle); err != nil {
-					return err
-				}
+	r := &batchRun{
+		ctx:    ctx,
+		values: values,
+		width:  width,
+		fn:     fn,
+		lend:   cfg.Workers <= 0,
+		start:  time.Now(),
+		procs:  int64(runtime.GOMAXPROCS(0)),
+		lo:     lo,
+		span:   span,
+	}
+	r.cfg = cfg.normalized(span)
+	if cfg.Commit != nil {
+		r.commits = newCommitTracker(cfg.Commit)
+	}
+	r.ranges = make([]chunkRange, r.cfg.Workers)
+	r.owned = make([]bool, r.cfg.Workers)
+	r.errs = make([]error, r.cfg.Workers)
+	r.ranges[0] = chunkRange{next: lo, end: hi}
+	r.owned[0] = true
+	running.Add(1)
+	defer running.Add(-1)
+	if !r.lend {
+		for w := 1; w < r.cfg.Workers; w++ {
+			if !r.join() {
+				break
 			}
 		}
-		return nil
 	}
-
-	var cursor atomic.Int64
-	var stop atomic.Bool
-	var visited atomic.Int64
-	var commits *commitTracker
-	if cfg.Commit != nil {
-		commits = newCommitTracker(cfg.Commit)
+	for {
+		r.work(0)
+		r.wg.Wait()
+		// A helper that left may have handed back a range nobody took;
+		// with every helper gone the first worker sweeps it.
+		if r.stop.Load() || r.cancelled() || !r.remaining() {
+			break
+		}
 	}
-	errs := make([]error, cfg.Workers)
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for !stop.Load() {
-				if cancelled() {
-					return
-				}
-				start := int64(lo) + cursor.Add(int64(cfg.Chunk)) - int64(cfg.Chunk)
-				if start >= int64(hi) {
-					return
-				}
-				end := start + int64(cfg.Chunk)
-				if end > int64(hi) {
-					end = int64(hi)
-				}
-				if err := runObserved(chunk, int(start), int(end), w, cfg.Observer); err != nil {
-					errs[w] = err
-					stop.Store(true)
-					return
-				}
-				visited.Add(end - start)
-				if cfg.Progress != nil {
-					cfg.Progress.Add(end - start)
-				}
-				if commits != nil {
-					commits.done(int(start)-lo, int(end)-lo)
-				}
-				if throttle(ctx, cfg.Throttle) != nil {
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
+	for _, err := range r.errs {
 		if err != nil {
 			return err
 		}
 	}
-	// A cancellation that lands while the last chunks are in flight may
-	// lose the race with completion: if every tuple was visited anyway,
-	// the verdict is whole, so report success — matching the one-worker
-	// path, which returns nil once its final chunk ran.
-	if visited.Load() == int64(span) {
+	if r.visited.Load() == int64(span) {
 		return nil
 	}
 	return ctx.Err()
+}
+
+// lendAfter is how long a lending run sweeps on its first worker before
+// it adds helpers: several times what starting one costs (its goroutine,
+// runner state and fold table, tens of microseconds), so a run too short
+// to gain from a helper never pays for one.
+const lendAfter = 100 * time.Microsecond
+
+// running counts the sweep workers running in this process, over every
+// sweep: the budget lending draws on. It is process-wide by design, since
+// every sweep in the process — the in-process nodes of a cluster
+// included — competes for the same CPUs.
+var running atomic.Int64
+
+// chunkRange is the part [next, end) of a run's range that one worker has
+// still to sweep. Both bounds lie on chunk boundaries of the range (end
+// may be its end), so stealing never changes which chunks the run visits.
+type chunkRange struct{ next, end int }
+
+// batchRun is the state of one RunBatchContext call.
+type batchRun struct {
+	ctx    context.Context
+	values [][]int64
+	width  int
+	fn     BatchFunc
+	cfg    Config
+	lend   bool
+	start  time.Time
+	procs  int64 // GOMAXPROCS when the run started
+	lo     int
+	span   int
+
+	mu     sync.Mutex
+	ranges []chunkRange // by worker index
+	owned  []bool       // a live worker holds the index
+
+	wg      sync.WaitGroup
+	stop    atomic.Bool
+	visited atomic.Int64
+	commits *commitTracker
+	errs    []error
+}
+
+// work sweeps chunks as worker w until no work is left that w may take or
+// the run stops. A lending helper also stops, and reports that it left,
+// once the process runs more sweep workers than GOMAXPROCS; what it had
+// not swept stays in its range for the others to take.
+func (r *batchRun) work(w int) (left bool) {
+	for !r.stop.Load() && !r.cancelled() {
+		if w != 0 && r.lend && r.leave() {
+			return true
+		}
+		if r.lend && time.Since(r.start) >= lendAfter {
+			r.join()
+		}
+		start, end, ok := r.claim(w)
+		if !ok {
+			return false
+		}
+		if err := runObserved(r.chunk, start, end, w, r.cfg.Observer); err != nil {
+			r.errs[w] = err
+			r.stop.Store(true)
+			return false
+		}
+		r.progress(start, end)
+		// No nap after the final chunk: a complete enumeration reports
+		// success even if cancellation lands during the pause.
+		if r.visited.Add(int64(end-start)) == int64(r.span) {
+			return false
+		}
+		if throttle(r.ctx, r.cfg.Throttle) != nil {
+			return false
+		}
+	}
+	return false
+}
+
+// cancelled reports whether the run's context is done.
+func (r *batchRun) cancelled() bool {
+	select {
+	case <-r.ctx.Done():
+		return true
+	default:
+		return false
+	}
+}
+
+func (r *batchRun) chunk(start, end, worker int) error {
+	return runChunkBatch(r.values, start, end, worker, r.width, r.fn)
+}
+
+func (r *batchRun) progress(start, end int) {
+	if r.cfg.Progress != nil {
+		r.cfg.Progress.Add(int64(end - start))
+	}
+	if r.commits != nil {
+		r.commits.done(start-r.lo, end-r.lo)
+	}
+}
+
+// join starts a helper on a free worker index, with what that index left
+// unswept or else stolen work (see steal), counting it against the
+// process-wide budget when the run lends. It reports whether a helper
+// started.
+func (r *batchRun) join() bool {
+	if r.lend {
+		for {
+			n := running.Load()
+			if n >= r.procs {
+				return false
+			}
+			if running.CompareAndSwap(n, n+1) {
+				break
+			}
+		}
+	} else {
+		running.Add(1)
+	}
+	r.mu.Lock()
+	// A free index may still hold the range of a helper that left; the
+	// new helper takes that up first.
+	w := slices.Index(r.owned, false)
+	if w < 0 || r.ranges[w].next >= r.ranges[w].end && !r.steal(w) {
+		r.mu.Unlock()
+		running.Add(-1)
+		return false
+	}
+	r.owned[w] = true
+	r.mu.Unlock()
+	r.wg.Add(1)
+	go func() {
+		defer r.wg.Done()
+		left := r.work(w)
+		r.mu.Lock()
+		r.owned[w] = false
+		r.mu.Unlock()
+		if !left {
+			running.Add(-1)
+		}
+	}()
+	return true
+}
+
+// leave reports whether a lending helper should stop now because the
+// process runs more sweep workers than GOMAXPROCS, and if so takes it off
+// the count. The check and the decrement are one step, so exactly the
+// excess leaves however many helpers look at once.
+func (r *batchRun) leave() bool {
+	for {
+		n := running.Load()
+		if n <= r.procs {
+			return false
+		}
+		if running.CompareAndSwap(n, n-1) {
+			return true
+		}
+	}
+}
+
+// claim hands worker w the next chunk of its range, first stealing a
+// range when its own is used up.
+func (r *batchRun) claim(w int) (start, end int, ok bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	cr := &r.ranges[w]
+	if cr.next >= cr.end && !r.steal(w) {
+		return 0, 0, false
+	}
+	start = cr.next
+	cr.next = min(start+r.cfg.Chunk, cr.end)
+	return start, cr.next, true
+}
+
+// steal gives worker w, whose range is used up, more work: a range no live
+// worker holds, whole, or else the back half of the chunks of the largest
+// range a live worker still has two or more chunks in. The caller holds
+// r.mu.
+func (r *batchRun) steal(w int) bool {
+	v, most := -1, 0
+	for i, cr := range r.ranges {
+		n := cr.end - cr.next
+		if i == w || n == 0 {
+			continue
+		}
+		if !r.owned[i] {
+			r.ranges[w], r.ranges[i] = cr, chunkRange{}
+			return true
+		}
+		if n > most {
+			v, most = i, n
+		}
+	}
+	chunks := (most + r.cfg.Chunk - 1) / r.cfg.Chunk
+	if chunks < 2 {
+		return false
+	}
+	from := &r.ranges[v]
+	mid := from.next + (chunks-chunks/2)*r.cfg.Chunk
+	r.ranges[w] = chunkRange{next: mid, end: from.end}
+	from.end = mid
+	return true
+}
+
+// remaining reports whether any range still has tuples to sweep.
+func (r *batchRun) remaining() bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, cr := range r.ranges {
+		if cr.next < cr.end {
+			return true
+		}
+	}
+	return false
 }
 
 // runObserved runs one chunk, timing it only when an observer is
@@ -394,8 +578,8 @@ func throttle(ctx context.Context, d time.Duration) error {
 }
 
 // commitTracker turns out-of-order chunk completions into the monotone
-// contiguous-prefix commits of Config.Commit. Workers claim chunks from an
-// ordered cursor, so a completed chunk either extends the prefix directly
+// contiguous-prefix commits of Config.Commit. Chunks complete in any order
+// across workers, so a completed chunk either extends the prefix directly
 // or parks (by its range-relative start) until every chunk before it lands.
 type commitTracker struct {
 	mu      sync.Mutex
