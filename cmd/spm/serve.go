@@ -95,7 +95,7 @@ func cmdServe(args []string) error {
 	cfg = svc.Config()
 	workers := fmt.Sprintf("%d sweep workers/job", cfg.SweepWorkers)
 	if *sweepWorkers <= 0 {
-		workers = fmt.Sprintf("up to %d sweep workers/job on idle CPUs", cfg.SweepWorkers)
+		workers = "lending idle CPUs to running jobs"
 	}
 	fmt.Fprintf(os.Stderr, "spm serve: listening on %s (%d pools × queue %d, %s)\n",
 		*addr, cfg.Pools, cfg.QueueCap, workers)

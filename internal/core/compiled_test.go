@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"sync"
 	"testing"
+	"time"
 
 	"spm/internal/flowchart"
 	"spm/internal/sweep"
@@ -99,7 +101,9 @@ func (c *countingProvider) BatchRunners(width int, memo, stack bool, tally *Exec
 // provider's BatchRunners — the compile-cache path — rather than
 // recompiling or falling back to Mechanism.Run: the provider is asked once
 // per sweep at the configured width (1 for the scalar default) and hands
-// out one runner per worker, and the verdict is the interpreter's.
+// out one runner per worker that sweeps — a worker builds its runner on
+// its first stride, so one that finds no work left builds none — and the
+// verdict is the interpreter's.
 func TestRunnerFactoryPrefersProvider(t *testing.T) {
 	p := flowchart.MustParse(compiledTestProg)
 	pm := FromProgram(p)
@@ -115,8 +119,9 @@ func TestRunnerFactoryPrefersProvider(t *testing.T) {
 	}
 	for _, batch := range []int{0, 8} {
 		cp := &countingProvider{CompiledMechanism: cm}
+		swept := &workerSet{}
 		got, err := CheckSoundnessContext(context.Background(), cp, pol, dom, ObserveValue,
-			CheckConfig{Config: sweep.Config{Workers: 3}, Batch: batch})
+			CheckConfig{Config: sweep.Config{Workers: 3, Chunk: 1, Observer: swept}, Batch: batch})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,8 +132,29 @@ func TestRunnerFactoryPrefersProvider(t *testing.T) {
 		if wantWidth := max(batch, 1); len(cp.widths) != 1 || cp.widths[0] != wantWidth {
 			t.Errorf("batch %d: provider asked at widths %v, want [%d]", batch, cp.widths, wantWidth)
 		}
-		if cp.factories != 3 {
-			t.Errorf("batch %d: provider factory called %d times, want 3", batch, cp.factories)
+		if n := swept.count(); n < 1 || n > 3 || cp.factories != n {
+			t.Errorf("batch %d: provider factory called %d times for %d sweeping workers of 3", batch, cp.factories, n)
 		}
 	}
+}
+
+// workerSet is a sweep.Observer that records which workers ran a chunk.
+type workerSet struct {
+	mu   sync.Mutex
+	seen map[int]bool
+}
+
+func (s *workerSet) ChunkDone(worker, _ int, _ time.Duration) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.seen == nil {
+		s.seen = map[int]bool{}
+	}
+	s.seen[worker] = true
+}
+
+func (s *workerSet) count() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.seen)
 }

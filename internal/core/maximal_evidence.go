@@ -25,11 +25,13 @@ import (
 //   - WithholdWitness: m issued Λ where Q passed. Fatal on a globally
 //     constant non-violating class (ReasonWithholds).
 type ClassSummary struct {
-	// QObs is Q's rendered observation at the class's least input in the
-	// range; QConstant reports whether it stayed constant within the
-	// range; QViolates whether Q issued a violation notice at that least
-	// input. Merging requires observations that render violations
-	// distinguishably, which every Observation in this library does.
+	// QConstant reports whether Q's observation stayed constant within
+	// the range's slice of the class; QObs is that observation rendered
+	// and QViolates whether it is a violation notice. A varying class
+	// carries neither, so the table does not depend on which of its
+	// inputs a sweep met first. Merging requires observations that render
+	// violations distinguishably, which every Observation in this library
+	// does.
 	QObs      string `json:"q_obs"`
 	QConstant bool   `json:"q_constant"`
 	QViolates bool   `json:"q_violates,omitempty"`
@@ -41,14 +43,14 @@ type ClassSummary struct {
 
 // MergeClassSummaries folds two summaries of the same class from disjoint
 // parts of the index space: Q is constant only if both parts are constant
-// and agree, and each witness keeps the lesser input. The witnesses and
-// the constancy bit do not depend on which part comes first, so neither
+// and agree, and each witness keeps the lesser input. The result does not
+// depend on which part comes first, so neither
 // the worker schedule nor the shard order reaches the verdict. It is the
 // per-worker fold of CheckMaximalityContext and the cross-node fold of
 // check.Merge.
 func MergeClassSummaries(a, b ClassSummary) ClassSummary {
-	if !b.QConstant || a.QObs != b.QObs {
-		a.QConstant = false
+	if !b.QConstant || a.QObs != b.QObs || a.QViolates != b.QViolates {
+		a.QConstant, a.QObs, a.QViolates = false, "", false
 	}
 	a.PassWitness = leastInput(a.PassWitness, b.PassWitness)
 	a.AlterWitness = leastInput(a.AlterWitness, b.AlterWitness)
@@ -114,10 +116,10 @@ func LeastDeviation(classes map[string]ClassSummary, local bool) (witness []int6
 	return witness, reason
 }
 
-// keyedClass is ClassSummary on integer keys: Q's outcome at the class's
-// least value index instead of its rendering, and the witnesses as value
-// indices, noWitness for none. at is that least value index plus one; 0
-// marks an empty slot.
+// keyedClass is ClassSummary on integer keys: Q's first-seen outcome
+// instead of its rendering, meaningful only while qConstant holds, and the
+// witnesses as value indices, noWitness for none. at is the value index of
+// the class's first-seen tuple plus one; 0 marks an empty slot.
 type keyedClass struct {
 	at                    int
 	q                     Outcome
@@ -130,9 +132,6 @@ type keyedClass struct {
 func (a *keyedClass) merge(b *keyedClass, fk *foldKeys) {
 	if !b.qConstant || !fk.same(&a.q, &b.q) {
 		a.qConstant = false
-	}
-	if b.at < a.at {
-		a.at, a.q = b.at, b.q
 	}
 	a.pass = min(a.pass, b.pass)
 	a.alter = min(a.alter, b.alter)
@@ -201,13 +200,8 @@ func CheckMaximalityContext(ctx context.Context, m, q Mechanism, pol Policy, dom
 			c := s.classes.at(key)
 			if c.at == 0 {
 				*c = keyedClass{at: at + 1, q: *qo, qConstant: true, pass: noWitness, alter: noWitness, withhold: noWitness}
-			} else {
-				if c.qConstant && !fk.same(&c.q, qo) {
-					c.qConstant = false
-				}
-				if at < c.at-1 {
-					c.at, c.q = at+1, *qo
-				}
+			} else if c.qConstant && !fk.same(&c.q, qo) {
+				c.qConstant = false
 			}
 			if !mo.Violation {
 				c.pass = min(c.pass, at)
@@ -268,14 +262,16 @@ func CheckMaximalityContext(ctx context.Context, m, q Mechanism, pol Policy, dom
 			if c.at == 0 {
 				return
 			}
-			rep.Classes[pol.View(fk.input(c.at-1))] = ClassSummary{
-				QObs:            obs.Render(c.q),
+			cs := ClassSummary{
 				QConstant:       c.qConstant,
-				QViolates:       c.q.Violation,
 				PassWitness:     witness(c.pass),
 				AlterWitness:    witness(c.alter),
 				WithholdWitness: witness(c.withhold),
 			}
+			if c.qConstant {
+				cs.QObs, cs.QViolates = obs.Render(c.q), c.q.Violation
+			}
+			rep.Classes[pol.View(fk.input(c.at-1))] = cs
 		})
 	}
 	return rep, nil

@@ -74,9 +74,8 @@ type Config struct {
 	// CPUs to running jobs: each job starts on one sweep worker and, past
 	// its first 100 µs, adds one while the process runs fewer sweep
 	// workers than GOMAXPROCS, so a lone job spreads over the machine and
-	// concurrent jobs keep one each (sweep.Config.Workers); Config then
-	// reports the most workers one job may use, runtime.NumCPU(). A
-	// positive value fixes every job at that many.
+	// concurrent jobs keep one each (sweep.Config.Workers); Config reports
+	// it as 0. A positive value fixes every job at that many.
 	SweepWorkers int
 	// SweepBatch is the stride width of each job's sweep
 	// (check.WithBatch): ≤ 0 means DefaultSweepBatch, 1 means one-lane
@@ -197,16 +196,8 @@ func (s *Service) Close() {
 	s.sched.Close()
 }
 
-// Config returns the normalized configuration in effect. A service that
-// lends idle CPUs to its jobs reports SweepWorkers as the most sweep
-// workers one job may use.
-func (s *Service) Config() Config {
-	c := s.cfg
-	if c.SweepWorkers == 0 {
-		c.SweepWorkers = sweep.Config{}.ResolvedWorkers(math.MaxInt)
-	}
-	return c
-}
+// Config returns the normalized configuration in effect.
+func (s *Service) Config() Config { return s.cfg }
 
 // Submit validates the request, resolves it against the compile cache, and
 // dispatches a job join-the-shortest-queue. It returns the queued job;

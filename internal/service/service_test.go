@@ -264,6 +264,9 @@ func TestLoneJobLendsIdleCPUs(t *testing.T) {
 	req.Domain = req.Domain[:8]
 
 	s := newTestService(t, Config{Pools: 2})
+	if w := s.Config().SweepWorkers; w != 0 {
+		t.Errorf("a lending service reports SweepWorkers %d, want 0", w)
+	}
 	j, err := s.Submit(req)
 	if err != nil {
 		t.Fatal(err)
