@@ -74,8 +74,8 @@ type Config struct {
 	// CPUs to running jobs: each job starts on one sweep worker and, past
 	// its first 100 µs, adds one while the process runs fewer sweep
 	// workers than GOMAXPROCS, so a lone job spreads over the machine and
-	// concurrent jobs keep one each (sweep.Config.Workers); Config reports
-	// it as 0. A positive value fixes every job at that many.
+	// concurrent jobs keep one each (sweep.Config.Workers). A positive
+	// value fixes every job at that many.
 	SweepWorkers int
 	// SweepBatch is the stride width of each job's sweep
 	// (check.WithBatch): ≤ 0 means DefaultSweepBatch, 1 means one-lane
@@ -196,8 +196,18 @@ func (s *Service) Close() {
 	s.sched.Close()
 }
 
-// Config returns the normalized configuration in effect.
-func (s *Service) Config() Config { return s.cfg }
+// Config returns the normalized configuration in effect. A service that
+// lends idle CPUs reports SweepWorkers as 1, the sweep worker each job
+// starts on and keeps whatever the load; the workers it borrows come and
+// go with the other jobs, and passing the value back to New would fix
+// jobs at one worker.
+func (s *Service) Config() Config {
+	c := s.cfg
+	if c.SweepWorkers == 0 {
+		c.SweepWorkers = 1
+	}
+	return c
+}
 
 // Submit validates the request, resolves it against the compile cache, and
 // dispatches a job join-the-shortest-queue. It returns the queued job;

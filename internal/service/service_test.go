@@ -264,8 +264,8 @@ func TestLoneJobLendsIdleCPUs(t *testing.T) {
 	req.Domain = req.Domain[:8]
 
 	s := newTestService(t, Config{Pools: 2})
-	if w := s.Config().SweepWorkers; w != 0 {
-		t.Errorf("a lending service reports SweepWorkers %d, want 0", w)
+	if w := s.Config().SweepWorkers; w != 1 {
+		t.Errorf("a lending service reports SweepWorkers %d, want 1", w)
 	}
 	j, err := s.Submit(req)
 	if err != nil {
