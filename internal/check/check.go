@@ -179,9 +179,9 @@ type Options struct {
 	// defaults it to true.
 	Memo bool
 	// MemoStack enables the snapshot-stack tier on top of Memo — one
-	// capture per domain axis, constant-suffix pruning, and the
-	// content-addressed row cache; Run defaults it to true. It has no
-	// effect when Memo is off.
+	// capture per domain axis, constant-suffix pruning, and, at Batch ≤ 1
+	// only, the content-addressed row cache; Run defaults it to true. It
+	// has no effect when Memo is off.
 	MemoStack bool
 	// Batch is the stride width; values ≤ 1 mean one-lane strides on
 	// the scalar kernels.

@@ -41,11 +41,11 @@ type BatchRunnerProvider interface {
 	// on the row's first tuple feeds the rest of the row) or run every
 	// tuple from instruction zero — the check.WithMemo(false) ablation.
 	// stack upgrades memoization to the snapshot-stack tier: a per-worker
-	// flowchart.SnapshotStack (per-axis captures, constant suffixes, row
-	// cache) answers each fresh tuple, and the remaining lanes of a
-	// stride resume from its innermost capture. tally, when non-nil,
-	// receives each worker's execution-tier counters (one ExecTally.Part
-	// per runner); nil disables counting.
+	// flowchart.SnapshotStack (per-axis captures, constant suffixes, and
+	// at width 1 only the row cache) answers each fresh tuple, and the
+	// remaining lanes of a stride resume from its innermost capture.
+	// tally, when non-nil, receives each worker's execution-tier counters
+	// (one ExecTally.Part per runner); nil disables counting.
 	BatchRunners(width int, memo, stack bool, tally *ExecTally) func() BatchRunFunc
 }
 
@@ -57,17 +57,19 @@ func outcomeOf(res flowchart.Result) Outcome {
 // batchRunner is the per-worker executor over compiled code. At width 1 it
 // runs the scalar kernels one tuple per call (see scalarRunner). Wider,
 // with stack, lane 0 of each fresh stride runs through a per-worker
-// snapshot stack — per-axis captures, constant-suffix pruning, and the
-// row cache all apply to it — and the remaining lanes (and every
-// continuation stride of the same row) resume in lockstep from the
-// stack's innermost capture; a constant answer replicates to the whole
-// stride without executing a lane. With memo alone, a fresh row runs its
-// first lane on the single-axis snapshot recorder — capturing execution
-// state at the first instruction that touches the innermost input — and
-// every further lane of the row resumes from that capture in lockstep;
-// without either, each stride runs whole from instruction zero, still
-// amortizing instruction dispatch across lanes. Outcomes are exactly
-// RunReuse's for every tuple.
+// snapshot stack — per-axis captures and constant-suffix pruning apply
+// to it — and the remaining lanes (and every continuation stride of the
+// same row) resume in lockstep from the stack's innermost capture; a
+// constant answer replicates to the whole stride without executing a
+// lane. The stack carries no row cache (SnapshotStack.DropRowCache): a
+// hit could answer only lane 0, and the cache would allocate on every
+// odometer row, so this tier allocates nothing per row. With memo alone,
+// a fresh row runs its first lane on the single-axis snapshot recorder —
+// capturing execution state at the first instruction that touches the
+// innermost input — and every further lane of the row resumes from that
+// capture in lockstep; without either, each stride runs whole from
+// instruction zero, still amortizing instruction dispatch across lanes.
+// Outcomes are exactly RunReuse's for every tuple.
 func batchRunner(c *flowchart.Compiled, maxSteps int64, width int, memo, stack bool, part *ExecPart) BatchRunFunc {
 	if width <= 1 {
 		return scalarRunner(c, maxSteps, memo, stack, part)
@@ -84,6 +86,7 @@ func batchRunner(c *flowchart.Compiled, maxSteps int64, width int, memo, stack b
 	var st *flowchart.SnapshotStack
 	if memo && stack {
 		st = c.NewSnapshotStack()
+		st.DropRowCache()
 	} else if memo {
 		regs = make([]int64, c.Slots())
 		snap = c.NewSnapshot()
@@ -316,6 +319,10 @@ func sweepOutcomes(ctx context.Context, dom Domain, cc CheckConfig, mechs []Mech
 	if k == 0 {
 		width = 1
 	}
+	// The runners count into a scope of the tally, folded and dropped
+	// once every worker has stopped.
+	cc.Exec = cc.Exec.scope()
+	defer cc.Exec.retire()
 	factories := make([]func() BatchRunFunc, len(mechs))
 	for i, m := range mechs {
 		factories[i] = cc.runnerFactory(m, width)

@@ -223,9 +223,9 @@ func TestFoldKeysDecode(t *testing.T) {
 // engines allocate no more on a 40³ domain than on a 20³ one, plus a small
 // constant — on ascending axes, with a descending axis, and with a
 // repeated value. The chunk size is fixed so the sweep's per-chunk buffers
-// stay inside that constant, and the snapshot-stack tier is off: its row
-// cache allocates once per distinct row by design, which is the runner's
-// cost, not the fold's.
+// stay inside that constant, and the snapshot-stack tier is off, so the
+// runner is the plain batch tier; TestStackStrideAllocsIndependentOfRows
+// guards the stack tier's runner.
 func TestFoldAllocsIndependentOfDomain(t *testing.T) {
 	m := fold3(t)
 	pol := NewAllow(3, 1)

@@ -16,10 +16,11 @@ import (
 // zero (the ablation knob behind check.WithMemo(false), and the baseline
 // the prefix benchmarks compare against); NoStack keeps single-axis
 // prefix memoization but disables the snapshot-stack tier — per-axis
-// captures, constant-suffix pruning, and the content-addressed row cache
-// (the ablation knob behind check.WithMemoStack(false), and the baseline
-// the snapshot-stack benchmarks compare against); CollectViews marks the
-// range as one shard of a larger run: the engines export their merged
+// captures, constant-suffix pruning, and, at width 1 only, the
+// content-addressed row cache (the ablation knob behind
+// check.WithMemoStack(false), and the baseline the snapshot-stack
+// benchmarks compare against); CollectViews marks the range as one shard
+// of a larger run: the engines export their merged
 // per-class evidence (SoundnessReport.Views, MaximalityReport.Classes) so
 // the shard verdict can be folded with its siblings by check.Merge.
 // Batch is the stride width (the knob behind check.WithBatch): each

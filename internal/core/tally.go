@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -22,11 +23,16 @@ const StackDepthBuckets = 8
 // Layout follows the sweep engine's per-worker discipline: every runner
 // registers its own ExecPart (one allocation at worker start), so the
 // per-tuple hot path pays one uncontended atomic add and never shares a
-// cache line between workers. Counts folds the parts at read time. A
-// nil *ExecTally hands out nil parts, whose increments are no-ops — the
-// disabled configuration costs a nil check per event.
+// cache line between workers. Counts folds the parts at read time. When a
+// sweep ends, its parts fold into running totals and are dropped, so a
+// long-lived tally (the service's) holds only the parts of sweeps in
+// flight. A nil *ExecTally hands out nil parts, whose increments are
+// no-ops — the disabled configuration costs a nil check per event.
 type ExecTally struct {
+	// root is the tally a sweep's scope registers into; nil on a root.
+	root  *ExecTally
 	mu    sync.Mutex
+	done  ExecCounts
 	parts []*ExecPart
 }
 
@@ -35,11 +41,60 @@ func (t *ExecTally) Part() *ExecPart {
 	if t == nil {
 		return nil
 	}
-	p := &ExecPart{}
-	t.mu.Lock()
-	t.parts = append(t.parts, p)
-	t.mu.Unlock()
+	p := &ExecPart{owner: t}
+	r := t.rootOf()
+	r.mu.Lock()
+	r.parts = append(r.parts, p)
+	r.mu.Unlock()
 	return p
+}
+
+// Parts reports how many parts the tally holds: the runners of the sweeps
+// in flight, plus any registered outside a sweep.
+func (t *ExecTally) Parts() int {
+	if t == nil {
+		return 0
+	}
+	r := t.rootOf()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.parts)
+}
+
+func (t *ExecTally) rootOf() *ExecTally {
+	if t.root != nil {
+		return t.root
+	}
+	return t
+}
+
+// scope returns the tally one sweep's runners register into: their parts
+// count in t from the start, and retire drops them once the sweep ends.
+func (t *ExecTally) scope() *ExecTally {
+	if t == nil {
+		return nil
+	}
+	return &ExecTally{root: t.rootOf()}
+}
+
+// retire folds the parts of a finished sweep's scope into the root's
+// running totals and drops them. The sweep's runners must have stopped,
+// so a Counts that loaded a part before it was dropped read the values
+// folded here.
+func (t *ExecTally) retire() {
+	if t == nil {
+		return
+	}
+	r := t.root
+	r.mu.Lock()
+	r.parts = slices.DeleteFunc(r.parts, func(p *ExecPart) bool {
+		if p.owner != t {
+			return false
+		}
+		p.addTo(&r.done)
+		return true
+	})
+	r.mu.Unlock()
 }
 
 // ExecCounts is one consistent-enough snapshot of a tally (individual
@@ -66,8 +121,8 @@ type ExecCounts struct {
 	// StackReplays tails resumed from a captured stack entry,
 	// StackConstants tuples answered by a constant suffix entry without
 	// executing anything, and StackRowHits tuples answered from the
-	// content-addressed row cache — the two pruning layers of the
-	// subdomain pruner.
+	// content-addressed row cache (width-1 sweeps only) — the two
+	// pruning layers of the subdomain pruner.
 	StackFull      int64
 	StackReplays   int64
 	StackConstants int64
@@ -78,29 +133,20 @@ type ExecCounts struct {
 	StackReplayDepth [StackDepthBuckets]int64
 }
 
-// Counts folds every registered part.
+// Counts folds the retired totals and every part still registered. It
+// never decreases: a part folds into the totals only after its sweep has
+// stopped counting.
 func (t *ExecTally) Counts() ExecCounts {
-	var c ExecCounts
 	if t == nil {
-		return c
+		return ExecCounts{}
 	}
-	t.mu.Lock()
-	parts := append([]*ExecPart(nil), t.parts...)
-	t.mu.Unlock()
+	r := t.rootOf()
+	r.mu.Lock()
+	c := r.done
+	parts := slices.Clone(r.parts)
+	r.mu.Unlock()
 	for _, p := range parts {
-		c.MemoCaptures += p.memoCaptures.Load()
-		c.MemoReplays += p.memoReplays.Load()
-		c.MemoInvalid += p.memoInvalid.Load()
-		c.BatchStrides += p.batchStrides.Load()
-		c.BatchLanes += p.batchLanes.Load()
-		c.BatchDiverged += p.batchDiverged.Load()
-		c.StackFull += p.stackFull.Load()
-		c.StackReplays += p.stackReplays.Load()
-		c.StackConstants += p.stackConstants.Load()
-		c.StackRowHits += p.stackRowHits.Load()
-		for d := range c.StackReplayDepth {
-			c.StackReplayDepth[d] += p.stackReplayDepth[d].Load()
-		}
+		p.addTo(&c)
 	}
 	return c
 }
@@ -108,6 +154,7 @@ func (t *ExecTally) Counts() ExecCounts {
 // ExecPart is one worker's accumulator; see ExecTally. Increment
 // methods are nil-safe.
 type ExecPart struct {
+	owner            *ExecTally // the tally Part was called on
 	memoCaptures     atomic.Int64
 	memoReplays      atomic.Int64
 	memoInvalid      atomic.Int64
@@ -119,6 +166,23 @@ type ExecPart struct {
 	stackConstants   atomic.Int64
 	stackRowHits     atomic.Int64
 	stackReplayDepth [StackDepthBuckets]atomic.Int64
+}
+
+// addTo adds the part's counters to c.
+func (p *ExecPart) addTo(c *ExecCounts) {
+	c.MemoCaptures += p.memoCaptures.Load()
+	c.MemoReplays += p.memoReplays.Load()
+	c.MemoInvalid += p.memoInvalid.Load()
+	c.BatchStrides += p.batchStrides.Load()
+	c.BatchLanes += p.batchLanes.Load()
+	c.BatchDiverged += p.batchDiverged.Load()
+	c.StackFull += p.stackFull.Load()
+	c.StackReplays += p.stackReplays.Load()
+	c.StackConstants += p.stackConstants.Load()
+	c.StackRowHits += p.stackRowHits.Load()
+	for d := range c.StackReplayDepth {
+		c.StackReplayDepth[d] += p.stackReplayDepth[d].Load()
+	}
 }
 
 func (p *ExecPart) memoCapture() {

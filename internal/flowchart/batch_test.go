@@ -372,6 +372,41 @@ func TestBatchKernelsAllocFree(t *testing.T) {
 	}
 }
 
+// TestSnapshotStackDroppedRowCacheAllocs pins the stride tier's stack:
+// with the row cache dropped, Run allocates nothing on an odometer row it
+// has never seen, where a row cache would add an entry. Each run walks a
+// fresh row.
+func TestSnapshotStackDroppedRowCacheAllocs(t *testing.T) {
+	c, err := MustParse(progPool).Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := c.NewSnapshotStack()
+	st.DropRowCache()
+	in := make([]int64, 3)
+	var row int64
+	walk := func() {
+		row++
+		in[0], in[1] = row, -row
+		for x3 := int64(0); x3 < 4; x3++ {
+			in[2] = x3
+			carry := 2
+			if x3 == 0 {
+				carry = 0
+			}
+			if _, _, err := st.Run(in, carry, DefaultMaxSteps); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, walk); n != 0 {
+		t.Errorf("%v allocs per row, want 0", n)
+	}
+	if rows, results := st.RowStats(); rows != 0 || results != 0 {
+		t.Errorf("dropped row cache holds %d rows, %d results", rows, results)
+	}
+}
+
 // TestBatchAllLanesDiverge drives a stride where every live lane leaves
 // the batch at the first decision: lanes alternate branch directions, so
 // whichever side stays, the other half is extracted scalar immediately —

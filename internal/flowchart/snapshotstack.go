@@ -32,6 +32,12 @@ import (
 //     programs — hash first, verify with a full compare — and reuses tail
 //     results across matching rows.
 //
+// The row cache is the scalar tier's alone. A stride runner
+// (core.batchRunner at width > 1) calls DropRowCache: it sends only the
+// first lane of a fresh stride through Run, so a hit could answer at most
+// that lane while every odometer row would pay a row entry, a register
+// copy and a results map.
+//
 // Everything falls back to a full recording run, so the result of every
 // tuple is exactly RunReuse's; the differential suites and
 // FuzzSnapshotStackVsScalar pin the equivalence byte-for-byte.
@@ -203,6 +209,14 @@ func (s *SnapshotStack) Depth() int {
 		}
 	}
 	return -1
+}
+
+// DropRowCache switches the row cache off for the life of the stack: no
+// row is hashed, stored or answered from the cache, so Run allocates
+// nothing per odometer row. The per-axis captures and constant entries
+// work as before.
+func (s *SnapshotStack) DropRowCache() {
+	s.rows, s.row = nil, nil
 }
 
 // RowStats reports the row cache's occupancy: distinct captured row

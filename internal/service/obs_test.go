@@ -2,6 +2,7 @@ package service
 
 import (
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -263,5 +264,64 @@ func TestStatsUnderChurn(t *testing.T) {
 	}
 	if st.Jobs.Failed != 0 {
 		t.Errorf("%d jobs failed under churn", st.Jobs.Failed)
+	}
+}
+
+// TestExecTallyDropsFinishedSweeps: the service-wide execution tally folds
+// each finished sweep into running totals and drops its per-worker parts,
+// so over a hundred jobs it never holds more parts than there are sweep
+// workers running, and its counters still account for every tuple of
+// every job (one snapshot-stack answer per tuple at width 1).
+func TestExecTallyDropsFinishedSweeps(t *testing.T) {
+	const pools, jobs = 2, 100
+	s := newTestService(t, Config{Pools: pools, SweepWorkers: 1, SweepBatch: 1, QueueCap: jobs})
+	tally := s.metrics.exec
+
+	stop := make(chan struct{})
+	peak := make(chan int)
+	go func() {
+		most := 0
+		for {
+			most = max(most, tally.Parts())
+			select {
+			case <-stop:
+				peak <- most
+				return
+			default:
+				runtime.Gosched()
+			}
+		}
+	}()
+
+	var want int64
+	var submitted []*Job
+	for i := range jobs {
+		n := 2 + i%9
+		dom := make([]int64, n)
+		for v := range dom {
+			dom[v] = int64(v)
+		}
+		j, err := s.Submit(CheckRequest{Program: testProg, Policy: "{2}", Domain: dom})
+		if err != nil {
+			t.Fatal(err)
+		}
+		submitted = append(submitted, j)
+		want += int64(n * n)
+	}
+	for _, j := range submitted {
+		if st := waitJob(t, j); st.State != StateDone {
+			t.Fatalf("job ended %q: %+v", st.State, st)
+		}
+	}
+	close(stop)
+	if most := <-peak; most > pools {
+		t.Errorf("tally held %d parts with %d sweep workers running", most, pools)
+	}
+	if n := tally.Parts(); n != 0 {
+		t.Errorf("tally holds %d parts after every job finished", n)
+	}
+	c := tally.Counts()
+	if got := c.StackFull + c.StackReplays + c.StackConstants + c.StackRowHits; got != want {
+		t.Errorf("stack answers = %d, want %d, the jobs' tuples", got, want)
 	}
 }
