@@ -51,7 +51,7 @@ func cmdServe(args []string) error {
 	pools := fs.Int("pools", 0, "worker pools (0 = default)")
 	queue := fs.Int("queue", 0, "per-pool queue bound (0 = default)")
 	sweepWorkers := fs.Int("sweep-workers", 0, "sweep workers per job (0 = lend idle CPUs: a job adds workers while the process has a CPU free)")
-	sweepBatch := fs.Int("sweep-batch", 0, "stride width per job (0 = default, 1 = one-lane strides on the scalar kernels)")
+	sweepBatch := fs.Int("sweep-batch", 0, "stride width cap per job, clamped to the innermost axis length (0 = default, 1 = one-lane strides on the scalar kernels)")
 	cacheCap := fs.Int("cache", 0, "compile-cache entries (0 = default)")
 	maxTuples := fs.Int64("max-tuples", 0, "reject domains larger than this (0 = default)")
 	storeDir := fs.String("store", "", "verdict-store directory; enables persistence and crash resume")

@@ -46,7 +46,7 @@ func runBatchPaths(t *testing.T, tag string, spec check.Spec, widths []int, opts
 // plain-compiled, and interpreted paths, whole-domain and sharded.
 func TestBatchDifferentialProgen(t *testing.T) {
 	axis := []int64{-2, -1, 0, 1, 2, 3}
-	widths := []int{4, 32}
+	widths := []int{4, 32, 64, 4096}
 	for seed := int64(0); seed < 30; seed++ {
 		r := rand.New(rand.NewSource(1000 + seed))
 		arity := 2 + int(seed)%2
@@ -150,8 +150,9 @@ Done: halt
 		dom := core.Domain{axis, axis}
 		for _, kind := range []check.Kind{check.Soundness, check.Maximality, check.PassCount} {
 			spec := check.Spec{Kind: kind, Mechanism: m, Program: m, Policy: core.NewAllow(2, 1), Domain: dom}
-			// Chunk 5 < widths 8 and 32: every chunk tail is narrower than
-			// the batch, and width 1 must equal the scalar path exactly.
+			// Chunk 5 < the 8-value row widths 8 and 32 clamp to: every
+			// chunk tail is narrower than the batch, and width 1 must
+			// equal the scalar path exactly.
 			runBatchPaths(t, tc.name+"/"+kind.String(), spec, []int{1, 8, 32}, check.WithChunk(5))
 		}
 	}

@@ -99,7 +99,7 @@ func FuzzSoundnessCanonical(f *testing.F) {
 			}
 		}
 		for workers := 1; workers <= 4; workers++ {
-			for _, width := range []int{1, 16} {
+			for _, width := range []int{1, 16, 64} {
 				opts := []Option{WithWorkers(workers), WithBatch(width), WithChunk(1 + in.next()%3)}
 				how := fmt.Sprintf("workers=%d width=%d", workers, width)
 				got, err := Run(ctx, spec, opts...)

@@ -183,8 +183,9 @@ type Options struct {
 	// only, the content-addressed row cache; Run defaults it to true. It
 	// has no effect when Memo is off.
 	MemoStack bool
-	// Batch is the stride width; values ≤ 1 mean one-lane strides on
-	// the scalar kernels.
+	// Batch caps the stride width; values ≤ 1 mean one-lane strides on
+	// the scalar kernels. A stride is at most one odometer row, so the
+	// width is clamped to the innermost axis length.
 	Batch int
 	// Commit, when non-nil, receives the contiguous completed prefix of
 	// the run's range (in tuples, relative to the range start) as it
@@ -261,17 +262,20 @@ func WithMemo(on bool) Option { return func(o *Options) { o.Memo = on } }
 // It has no effect under WithCompiled(false) or WithMemo(false).
 func WithMemoStack(on bool) Option { return func(o *Options) { o.MemoStack = on } }
 
-// WithBatch sets the stride width: each sweep worker hands every
+// WithBatch caps the stride width: each sweep worker hands every
 // mechanism strides of up to n innermost-axis tuples, which compiled
 // mechanisms execute in lockstep over structure-of-arrays register
 // columns, amortizing instruction dispatch across the stride and letting
-// the hot var⊕const / var⊕var loops auto-vectorize. Lanes that diverge at
-// a branch finish on the scalar engine; a mechanism with no compiled form
-// runs the stride lane by lane through Mechanism.Run, beside compiled
-// mechanisms that stay batched. Composes with WithMemo: one prefix
-// snapshot per odometer row feeds every lane of the row's strides. n ≤ 1
-// (the default) is the one-lane stride, run on the scalar kernels; the
-// verdict is byte-identical at every width (differential tests pin this).
+// the hot var⊕const / var⊕var loops auto-vectorize. A stride never spans
+// more than one odometer row, so the width is clamped to the innermost
+// axis length: an n above every row runs whole rows and costs nothing
+// more. Lanes that diverge at a branch finish on the scalar engine; a
+// mechanism with no compiled form runs the stride lane by lane through
+// Mechanism.Run, beside compiled mechanisms that stay batched. Composes
+// with WithMemo: one prefix snapshot per odometer row feeds every lane of
+// the row's strides. n ≤ 1 (the default) is the one-lane stride, run on
+// the scalar kernels; the verdict is byte-identical at every width
+// (differential tests pin this).
 func WithBatch(n int) Option { return func(o *Options) { o.Batch = n } }
 
 // WithThrottle makes every sweep worker pause d after each completed

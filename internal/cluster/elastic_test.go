@@ -53,10 +53,19 @@ func TestElasticStealFromStraggler(t *testing.T) {
 		Policy:  "{2}",
 		Domain:  bigDomain(128), // 16,384 tuples
 	}
+	svcFast := service.New(service.Config{Pools: 2})
+	// The straggler's throttle is sized from the fast node's time for the
+	// whole domain, measured here under the same machine load. The sweep
+	// cuts a shard into 8 chunks per worker and naps after each but the
+	// last, so the straggler's shard lasts at least 7 naps, each as long
+	// as all four fast shards together: its projected time passes
+	// StealThreshold × a fast shard's, and the steal lands, long before
+	// it could finish.
+	throttle := max(10*time.Millisecond, timeJob(t, svcFast, req))
+	t.Logf("straggler throttle %v per chunk", throttle)
+	svcSlow := service.New(service.Config{Pools: 2, Throttle: throttle})
 	// Holding status reads until both nodes are watched keeps the fast
 	// node from sweeping all four shards before the straggler has one.
-	svcFast := service.New(service.Config{Pools: 2})
-	svcSlow := service.New(service.Config{Pools: 2, Throttle: 10 * time.Millisecond})
 	held := holdStatusUntilAllWatched(svcFast.Handler(), svcSlow.Handler())
 	fast, slow := httptest.NewServer(held[0]), httptest.NewServer(held[1])
 	t.Cleanup(func() {
@@ -93,6 +102,22 @@ func TestElasticStealFromStraggler(t *testing.T) {
 		t.Fatalf("checked %d of 16384", rep.Soundness.Checked)
 	}
 	requireByteIdentical(t, rep, req)
+}
+
+// timeJob runs req on svc and returns how long the job took from
+// submission to its finish.
+func timeJob(t *testing.T, svc *service.Service, req service.CheckRequest) time.Duration {
+	t.Helper()
+	start := time.Now()
+	job, err := svc.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-job.Done()
+	if st := job.Status(); st.State != service.StateDone {
+		t.Fatalf("timing job ended %s: %s", st.State, st.Error)
+	}
+	return time.Since(start)
 }
 
 // TestElasticSpeculateDuplicates drives speculative re-dispatch: with the

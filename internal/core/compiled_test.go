@@ -100,10 +100,10 @@ func (c *countingProvider) BatchRunners(width int, memo, stack bool, tally *Exec
 // TestRunnerFactoryPrefersProvider proves the sweep routes through the
 // provider's BatchRunners — the compile-cache path — rather than
 // recompiling or falling back to Mechanism.Run: the provider is asked once
-// per sweep at the configured width (1 for the scalar default) and hands
-// out one runner per worker that sweeps — a worker builds its runner on
-// its first stride, so one that finds no work left builds none — and the
-// verdict is the interpreter's.
+// per sweep at the configured width clamped to the innermost axis (1 for
+// the scalar default) and hands out one runner per worker that sweeps — a
+// worker builds its runner on its first stride, so one that finds no work
+// left builds none — and the verdict is the interpreter's.
 func TestRunnerFactoryPrefersProvider(t *testing.T) {
 	p := flowchart.MustParse(compiledTestProg)
 	pm := FromProgram(p)
@@ -112,28 +112,38 @@ func TestRunnerFactoryPrefersProvider(t *testing.T) {
 		t.Fatal(err)
 	}
 	pol := NewAllow(2, 2)
-	dom := Grid(2, 0, 1, 2)
-	want, err := CheckSoundness(pm, pol, dom, ObserveValue)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, batch := range []int{0, 8} {
-		cp := &countingProvider{CompiledMechanism: cm}
-		swept := &workerSet{}
-		got, err := CheckSoundnessContext(context.Background(), cp, pol, dom, ObserveValue,
-			CheckConfig{Config: sweep.Config{Workers: 3, Chunk: 1, Observer: swept}, Batch: batch})
+	for _, c := range []struct {
+		dom   Domain
+		width func(batch int) int
+	}{
+		// A stride is at most one row: the cap is clamped to the 3-value row.
+		{Grid(2, 0, 1, 2), func(batch int) int { return min(max(batch, 1), 3) }},
+		// A one-value row keeps the cap, so a width above 1 stays on the
+		// batch tier (one lane per stride) instead of the scalar one.
+		{Domain{{-1, 0, 1, 2}, {0}}, func(batch int) int { return max(batch, 1) }},
+	} {
+		want, err := CheckSoundness(pm, pol, c.dom, ObserveValue)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Sound != want.Sound || got.Checked != want.Checked {
-			t.Errorf("batch %d: provider verdict (sound=%v checked=%d) != interpreted (sound=%v checked=%d)",
-				batch, got.Sound, got.Checked, want.Sound, want.Checked)
-		}
-		if wantWidth := max(batch, 1); len(cp.widths) != 1 || cp.widths[0] != wantWidth {
-			t.Errorf("batch %d: provider asked at widths %v, want [%d]", batch, cp.widths, wantWidth)
-		}
-		if n := swept.count(); n < 1 || n > 3 || cp.factories != n {
-			t.Errorf("batch %d: provider factory called %d times for %d sweeping workers of 3", batch, cp.factories, n)
+		for _, batch := range []int{0, 2, 8, 4096} {
+			cp := &countingProvider{CompiledMechanism: cm}
+			swept := &workerSet{}
+			got, err := CheckSoundnessContext(context.Background(), cp, pol, c.dom, ObserveValue,
+				CheckConfig{Config: sweep.Config{Workers: 3, Chunk: 1, Observer: swept}, Batch: batch})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Sound != want.Sound || got.Checked != want.Checked {
+				t.Errorf("%v batch %d: provider verdict (sound=%v checked=%d) != interpreted (sound=%v checked=%d)",
+					c.dom, batch, got.Sound, got.Checked, want.Sound, want.Checked)
+			}
+			if wantWidth := c.width(batch); len(cp.widths) != 1 || cp.widths[0] != wantWidth {
+				t.Errorf("%v batch %d: provider asked at widths %v, want [%d]", c.dom, batch, cp.widths, wantWidth)
+			}
+			if n := swept.count(); n < 1 || n > 3 || cp.factories != n {
+				t.Errorf("%v batch %d: provider factory called %d times for %d sweeping workers of 3", c.dom, batch, cp.factories, n)
+			}
 		}
 	}
 }

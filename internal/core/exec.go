@@ -296,6 +296,23 @@ func (cc CheckConfig) runnerFactory(m Mechanism, width int) func() BatchRunFunc 
 	return func() BatchRunFunc { return laneRunner(m) }
 }
 
+// strideWidth is the stride width sweepOutcomes runs dom at: the cap
+// max(batch, 1) clamped to the innermost axis length, since no stride
+// spans more than one odometer row, and 1 for the nullary domain. An
+// innermost axis of one value (or none) leaves the cap as it is, so a
+// width above 1 keeps the batch tier rather than falling to the scalar
+// one; its strides are one lane each either way.
+func strideWidth(dom Domain, batch int) int {
+	if len(dom) == 0 {
+		return 1
+	}
+	width := max(batch, 1)
+	if row := len(dom[len(dom)-1]); row > 1 {
+		width = min(width, row)
+	}
+	return width
+}
+
 // strideFunc is the fold the checkers hand to sweepOutcomes, called once
 // per stride: input is the stride's first tuple and last the innermost
 // coordinate of each of its lanes (nil for the nullary domain's single
@@ -306,19 +323,15 @@ func (cc CheckConfig) runnerFactory(m Mechanism, width int) func() BatchRunFunc 
 type strideFunc func(worker int, input, last []int64, outs [][]Outcome) error
 
 // sweepOutcomes is the execution seam every checker enumerates through: it
-// sweeps dom once in innermost-axis strides of up to max(cc.Batch, 1)
-// tuples (sweep.RunBatchContext), lets each mechanism in mechs evaluate
-// the whole stride on its own runner (see runnerFactory), then hands the
-// stride and its outcome columns to fold — the fold never knows the width
-// or the tier. A nullary domain is swept at width 1 as its single empty
-// tuple. The differential suites pin every width and tier to
+// sweeps dom once in innermost-axis strides (sweep.RunBatchContext), lets
+// each mechanism in mechs evaluate the whole stride on its own runner
+// (see runnerFactory), then hands the stride and its outcome columns to
+// fold — the fold never knows the width or the tier. cc.Batch is a cap:
+// strides, outcome columns and runners are sized to at most one odometer
+// row (strideWidth). The differential suites pin every width and tier to
 // byte-identical verdicts.
 func sweepOutcomes(ctx context.Context, dom Domain, cc CheckConfig, mechs []Mechanism, fold strideFunc) error {
-	k := len(dom)
-	width := max(cc.Batch, 1)
-	if k == 0 {
-		width = 1
-	}
+	width := strideWidth(dom, cc.Batch)
 	// The runners count into a scope of the tally, folded and dropped
 	// once every worker has stopped.
 	cc.Exec = cc.Exec.scope()

@@ -95,16 +95,23 @@ H2: y := ite(x3 < 2, y, -y)
 
 // BenchmarkRunBatch times one 16-lane stride of progPool from scratch and
 // reports the cost per lane.
-func BenchmarkRunBatch(b *testing.B) {
+func BenchmarkRunBatch(b *testing.B) { benchRunBatch(b, 16) }
+
+// BenchmarkRunBatchRow times one 40-lane stride of progPool from scratch,
+// the width of one bulk odometer row swept as a single stride, and
+// reports the cost per lane.
+func BenchmarkRunBatchRow(b *testing.B) { benchRunBatch(b, 40) }
+
+func benchRunBatch(b *testing.B, width int) {
 	c, err := MustParse(progPool).Compile()
 	if err != nil {
 		b.Fatal(err)
 	}
-	lanes, err := c.NewLanes(16)
+	lanes, err := c.NewLanes(width)
 	if err != nil {
 		b.Fatal(err)
 	}
-	last := make([]int64, 16)
+	last := make([]int64, width)
 	for i := range last {
 		last[i] = int64(i) - 4
 	}

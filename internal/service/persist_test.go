@@ -255,7 +255,10 @@ func TestCancelledJobIsNotResumed(t *testing.T) {
 func TestFreshJobIDsDoNotCollideWithResumed(t *testing.T) {
 	dir := t.TempDir()
 	st := openStore(t, dir)
-	s1 := New(Config{Pools: 1, SweepWorkers: 1, Store: st, CheckpointEvery: 32})
+	// One pool per job, so all three start at once: waiting for the last
+	// to run does not wait for the other two to finish, however loaded
+	// the machine is.
+	s1 := New(Config{Pools: 3, SweepWorkers: 1, Store: st, CheckpointEvery: 32})
 	var last *Job
 	for i := 0; i < 3; i++ {
 		j, err := s1.Submit(slowRequest())
@@ -283,5 +286,9 @@ func TestFreshJobIDsDoNotCollideWithResumed(t *testing.T) {
 		if fresh.ID == id {
 			t.Fatalf("fresh job reused resumed ID %s", id)
 		}
+		if _, err := s2.Job(id); err != nil {
+			t.Errorf("%s not resumed: %v", id, err)
+		}
+		s2.Cancel(id) // the service's cleanup need not sweep them
 	}
 }

@@ -77,9 +77,11 @@ type Config struct {
 	// concurrent jobs keep one each (sweep.Config.Workers). A positive
 	// value fixes every job at that many.
 	SweepWorkers int
-	// SweepBatch is the stride width of each job's sweep
+	// SweepBatch caps the stride width of each job's sweep
 	// (check.WithBatch): ≤ 0 means DefaultSweepBatch, 1 means one-lane
-	// strides on the scalar kernels.
+	// strides on the scalar kernels. A stride is at most one odometer
+	// row, so the width is clamped to the innermost axis length and a cap
+	// above every row costs nothing.
 	SweepBatch int
 	// CacheCap bounds the compile cache; ≤ 0 means DefaultCacheCap.
 	CacheCap int
@@ -113,7 +115,7 @@ type Config struct {
 const (
 	DefaultPools      = 4
 	DefaultQueueCap   = 64
-	DefaultSweepBatch = 16
+	DefaultSweepBatch = 64
 	DefaultMaxTuples  = 8 << 20
 	DefaultMaxJobs    = 4096
 )
