@@ -86,7 +86,7 @@ loadgen:
 metrics-smoke:
 	$(GO) build -o /tmp/spm-metrics-smoke ./cmd/spm
 	@set -e; \
-	/tmp/spm-metrics-smoke serve -addr 127.0.0.1:8148 -pools 2 -pprof & \
+	/tmp/spm-metrics-smoke serve -addr 127.0.0.1:8148 -runners 2 -pprof & \
 	PID=$$!; \
 	trap 'kill $$PID 2>/dev/null || true' EXIT; \
 	for i in $$(seq 1 50); do \
@@ -105,7 +105,7 @@ lint:
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt -s needed on:" >&2; echo "$$unformatted" >&2; exit 1; \
 	fi
-	@for pkg in check store obs; do \
+	@for pkg in check store obs service; do \
 		if ! $(GO) doc -all ./internal/$$pkg | diff -u internal/$$pkg/api.golden -; then \
 			echo "internal/$$pkg API surface drifted from api.golden — run 'make api-golden' and commit the result" >&2; \
 			exit 1; \
@@ -120,13 +120,15 @@ docs-check:
 	$(GO) test -run 'Example' ./internal/check ./internal/flowchart ./internal/service
 
 # Regenerate the committed API surfaces (the unified check package, the
-# persistence layer, and the observability kit) after an intentional
+# persistence layer, the observability kit, and the service's wire types
+# and config) after an intentional
 # signature change; CI diffs the live `go doc` output against these
 # goldens and fails on drift.
 api-golden:
 	$(GO) doc -all ./internal/check > internal/check/api.golden
 	$(GO) doc -all ./internal/store > internal/store/api.golden
 	$(GO) doc -all ./internal/obs > internal/obs/api.golden
+	$(GO) doc -all ./internal/service > internal/service/api.golden
 
 fmt:
 	gofmt -s -w .

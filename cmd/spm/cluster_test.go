@@ -12,7 +12,7 @@ import (
 func TestCmdClusterEndToEnd(t *testing.T) {
 	var urls []string
 	for i := 0; i < 2; i++ {
-		svc := service.New(service.Config{Pools: 1})
+		svc := service.New(service.Config{Runners: 1})
 		srv := httptest.NewServer(svc.Handler())
 		t.Cleanup(func() {
 			srv.Close()

@@ -11,7 +11,7 @@
 //	spm specialize [-policy {i,j}] file.fc
 //	spm check     [-policy {i,j}] [-variant ...] [-domain 0,1,2] [-time] file.fc
 //	spm sweep     [-policy {i,j}] [-variant ...] [-domain 0,1,2] [-workers N] [-chunk N] [-time] [-maximal] [-raw] file.fc
-//	spm serve     [-addr :8135] [-pools N] [-queue N] [-sweep-workers N] [-cache N]
+//	spm serve     [-addr :8135] [-runners N] [-queue N] [-sweep-workers N] [-cache N]
 //	spm cluster   -nodes host:port,... [-shards N] [-retries N] [-steal-threshold X] [-speculate] [-admin :addr] [-nodes-file F] [-policy ...] [-domain ...] [-maximal] file.fc
 //	spm loadgen   [-addr URL] [-n N] [-c N] [-maximal-every K] [-job-timeout D] [-program file.fc]
 //	spm top       [-addr URL] [-interval D] [-once]
@@ -97,7 +97,7 @@ func usage() error {
   spm specialize [-policy {i,j}] file.fc
   spm check      [-policy {i,j}] [-variant ...] [-domain 0,1,2] [-time] file.fc
   spm sweep      [-policy {i,j}] [-variant ...] [-domain 0,1,2] [-workers N] [-chunk N] [-time] [-maximal] [-raw] file.fc
-  spm serve      [-addr :8135] [-pools N] [-queue N] [-sweep-workers N] [-cache N]
+  spm serve      [-addr :8135] [-runners N] [-queue N] [-sweep-workers N] [-cache N]
   spm cluster    -nodes host:port,... [-shards N] [-retries N] [-steal-threshold X] [-speculate] [-admin :addr] [-nodes-file F] [-policy ...] [-variant ...] [-domain ...] [-time] [-raw] [-maximal] file.fc
   spm loadgen    [-addr URL] [-n N] [-c N] [-maximal-every K] [-job-timeout D] [-program file.fc] [-policy ...] [-domain ...]
   spm top        [-addr URL] [-interval D] [-once]

@@ -53,7 +53,7 @@ func freeAddr(t *testing.T) string {
 // directory and waits for the listener.
 func startServe(t *testing.T, bin, addr, storeDir string) *exec.Cmd {
 	t.Helper()
-	cmd := exec.Command(bin, "serve", "-addr", addr, "-pools", "1", "-sweep-workers", "1",
+	cmd := exec.Command(bin, "serve", "-addr", addr, "-runners", "1", "-sweep-workers", "1",
 		"-store", storeDir, "-checkpoint-every", "32")
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)

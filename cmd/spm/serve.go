@@ -41,15 +41,16 @@ NonZero: y := x1
          halt
 `
 
-// cmdServe runs the policy-checking service: a JSQ-scheduled worker fleet
-// with a content-addressed compile cache behind a JSON API. With -store it
-// also persists verdicts and job checkpoints, so repeated submissions
-// answer from disk and jobs interrupted by a crash resume on restart.
+// cmdServe runs the policy-checking service: one run queue popped by a
+// fixed set of runners, with a content-addressed compile cache, behind a
+// JSON API. With -store it also persists verdicts and job checkpoints, so
+// repeated submissions answer from disk and jobs interrupted by a crash
+// resume on restart.
 func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	addr := fs.String("addr", ":8135", "listen address")
-	pools := fs.Int("pools", 0, "worker pools (0 = default)")
-	queue := fs.Int("queue", 0, "per-pool queue bound (0 = default)")
+	runners := fs.Int("runners", 0, "jobs run at once (0 = GOMAXPROCS)")
+	queue := fs.Int("queue", 0, "run-queue bound in jobs, per tenant with tenant quotas on (0 = default)")
 	sweepWorkers := fs.Int("sweep-workers", 0, "sweep workers per job (0 = lend idle CPUs: a job adds workers while the process has a CPU free)")
 	sweepBatch := fs.Int("sweep-batch", 0, "stride width cap per job, clamped to the innermost axis length (0 = default, 1 = one-lane strides on the scalar kernels)")
 	cacheCap := fs.Int("cache", 0, "compile-cache entries (0 = default)")
@@ -58,7 +59,6 @@ func cmdServe(args []string) error {
 	ckptEvery := fs.Int64("checkpoint-every", 0, "tuples between job checkpoints (0 = default; needs -store)")
 	tenantRate := fs.Float64("tenant-rate", 0, "per-tenant token refill, tuples/s (0 = default; needs -tenant-burst)")
 	tenantBurst := fs.Int64("tenant-burst", 0, "per-tenant bucket capacity in tuples; > 0 enables tenant quotas")
-	tenantQueue := fs.Int("tenant-queue", 0, "per-tenant dispatch backlog in jobs (0 = default)")
 	throttleD := fs.Duration("throttle", 0, "test hook: pause every sweep worker this long per chunk (makes this node a deterministic straggler)")
 	pprofOn := fs.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/")
 	if err := fs.Parse(args); err != nil {
@@ -68,7 +68,7 @@ func cmdServe(args []string) error {
 		return fmt.Errorf("serve: unexpected arguments %v", fs.Args())
 	}
 	cfg := service.Config{
-		Pools:           *pools,
+		Runners:         *runners,
 		QueueCap:        *queue,
 		SweepWorkers:    *sweepWorkers,
 		SweepBatch:      *sweepBatch,
@@ -76,9 +76,8 @@ func cmdServe(args []string) error {
 		MaxTuples:       *maxTuples,
 		CheckpointEvery: *ckptEvery,
 		Tenant: service.TenantConfig{
-			Rate:     *tenantRate,
-			Burst:    *tenantBurst,
-			QueueCap: *tenantQueue,
+			Rate:  *tenantRate,
+			Burst: *tenantBurst,
 		},
 		Throttle: *throttleD,
 	}
@@ -97,8 +96,8 @@ func cmdServe(args []string) error {
 	if *sweepWorkers <= 0 {
 		workers = "lending idle CPUs to running jobs"
 	}
-	fmt.Fprintf(os.Stderr, "spm serve: listening on %s (%d pools × queue %d, %s)\n",
-		*addr, cfg.Pools, cfg.QueueCap, workers)
+	fmt.Fprintf(os.Stderr, "spm serve: listening on %s (%d runners, queue %d, %s)\n",
+		*addr, cfg.Runners, cfg.QueueCap, workers)
 	if *storeDir != "" {
 		st := svc.Stats().Store
 		fmt.Fprintf(os.Stderr, "spm serve: store %s (%d verdicts, %d jobs resumed)\n",

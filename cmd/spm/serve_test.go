@@ -19,7 +19,7 @@ func TestServeAndLoadgenEndToEnd(t *testing.T) {
 
 	serveErr := make(chan error, 1)
 	go func() {
-		serveErr <- run([]string{"serve", "-addr", addr, "-pools", "2", "-sweep-workers", "1"})
+		serveErr <- run([]string{"serve", "-addr", addr, "-runners", "2", "-sweep-workers", "1"})
 	}()
 
 	// Wait for the listener to come up.

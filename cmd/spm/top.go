@@ -20,9 +20,9 @@ import (
 // GET /v2/metrics (parsed and validated by obs.ParseExposition, so a
 // malformed exposition is an error, not a blank panel) and GET /v2/stats,
 // and renders job lifecycle tallies, sweep throughput, cache and store
-// counters, and per-pool latency quantiles. With -once it prints a single
-// snapshot and exits — the CI metrics smoke runs it that way, making the
-// exposition parser part of the test.
+// counters, and the run queue's depth and latency quantiles. With -once
+// it prints a single snapshot and exits — the CI metrics smoke runs it
+// that way, making the exposition parser part of the test.
 func cmdTop(args []string) error {
 	fs := flag.NewFlagSet("top", flag.ContinueOnError)
 	addr := fs.String("addr", "http://127.0.0.1:8135", "server base URL")
@@ -152,15 +152,11 @@ func renderTop(base string, snap, prev topSnapshot) string {
 			st.Verdicts, st.Pending, st.VerdictHits, st.Lookups, st.ResumedJobs)
 	}
 
-	fmt.Fprintf(&b, "\npool  depth  peak  dispatched  completed  %-22s %s\n",
-		"wait p50/p90/p99", "run p50/p90/p99")
-	wait, run := snap.fams["spm_job_queue_wait_seconds"], snap.fams["spm_job_run_seconds"]
-	for i, p := range snap.stats.Pools {
-		labels := map[string]string{"pool": fmt.Sprint(i)}
-		fmt.Fprintf(&b, "%-5d %-6d %-5d %-11d %-10d %-22s %s\n",
-			i, p.Depth, p.Peak, p.Dispatched, p.Completed,
-			quantiles(wait, labels), quantiles(run, labels))
-	}
+	q := snap.stats.Queue
+	fmt.Fprintf(&b, "\nqueue   depth %d  peak %d  runners %d  wait p50/p90/p99 %s  run p50/p90/p99 %s\n",
+		q.Depth, q.Peak, q.Runners,
+		quantiles(snap.fams["spm_job_queue_wait_seconds"]),
+		quantiles(snap.fams["spm_job_run_seconds"]))
 
 	if ts := snap.stats.Tenants; len(ts) > 0 {
 		sort.Slice(ts, func(i, k int) bool { return ts[i].Tenant < ts[k].Tenant })
@@ -173,13 +169,13 @@ func renderTop(base string, snap, prev topSnapshot) string {
 	return b.String()
 }
 
-// quantiles renders a histogram series' p50/p90/p99 estimates, or "-"
-// while it has no observations.
-func quantiles(f *obs.Family, labels map[string]string) string {
+// quantiles renders an unlabelled histogram's p50/p90/p99 estimates, or
+// "-" while it has no observations.
+func quantiles(f *obs.Family) string {
 	if f == nil {
 		return "-"
 	}
-	bkts := f.Buckets(labels)
+	bkts := f.Buckets(nil)
 	p50 := obs.Quantile(0.50, bkts)
 	if math.IsNaN(p50) {
 		return "-"

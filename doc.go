@@ -46,8 +46,8 @@
 // Inside one process, internal/sweep hands contiguous chunks of the
 // domain's mixed-radix index space [0, Size) to worker goroutines, and the
 // checkers merge per-worker view tables. Inside one node, internal/service
-// wraps that in a JSQ-scheduled job fleet with a content-addressed compile
-// cache. Across nodes, internal/cluster — the coordinator behind
+// wraps that in one run queue of jobs, popped by a fixed set of runners,
+// with a content-addressed compile cache. Across nodes, internal/cluster — the coordinator behind
 // `spm cluster` — splits the same index space into contiguous shards
 // (Spec.Shard, wire fields offset/count), dispatches them to `spm serve`
 // workers over the v2 API, and folds the partial verdicts with

@@ -18,7 +18,7 @@ const benchTuples = 160_000
 func benchmarkCluster(b *testing.B, nNodes int) {
 	nodes := make([]string, nNodes)
 	for i := range nodes {
-		svc := service.New(service.Config{Pools: 2})
+		svc := service.New(service.Config{Runners: 2})
 		srv := httptest.NewServer(svc.Handler())
 		b.Cleanup(func() {
 			srv.Close()
@@ -72,7 +72,7 @@ func BenchmarkClusterCheck(b *testing.B) {
 func benchmarkStraggler(b *testing.B, steal bool) {
 	nodes := make([]string, 3)
 	for i := range nodes {
-		cfg := service.Config{Pools: 2}
+		cfg := service.Config{Runners: 2}
 		if i == 2 {
 			cfg.Throttle = 10 * time.Millisecond
 		}

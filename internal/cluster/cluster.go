@@ -19,11 +19,11 @@
 // domain the short-circuited soundness witness is still the whole
 // domain's, since the least conflict lies below the first one found.
 //
-// Work placement is join-the-shortest-queue in the degenerate per-node
-// form: each node runs one shard at a time and pulls the next pending
-// shard the moment it finishes, so faster nodes sweep more of the index
-// space — the same dynamic balance the JSQ scheduler gives jobs inside one
-// node. Each shard attempt is followed over the job's SSE event stream
+// Work placement is pull-based: each node runs one shard at a time and
+// pulls the next pending shard the moment it finishes, so faster nodes
+// sweep more of the index space — the same dynamic balance the service's
+// run queue gives jobs inside one node, where an idle runner pops the next
+// job. Each shard attempt is followed over the job's SSE event stream
 // (GET /v2/jobs/{id}/events, with a status poll as the fallback), so the
 // coordinator learns a shard finished when the node does, not a poll
 // interval later.

@@ -160,8 +160,8 @@ func TestClusterByteIdenticalWithInjectedFailure(t *testing.T) {
 		Domain:  bigDomain(320), // 320^2 = 102,400 tuples
 	}
 
-	_, srvA := startNode(t, service.Config{Pools: 2})
-	svcB := service.New(service.Config{Pools: 2})
+	_, srvA := startNode(t, service.Config{Runners: 2})
+	svcB := service.New(service.Config{Runners: 2})
 	srvB := httptest.NewServer(failFirstSubmit(svcB, svcB.Handler()))
 	t.Cleanup(func() {
 		srvB.Close()
@@ -213,8 +213,8 @@ func TestClusterUnsoundCrossShard(t *testing.T) {
 		Raw:     true,
 		Domain:  bigDomain(32), // 1024 tuples
 	}
-	_, srvA := startNode(t, service.Config{Pools: 2})
-	_, srvB := startNode(t, service.Config{Pools: 2})
+	_, srvA := startNode(t, service.Config{Runners: 2})
+	_, srvB := startNode(t, service.Config{Runners: 2})
 	coord, err := New(Config{Nodes: []string{srvA.URL, srvB.URL}, Shards: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -264,8 +264,8 @@ func TestClusterShortCircuitKeepsLeastWitness(t *testing.T) {
 		Raw:     true,
 		Domain:  bigDomain(32), // 1024 tuples; shard 0 is x1 in 0..7
 	}
-	_, srvA := startNode(t, service.Config{Pools: 2})
-	_, srvB := startNode(t, service.Config{Pools: 2})
+	_, srvA := startNode(t, service.Config{Runners: 2})
+	_, srvB := startNode(t, service.Config{Runners: 2})
 	coord, err := New(Config{Nodes: []string{srvA.URL, srvB.URL}, Shards: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -302,8 +302,8 @@ func TestClusterNodeDeathMidSweepReassigns(t *testing.T) {
 		Raw:     true,
 		Domain:  bigDomain(128), // 16,384 tuples × ~15k steps
 	}
-	_, srvA := startNode(t, service.Config{Pools: 2})
-	svcB := service.New(service.Config{Pools: 2})
+	_, srvA := startNode(t, service.Config{Runners: 2})
+	svcB := service.New(service.Config{Runners: 2})
 	srvB := httptest.NewServer(svcB.Handler())
 	t.Cleanup(svcB.Close)
 
@@ -379,8 +379,8 @@ func TestClusterCounterexampleShortCircuits(t *testing.T) {
 	// the sweep instead of racing it. Holding status reads until both
 	// nodes are watched keeps the fast shard's verdict from landing before
 	// the other node has anything in flight to cancel.
-	svcA := service.New(service.Config{Pools: 1, SweepWorkers: 1})
-	svcB := service.New(service.Config{Pools: 1, SweepWorkers: 1})
+	svcA := service.New(service.Config{Runners: 1, SweepWorkers: 1})
+	svcB := service.New(service.Config{Runners: 1, SweepWorkers: 1})
 	held := holdStatusUntilAllWatched(svcA.Handler(), svcB.Handler())
 	srvA, srvB := httptest.NewServer(held[0]), httptest.NewServer(held[1])
 	t.Cleanup(func() {
@@ -436,7 +436,7 @@ func TestClusterBusyNodeRetriesInPlace(t *testing.T) {
 		Policy:  "{2}",
 		Domain:  bigDomain(16),
 	}
-	_, srvA := startNode(t, service.Config{Pools: 1, QueueCap: 1})
+	_, srvA := startNode(t, service.Config{Runners: 1, QueueCap: 1})
 	coord, err := New(Config{Nodes: []string{srvA.URL}, Shards: 6})
 	if err != nil {
 		t.Fatal(err)
@@ -463,8 +463,8 @@ func TestClusterMaximality(t *testing.T) {
 		Domain:  bigDomain(24), // 576 tuples
 		Maximal: true,
 	}
-	_, srvA := startNode(t, service.Config{Pools: 2})
-	_, srvB := startNode(t, service.Config{Pools: 2})
+	_, srvA := startNode(t, service.Config{Runners: 2})
+	_, srvB := startNode(t, service.Config{Runners: 2})
 	coord, err := New(Config{Nodes: []string{srvA.URL, srvB.URL}, Shards: 6})
 	if err != nil {
 		t.Fatal(err)
@@ -521,7 +521,7 @@ func TestClusterRejectsShardedRequest(t *testing.T) {
 // so the coordinator must still read its id and cancel it rather than
 // leave it sweeping on the node.
 func TestClusterStopCancelsJobAcceptedOnTheWire(t *testing.T) {
-	svc := service.New(service.Config{Pools: 1, SweepWorkers: 1})
+	svc := service.New(service.Config{Runners: 1, SweepWorkers: 1})
 	inner := svc.Handler()
 	accepted := make(chan string, 1)
 	release := make(chan struct{})

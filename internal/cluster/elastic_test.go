@@ -53,7 +53,7 @@ func TestElasticStealFromStraggler(t *testing.T) {
 		Policy:  "{2}",
 		Domain:  bigDomain(128), // 16,384 tuples
 	}
-	svcFast := service.New(service.Config{Pools: 2})
+	svcFast := service.New(service.Config{Runners: 2})
 	// The straggler's throttle is sized from the fast node's time for the
 	// whole domain, measured here under the same machine load. The sweep
 	// cuts a shard into 8 chunks per worker and naps after each but the
@@ -63,7 +63,7 @@ func TestElasticStealFromStraggler(t *testing.T) {
 	// it could finish.
 	throttle := max(10*time.Millisecond, timeJob(t, svcFast, req))
 	t.Logf("straggler throttle %v per chunk", throttle)
-	svcSlow := service.New(service.Config{Pools: 2, Throttle: throttle})
+	svcSlow := service.New(service.Config{Runners: 2, Throttle: throttle})
 	// Holding status reads until both nodes are watched keeps the fast
 	// node from sweeping all four shards before the straggler has one.
 	held := holdStatusUntilAllWatched(svcFast.Handler(), svcSlow.Handler())
@@ -130,8 +130,8 @@ func TestElasticSpeculateDuplicates(t *testing.T) {
 		Policy:  "{2}",
 		Domain:  bigDomain(128),
 	}
-	_, fast := startNode(t, service.Config{Pools: 2})
-	_, slow := startNode(t, service.Config{Pools: 2, Throttle: 20 * time.Millisecond})
+	_, fast := startNode(t, service.Config{Runners: 2})
+	_, slow := startNode(t, service.Config{Runners: 2, Throttle: 20 * time.Millisecond})
 
 	cfg := elasticConfig(fast.URL, slow.URL)
 	cfg.Shards = 4
@@ -177,8 +177,8 @@ func TestElasticJoinLeaveMidCheck(t *testing.T) {
 	// Throttled so that one shard outlasts the join and the leave below
 	// (8 chunk naps of 30 ms), whatever the sweep's worker count: the
 	// leave must find a shard in flight.
-	_, first := startNode(t, service.Config{Pools: 2, Throttle: 30 * time.Millisecond})
-	_, joiner := startNode(t, service.Config{Pools: 2})
+	_, first := startNode(t, service.Config{Runners: 2, Throttle: 30 * time.Millisecond})
+	_, joiner := startNode(t, service.Config{Runners: 2})
 
 	cfg := elasticConfig(first.URL)
 	cfg.Shards = 8
@@ -259,10 +259,10 @@ func TestReportMembershipIsPerCheck(t *testing.T) {
 		Policy:  "{2}",
 		Domain:  bigDomain(128),
 	}
-	_, srvA := startNode(t, service.Config{Pools: 2})
+	_, srvA := startNode(t, service.Config{Runners: 2})
 	var down atomic.Bool
 	var postsB atomic.Int32
-	svcB := service.New(service.Config{Pools: 2})
+	svcB := service.New(service.Config{Runners: 2})
 	srvB := httptest.NewServer(downSwitch(&down, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method == http.MethodPost {
 			postsB.Add(1)
@@ -347,7 +347,7 @@ func TestCheckOnDrainedRegistryFailsFast(t *testing.T) {
 	down.Store(true)
 	var urls []string
 	for range 2 {
-		svc := service.New(service.Config{Pools: 1})
+		svc := service.New(service.Config{Runners: 1})
 		srv := httptest.NewServer(downSwitch(&down, svc.Handler()))
 		t.Cleanup(func() {
 			srv.Close()
@@ -400,9 +400,9 @@ func TestFrozenNodeIsEvictedMidShard(t *testing.T) {
 		Policy:  "{2}",
 		Domain:  bigDomain(128),
 	}
-	_, live := startNode(t, service.Config{Pools: 2})
+	_, live := startNode(t, service.Config{Runners: 2})
 	release := make(chan struct{})
-	svcF := service.New(service.Config{Pools: 2})
+	svcF := service.New(service.Config{Runners: 2})
 	srvF := httptest.NewServer(freezeAfterFirstSubmit(svcF.Handler(), release))
 	t.Cleanup(func() {
 		close(release)
@@ -449,7 +449,7 @@ func TestRepeatCheckOnStoreBackedNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { st.Close() })
-	svc, srv := startNode(t, service.Config{Pools: 2, Store: st})
+	svc, srv := startNode(t, service.Config{Runners: 2, Store: st})
 	coord, err := New(Config{Nodes: []string{srv.URL}, Shards: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -597,8 +597,8 @@ func TestElasticProbeRetiresDeadNode(t *testing.T) {
 		Raw:     true,
 		Domain:  bigDomain(64), // 4,096 tuples × ~15k steps
 	}
-	_, alive := startNode(t, service.Config{Pools: 2})
-	svcB := service.New(service.Config{Pools: 2})
+	_, alive := startNode(t, service.Config{Runners: 2})
+	svcB := service.New(service.Config{Runners: 2})
 	srvB := httptest.NewServer(svcB.Handler())
 	t.Cleanup(svcB.Close)
 

@@ -241,7 +241,7 @@ func (r *runner) supervise() {
 
 // superviseTick makes one pass of steal/speculate decisions. Both need
 // the same precondition — idle nodes with an empty pool, i.e. capacity
-// that plain JSQ pull cannot use — so the tick bails cheaply otherwise.
+// that plain pull cannot use — so the tick bails cheaply otherwise.
 func (r *runner) superviseTick() {
 	r.mu.Lock()
 	if r.stopped || r.idle == 0 || len(r.pending) > 0 {

@@ -31,7 +31,7 @@ import (
 )
 
 // maxSeries bounds the number of label combinations one family will
-// track. The registry is meant for bounded label sets (pools, states,
+// track. The registry is meant for bounded label sets (stack depths, states,
 // tenants under quota); past the cap every new combination collapses
 // into a single overflow series so a label-cardinality bug cannot grow
 // memory without bound.

@@ -47,7 +47,7 @@ func BenchmarkStoreVerdict(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			s := New(Config{Pools: 1, Store: st})
+			s := New(Config{Runners: 1, Store: st})
 			b.StartTimer()
 			j, err := s.Submit(req)
 			if err != nil {
@@ -67,7 +67,7 @@ func BenchmarkStoreVerdict(b *testing.B) {
 			b.Fatal(err)
 		}
 		defer st.Close()
-		s := New(Config{Pools: 1, Store: st})
+		s := New(Config{Runners: 1, Store: st})
 		defer s.Close()
 		j, err := s.Submit(req)
 		if err != nil {
@@ -97,7 +97,7 @@ func BenchmarkStoreVerdict(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			s := New(Config{Pools: 1, Store: st})
+			s := New(Config{Runners: 1, Store: st})
 			j, err := s.Job(id)
 			if err != nil {
 				b.Fatalf("restart did not resume %s: %v", id, err)
@@ -130,7 +130,7 @@ func seedResumableJob(b *testing.B, req CheckRequest, cursor int64) (string, str
 		if err != nil {
 			b.Fatal(err)
 		}
-		s := New(Config{Pools: 1, Store: st, CheckpointEvery: cursor})
+		s := New(Config{Runners: 1, Store: st, CheckpointEvery: cursor})
 		j, err := s.Submit(req)
 		if err != nil {
 			b.Fatal(err)

@@ -11,9 +11,9 @@ var benchReq = CheckRequest{
 }
 
 // BenchmarkServiceSubmitWarm measures the end-to-end job path with a warm
-// compile cache: submit, dispatch JSQ, sweep, verdict.
+// compile cache: submit, queue, sweep, verdict.
 func BenchmarkServiceSubmitWarm(b *testing.B) {
-	s := New(Config{Pools: 2, SweepWorkers: 1})
+	s := New(Config{Runners: 2, SweepWorkers: 1})
 	defer s.Close()
 	if j, err := s.Submit(benchReq); err != nil {
 		b.Fatal(err)
@@ -53,20 +53,4 @@ func BenchmarkServiceCompileColdVsWarm(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkServiceSchedulerSubmit isolates the JSQ dispatch path: scan,
-// enqueue, stat bookkeeping, dequeue by an empty worker.
-func BenchmarkServiceSchedulerSubmit(b *testing.B) {
-	s := NewScheduler(4, 1024, func(int, *Job) {})
-	defer s.Close()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for {
-			if _, err := s.Submit(&Job{}); err == nil {
-				break
-			}
-			// Queue momentarily full; the no-op workers drain fast.
-		}
-	}
 }

@@ -46,14 +46,14 @@ func waitState(t *testing.T, j *Job, want State, within time.Duration) {
 }
 
 func TestCancelRunningJobFreesPoolSlot(t *testing.T) {
-	s := newTestService(t, Config{Pools: 1, SweepWorkers: 1})
+	s := newTestService(t, Config{Runners: 1, SweepWorkers: 1})
 	slow, err := s.Submit(slowRequest())
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitState(t, slow, StateRunning, 10*time.Second)
 
-	// Queue a second job behind the slow one on the single pool; it can
+	// Queue a second job behind the slow one on the single runner; it can
 	// only run if cancellation actually frees the slot.
 	quick, err := s.Submit(CheckRequest{Program: testProg, Policy: "{2}", Domain: []int64{0, 1, 2}})
 	if err != nil {
@@ -89,7 +89,7 @@ func TestCancelRunningJobFreesPoolSlot(t *testing.T) {
 }
 
 func TestCancelQueuedJobNeverRuns(t *testing.T) {
-	s := newTestService(t, Config{Pools: 1, SweepWorkers: 1})
+	s := newTestService(t, Config{Runners: 1, SweepWorkers: 1})
 	slow, err := s.Submit(slowRequest())
 	if err != nil {
 		t.Fatal(err)
@@ -100,13 +100,13 @@ func TestCancelQueuedJobNeverRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := queued.stateNow(); got != StateQueued {
-		t.Fatalf("second job on the busy pool is %q, want queued", got)
+		t.Fatalf("second job behind the busy runner is %q, want queued", got)
 	}
 
 	if _, err := s.Cancel(queued.ID); err != nil {
 		t.Fatalf("cancel queued job: %v", err)
 	}
-	// The transition is immediate: no pool ever picks the job up.
+	// The transition is immediate: no runner ever picks the job up.
 	select {
 	case <-queued.Done():
 	default:
@@ -116,7 +116,7 @@ func TestCancelQueuedJobNeverRuns(t *testing.T) {
 		t.Fatalf("queued-cancelled job status = %+v, want cancelled with zero progress", st)
 	}
 
-	// Unblock the pool and let Close drain: the skipped job must not run.
+	// Unblock the runner and let Close drain: the skipped job must not run.
 	if _, err := s.Cancel(slow.ID); err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestCancelQueuedJobNeverRuns(t *testing.T) {
 // is queued reads Stats that already count the cancellation. Each round
 // cancels one more queued job behind the running one.
 func TestCancelQueuedJobSettlesBeforeDone(t *testing.T) {
-	s := newTestService(t, Config{Pools: 1, SweepWorkers: 1})
+	s := newTestService(t, Config{Runners: 1, SweepWorkers: 1})
 	slow, err := s.Submit(slowRequest())
 	if err != nil {
 		t.Fatal(err)
@@ -165,7 +165,7 @@ func TestCancelQueuedJobSettlesBeforeDone(t *testing.T) {
 }
 
 func TestCancelErrors(t *testing.T) {
-	s := newTestService(t, Config{Pools: 1})
+	s := newTestService(t, Config{Runners: 1})
 	if _, err := s.Cancel("job-404"); !errors.Is(err, ErrUnknownJob) {
 		t.Errorf("cancel unknown: err = %v, want ErrUnknownJob", err)
 	}
@@ -184,7 +184,7 @@ func TestCancelErrors(t *testing.T) {
 // deadline path cancels them server-side: the report counts them as
 // cancelled (not failed) and the service's tallies agree.
 func TestLoadgenDeadlineCancelsServerSide(t *testing.T) {
-	svc, srv := newTestServer(t, Config{Pools: 1, SweepWorkers: 1})
+	svc, srv := newTestServer(t, Config{Runners: 1, SweepWorkers: 1})
 	rep, err := Loadgen(LoadgenConfig{
 		BaseURL:     srv.URL,
 		Jobs:        3,

@@ -17,7 +17,7 @@ import (
 // batch submit (POST /v2/check with a JSON array), cancellation
 // (DELETE /v2/jobs/{id}), and SSE progress (GET /v2/jobs/{id}/events).
 func Example_clientFlow() {
-	srv := httptest.NewServer(service.New(service.Config{Pools: 1, SweepWorkers: 1}).Handler())
+	srv := httptest.NewServer(service.New(service.Config{Runners: 1, SweepWorkers: 1}).Handler())
 	defer srv.Close()
 
 	// Submit: the JSON fields mirror the `spm check` flags. offset/count

@@ -29,7 +29,6 @@ type SubmitResponse struct {
 	// CachedVerdict reports a verdict-store hit: the whole sweep was
 	// skipped, and GET /v2/jobs/{id} already has the result.
 	CachedVerdict bool  `json:"cached_verdict,omitempty"`
-	Pool          int   `json:"pool"`
 	Total         int64 `json:"total"`
 }
 
@@ -55,7 +54,7 @@ const (
 	CodeNotFound   = "not_found"   // 404: unknown job ID
 	CodeConflict   = "conflict"    // 409: cancel of an already-finished job
 	CodeOverQuota  = "over_quota"  // 429: tenant token bucket exhausted; Retry-After set
-	CodeBusy       = "busy"        // 503: every queue full; Retry-After set
+	CodeBusy       = "busy"        // 503: run queue full; Retry-After set
 	CodeInternal   = "internal"    // 500: unexpected failure
 )
 
@@ -70,14 +69,14 @@ const (
 //	DELETE /v2/jobs/{id}        cancel a queued or running job
 //	GET    /v2/jobs/{id}/events stream progress as server-sent events
 //	GET    /v2/jobs/{id}/trace  the job's recorded event timeline
-//	GET    /v2/stats            queue depths, cache and verdict-store
+//	GET    /v2/stats            run-queue depth, cache and verdict-store
 //	                            counters, per-tenant admission tallies
 //	GET    /v2/metrics          Prometheus text exposition of every
 //	                            service counter and histogram
 //
 // Every non-2xx response carries the ErrorBody envelope. Submissions
-// rejected by a tenant quota are 429 with Retry-After; a saturated
-// fleet is 503 with Retry-After.
+// rejected by a tenant quota are 429 with Retry-After; a full run
+// queue is 503 with Retry-After.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v2/check", s.handleCheckV2)

@@ -67,7 +67,7 @@ func pollDone(t *testing.T, srv *httptest.Server, id string) JobStatus {
 }
 
 func TestHTTPSubmitErrors(t *testing.T) {
-	_, srv := newTestServer(t, Config{Pools: 1, MaxTuples: 1000})
+	_, srv := newTestServer(t, Config{Runners: 1, MaxTuples: 1000})
 	cases := []struct {
 		name       string
 		method     string
@@ -215,7 +215,7 @@ func TestHTTPSubmitErrors(t *testing.T) {
 }
 
 func TestHTTPSubmitPollStats(t *testing.T) {
-	_, srv := newTestServer(t, Config{Pools: 2})
+	_, srv := newTestServer(t, Config{Runners: 2})
 	body := marshalReq(t, CheckRequest{Program: testProg, Policy: "{2}", Domain: []int64{0, 1, 2}})
 
 	var sub SubmitResponse
@@ -246,8 +246,8 @@ func TestHTTPSubmitPollStats(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("stats status = %d", resp.StatusCode)
 	}
-	if len(stats.Pools) != 2 {
-		t.Fatalf("stats has %d pools, want 2", len(stats.Pools))
+	if stats.Queue.Runners != 2 || stats.Queue.Depth != 0 || stats.Queue.Peak < 1 {
+		t.Fatalf("stats.Queue = %+v, want 2 runners, depth 0, peak ≥ 1", stats.Queue)
 	}
 	if stats.Jobs.Done != 1 {
 		t.Errorf("stats.Jobs = %+v, want 1 done", stats.Jobs)
@@ -258,7 +258,7 @@ func TestHTTPSubmitPollStats(t *testing.T) {
 // second submission must report cached: true, skip the compile phase, and
 // produce an equal verdict.
 func TestHTTPCacheHitOnSecondSubmission(t *testing.T) {
-	svc, srv := newTestServer(t, Config{Pools: 1})
+	svc, srv := newTestServer(t, Config{Runners: 1})
 	body := marshalReq(t, CheckRequest{Program: testProg, Policy: "{2}", Domain: []int64{0, 1, 2}})
 
 	var first SubmitResponse
@@ -288,7 +288,7 @@ func TestHTTPCacheHitOnSecondSubmission(t *testing.T) {
 }
 
 func TestHTTPMaximalVerdict(t *testing.T) {
-	_, srv := newTestServer(t, Config{Pools: 1})
+	_, srv := newTestServer(t, Config{Runners: 1})
 	body := marshalReq(t, CheckRequest{Program: testProg, Policy: "{2}", Domain: []int64{0, 1, 2}, Maximal: true})
 	var sub SubmitResponse
 	doJSON(t, srv, http.MethodPost, "/v2/check", body, &sub)

@@ -10,9 +10,9 @@ import (
 	"time"
 )
 
-// maxBatchSpecs bounds one POST /v2/check batch. The per-pool queues bound
+// maxBatchSpecs bounds one POST /v2/check batch. The run queue bounds
 // admission anyway (overflow items come back busy), but a hard cap keeps a
-// single request from monopolising the dispatcher.
+// single request from holding the submission path for long.
 const maxBatchSpecs = 256
 
 // defaultEventInterval is the progress-event cadence of
@@ -20,7 +20,7 @@ const maxBatchSpecs = 256
 const defaultEventInterval = 250 * time.Millisecond
 
 // BatchItem is one entry of a batch submission's response: the submit
-// echo for an accepted spec (ID non-empty; Cached/Pool/Total carry the
+// echo for an accepted spec (ID non-empty; Cached/Total carry the
 // same fields a single-spec SubmitResponse reports), or the rejection for a
 // refused one (Error non-empty, the submit fields zero).
 type BatchItem struct {
@@ -28,12 +28,11 @@ type BatchItem struct {
 	State         State  `json:"state,omitempty"`
 	Cached        bool   `json:"cached"`
 	CachedVerdict bool   `json:"cached_verdict,omitempty"`
-	Pool          int    `json:"pool"`
 	Total         int64  `json:"total"`
 	Error         string `json:"error,omitempty"`
 	// Code is the ErrorBody code of a refused spec ("" when accepted).
 	Code string `json:"code,omitempty"`
-	// Busy marks specs refused because every queue was full; the client
+	// Busy marks specs refused because the run queue was full; the client
 	// should resubmit just those.
 	Busy bool `json:"busy,omitempty"`
 }
@@ -92,7 +91,6 @@ func (s *Service) handleCheckBody(w http.ResponseWriter, body []byte, tenant str
 		State:         j.stateNow(),
 		Cached:        j.CacheHit,
 		CachedVerdict: j.CachedVerdict,
-		Pool:          j.Pool(),
 		Total:         j.Total,
 	})
 }
@@ -139,13 +137,13 @@ func (s *Service) handleBatch(w http.ResponseWriter, body []byte, tenant string)
 		resp.Jobs[i] = BatchItem{
 			ID: j.ID, State: j.stateNow(),
 			Cached: j.CacheHit, CachedVerdict: j.CachedVerdict,
-			Pool: j.Pool(), Total: j.Total,
+			Total: j.Total,
 		}
 		resp.Accepted++
 	}
 	status := http.StatusAccepted
 	if resp.Accepted == 0 {
-		// Nothing admitted: a transiently full fleet keeps the single-spec
+		// Nothing admitted: a transiently full queue keeps the single-spec
 		// retryable 503 contract; pure validation failures are a permanent
 		// 400.
 		if anyBusy {

@@ -12,7 +12,7 @@ import (
 )
 
 func TestV2SingleSubmitAndPoll(t *testing.T) {
-	_, srv := newTestServer(t, Config{Pools: 1})
+	_, srv := newTestServer(t, Config{Runners: 1})
 	var sub SubmitResponse
 	resp := doJSON(t, srv, http.MethodPost, "/v2/check",
 		marshalReq(t, CheckRequest{Program: testProg, Policy: "{2}", Domain: []int64{0, 1, 2}}), &sub)
@@ -29,7 +29,7 @@ func TestV2SingleSubmitAndPoll(t *testing.T) {
 }
 
 func TestV2BatchSubmit(t *testing.T) {
-	_, srv := newTestServer(t, Config{Pools: 2})
+	_, srv := newTestServer(t, Config{Runners: 2})
 	good := marshalReq(t, CheckRequest{Program: testProg, Policy: "{2}", Domain: []int64{0, 1, 2}})
 	bad := marshalReq(t, CheckRequest{Program: "program broken\ninputs x1\n    y := \n"})
 	var batch BatchResponse
@@ -54,7 +54,7 @@ func TestV2BatchSubmit(t *testing.T) {
 }
 
 func TestV2BatchAllRejected(t *testing.T) {
-	_, srv := newTestServer(t, Config{Pools: 1})
+	_, srv := newTestServer(t, Config{Runners: 1})
 	bad := marshalReq(t, CheckRequest{Program: "nonsense"})
 	var batch BatchResponse
 	if resp := doJSON(t, srv, http.MethodPost, "/v2/check", "["+bad+"]", &batch); resp.StatusCode != http.StatusBadRequest {
@@ -63,7 +63,7 @@ func TestV2BatchAllRejected(t *testing.T) {
 }
 
 func TestV2CancelOverHTTP(t *testing.T) {
-	_, srv := newTestServer(t, Config{Pools: 1, SweepWorkers: 1})
+	_, srv := newTestServer(t, Config{Runners: 1, SweepWorkers: 1})
 	var sub SubmitResponse
 	if resp := doJSON(t, srv, http.MethodPost, "/v2/check", marshalReq(t, slowRequest()), &sub); resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit status %d", resp.StatusCode)
@@ -92,7 +92,7 @@ func TestV2CancelOverHTTP(t *testing.T) {
 }
 
 func TestV2CancelErrors(t *testing.T) {
-	_, srv := newTestServer(t, Config{Pools: 1})
+	_, srv := newTestServer(t, Config{Runners: 1})
 	if resp := doJSON(t, srv, http.MethodDelete, "/v2/jobs/job-404", "", nil); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("DELETE unknown: status %d, want 404", resp.StatusCode)
 	}
@@ -144,7 +144,7 @@ func readEvents(t *testing.T, srv *httptest.Server, path, terminal string) []str
 }
 
 func TestV2EventsStreamProgressAndDone(t *testing.T) {
-	_, srv := newTestServer(t, Config{Pools: 1, SweepWorkers: 1})
+	_, srv := newTestServer(t, Config{Runners: 1, SweepWorkers: 1})
 	var sub SubmitResponse
 	doJSON(t, srv, http.MethodPost, "/v2/check", marshalReq(t, slowRequest()), &sub)
 	events := readEvents(t, srv, "/v2/jobs/"+sub.ID+"/events?interval_ms=10", "done")
@@ -157,7 +157,7 @@ func TestV2EventsStreamProgressAndDone(t *testing.T) {
 }
 
 func TestV2EventsOnFinishedJob(t *testing.T) {
-	_, srv := newTestServer(t, Config{Pools: 1})
+	_, srv := newTestServer(t, Config{Runners: 1})
 	var sub SubmitResponse
 	doJSON(t, srv, http.MethodPost, "/v2/check",
 		marshalReq(t, CheckRequest{Program: testProg, Policy: "{2}", Domain: []int64{0, 1}}), &sub)
@@ -176,7 +176,7 @@ func TestV2EventsOnFinishedJob(t *testing.T) {
 func TestV2VerdictStoreHitOverHTTP(t *testing.T) {
 	st := openStore(t, t.TempDir())
 	t.Cleanup(func() { st.Close() })
-	_, srv := newTestServer(t, Config{Pools: 1, Store: st})
+	_, srv := newTestServer(t, Config{Runners: 1, Store: st})
 	body := marshalReq(t, CheckRequest{Program: testProg, Policy: "{2}", Domain: []int64{0, 1, 2}})
 
 	var first SubmitResponse
@@ -214,7 +214,7 @@ func TestV2VerdictStoreHitOverHTTP(t *testing.T) {
 // tallies surface in GET /v2/stats.
 func TestV2TenantQuotaOverHTTP(t *testing.T) {
 	clk := &fakeClock{now: time.Unix(1000, 0)}
-	_, srv := newTestServer(t, Config{Pools: 1, Tenant: TenantConfig{Rate: 100, Burst: 10, Now: clk.Now}})
+	_, srv := newTestServer(t, Config{Runners: 1, Tenant: TenantConfig{Rate: 100, Burst: 10, Now: clk.Now}})
 	body := marshalReq(t, CheckRequest{Program: testProg, Policy: "{2}", Domain: []int64{0, 1, 2}})
 
 	post := func(tenant string) *http.Response {
@@ -267,7 +267,7 @@ func TestV2TenantQuotaOverHTTP(t *testing.T) {
 
 // TestV2BatchRejectionCodes pins per-item error codes in a mixed batch.
 func TestV2BatchRejectionCodes(t *testing.T) {
-	_, srv := newTestServer(t, Config{Pools: 1})
+	_, srv := newTestServer(t, Config{Runners: 1})
 	good := marshalReq(t, CheckRequest{Program: testProg, Policy: "{2}", Domain: []int64{0, 1}})
 	bad := marshalReq(t, CheckRequest{Program: "nonsense"})
 	var batch BatchResponse
@@ -282,7 +282,7 @@ func TestV2BatchRejectionCodes(t *testing.T) {
 }
 
 func TestV2EventsBadInterval(t *testing.T) {
-	_, srv := newTestServer(t, Config{Pools: 1})
+	_, srv := newTestServer(t, Config{Runners: 1})
 	var sub SubmitResponse
 	doJSON(t, srv, http.MethodPost, "/v2/check",
 		marshalReq(t, CheckRequest{Program: testProg, Policy: "{2}", Domain: []int64{0, 1}}), &sub)
@@ -298,7 +298,7 @@ func TestV2EventsBadInterval(t *testing.T) {
 // than an index set can name is a bad request under every policy spec,
 // not a panic in the compile cache.
 func TestV2SubmitRejectsTooManyInputs(t *testing.T) {
-	_, srv := newTestServer(t, Config{Pools: 1})
+	_, srv := newTestServer(t, Config{Runners: 1})
 	var prog strings.Builder
 	prog.WriteString("program wide\ninputs")
 	for i := 1; i <= 64; i++ {

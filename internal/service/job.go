@@ -78,13 +78,13 @@ type Result struct {
 	InputsPerSec   float64 `json:"inputs_per_sec"`
 }
 
-// Job is one submitted check: request, placement, progress, and verdict.
+// Job is one submitted check: request, progress, and verdict.
 // The progress counter is the sweep engine's chunk cursor (see
 // sweep.Config.Progress); Total counts every tuple the job will visit
 // across all enumeration passes, so done/total is a true fraction. Every
 // job carries its own context: cancelling it (Service.Cancel, the v2
 // DELETE endpoint) stops a running sweep within one chunk and marks a
-// still-queued job cancelled without ever occupying its pool.
+// still-queued job cancelled without ever occupying a runner.
 type Job struct {
 	ID       string
 	Req      CheckRequest
@@ -124,7 +124,6 @@ type Job struct {
 	created  time.Time
 
 	mu       sync.Mutex
-	pool     int
 	state    State
 	started  time.Time
 	finished time.Time
@@ -150,19 +149,6 @@ func newJob(id string, req CheckRequest, entry *compiled, cacheHit bool, total i
 	}
 }
 
-// Pool returns the worker pool the job was dispatched to.
-func (j *Job) Pool() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.pool
-}
-
-func (j *Job) setPool(pool int) {
-	j.mu.Lock()
-	j.pool = pool
-	j.mu.Unlock()
-}
-
 // Progress returns the number of tuples visited so far.
 func (j *Job) Progress() int64 { return j.progress.Load() }
 
@@ -170,8 +156,8 @@ func (j *Job) Progress() int64 { return j.progress.Load() }
 func (j *Job) Done() <-chan struct{} { return j.done }
 
 // tryStart moves a queued job to running. It returns false when the job is
-// no longer queued — cancelled while waiting in its pool queue — in which
-// case the worker must skip it.
+// no longer queued — cancelled while waiting in the run queue — in which
+// case the runner must skip it.
 func (j *Job) tryStart() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -184,7 +170,7 @@ func (j *Job) tryStart() bool {
 }
 
 // cancelRequest asks the job to stop. A queued job transitions straight to
-// cancelled (the pool will skip it); a running job has its context
+// cancelled (the runners will skip it); a running job has its context
 // cancelled and reaches the cancelled state once the sweep notices, within
 // one chunk. The return values are the state observed at the moment of the
 // request and whether the request had any effect (false for jobs already
@@ -250,7 +236,6 @@ type JobStatus struct {
 	// whole sweep was skipped and the job was born done).
 	Cached         bool         `json:"cached"`
 	CachedVerdict  bool         `json:"cached_verdict,omitempty"`
-	Pool           int          `json:"pool"`
 	Progress       ProgressInfo `json:"progress"`
 	ElapsedSeconds float64      `json:"elapsed_seconds"`
 	Result         *Result      `json:"result,omitempty"`
@@ -272,7 +257,6 @@ func (j *Job) Status() JobStatus {
 		State:         j.state,
 		Cached:        j.CacheHit,
 		CachedVerdict: j.CachedVerdict,
-		Pool:          j.pool,
 		Progress:      ProgressInfo{Done: j.progress.Load(), Total: j.Total},
 		Result:        j.result,
 		Error:         j.errMsg,

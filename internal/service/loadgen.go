@@ -37,7 +37,7 @@ type LoadgenConfig struct {
 	// JobTimeout is the per-job deadline, bounding one job end to end
 	// (submit retries, polling); default 60s. A submitted job that misses
 	// it is cancelled server-side via DELETE /v2/jobs/{id} — freeing its
-	// pool slot rather than abandoning it to grind on — and reported in
+	// runner rather than abandoning it to grind on — and reported in
 	// the cancelled column. Without the deadline a server that keeps
 	// answering 503, or a non-spm endpoint answering 200 with an alien
 	// body, would make the closed loop spin forever.
@@ -70,7 +70,7 @@ type LoadgenReport struct {
 	Max          time.Duration `json:"max_ns"`
 	// Queue-wait percentiles, read from each job's trace span data (the
 	// dispatch span's duration on GET /v2/jobs/{id}/trace): time spent
-	// waiting for a pool worker, separating scheduling delay from sweep
+	// waiting for a runner, separating scheduling delay from sweep
 	// time inside the end-to-end latency above. TracedJobs counts the
 	// jobs that contributed — store-answered jobs never dispatch, and a
 	// trace may already be evicted — so 0 means the column is absent,
@@ -256,7 +256,7 @@ func fetchQueueWait(client *http.Client, base, id string) (time.Duration, bool) 
 
 // cancelJob asks the server to stop a job the client no longer wants,
 // best-effort: 200 (cancelled), 409 (won the race and finished), and 404
-// (already evicted) all mean the pool slot is not stuck on our behalf.
+// (already evicted) all mean no runner is stuck on our behalf.
 func cancelJob(client *http.Client, base, id string) error {
 	req, err := http.NewRequest(http.MethodDelete, base+"/v2/jobs/"+id, nil)
 	if err != nil {
@@ -369,7 +369,7 @@ func runOne(client *http.Client, base string, req CheckRequest, tenant string, p
 				return out, fmt.Errorf("loadgen: job %s not terminal %v after cancel (state %q)",
 					sub.ID, cancelGrace, st.State)
 			}
-			// Deadline: cancel the server-side job so its pool slot frees,
+			// Deadline: cancel the server-side job so its runner frees,
 			// instead of abandoning the wait and leaving it to grind. The
 			// cancel is asynchronous (and may race completion), so keep
 			// polling and classify by the terminal state the job actually

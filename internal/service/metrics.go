@@ -20,9 +20,9 @@ type serviceMetrics struct {
 	tracer *obs.Tracer
 	exec   *core.ExecTally
 
-	// Dispatch latency and sweep duration, by pool and by tenant.
-	queueWait  *obs.HistogramVec
-	runDur     *obs.HistogramVec
+	// Queue wait and sweep duration, overall and by tenant.
+	queueWait  *obs.Histogram
+	runDur     *obs.Histogram
 	tenantWait *obs.HistogramVec
 	tenantRun  *obs.HistogramVec
 
@@ -31,11 +31,7 @@ type serviceMetrics struct {
 	sweepTuples  *obs.Counter
 	chunkSeconds *obs.Histogram
 
-	// Sampled at scrape time from Scheduler.Stats / tenantGate.stats.
-	poolDepth      *obs.GaugeVec
-	poolPeak       *obs.GaugeVec
-	poolDispatched *obs.GaugeVec
-	poolCompleted  *obs.GaugeVec
+	// Sampled at scrape time from tenantGate.stats.
 	tenantQueued   *obs.GaugeVec
 	tenantAdmitted *obs.GaugeVec
 	tenantRejected *obs.GaugeVec
@@ -45,7 +41,7 @@ type serviceMetrics struct {
 // newServiceMetrics builds the registry and binds every counter source
 // the service already keeps: lifecycle atomics, compile-cache and
 // verdict-store counters, the execution tally, and scrape-time samples
-// of the scheduler and tenant gate. Called from New after the scheduler
+// of the run queue and tenant gate. Called from New after the run queue
 // and tenant gate exist; the gather hook and the *Func families read s
 // only at scrape time.
 func newServiceMetrics(s *Service) *serviceMetrics {
@@ -56,10 +52,10 @@ func newServiceMetrics(s *Service) *serviceMetrics {
 		exec:   &core.ExecTally{},
 	}
 
-	m.queueWait = reg.HistogramVec("spm_job_queue_wait_seconds",
-		"Time from submission to dispatch onto a pool worker.", nil, "pool")
-	m.runDur = reg.HistogramVec("spm_job_run_seconds",
-		"Wall-clock sweep time of jobs that ran, by pool.", nil, "pool")
+	m.queueWait = reg.Histogram("spm_job_queue_wait_seconds",
+		"Time from submission to a runner's start of the job.", nil)
+	m.runDur = reg.Histogram("spm_job_run_seconds",
+		"Wall-clock sweep time of jobs that ran.", nil)
 	m.tenantWait = reg.HistogramVec("spm_tenant_queue_wait_seconds",
 		"Time from submission to dispatch, by tenant.", nil, "tenant")
 	m.tenantRun = reg.HistogramVec("spm_tenant_run_seconds",
@@ -73,7 +69,7 @@ func newServiceMetrics(s *Service) *serviceMetrics {
 		"Duration of individual sweep chunks.", nil)
 
 	reg.GaugeFunc("spm_jobs_queued",
-		"Jobs currently waiting in pool queues.",
+		"Jobs currently waiting in the run queue.",
 		func() float64 { return float64(s.nQueued.Load()) })
 	reg.GaugeFunc("spm_jobs_running",
 		"Jobs currently sweeping.",
@@ -158,16 +154,14 @@ func newServiceMetrics(s *Service) *serviceMetrics {
 			func() float64 { return float64(s.store.Stats().Pending) })
 	}
 
-	m.poolDepth = reg.GaugeVec("spm_pool_queue_depth",
-		"Jobs waiting in each pool queue.", "pool")
-	m.poolPeak = reg.GaugeVec("spm_pool_queue_peak",
-		"High-water queue depth of each pool.", "pool")
-	m.poolDispatched = reg.GaugeVec("spm_pool_dispatched_jobs",
-		"Jobs dispatched to each pool since start.", "pool")
-	m.poolCompleted = reg.GaugeVec("spm_pool_completed_jobs",
-		"Jobs each pool finished since start.", "pool")
+	reg.GaugeFunc("spm_queue_depth",
+		"Jobs in the run queue, cancelled ones not yet skipped included.",
+		func() float64 { return float64(s.queue.stats().Depth) })
+	reg.GaugeFunc("spm_queue_peak",
+		"High-water depth of the run queue.",
+		func() float64 { return float64(s.queue.stats().Peak) })
 	m.tenantQueued = reg.GaugeVec("spm_tenant_queued_jobs",
-		"Jobs in each tenant's DRR backlog.", "tenant")
+		"Jobs in each tenant's run-queue backlog.", "tenant")
 	m.tenantAdmitted = reg.GaugeVec("spm_tenant_admitted_jobs",
 		"Submissions admitted past each tenant's token bucket.", "tenant")
 	m.tenantRejected = reg.GaugeVec("spm_tenant_rejected_jobs",
@@ -175,14 +169,7 @@ func newServiceMetrics(s *Service) *serviceMetrics {
 	m.tenantTuples = reg.GaugeVec("spm_tenant_admitted_tuples",
 		"Tuple volume admitted for each tenant.", "tenant")
 	reg.OnGather(func() {
-		for i, p := range s.sched.Stats() {
-			pool := strconv.Itoa(i)
-			m.poolDepth.With(pool).Set(float64(p.Depth))
-			m.poolPeak.With(pool).Set(float64(p.Peak))
-			m.poolDispatched.With(pool).Set(float64(p.Dispatched))
-			m.poolCompleted.With(pool).Set(float64(p.Completed))
-		}
-		for _, t := range s.tenants.stats() {
+		for _, t := range s.tenants.stats(s.queue) {
 			m.tenantQueued.With(t.Tenant).Set(float64(t.Queued))
 			m.tenantAdmitted.With(t.Tenant).Set(float64(t.Admitted))
 			m.tenantRejected.With(t.Tenant).Set(float64(t.Rejected))
@@ -192,19 +179,17 @@ func newServiceMetrics(s *Service) *serviceMetrics {
 	return m
 }
 
-// observeDispatch records a job leaving its queue for a pool worker:
-// the queue-wait histograms and the trace's dispatch span.
-func (m *serviceMetrics) observeDispatch(j *Job, pool int, wait time.Duration) {
-	p := strconv.Itoa(pool)
-	m.queueWait.With(p).Observe(wait.Seconds())
+// observeDispatch records a runner starting a job: the queue-wait
+// histograms and the trace's dispatch span.
+func (m *serviceMetrics) observeDispatch(j *Job, wait time.Duration) {
+	m.queueWait.Observe(wait.Seconds())
 	m.tenantWait.With(j.tenant).Observe(wait.Seconds())
-	j.trace.Span("dispatch", "pool="+p, wait)
+	j.trace.Span("dispatch", "", wait)
 }
 
 // observeRun records a finished sweep's wall-clock duration.
-func (m *serviceMetrics) observeRun(j *Job, pool int, d time.Duration) {
-	p := strconv.Itoa(pool)
-	m.runDur.With(p).Observe(d.Seconds())
+func (m *serviceMetrics) observeRun(j *Job, d time.Duration) {
+	m.runDur.Observe(d.Seconds())
 	m.tenantRun.With(j.tenant).Observe(d.Seconds())
 }
 

@@ -15,7 +15,7 @@ import (
 // exposition (obs.ParseExposition validates the histogram invariants)
 // covering the scheduler, cache, store, memo, batch, and sweep layers.
 func TestMetricsExposition(t *testing.T) {
-	s := storedService(t, t.TempDir(), Config{Pools: 2, SweepWorkers: 1})
+	s := storedService(t, t.TempDir(), Config{Runners: 2, SweepWorkers: 1})
 	h := s.Handler()
 
 	for _, req := range []CheckRequest{
@@ -98,8 +98,8 @@ func TestMetricsExposition(t *testing.T) {
 	if run == nil {
 		t.Fatal("run-duration histogram missing")
 	}
-	if fams["spm_pool_queue_depth"] == nil {
-		t.Error("per-pool gauges missing")
+	if fams["spm_queue_depth"] == nil || fams["spm_queue_peak"] == nil {
+		t.Error("run-queue gauges missing")
 	}
 }
 
@@ -108,7 +108,7 @@ func TestMetricsExposition(t *testing.T) {
 // merge → done with non-decreasing offsets, and the /v2/jobs/{id}/trace
 // endpoint serves it.
 func TestTraceTimeline(t *testing.T) {
-	s := newTestService(t, Config{Pools: 1, SweepWorkers: 1})
+	s := newTestService(t, Config{Runners: 1, SweepWorkers: 1})
 	j, err := s.Submit(CheckRequest{Program: testProg, Policy: "{2}", Domain: []int64{0, 1, 2}})
 	if err != nil {
 		t.Fatal(err)
@@ -153,7 +153,7 @@ func TestTraceTimeline(t *testing.T) {
 // with the cancel request followed by the cancelled terminal event, in
 // order.
 func TestTraceCancelledJob(t *testing.T) {
-	s := newTestService(t, Config{Pools: 1, SweepWorkers: 1})
+	s := newTestService(t, Config{Runners: 1, SweepWorkers: 1})
 	j, err := s.Submit(slowRequest())
 	if err != nil {
 		t.Fatal(err)
@@ -192,7 +192,7 @@ func TestTraceCancelledJob(t *testing.T) {
 // cancels concurrently (the race detector is the real assertion), then
 // checks the lifecycle tallies balance once the dust settles.
 func TestStatsUnderChurn(t *testing.T) {
-	s := newTestService(t, Config{Pools: 2, SweepWorkers: 1, QueueCap: 8})
+	s := newTestService(t, Config{Runners: 2, SweepWorkers: 1, QueueCap: 8})
 
 	const submitters = 4
 	const perSubmitter = 6
@@ -216,7 +216,7 @@ func TestStatsUnderChurn(t *testing.T) {
 
 	var auxWG sync.WaitGroup
 	auxWG.Add(1)
-	go func() { // canceller: races cancels against the pools
+	go func() { // canceller: races cancels against the runners
 		defer auxWG.Done()
 		for id := range ids {
 			s.Cancel(id) //nolint:errcheck // terminal jobs are expected
@@ -273,8 +273,8 @@ func TestStatsUnderChurn(t *testing.T) {
 // workers running, and its counters still account for every tuple of
 // every job (one snapshot-stack answer per tuple at width 1).
 func TestExecTallyDropsFinishedSweeps(t *testing.T) {
-	const pools, jobs = 2, 100
-	s := newTestService(t, Config{Pools: pools, SweepWorkers: 1, SweepBatch: 1, QueueCap: jobs})
+	const runners, jobs = 2, 100
+	s := newTestService(t, Config{Runners: runners, SweepWorkers: 1, SweepBatch: 1, QueueCap: jobs})
 	tally := s.metrics.exec
 
 	stop := make(chan struct{})
@@ -314,8 +314,8 @@ func TestExecTallyDropsFinishedSweeps(t *testing.T) {
 		}
 	}
 	close(stop)
-	if most := <-peak; most > pools {
-		t.Errorf("tally held %d parts with %d sweep workers running", most, pools)
+	if most := <-peak; most > runners {
+		t.Errorf("tally held %d parts with %d sweep workers running", most, runners)
 	}
 	if n := tally.Parts(); n != 0 {
 		t.Errorf("tally holds %d parts after every job finished", n)

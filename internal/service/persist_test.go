@@ -38,7 +38,7 @@ func stripTiming(r *Result) Result {
 }
 
 func TestVerdictCacheHit(t *testing.T) {
-	s := storedService(t, t.TempDir(), Config{Pools: 1})
+	s := storedService(t, t.TempDir(), Config{Runners: 1})
 	req := CheckRequest{Program: testProg, Policy: "{2}", Maximal: true, Domain: []int64{0, 1, 2}}
 
 	j1, err := s.Submit(req)
@@ -87,7 +87,7 @@ func TestVerdictSurvivesRestart(t *testing.T) {
 	req := CheckRequest{Program: testProg, Policy: "{2}", Domain: []int64{0, 1, 2}}
 
 	st := openStore(t, dir)
-	s1 := New(Config{Pools: 1, Store: st})
+	s1 := New(Config{Runners: 1, Store: st})
 	j1, err := s1.Submit(req)
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +96,7 @@ func TestVerdictSurvivesRestart(t *testing.T) {
 	s1.Close()
 	st.Close()
 
-	s2 := storedService(t, dir, Config{Pools: 1})
+	s2 := storedService(t, dir, Config{Runners: 1})
 	j2, err := s2.Submit(req)
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +133,7 @@ func TestCrashResume(t *testing.T) {
 		// Reference: uninterrupted run at one sweep worker; the crashed
 		// and resumed runs lend themselves idle CPUs, and the verdict must
 		// not change.
-		ref := storedService(t, t.TempDir(), Config{Pools: 1, SweepWorkers: 1})
+		ref := storedService(t, t.TempDir(), Config{Runners: 1, SweepWorkers: 1})
 		rj, err := ref.Submit(req)
 		if err != nil {
 			t.Fatal(err)
@@ -150,7 +150,7 @@ func TestCrashResume(t *testing.T) {
 		// while the job's own terminal bookkeeping is lost.
 		dir2 := t.TempDir()
 		st2 := openStore(t, dir2)
-		s2 := New(Config{Pools: 1, Store: st2, CheckpointEvery: 32})
+		s2 := New(Config{Runners: 1, Store: st2, CheckpointEvery: 32})
 		j2, err := s2.Submit(req)
 		if err != nil {
 			t.Fatal(err)
@@ -166,7 +166,7 @@ func TestCrashResume(t *testing.T) {
 
 		// Restart on the same directory: the job must come back pending,
 		// under its original ID, and run to the reference verdict.
-		s3 := storedService(t, dir2, Config{Pools: 1, CheckpointEvery: 32})
+		s3 := storedService(t, dir2, Config{Runners: 1, CheckpointEvery: 32})
 		j3, err := s3.Job(j2.ID)
 		if err != nil {
 			t.Fatalf("resumed job %s not found after restart: %v", j2.ID, err)
@@ -197,7 +197,7 @@ func TestResumeSkipsSweptPrefix(t *testing.T) {
 
 	dir := t.TempDir()
 	st := openStore(t, dir)
-	s1 := New(Config{Pools: 1, SweepWorkers: 1, Store: st, CheckpointEvery: 32})
+	s1 := New(Config{Runners: 1, SweepWorkers: 1, Store: st, CheckpointEvery: 32})
 	j1, err := s1.Submit(req)
 	if err != nil {
 		t.Fatal(err)
@@ -212,7 +212,7 @@ func TestResumeSkipsSweptPrefix(t *testing.T) {
 	<-j1.Done()
 	s1.Close()
 
-	s2 := storedService(t, dir, Config{Pools: 1, SweepWorkers: 1, CheckpointEvery: 32})
+	s2 := storedService(t, dir, Config{Runners: 1, SweepWorkers: 1, CheckpointEvery: 32})
 	j2, err := s2.Job(j1.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -230,7 +230,7 @@ func TestResumeSkipsSweptPrefix(t *testing.T) {
 func TestCancelledJobIsNotResumed(t *testing.T) {
 	dir := t.TempDir()
 	st := openStore(t, dir)
-	s1 := New(Config{Pools: 1, SweepWorkers: 1, Store: st, CheckpointEvery: 32})
+	s1 := New(Config{Runners: 1, SweepWorkers: 1, Store: st, CheckpointEvery: 32})
 	j, err := s1.Submit(slowRequest())
 	if err != nil {
 		t.Fatal(err)
@@ -243,7 +243,7 @@ func TestCancelledJobIsNotResumed(t *testing.T) {
 	s1.Close()
 	st.Close()
 
-	s2 := storedService(t, dir, Config{Pools: 1})
+	s2 := storedService(t, dir, Config{Runners: 1})
 	if _, err := s2.Job(j.ID); !errors.Is(err, ErrUnknownJob) {
 		t.Errorf("cancelled job resurrected after restart: %v", err)
 	}
@@ -255,10 +255,10 @@ func TestCancelledJobIsNotResumed(t *testing.T) {
 func TestFreshJobIDsDoNotCollideWithResumed(t *testing.T) {
 	dir := t.TempDir()
 	st := openStore(t, dir)
-	// One pool per job, so all three start at once: waiting for the last
+	// One runner per job, so all three start at once: waiting for the last
 	// to run does not wait for the other two to finish, however loaded
 	// the machine is.
-	s1 := New(Config{Pools: 3, SweepWorkers: 1, Store: st, CheckpointEvery: 32})
+	s1 := New(Config{Runners: 3, SweepWorkers: 1, Store: st, CheckpointEvery: 32})
 	var last *Job
 	for i := 0; i < 3; i++ {
 		j, err := s1.Submit(slowRequest())
@@ -276,7 +276,7 @@ func TestFreshJobIDsDoNotCollideWithResumed(t *testing.T) {
 	}
 	s1.Close()
 
-	s2 := storedService(t, dir, Config{Pools: 1, SweepWorkers: 1})
+	s2 := storedService(t, dir, Config{Runners: 1, SweepWorkers: 1})
 	fresh, err := s2.Submit(CheckRequest{Program: testProg, Policy: "{2}", Domain: []int64{0, 1}})
 	if err != nil {
 		t.Fatal(err)

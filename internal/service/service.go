@@ -1,6 +1,7 @@
 // Package service wraps the sweep engine in a long-running policy-checking
-// system: a fixed fleet of worker pools with bounded queues and
-// join-the-shortest-queue dispatch, a content-addressed compile cache so
+// system: one bounded run queue popped by a fixed set of runners (first
+// in, first out, or deficit-round-robin across tenants under tenant
+// admission control), a content-addressed compile cache so
 // repeated submissions skip parse+instrument+Compile and go straight to
 // the compiled fast path, and a queued → running → done/failed job
 // lifecycle whose progress counter is the sweep engine's chunk cursor.
@@ -15,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -66,9 +68,14 @@ func (r CheckRequest) Sharded() bool { return r.Offset != 0 || r.Count != 0 }
 
 // Config tunes the service. The zero value picks production-ish defaults.
 type Config struct {
-	// Pools is the worker-fleet size; ≤ 0 means DefaultPools.
-	Pools int
-	// QueueCap bounds each pool's queue; ≤ 0 means DefaultQueueCap.
+	// Runners is the number of jobs run at once; ≤ 0 means
+	// runtime.GOMAXPROCS(0). A busy service keeps one sweep worker per
+	// running job (SweepWorkers), so runners beyond the CPU count would
+	// only time-slice.
+	Runners int
+	// QueueCap bounds each run-queue backlog in jobs: the one backlog
+	// with tenancy off, each tenant's with it on. ≤ 0 means
+	// DefaultQueueCap. A full backlog rejects with ErrBusy.
 	QueueCap int
 	// SweepWorkers is the sweep parallelism of each job. ≤ 0 lends idle
 	// CPUs to running jobs: each job starts on one sweep worker and, past
@@ -113,16 +120,15 @@ type Config struct {
 
 // Service defaults.
 const (
-	DefaultPools      = 4
-	DefaultQueueCap   = 64
+	DefaultQueueCap   = 256
 	DefaultSweepBatch = 64
 	DefaultMaxTuples  = 8 << 20
 	DefaultMaxJobs    = 4096
 )
 
 func (c Config) normalized() Config {
-	if c.Pools <= 0 {
-		c.Pools = DefaultPools
+	if c.Runners <= 0 {
+		c.Runners = runtime.GOMAXPROCS(0)
 	}
 	if c.QueueCap <= 0 {
 		c.QueueCap = DefaultQueueCap
@@ -145,11 +151,12 @@ func (c Config) normalized() Config {
 	return c
 }
 
-// Service is the policy-checking system: cache + scheduler + job store.
+// Service is the policy-checking system: cache + run queue + job store.
 type Service struct {
 	cfg     Config
 	cache   *CompileCache
-	sched   *Scheduler
+	queue   *runQueue
+	runners sync.WaitGroup
 	store   *store.Store
 	tenants *tenantGate
 	metrics *serviceMetrics
@@ -170,7 +177,7 @@ type Service struct {
 	nVerdictHits, nResumed atomic.Int64
 }
 
-// New starts a service with cfg's fleet. When cfg.Store is set, jobs the
+// New starts a service with cfg's runners. When cfg.Store is set, jobs the
 // store recorded as unfinished — admitted before a crash, never cleared —
 // are re-enqueued immediately, under their original IDs, resuming from
 // their last persisted checkpoint.
@@ -182,20 +189,34 @@ func New(cfg Config) *Service {
 		store: cfg.Store,
 		jobs:  make(map[string]*Job),
 	}
-	s.sched = NewScheduler(cfg.Pools, cfg.QueueCap, s.runJob)
-	s.tenants = newTenantGate(cfg.Tenant, s)
+	s.tenants = newTenantGate(cfg.Tenant)
+	quantum := int64(0)
+	if s.tenants.enabled {
+		quantum = s.tenants.cfg.Quantum
+	}
+	s.queue = newRunQueue(cfg.QueueCap, quantum)
 	s.metrics = newServiceMetrics(s)
+	for range cfg.Runners {
+		s.runners.Add(1)
+		go func() {
+			defer s.runners.Done()
+			for j := s.queue.pop(); j != nil; j = s.queue.pop() {
+				s.runJob(j)
+			}
+		}()
+	}
 	if s.store != nil {
 		s.resumePending()
 	}
 	return s
 }
 
-// Close drains the queues and stops the pools. Submit must not be called
-// after Close.
+// Close stops admission, lets the runners finish every job already
+// queued, and waits for them, so every admitted job ends terminal.
+// Submissions after Close fail with ErrBusy.
 func (s *Service) Close() {
-	s.tenants.close()
-	s.sched.Close()
+	s.queue.close()
+	s.runners.Wait()
 }
 
 // Config returns the normalized configuration in effect. A service that
@@ -212,9 +233,8 @@ func (s *Service) Config() Config {
 }
 
 // Submit validates the request, resolves it against the compile cache, and
-// dispatches a job join-the-shortest-queue. It returns the queued job;
-// errors wrap ErrBadRequest (invalid submission) or ErrBusy (every queue
-// full).
+// queues a job for the runners. It returns the queued job; errors wrap
+// ErrBadRequest (invalid submission) or ErrBusy (run queue full).
 func (s *Service) Submit(req CheckRequest) (*Job, error) {
 	return s.SubmitTenant(req, "")
 }
@@ -222,8 +242,8 @@ func (s *Service) Submit(req CheckRequest) (*Job, error) {
 // SubmitTenant is Submit with the request attributed to a tenant (the
 // X-SPM-Tenant header). Under tenant admission control (Config.Tenant),
 // the tenant's token bucket is charged the job's tuple total — exceeding
-// it returns a QuotaError (HTTP 429 with Retry-After) — and dispatch
-// order across backlogged tenants is deficit-round-robin, so one noisy
+// it returns a QuotaError (HTTP 429 with Retry-After) — and each tenant
+// waits in its own backlog, popped deficit-round-robin, so one noisy
 // tenant cannot starve the rest. Store verdict hits bypass the quota:
 // they cost no sweep. With tenancy disabled (the default), tenant is
 // recorded on the job and admission is unchanged.
@@ -352,8 +372,8 @@ func (s *Service) submit(req CheckRequest, id string, resume *jobCheckpoint, ten
 	}
 
 	s.nQueued.Add(1)
-	j.trace.Event("queue", "awaiting pool")
-	if err := s.tenants.dispatch(j); err != nil {
+	j.trace.Event("queue", "awaiting a runner")
+	if err := s.queue.push(j); err != nil {
 		s.nQueued.Add(-1)
 		s.dropJob(j.ID)
 		if s.store != nil && id == "" {
@@ -364,7 +384,7 @@ func (s *Service) submit(req CheckRequest, id string, resume *jobCheckpoint, ten
 	return j, nil
 }
 
-// dropJob removes a job that never dispatched from the history.
+// dropJob removes a job that was never queued from the history.
 func (s *Service) dropJob(id string) {
 	s.mu.Lock()
 	delete(s.jobs, id)
@@ -388,7 +408,7 @@ func (s *Service) evictLocked() {
 		if j := s.jobs[id]; j != nil {
 			if !j.stateNow().Terminal() {
 				// Oldest job still active; history is transiently over
-				// budget by at most the fleet's queue capacity.
+				// budget by at most the queued and running jobs.
 				return
 			}
 			delete(s.jobs, id)
@@ -409,8 +429,8 @@ func (s *Service) Job(id string) (*Job, error) {
 }
 
 // Cancel stops a job. A still-queued job transitions straight to cancelled
-// and its pool will skip it; a running job's context is cancelled, the
-// sweep stops within one chunk, and the pool slot frees for the next job.
+// and the runners skip it; a running job's context is cancelled, the
+// sweep stops within one chunk, and its runner moves on to the next job.
 // Cancelling an already-cancelled job is an idempotent success; a job that
 // finished (done or failed) returns ErrJobTerminal; an unknown ID returns
 // ErrUnknownJob.
@@ -420,14 +440,13 @@ func (s *Service) Cancel(id string) (*Job, error) {
 		return nil, err
 	}
 	was, acted := j.cancelRequest(func() {
-		// The scheduler's dispatched/completed pair still balances when
-		// the pool later dequeues and skips the job.
+		// The job stays in its backlog, counted in the queue depth,
+		// until a runner's pop skips it.
 		s.nQueued.Add(-1)
 		s.nCancelled.Add(1)
 		if s.store != nil {
 			s.store.ClearPending(j.ID)
 		}
-		s.tenants.wake()
 	})
 	if acted {
 		return j, nil
@@ -441,7 +460,7 @@ func (s *Service) Cancel(id string) (*Job, error) {
 // Stats is the wire form of GET /v2/stats. Store and Tenants are present
 // only when the corresponding subsystem is enabled.
 type Stats struct {
-	Pools   []PoolStats   `json:"pools"`
+	Queue   QueueStats    `json:"queue"`
 	Cache   CacheStats    `json:"cache"`
 	Jobs    JobCounts     `json:"jobs"`
 	Store   *StoreStats   `json:"store,omitempty"`
@@ -459,11 +478,13 @@ type JobCounts struct {
 	Cancelled int64 `json:"cancelled"`
 }
 
-// Stats snapshots queue depths, cache counters, job tallies, and — when
+// Stats snapshots the run queue, cache counters, job tallies, and — when
 // enabled — verdict-store and per-tenant admission counters.
 func (s *Service) Stats() Stats {
+	q := s.queue.stats()
+	q.Runners = s.cfg.Runners
 	return Stats{
-		Pools: s.sched.Stats(),
+		Queue: q,
 		Cache: s.cache.Stats(),
 		Jobs: JobCounts{
 			Queued:    s.nQueued.Load(),
@@ -473,23 +494,23 @@ func (s *Service) Stats() Stats {
 			Cancelled: s.nCancelled.Load(),
 		},
 		Store:   s.storeStats(),
-		Tenants: s.tenants.stats(),
+		Tenants: s.tenants.stats(s.queue),
 	}
 }
 
-// runJob executes one dispatched job on its pool: sweep soundness on the
+// runJob executes one popped job on its runner: sweep soundness on the
 // compile-cache entry resolved at submission, then maximality if
 // requested. The job's progress counter is handed to the sweep engine as
 // its chunk cursor, and its context to the engine's cancellation check —
-// a cancelled job stops within one chunk and the pool moves on to its next
-// queued job. Jobs cancelled while still queued are skipped outright.
-func (s *Service) runJob(pool int, j *Job) {
+// a cancelled job stops within one chunk and the runner moves on to the
+// next job. A job cancelled between pop and start is skipped.
+func (s *Service) runJob(j *Job) {
 	if !j.tryStart() {
 		return // cancelled while queued; Cancel settled the tallies
 	}
 	s.nQueued.Add(-1)
 	s.nRunning.Add(1)
-	s.metrics.observeDispatch(j, pool, time.Since(j.created))
+	s.metrics.observeDispatch(j, time.Since(j.created))
 	runStart := time.Now()
 	var res *Result
 	var err error
@@ -498,7 +519,7 @@ func (s *Service) runJob(pool int, j *Job) {
 	} else {
 		res, err = s.check(j.ctx, j)
 	}
-	s.metrics.observeRun(j, pool, time.Since(runStart))
+	s.metrics.observeRun(j, time.Since(runStart))
 	if s.store != nil {
 		s.settleStore(j, res, err)
 	}
@@ -514,7 +535,6 @@ func (s *Service) runJob(pool int, j *Job) {
 		s.nFailed.Add(1)
 	}
 	j.finish(res, err)
-	s.tenants.wake()
 }
 
 // check runs the job's verdicts through check.Run — the single verdict

@@ -46,7 +46,7 @@ func newTestService(t *testing.T, cfg Config) *Service {
 }
 
 func TestSubmitVerdictMatchesDirectCheck(t *testing.T) {
-	s := newTestService(t, Config{Pools: 2, SweepWorkers: 2})
+	s := newTestService(t, Config{Runners: 2, SweepWorkers: 2})
 	j, err := s.Submit(CheckRequest{Program: testProg, Policy: "{2}", Domain: []int64{0, 1, 2}})
 	if err != nil {
 		t.Fatal(err)
@@ -79,7 +79,7 @@ func TestSubmitVerdictMatchesDirectCheck(t *testing.T) {
 }
 
 func TestSubmitRawUnsoundWithWitness(t *testing.T) {
-	s := newTestService(t, Config{Pools: 1})
+	s := newTestService(t, Config{Runners: 1})
 	j, err := s.Submit(CheckRequest{Program: testProg, Policy: "{2}", Raw: true, Domain: []int64{0, 1, 2}})
 	if err != nil {
 		t.Fatal(err)
@@ -100,8 +100,8 @@ func TestSubmitMaximalProgressCountsAllPasses(t *testing.T) {
 	// Plain and store-backed services run the same passes — soundness,
 	// then one maximality evidence pass — and reach the same verdict.
 	services := map[string]*Service{
-		"plain":  newTestService(t, Config{Pools: 1}),
-		"stored": storedService(t, t.TempDir(), Config{Pools: 1}),
+		"plain":  newTestService(t, Config{Runners: 1}),
+		"stored": storedService(t, t.TempDir(), Config{Runners: 1}),
 	}
 	results := map[string]*Result{}
 	for name, s := range services {
@@ -132,7 +132,7 @@ func TestSubmitMaximalProgressCountsAllPasses(t *testing.T) {
 }
 
 func TestSecondIdenticalSubmissionHitsCache(t *testing.T) {
-	s := newTestService(t, Config{Pools: 1})
+	s := newTestService(t, Config{Runners: 1})
 	req := CheckRequest{Program: testProg, Policy: "{2}", Domain: []int64{0, 1}}
 	first, err := s.Submit(req)
 	if err != nil {
@@ -163,7 +163,7 @@ func TestSecondIdenticalSubmissionHitsCache(t *testing.T) {
 }
 
 func TestReformattedSourceSharesCompiledEntry(t *testing.T) {
-	s := newTestService(t, Config{Pools: 1})
+	s := newTestService(t, Config{Runners: 1})
 	if _, err := s.Submit(CheckRequest{Program: testProg, Policy: "{2}"}); err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestReformattedSourceSharesCompiledEntry(t *testing.T) {
 }
 
 func TestSubmitValidation(t *testing.T) {
-	s := newTestService(t, Config{Pools: 1, MaxTuples: 100})
+	s := newTestService(t, Config{Runners: 1, MaxTuples: 100})
 	cases := []struct {
 		name string
 		req  CheckRequest
@@ -204,14 +204,14 @@ func TestSubmitValidation(t *testing.T) {
 }
 
 func TestUnknownJob(t *testing.T) {
-	s := newTestService(t, Config{Pools: 1})
+	s := newTestService(t, Config{Runners: 1})
 	if _, err := s.Job("job-999"); !errors.Is(err, ErrUnknownJob) {
 		t.Errorf("err = %v, want ErrUnknownJob", err)
 	}
 }
 
 func TestStatsTallies(t *testing.T) {
-	s := newTestService(t, Config{Pools: 2})
+	s := newTestService(t, Config{Runners: 2})
 	req := CheckRequest{Program: testProg, Policy: "{2}", Domain: []int64{0, 1, 2}}
 	var jobs []*Job
 	for i := 0; i < 6; i++ {
@@ -228,12 +228,8 @@ func TestStatsTallies(t *testing.T) {
 	if st.Jobs.Done != 6 || st.Jobs.Failed != 0 {
 		t.Errorf("job tallies = %+v, want 6 done", st.Jobs)
 	}
-	var dispatched int64
-	for _, p := range st.Pools {
-		dispatched += p.Dispatched
-	}
-	if dispatched != 6 {
-		t.Errorf("dispatched across pools = %d, want 6", dispatched)
+	if st.Queue.Depth != 0 || st.Queue.Peak < 1 || st.Queue.Peak > 6 {
+		t.Errorf("queue stats = %+v, want depth 0 and a peak in 1..6", st.Queue)
 	}
 	if st.Cache.Hits < 5 || st.Cache.Misses != 1 {
 		t.Errorf("cache stats = %+v, want ≥5 hits and exactly 1 miss", st.Cache)
@@ -263,7 +259,7 @@ func TestLoneJobLendsIdleCPUs(t *testing.T) {
 	req.Policy = "{1}" // slowProg outputs x2
 	req.Domain = req.Domain[:8]
 
-	s := newTestService(t, Config{Pools: 2})
+	s := newTestService(t, Config{Runners: 2})
 	if w := s.Config().SweepWorkers; w != 1 {
 		t.Errorf("a lending service reports SweepWorkers %d, want 1", w)
 	}
@@ -284,7 +280,7 @@ func TestLoneJobLendsIdleCPUs(t *testing.T) {
 		t.Errorf("lone job ran on one sweep worker: %+v", tr.Events)
 	}
 
-	ref := newTestService(t, Config{Pools: 2, SweepWorkers: 1})
+	ref := newTestService(t, Config{Runners: 2, SweepWorkers: 1})
 	rj, err := ref.Submit(req)
 	if err != nil {
 		t.Fatal(err)

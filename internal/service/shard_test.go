@@ -21,7 +21,7 @@ func waitDone(t *testing.T, j *Job) {
 }
 
 func TestSubmitShardedJob(t *testing.T) {
-	svc := New(Config{Pools: 1})
+	svc := New(Config{Runners: 1})
 	defer svc.Close()
 
 	// 8 values × arity 2 = 64 tuples; the shard covers [16, 48).
@@ -60,7 +60,7 @@ func TestSubmitShardedJob(t *testing.T) {
 }
 
 func TestSubmitShardedMaximalJob(t *testing.T) {
-	svc := New(Config{Pools: 1})
+	svc := New(Config{Runners: 1})
 	defer svc.Close()
 	req := CheckRequest{
 		Program: testProg,
@@ -93,7 +93,7 @@ func TestSubmitShardedMaximalJob(t *testing.T) {
 }
 
 func TestSubmitRejectsNegativeShard(t *testing.T) {
-	svc := New(Config{Pools: 1})
+	svc := New(Config{Runners: 1})
 	defer svc.Close()
 	for _, req := range []CheckRequest{
 		{Program: testProg, Offset: -1},
@@ -109,7 +109,7 @@ func TestShardAdmissionBoundsSpanNotProduct(t *testing.T) {
 	// With MaxTuples 100, a 32^2 = 1024-tuple whole-domain submission is
 	// rejected while a 64-tuple shard of the same domain is admitted —
 	// sharding is how a fleet takes on domains one node refuses.
-	svc := New(Config{Pools: 1, MaxTuples: 100})
+	svc := New(Config{Runners: 1, MaxTuples: 100})
 	defer svc.Close()
 	dom := make([]int64, 32)
 	for i := range dom {
@@ -133,7 +133,7 @@ func TestShardAdmissionBoundsSpanNotProduct(t *testing.T) {
 }
 
 func TestV2ShardRoundTrip(t *testing.T) {
-	svc := New(Config{Pools: 1})
+	svc := New(Config{Runners: 1})
 	defer svc.Close()
 	srv := httptest.NewServer(svc.Handler())
 	defer srv.Close()

@@ -10,8 +10,8 @@
 // them front to back; a worker whose run is used up steals the back half
 // of the largest run left, so load balances dynamically even when
 // per-tuple cost is skewed, while each worker keeps walking neighbouring
-// tuples (warm prefix snapshots) — the work-stealing counterpart of the
-// join-the-shortest-queue results motivating the design. Within a chunk a
+// tuples (warm prefix snapshots): idle capacity takes the next work, as
+// an idle service runner pops the next job. Within a chunk a
 // worker advances an odometer rather than re-dividing, so the per-tuple
 // scheduling cost is a few array writes. By default a run lends itself the
 // process's idle CPUs: it adds workers while fewer sweep workers run in
