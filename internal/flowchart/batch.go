@@ -47,15 +47,16 @@ type bnode struct {
 	notice    string
 }
 
-// ensureBatch lowers the program to batch form on first use. Compilation is
-// lazy — interpreter- and scalar-only callers never pay for it — and
-// happens once per Compiled, shared by every worker's Lanes.
+// ensureBatch lowers the rewritten program Compile kept (simplify.go) to
+// batch form on first use. Compilation is lazy — interpreter- and
+// scalar-only callers never pay for it — and happens once per Compiled,
+// shared by every worker's Lanes.
 func (c *Compiled) ensureBatch() error {
 	c.batchOnce.Do(func() {
 		k := &kernels{slotOf: c.slotOf, constAt: make(map[int64]int)}
-		code := make([]bnode, len(c.code))
-		for i := range c.Source.Nodes {
-			n := &c.Source.Nodes[i]
+		code := make([]bnode, len(c.nodes))
+		for i := range c.nodes {
+			n := &c.nodes[i]
 			bn := bnode{kind: n.Kind, next: int32(n.Next), onTrue: int32(n.True), onFalse: int32(n.False),
 				violation: n.Violation, notice: n.Notice}
 			var err error
@@ -73,6 +74,7 @@ func (c *Compiled) ensureBatch() error {
 			code[i] = bn
 		}
 		c.bcode, c.bconsts, c.bints, c.bbools = code, k.consts, k.ints, k.bools
+		c.nodes = nil // lowered; the compiled program need not retain it
 	})
 	return c.batchErr
 }
@@ -82,6 +84,7 @@ func (c *Compiled) ensureBatch() error {
 // built: the columns kernels write live in each worker's Lanes.
 type batchState struct {
 	batchOnce sync.Once
+	nodes     []Node // the rewritten program (simplify.go), until lowered
 	bcode     []bnode
 	bconsts   []int64 // the program's distinct constants, one Lanes column each
 	bints     int     // int64 scratch columns of the largest expression tree
@@ -487,6 +490,19 @@ func (k *kernels) expr(e Expr, ib, bb int) (kexpr, error) {
 	case *Bin:
 		if int(x.Op) >= len(binOpNames) {
 			return nil, fmt.Errorf("compile: unknown binary op %d", x.Op)
+		}
+		if m, ok := modMask(x); ok {
+			sub, err := k.expr(x.L, ib, bb)
+			if err != nil {
+				return nil, err
+			}
+			return func(l *Lanes, out []int64) []int64 {
+				a := sub(l, out)[:len(out)]
+				for i := range out {
+					out[i] = modPow2(a[i], m)
+				}
+				return out
+			}, nil
 		}
 		left, err := k.expr(x.L, ib+1, bb)
 		if err != nil {

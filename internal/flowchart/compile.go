@@ -11,6 +11,14 @@ import (
 // exactly the same Result (value, steps, violations) as Program.RunBudget;
 // the equivalence is property-tested against the tree-walking interpreter.
 //
+// What the compiled tiers lower is the rewritten program (simplify.go):
+// constant subtrees folded, and constant decisions and dead stores turned
+// into jumps, with no change to any step count. Source stays the parsed
+// program, and so do the touch masks, InputTrace and Slots: a jump still
+// carries its box's mask, so snapshot capture points are where they were
+// on the parsed program, and a mask that over-approximates what the
+// rewritten box touches is still sound.
+//
 // This is the library's interpreter ablation: the benchmarks compare
 // map-environment interpretation against compiled execution so the cost
 // attributed to surveillance instrumentation can be separated from the
@@ -77,36 +85,40 @@ func (p *Program) Compile() (*Compiled, error) {
 		c.lastBit = 1 << (k - 1)
 		c.lastSlot = c.inputSlots[k-1]
 	}
-	// bitOf maps a variable name to its input-trace bit; non-input
-	// variables contribute nothing to a node's touch mask.
-	bitOf := make(map[string]uint64, len(p.Inputs))
-	if c.lastBit != 0 {
-		for i, in := range p.Inputs {
-			bitOf[in] = 1 << i
-		}
-	}
-	touchMask := func(n interface{ AddVars(map[string]bool) }, extra ...string) uint64 {
-		set := make(map[string]bool)
-		if n != nil {
-			n.AddVars(set)
-		}
-		for _, v := range extra {
-			set[v] = true
-		}
-		var mask uint64
-		for v := range set {
-			mask |= bitOf[v]
-		}
-		return mask
-	}
+	// Every variable gets its slot, and every box its touch mask, from the
+	// parsed program, before the rewrite drops anything. Inputs hold
+	// slots 0..k-1 in order, so an input's touch bit is 1 << its slot.
 	c.code = make([]cnode, len(p.Nodes))
+	var touch uint64
+	mark := func(v string) {
+		if s := slot(v); s < len(p.Inputs) && c.lastBit != 0 {
+			touch |= 1 << s
+		}
+	}
 	for i := range p.Nodes {
 		n := &p.Nodes[i]
-		cn := cnode{kind: n.Kind, next: int32(n.Next), onTrue: int32(n.True), onFalse: int32(n.False),
-			violation: n.Violation, notice: n.Notice}
+		touch = 0
 		switch n.Kind {
 		case KindAssign:
-			cn.touch = touchMask(n.Expr, n.Target)
+			mark(n.Target)
+			visitExpr(n.Expr, mark)
+		case KindDecision:
+			visitPred(n.Cond, mark)
+		case KindHalt:
+			if !n.Violation {
+				mark(p.OutputVar())
+			}
+		}
+		c.code[i].touch = touch
+	}
+	nodes := simplify(p, c.slotOf)
+	for i := range nodes {
+		n := &nodes[i]
+		cn := &c.code[i]
+		cn.kind, cn.next, cn.onTrue, cn.onFalse = n.Kind, int32(n.Next), int32(n.True), int32(n.False)
+		cn.violation, cn.notice = n.Violation, n.Notice
+		switch n.Kind {
+		case KindAssign:
 			cn.target = slot(n.Target)
 			e, err := compileExpr(n.Expr, slot)
 			if err != nil {
@@ -114,19 +126,14 @@ func (p *Program) Compile() (*Compiled, error) {
 			}
 			cn.expr = e
 		case KindDecision:
-			cn.touch = touchMask(n.Cond)
 			q, err := compilePred(n.Cond, slot)
 			if err != nil {
 				return nil, fmt.Errorf("flowchart %q: node %d: %w", p.Name, i, err)
 			}
 			cn.cond = q
-		case KindHalt:
-			if !n.Violation {
-				cn.touch = touchMask(nil, p.OutputVar())
-			}
 		}
-		c.code[i] = cn
 	}
+	c.nodes = nodes
 	c.start = int32(p.Start)
 	return c, nil
 }
@@ -219,6 +226,17 @@ func compileExpr(e Expr, slot func(string) int) (func([]int64) int64, error) {
 		}
 		return func(regs []int64) int64 { return ^sub(regs) }, nil
 	case *Bin:
+		if m, ok := modMask(x); ok {
+			if v, ok := x.L.(Var); ok {
+				s := slot(string(v))
+				return func(regs []int64) int64 { return modPow2(regs[s], m) }, nil
+			}
+			l, err := compileExpr(x.L, slot)
+			if err != nil {
+				return nil, err
+			}
+			return func(regs []int64) int64 { return modPow2(l(regs), m) }, nil
+		}
 		if f := compileBinFast(x, slot); f != nil {
 			return f, nil
 		}
@@ -314,6 +332,24 @@ func compileExpr(e Expr, slot func(string) int) (func([]int64) int64, error) {
 	default:
 		return nil, fmt.Errorf("compile: unknown expression type %T", e)
 	}
+}
+
+// modMask reports whether x is a remainder by a positive power-of-two
+// constant c, and returns c-1.
+func modMask(x *Bin) (int64, bool) {
+	c, ok := x.R.(Const)
+	if !ok || x.Op != OpMod || c <= 0 || c&(c-1) != 0 {
+		return 0, false
+	}
+	return int64(c) - 1, true
+}
+
+// modPow2 is v % (m+1) for a power of two m+1, without a division: the
+// bias (v>>63)&m rounds a negative v toward zero before the mask clears
+// its low bits, so the remainder truncates like Go's %, and MinInt64
+// cannot overflow because the bias is added to a negative number.
+func modPow2(v, m int64) int64 {
+	return v - (v+(v>>63)&m)&^m
 }
 
 // compileBinFast specialises the overwhelmingly common var⊕const and

@@ -2,6 +2,7 @@ package service
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -124,67 +125,71 @@ func TestVerdictSurvivesRestart(t *testing.T) {
 // job to a known checkpoint, abandon the service without clearing the
 // pending record (a crash), restart on the same store directory, and
 // require the resumed job — same ID — to finish with the verdict an
-// uninterrupted run produces.
+// uninterrupted run produces. The two cases have their own store
+// directories and services, so they run in parallel.
 func TestCrashResume(t *testing.T) {
 	for _, maximal := range []bool{false, true} {
-		req := slowRequest()
-		req.Maximal = maximal
+		t.Run(fmt.Sprintf("maximal=%t", maximal), func(t *testing.T) {
+			t.Parallel()
+			req := slowRequest()
+			req.Maximal = maximal
 
-		// Reference: uninterrupted run at one sweep worker; the crashed
-		// and resumed runs lend themselves idle CPUs, and the verdict must
-		// not change.
-		ref := storedService(t, t.TempDir(), Config{Runners: 1, SweepWorkers: 1})
-		rj, err := ref.Submit(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := waitJob(t, rj)
-		if want.State != StateDone {
-			t.Fatalf("reference run: %+v", want)
-		}
+			// Reference: uninterrupted run at one sweep worker; the crashed
+			// and resumed runs lend themselves idle CPUs, and the verdict must
+			// not change.
+			ref := storedService(t, t.TempDir(), Config{Runners: 1, SweepWorkers: 1})
+			rj, err := ref.Submit(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := waitJob(t, rj)
+			if want.State != StateDone {
+				t.Fatalf("reference run: %+v", want)
+			}
 
-		// The crash: tiny checkpoint interval, and once the sweep is past
-		// its second checkpoint, the store is closed out from under the
-		// service — from here on no write lands, exactly like a power
-		// cut, so the pending record and its last checkpoint survive
-		// while the job's own terminal bookkeeping is lost.
-		dir2 := t.TempDir()
-		st2 := openStore(t, dir2)
-		s2 := New(Config{Runners: 1, Store: st2, CheckpointEvery: 32})
-		j2, err := s2.Submit(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		deadline := time.Now().Add(20 * time.Second)
-		for j2.Progress() < 80 && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-		}
-		st2.Close()
-		j2.cancel()
-		<-j2.Done()
-		s2.Close()
+			// The crash: tiny checkpoint interval, and once the sweep is past
+			// its second checkpoint, the store is closed out from under the
+			// service — from here on no write lands, exactly like a power
+			// cut, so the pending record and its last checkpoint survive
+			// while the job's own terminal bookkeeping is lost.
+			dir2 := t.TempDir()
+			st2 := openStore(t, dir2)
+			s2 := New(Config{Runners: 1, Store: st2, CheckpointEvery: 32})
+			j2, err := s2.Submit(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			deadline := time.Now().Add(20 * time.Second)
+			for j2.Progress() < 80 && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			st2.Close()
+			j2.cancel()
+			<-j2.Done()
+			s2.Close()
 
-		// Restart on the same directory: the job must come back pending,
-		// under its original ID, and run to the reference verdict.
-		s3 := storedService(t, dir2, Config{Runners: 1, CheckpointEvery: 32})
-		j3, err := s3.Job(j2.ID)
-		if err != nil {
-			t.Fatalf("resumed job %s not found after restart: %v", j2.ID, err)
-		}
-		got := waitJob(t, j3)
-		if got.State != StateDone {
-			t.Fatalf("maximal=%t: resumed job: state %s, error %q", maximal, got.State, got.Error)
-		}
-		if got.Progress.Done < j3.Total {
-			t.Errorf("maximal=%t: resumed progress %+v incomplete", maximal, got.Progress)
-		}
-		if !reflect.DeepEqual(stripTiming(got.Result), stripTiming(want.Result)) {
-			t.Errorf("maximal=%t: resumed verdict differs from uninterrupted run:\n  %+v\nvs\n  %+v",
-				maximal, stripTiming(got.Result), stripTiming(want.Result))
-		}
-		if s3.Stats().Store.ResumedJobs != 1 {
-			t.Errorf("maximal=%t: resumed-jobs counter = %+v", maximal, s3.Stats().Store)
-		}
+			// Restart on the same directory: the job must come back pending,
+			// under its original ID, and run to the reference verdict.
+			s3 := storedService(t, dir2, Config{Runners: 1, CheckpointEvery: 32})
+			j3, err := s3.Job(j2.ID)
+			if err != nil {
+				t.Fatalf("resumed job %s not found after restart: %v", j2.ID, err)
+			}
+			got := waitJob(t, j3)
+			if got.State != StateDone {
+				t.Fatalf("maximal=%t: resumed job: state %s, error %q", maximal, got.State, got.Error)
+			}
+			if got.Progress.Done < j3.Total {
+				t.Errorf("maximal=%t: resumed progress %+v incomplete", maximal, got.Progress)
+			}
+			if !reflect.DeepEqual(stripTiming(got.Result), stripTiming(want.Result)) {
+				t.Errorf("maximal=%t: resumed verdict differs from uninterrupted run:\n  %+v\nvs\n  %+v",
+					maximal, stripTiming(got.Result), stripTiming(want.Result))
+			}
+			if s3.Stats().Store.ResumedJobs != 1 {
+				t.Errorf("maximal=%t: resumed-jobs counter = %+v", maximal, s3.Stats().Store)
+			}
+		})
 	}
 }
 
