@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -51,6 +53,13 @@ func TestEveryExperimentRuns(t *testing.T) {
 	}
 }
 
+// TestRunAll pins the whole reproduction byte for byte: every table of
+// every experiment, as spm-experiments prints it. An execution tier may
+// change how a verdict is computed, never what it is, so any diff here is
+// a regression unless an experiment itself was meant to change. After an
+// intended change, regenerate the golden with
+//
+//	go run ./cmd/spm-experiments > internal/experiments/testdata/all.golden
 func TestRunAll(t *testing.T) {
 	var buf bytes.Buffer
 	if err := RunAll(&buf); err != nil {
@@ -60,6 +69,25 @@ func TestRunAll(t *testing.T) {
 	for _, e := range All() {
 		if !strings.Contains(out, "== "+e.ID+":") {
 			t.Errorf("RunAll output missing section %s", e.ID)
+		}
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "all.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out != string(want) {
+		got, exp := strings.Split(out, "\n"), strings.Split(string(want), "\n")
+		for i := range max(len(got), len(exp)) {
+			var g, e string
+			if i < len(got) {
+				g = got[i]
+			}
+			if i < len(exp) {
+				e = exp[i]
+			}
+			if g != e {
+				t.Fatalf("RunAll output differs from testdata/all.golden at line %d:\n got: %q\nwant: %q", i+1, g, e)
+			}
 		}
 	}
 }
