@@ -36,8 +36,8 @@ bench-prefix-json:
 	$(GO) run ./cmd/benchjson < bench_prefix.txt > BENCH_prefix.json
 	@echo wrote BENCH_prefix.json
 
-# The batch-tier perf-trajectory artifact: scalar memoized sweep vs the
-# SoA batch runner at widths 8 and 32, 1 and 8 workers, over the
+# The batch-tier perf-trajectory artifact: the memoized sweep on one-lane
+# strides vs strides of 8 and 32 lanes, 1 and 8 workers, over the
 # 160k-tuple sweep, averaged like bench-json.
 bench-batch-json:
 	$(GO) test -bench 'BatchSweep' -benchmem -count 3 -run '^$$' . > bench_batch.txt

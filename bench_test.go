@@ -665,15 +665,14 @@ func BenchmarkPrefixMemoSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchSweep is the batch/columnar-tier ablation on the same
-// 160,000-tuple domain as BenchmarkPrefixMemoSweep: batch1 is the scalar
-// prefix-memoized tier (a one-lane stride runs the scalar kernels), batch8 and
-// batch32 stride the innermost axis 8 and 32 lanes at a time over
-// structure-of-arrays columns — each row's snapshot capture feeding every
-// lane, instruction dispatch paid once per stride. The 1-worker rows
-// isolate per-tuple dispatch cost (where memo-1w ≈ memo-8w showed the
-// engine no longer worker-bound); the 8-worker rows show the tiers
-// compose. CI's bench job uploads this as BENCH_batch.json.
+// BenchmarkBatchSweep is the stride-width ablation on the same
+// 160,000-tuple domain as BenchmarkPrefixMemoSweep: batch1 runs one-lane
+// strides, batch8 and batch32 stride the innermost axis 8 and 32 lanes at
+// a time over structure-of-arrays columns — each row's snapshot capture
+// feeding every lane, instruction dispatch paid once per stride. The
+// 1-worker rows isolate per-tuple dispatch cost (where memo-1w ≈ memo-8w
+// showed the engine no longer worker-bound); the 8-worker rows show the
+// tiers compose. CI's bench job uploads this as BENCH_batch.json.
 func BenchmarkBatchSweep(b *testing.B) {
 	q := flowchart.MustParse(benchSweep)
 	m := core.FromProgram(q)
@@ -732,8 +731,9 @@ S5: y := x5
 // five-axis domain (8⁵ = 32,768 tuples) where prefix work dominates:
 // stack is the default tier (per-axis captures — an odometer carry at
 // digit d replays only the loops below d), memo the single-axis prefix
-// memo (WithMemoStack(false), the PR-5 baseline — fresh rows re-run all
-// five loops), reuse the compiled path with no memoization at all. The
+// memo (WithMemoStack(false) — fresh rows re-run all five loops), reuse
+// the compiled path with no memoization at all, all at the default stride
+// width; stack-width1 runs the stack tier on one-lane strides. The
 // 1-worker rows are the headline superlinear-vs-depth comparison; the
 // 8-worker row shows the stack composes with work stealing. CI's bench
 // job uploads this as BENCH_memostack.json.
@@ -758,11 +758,11 @@ func BenchmarkSnapshotStack(b *testing.B) {
 	run("stack-1w", check.WithWorkers(1))
 	run("memo-1w", check.WithWorkers(1), check.WithMemoStack(false))
 	run("reuse-1w", check.WithWorkers(1), check.WithMemo(false))
-	run("stack-batch32-1w", check.WithWorkers(1), check.WithBatch(32))
+	run("stack-width1-1w", check.WithWorkers(1), check.WithBatch(1))
 	run("stack-8w", check.WithWorkers(8))
 }
 
-// BenchmarkAblationSweepMaximality measures the two-pass parallel
+// BenchmarkAblationSweepMaximality measures the one-pass parallel
 // maximality checker against its sequential counterpart on the same
 // flowchart-backed mechanism.
 func BenchmarkAblationSweepMaximality(b *testing.B) {

@@ -360,7 +360,6 @@ func cmdSweep(args []string) error {
 	domain := fs.String("domain", "0,1,2", "comma-separated values every input ranges over")
 	workers := fs.Int("workers", 0, "sweep workers (0 = lend idle CPUs)")
 	chunk := fs.Int("chunk", 0, "tuples a sweep worker claims at a time (0 = auto)")
-	batch := fs.Int("batch", 0, "stride width: compiled mechanisms run up to this many tuples in lockstep (0 or 1 = one-lane strides on the scalar kernels)")
 	timed := fs.Bool("time", false, "observe running time as well as the value")
 	raw := fs.Bool("raw", false, "check the bare program instead of instrumenting")
 	maximal := fs.Bool("maximal", false, "also check maximality against the bare program")
@@ -375,7 +374,7 @@ func cmdSweep(args []string) error {
 		return fmt.Errorf("sweep: %w", err)
 	}
 	ctx := interruptContext()
-	opts := []check.Option{check.WithWorkers(*workers), check.WithChunk(*chunk), check.WithBatch(*batch)}
+	opts := []check.Option{check.WithWorkers(*workers), check.WithChunk(*chunk)}
 
 	start := time.Now()
 	v, err := check.Run(ctx, check.Spec{

@@ -52,7 +52,6 @@ func cmdServe(args []string) error {
 	runners := fs.Int("runners", 0, "jobs run at once (0 = GOMAXPROCS)")
 	queue := fs.Int("queue", 0, "run-queue bound in jobs, per tenant with tenant quotas on (0 = default)")
 	sweepWorkers := fs.Int("sweep-workers", 0, "sweep workers per job (0 = lend idle CPUs: a job adds workers while the process has a CPU free)")
-	sweepBatch := fs.Int("sweep-batch", 0, "stride width cap per job, clamped to the innermost axis length (0 = default, 1 = one-lane strides on the scalar kernels)")
 	cacheCap := fs.Int("cache", 0, "compile-cache entries (0 = default)")
 	maxTuples := fs.Int64("max-tuples", 0, "reject domains larger than this (0 = default)")
 	storeDir := fs.String("store", "", "verdict-store directory; enables persistence and crash resume")
@@ -71,7 +70,6 @@ func cmdServe(args []string) error {
 		Runners:         *runners,
 		QueueCap:        *queue,
 		SweepWorkers:    *sweepWorkers,
-		SweepBatch:      *sweepBatch,
 		CacheCap:        *cacheCap,
 		MaxTuples:       *maxTuples,
 		CheckpointEvery: *ckptEvery,

@@ -141,9 +141,9 @@ func renderTop(base string, snap, prev topSnapshot) string {
 	fmt.Fprintf(&b, "memo    captures %.0f  replays %.0f  invalidated %.0f\n",
 		val("spm_memo_captures_total"), val("spm_memo_replays_total"),
 		val("spm_memo_invalidations_total"))
-	fmt.Fprintf(&b, "stack   full %.0f  replays %.0f  constants %.0f  rowhits %.0f\n",
+	fmt.Fprintf(&b, "stack   full %.0f  replays %.0f  constants %.0f\n",
 		val("spm_stack_full_total"), val("spm_stack_replays_total"),
-		val("spm_stack_constants_total"), val("spm_stack_rowhits_total"))
+		val("spm_stack_constants_total"))
 	fmt.Fprintf(&b, "batch   strides %.0f  lanes %.0f  diverged %.0f\n",
 		val("spm_batch_strides_total"), val("spm_batch_lanes_total"),
 		val("spm_batch_diverged_total"))

@@ -202,10 +202,10 @@ func TestBatchNonFlowchartFallback(t *testing.T) {
 }
 
 // TestNullaryDomainOneTuple runs every kind on a zero-input program through
-// the one execution seam — the one-lane stride, a wide stride, and the
-// interpreter — and requires exactly one checked tuple each time: the
-// empty product's single empty tuple, which the sweep delivers as a call
-// with no lanes.
+// the one execution seam — the default width, the one-lane stride, a wide
+// stride, and the interpreter — and requires exactly one checked tuple
+// each time: the empty product's single empty tuple, which the sweep
+// delivers as a call with no lanes.
 func TestNullaryDomainOneTuple(t *testing.T) {
 	p := flowchart.MustParse(`
 program constant
@@ -214,6 +214,7 @@ program constant
 `)
 	m := core.FromProgram(p)
 	paths := map[string][]check.Option{
+		"default":     nil,
 		"batch1":      {check.WithBatch(1)},
 		"batch16":     {check.WithBatch(16)},
 		"interpreted": {check.WithCompiled(false)},

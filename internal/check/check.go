@@ -16,9 +16,10 @@
 //
 // Functional options tune the run: WithWorkers and WithChunk tune the
 // engine, WithProgress exposes the chunk cursor to long-running callers
-// (the policy-checking service's job lifecycle), WithBatch sets the stride
-// width, and WithCompiled(false)/WithMemo(false) force the interpreter and
-// disable prefix memoization for ablations.
+// (the policy-checking service's job lifecycle), WithBatch caps the stride
+// width (DefaultBatch lanes unless set), and
+// WithCompiled(false)/WithMemo(false) force the interpreter and disable
+// prefix memoization for ablations.
 package check
 
 import (
@@ -161,6 +162,11 @@ type Spec struct {
 	Shard Shard
 }
 
+// DefaultBatch is the stride-width cap Run uses unless WithBatch sets
+// one: compiled mechanisms execute up to this many innermost-axis tuples
+// in lockstep.
+const DefaultBatch = 64
+
 // Options collects the resolved functional options.
 type Options struct {
 	// Workers is the sweep parallelism; ≤ 0 lends the run idle CPUs
@@ -179,13 +185,12 @@ type Options struct {
 	// defaults it to true.
 	Memo bool
 	// MemoStack enables the snapshot-stack tier on top of Memo — one
-	// capture per domain axis, constant-suffix pruning, and, at Batch ≤ 1
-	// only, the content-addressed row cache; Run defaults it to true. It
-	// has no effect when Memo is off.
+	// capture per domain axis and constant-suffix pruning; Run defaults
+	// it to true. It has no effect when Memo is off.
 	MemoStack bool
-	// Batch caps the stride width; values ≤ 1 mean one-lane strides on
-	// the scalar kernels. A stride is at most one odometer row, so the
-	// width is clamped to the innermost axis length.
+	// Batch caps the stride width; values ≤ 0 mean DefaultBatch. A
+	// stride is at most one odometer row, so the width is clamped to the
+	// innermost axis length.
 	Batch int
 	// Commit, when non-nil, receives the contiguous completed prefix of
 	// the run's range (in tuples, relative to the range start) as it
@@ -254,12 +259,11 @@ func WithMemo(on bool) Option { return func(o *Options) { o.Memo = on } }
 // that axis's input — so an odometer carry at depth d invalidates only
 // the captures below d and the next tuple replays just the tail beyond
 // the shallowest changed input. Axes a program never reads collapse to
-// constant entries answered without executing anything, and innermost
-// rows whose captured state content-addresses equal reuse each other's
-// results. The verdict is identical either way (differential tests pin
-// this); WithMemoStack(false) falls back to the single-axis prefix memo —
-// the ablation baseline the snapshot-stack benchmarks compare against.
-// It has no effect under WithCompiled(false) or WithMemo(false).
+// constant entries answered without executing anything. The verdict is
+// identical either way (differential tests pin this); WithMemoStack(false)
+// falls back to the single-axis prefix memo — the ablation baseline the
+// snapshot-stack benchmarks compare against. It has no effect under
+// WithCompiled(false) or WithMemo(false).
 func WithMemoStack(on bool) Option { return func(o *Options) { o.MemoStack = on } }
 
 // WithBatch caps the stride width: each sweep worker hands every
@@ -273,9 +277,9 @@ func WithMemoStack(on bool) Option { return func(o *Options) { o.MemoStack = on 
 // mechanism with no compiled form runs the stride lane by lane through
 // Mechanism.Run, beside compiled mechanisms that stay batched. Composes
 // with WithMemo: one prefix snapshot per odometer row feeds every lane of
-// the row's strides. n ≤ 1 (the default) is the one-lane stride, run on
-// the scalar kernels; the verdict is byte-identical at every width
-// (differential tests pin this).
+// the row's strides. n ≤ 0 means DefaultBatch, and n = 1 is a one-lane
+// stride on the same kernels; the verdict is byte-identical at every
+// width (differential tests pin this).
 func WithBatch(n int) Option { return func(o *Options) { o.Batch = n } }
 
 // WithThrottle makes every sweep worker pause d after each completed
@@ -328,6 +332,10 @@ func Run(ctx context.Context, spec Spec, opts ...Option) (Verdict, error) {
 	if spec.Observation.Render == nil {
 		spec.Observation = core.ObserveValue
 	}
+	batch := o.Batch
+	if batch <= 0 {
+		batch = DefaultBatch
+	}
 	sharded := !spec.Shard.IsZero()
 	var commit func(done int)
 	if o.Commit != nil {
@@ -349,7 +357,7 @@ func Run(ctx context.Context, spec Spec, opts ...Option) (Verdict, error) {
 		NoMemo:       !o.Memo,
 		NoStack:      !o.MemoStack,
 		CollectViews: sharded,
-		Batch:        o.Batch,
+		Batch:        batch,
 		Exec:         o.Exec,
 	}
 	v := Verdict{Kind: spec.Kind, Mechanism: spec.Mechanism.Name(), Observation: spec.Observation.ObsName, Shard: spec.Shard}

@@ -25,7 +25,7 @@ func (c *chunkTally) ChunkDone(worker, tuples int, d time.Duration) {
 // TestObserverAndTally pins the observability seams end to end through
 // check.Run: the sweep observer must see every tuple exactly once, and
 // the execution tally must account for the memo and batch tiers'
-// activity — on both the scalar memoized path and the batch path.
+// activity — on one-lane strides and at the default width.
 func TestObserverAndTally(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	p := progen.Generate(r, progen.DefaultConfig(2))
@@ -40,7 +40,7 @@ func TestObserverAndTally(t *testing.T) {
 		obs := &chunkTally{}
 		tally := &core.ExecTally{}
 		v, err := check.Run(context.Background(), spec,
-			check.WithWorkers(2), check.WithChunk(8),
+			check.WithWorkers(2), check.WithChunk(8), check.WithBatch(1),
 			check.WithObserver(obs), check.WithExecTally(tally))
 		if err != nil {
 			t.Fatal(err)
@@ -55,9 +55,10 @@ func TestObserverAndTally(t *testing.T) {
 		if c.StackFull == 0 {
 			t.Errorf("no full stack recordings: %+v", c)
 		}
-		// Every tuple is answered exactly once by the stack: a full
-		// recording, a tail replay, a constant suffix, or a row hit.
-		if got := c.StackFull + c.StackReplays + c.StackConstants + c.StackRowHits; got != size {
+		// On one-lane strides every tuple is answered exactly once by the
+		// stack: a full recording, a tail replay (a continuation stride
+		// resumes from the innermost capture), or a constant suffix.
+		if got := c.StackFull + c.StackReplays + c.StackConstants; got != size {
 			t.Errorf("stack answers %d != %d tuples: %+v", got, size, c)
 		}
 		var depths int64
@@ -67,8 +68,8 @@ func TestObserverAndTally(t *testing.T) {
 		if depths != c.StackReplays {
 			t.Errorf("depth buckets sum to %d, want %d replays: %+v", depths, c.StackReplays, c)
 		}
-		if c.BatchStrides != 0 || c.BatchLanes != 0 {
-			t.Errorf("scalar run recorded batch activity: %+v", c)
+		if c.BatchLanes != c.BatchStrides || c.BatchLanes > c.StackReplays {
+			t.Errorf("one-lane run recorded wider batch activity: %+v", c)
 		}
 		if c.MemoCaptures != 0 || c.MemoReplays != 0 {
 			t.Errorf("stack run recorded single-axis memo activity: %+v", c)
@@ -78,7 +79,7 @@ func TestObserverAndTally(t *testing.T) {
 	t.Run("scalar-nostack", func(t *testing.T) {
 		tally := &core.ExecTally{}
 		_, err := check.Run(context.Background(), spec,
-			check.WithWorkers(2), check.WithChunk(8),
+			check.WithWorkers(2), check.WithChunk(8), check.WithBatch(1),
 			check.WithMemoStack(false), check.WithExecTally(tally))
 		if err != nil {
 			t.Fatal(err)
@@ -92,7 +93,7 @@ func TestObserverAndTally(t *testing.T) {
 		if c.MemoCaptures+c.MemoReplays != size {
 			t.Errorf("captures %d + replays %d != %d tuples", c.MemoCaptures, c.MemoReplays, size)
 		}
-		if c.StackFull+c.StackReplays+c.StackConstants+c.StackRowHits != 0 {
+		if c.StackFull+c.StackReplays+c.StackConstants != 0 {
 			t.Errorf("ablated run recorded stack activity: %+v", c)
 		}
 	})
@@ -101,7 +102,7 @@ func TestObserverAndTally(t *testing.T) {
 		obs := &chunkTally{}
 		tally := &core.ExecTally{}
 		_, err := check.Run(context.Background(), spec,
-			check.WithWorkers(1), check.WithChunk(16), check.WithBatch(4),
+			check.WithWorkers(1), check.WithChunk(16),
 			check.WithObserver(obs), check.WithExecTally(tally))
 		if err != nil {
 			t.Fatal(err)
@@ -114,7 +115,7 @@ func TestObserverAndTally(t *testing.T) {
 		// snapshot stack; every remaining tuple rides a batch lane (or a
 		// constant replication). Stack answers count per stride, not per
 		// lane, so the sum over-covers the domain.
-		if c.BatchLanes+c.StackFull+c.StackReplays+c.StackConstants+c.StackRowHits < size {
+		if c.BatchLanes+c.StackFull+c.StackReplays+c.StackConstants < size {
 			t.Errorf("batch lanes + stack answers do not cover %d tuples: %+v", size, c)
 		}
 		if c.BatchStrides == 0 {

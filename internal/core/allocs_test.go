@@ -10,8 +10,8 @@ import (
 
 // rowsProg reads every input, so its odometer rows are distinct states at
 // the innermost capture point, except that every a == 0 row zeroes b
-// first and collapses onto one state: an early collapse, the shape that
-// once kept a row cache out of probation for a whole sweep.
+// first and collapses onto one state: a cache keyed on row state would
+// keep growing with the rows here, which the stride tier must not.
 const rowsProg = `program rows
 inputs a b c
     if a == 0 goto Z else N

@@ -100,8 +100,8 @@ func (c *countingProvider) BatchRunners(width int, memo, stack bool, tally *Exec
 // TestRunnerFactoryPrefersProvider proves the sweep routes through the
 // provider's BatchRunners — the compile-cache path — rather than
 // recompiling or falling back to Mechanism.Run: the provider is asked once
-// per sweep at the configured width clamped to the innermost axis (1 for
-// the scalar default) and hands out one runner per worker that sweeps — a
+// per sweep at the configured width clamped to the innermost axis (one
+// lane at least) and hands out one runner per worker that sweeps — a
 // worker builds its runner on its first stride, so one that finds no work
 // left builds none — and the verdict is the interpreter's.
 func TestRunnerFactoryPrefersProvider(t *testing.T) {
@@ -118,9 +118,8 @@ func TestRunnerFactoryPrefersProvider(t *testing.T) {
 	}{
 		// A stride is at most one row: the cap is clamped to the 3-value row.
 		{Grid(2, 0, 1, 2), func(batch int) int { return min(max(batch, 1), 3) }},
-		// A one-value row keeps the cap, so a width above 1 stays on the
-		// batch tier (one lane per stride) instead of the scalar one.
-		{Domain{{-1, 0, 1, 2}, {0}}, func(batch int) int { return max(batch, 1) }},
+		// A one-value row clamps every cap to one lane.
+		{Domain{{-1, 0, 1, 2}, {0}}, func(int) int { return 1 }},
 	} {
 		want, err := CheckSoundness(pm, pol, c.dom, ObserveValue)
 		if err != nil {

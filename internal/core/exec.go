@@ -35,15 +35,16 @@ type BatchRunFunc func(input []int64, last []int64, carry int, out []Outcome) er
 type BatchRunnerProvider interface {
 	Mechanism
 	// BatchRunners returns a factory producing one BatchRunFunc per sweep
-	// worker, each owning its lanes, register file, and snapshots. Width 1
-	// selects the scalar kernels, one tuple per call. memo selects
-	// whether runs compose with prefix memoization (a snapshot captured
-	// on the row's first tuple feeds the rest of the row) or run every
-	// tuple from instruction zero — the check.WithMemo(false) ablation.
+	// worker, each owning its lanes, register file, and snapshots, for
+	// strides of up to width lanes (width 1 is a one-lane stride on the
+	// same kernels). memo selects whether runs compose with prefix
+	// memoization (a snapshot captured on the row's first tuple feeds the
+	// rest of the row) or run every tuple from instruction zero — the
+	// check.WithMemo(false) ablation.
 	// stack upgrades memoization to the snapshot-stack tier: a per-worker
-	// flowchart.SnapshotStack (per-axis captures, constant suffixes, and
-	// at width 1 only the row cache) answers each fresh tuple, and the
-	// remaining lanes of a stride resume from its innermost capture.
+	// flowchart.SnapshotStack (per-axis captures and constant suffixes)
+	// answers the first lane of each fresh stride, and the remaining
+	// lanes resume from its innermost capture.
 	// tally, when non-nil, receives each worker's execution-tier counters
 	// (one ExecTally.Part per runner); nil disables counting.
 	BatchRunners(width int, memo, stack bool, tally *ExecTally) func() BatchRunFunc
@@ -54,26 +55,21 @@ func outcomeOf(res flowchart.Result) Outcome {
 	return Outcome{Value: res.Value, Steps: res.Steps, Violation: res.Violation, Notice: res.Notice}
 }
 
-// batchRunner is the per-worker executor over compiled code. At width 1 it
-// runs the scalar kernels one tuple per call (see scalarRunner). Wider,
-// with stack, lane 0 of each fresh stride runs through a per-worker
+// batchRunner is the per-worker executor over compiled code, at every
+// width. With stack, lane 0 of each fresh stride runs through a per-worker
 // snapshot stack — per-axis captures and constant-suffix pruning apply
 // to it — and the remaining lanes (and every continuation stride of the
 // same row) resume in lockstep from the stack's innermost capture; a
 // constant answer replicates to the whole stride without executing a
-// lane. The stack carries no row cache (SnapshotStack.DropRowCache): a
-// hit could answer only lane 0, and the cache would allocate on every
-// odometer row, so this tier allocates nothing per row. With memo alone,
-// a fresh row runs its first lane on the single-axis snapshot recorder —
-// capturing execution state at the first instruction that touches the
-// innermost input — and every further lane of the row resumes from that
-// capture in lockstep; without either, each stride runs whole from
-// instruction zero, still amortizing instruction dispatch across lanes.
-// Outcomes are exactly RunReuse's for every tuple.
+// lane. With memo alone, a fresh row runs its first lane on the
+// single-axis snapshot recorder — capturing execution state at the first
+// instruction that touches the innermost input — and every further lane
+// of the row resumes from that capture in lockstep; without either, each
+// stride runs whole from instruction zero, still amortizing instruction
+// dispatch across lanes. The nullary domain's one tuple has nothing to
+// stride over or memoize and runs whole on RunReuse. Outcomes are exactly
+// RunReuse's for every tuple.
 func batchRunner(c *flowchart.Compiled, maxSteps int64, width int, memo, stack bool, part *ExecPart) BatchRunFunc {
-	if width <= 1 {
-		return scalarRunner(c, maxSteps, memo, stack, part)
-	}
 	lanes, err := c.NewLanes(width)
 	if err != nil {
 		// Factories probe NewLanes before handing out runners; reaching
@@ -81,21 +77,19 @@ func batchRunner(c *flowchart.Compiled, maxSteps int64, width int, memo, stack b
 		return func([]int64, []int64, int, []Outcome) error { return err }
 	}
 	results := make([]flowchart.Result, width)
-	var regs []int64
+	regs := make([]int64, c.Slots())
 	var snap *flowchart.Snapshot
 	var st *flowchart.SnapshotStack
 	if memo && stack {
 		st = c.NewSnapshotStack()
-		st.DropRowCache()
 	} else if memo {
-		regs = make([]int64, c.Slots())
 		snap = c.NewSnapshot()
 	}
 	var prev flowchart.BatchStats
 	runStack := func(input []int64, last []int64, carry int, res []flowchart.Result) error {
 		n := len(last)
 		k := len(input)
-		if k > 0 && carry >= k-1 {
+		if carry >= k-1 {
 			// Continuation stride of the current row: the whole stride
 			// resumes from the stack's innermost capture.
 			err := c.RunBatchFromStack(lanes, st, last, maxSteps, res)
@@ -136,9 +130,17 @@ func batchRunner(c *flowchart.Compiled, maxSteps int64, width int, memo, stack b
 		return nil
 	}
 	return func(input []int64, last []int64, carry int, out []Outcome) error {
+		if len(input) == 0 {
+			r, err := c.RunReuse(regs, input, maxSteps)
+			if err != nil {
+				return err
+			}
+			out[0] = outcomeOf(r)
+			return nil
+		}
 		n := len(last)
 		res := results[:n]
-		innerOnly := len(input) > 0 && carry >= len(input)-1
+		innerOnly := carry >= len(input)-1
 		switch {
 		case memo && stack:
 			if err := runStack(input, last, carry, res); err != nil {
@@ -183,65 +185,6 @@ func batchRunner(c *flowchart.Compiled, maxSteps int64, width int, memo, stack b
 		for i := range res {
 			out[i] = outcomeOf(res[i])
 		}
-		return nil
-	}
-}
-
-// scalarRunner is batchRunner at width 1: one tuple per call, input
-// already holding it. With stack it answers through a per-worker
-// flowchart.SnapshotStack — the carry hint invalidates exactly the stack
-// suffix above the carried digit and the deepest surviving per-axis
-// capture (or constant entry, or row-cache hit) answers the tuple. With
-// memo alone it is the single-axis prefix memo: a fresh row records a
-// snapshot at the first instruction that touches the innermost input and
-// every further tuple of the row replays only the tail from it, falling
-// back to a full recording run whenever the snapshot is unusable. Without
-// either, every tuple runs from instruction zero on a reused register
-// file. Nullary tuples (nil input) run whole on every path.
-func scalarRunner(c *flowchart.Compiled, maxSteps int64, memo, stack bool, part *ExecPart) BatchRunFunc {
-	if memo && stack {
-		st := c.NewSnapshotStack()
-		return func(input []int64, _ []int64, carry int, out []Outcome) error {
-			res, op, err := st.Run(input, carry, maxSteps)
-			part.stackOp(op)
-			if err != nil {
-				return err
-			}
-			out[0] = outcomeOf(res)
-			return nil
-		}
-	}
-	regs := make([]int64, c.Slots())
-	if !memo {
-		return func(input []int64, _ []int64, _ int, out []Outcome) error {
-			res, err := c.RunReuse(regs, input, maxSteps)
-			if err != nil {
-				return err
-			}
-			out[0] = outcomeOf(res)
-			return nil
-		}
-	}
-	snap := c.NewSnapshot()
-	return func(input []int64, _ []int64, carry int, out []Outcome) error {
-		var res flowchart.Result
-		var err error
-		if len(input) > 0 && carry >= len(input)-1 && snap.Valid() {
-			res, err = c.RunFromSnapshot(regs, snap, input[len(input)-1], maxSteps)
-			part.memoReplay()
-			if errors.Is(err, flowchart.ErrNoSnapshot) {
-				part.memoInvalidated()
-				res, err = c.RunSnapshot(regs, input, maxSteps, snap)
-				part.memoCapture()
-			}
-		} else {
-			res, err = c.RunSnapshot(regs, input, maxSteps, snap)
-			part.memoCapture()
-		}
-		if err != nil {
-			return err
-		}
-		out[0] = outcomeOf(res)
 		return nil
 	}
 }
@@ -297,20 +240,14 @@ func (cc CheckConfig) runnerFactory(m Mechanism, width int) func() BatchRunFunc 
 }
 
 // strideWidth is the stride width sweepOutcomes runs dom at: the cap
-// max(batch, 1) clamped to the innermost axis length, since no stride
-// spans more than one odometer row, and 1 for the nullary domain. An
-// innermost axis of one value (or none) leaves the cap as it is, so a
-// width above 1 keeps the batch tier rather than falling to the scalar
-// one; its strides are one lane each either way.
+// batch clamped to the innermost axis length, since no stride spans more
+// than one odometer row, and never below one lane (the nullary domain's
+// single tuple is one such lane).
 func strideWidth(dom Domain, batch int) int {
 	if len(dom) == 0 {
 		return 1
 	}
-	width := max(batch, 1)
-	if row := len(dom[len(dom)-1]); row > 1 {
-		width = min(width, row)
-	}
-	return width
+	return max(min(batch, len(dom[len(dom)-1])), 1)
 }
 
 // strideFunc is the fold the checkers hand to sweepOutcomes, called once

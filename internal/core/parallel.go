@@ -16,8 +16,7 @@ import (
 // zero (the ablation knob behind check.WithMemo(false), and the baseline
 // the prefix benchmarks compare against); NoStack keeps single-axis
 // prefix memoization but disables the snapshot-stack tier — per-axis
-// captures, constant-suffix pruning, and, at width 1 only, the
-// content-addressed row cache (the ablation knob behind
+// captures and constant-suffix pruning (the ablation knob behind
 // check.WithMemoStack(false), and the baseline the snapshot-stack
 // benchmarks compare against); CollectViews marks the range as one shard
 // of a larger run: the engines export their merged
@@ -26,8 +25,9 @@ import (
 // Batch is the stride width (the knob behind check.WithBatch): each
 // worker hands every mechanism strides of up to Batch innermost-axis
 // tuples, which compiled mechanisms execute in lockstep over
-// structure-of-arrays register columns; ≤ 1 is the one-lane stride, run
-// on the scalar kernels. Each mechanism picks its runner on its own, so a
+// structure-of-arrays register columns; ≤ 1 is the one-lane stride
+// (check.Run passes check.DefaultBatch unless told otherwise). Each
+// mechanism picks its runner on its own, so a
 // mechanism with no compiled form runs lane by lane through Mechanism.Run
 // beside compiled ones. Verdicts are identical across all tiers. Exec, when
 // non-nil, receives execution-tier counters (memo captures/replays,

@@ -102,8 +102,7 @@ func (t *ExecTally) retire() {
 type ExecCounts struct {
 	// MemoCaptures counts snapshot recordings (one per fresh odometer
 	// row on the memoized tiers); MemoReplays counts executions resumed
-	// from a snapshot (one per replayed tuple on the scalar tier, one
-	// per replayed stride on the batch tier); MemoInvalid counts
+	// from a snapshot, one per replayed stride; MemoInvalid counts
 	// replay attempts that found the snapshot unusable and fell back to
 	// a full run.
 	MemoCaptures int64
@@ -119,14 +118,15 @@ type ExecCounts struct {
 	// The snapshot-stack tier's answers by kind: StackFull counts
 	// recordings from instruction zero (no valid per-axis capture),
 	// StackReplays tails resumed from a captured stack entry,
-	// StackConstants tuples answered by a constant suffix entry without
-	// executing anything, and StackRowHits tuples answered from the
-	// content-addressed row cache (width-1 sweeps only) — the two
-	// pruning layers of the subdomain pruner.
+	// and StackConstants tuples answered by a constant suffix entry
+	// without executing anything.
 	StackFull      int64
 	StackReplays   int64
 	StackConstants int64
-	StackRowHits   int64
+	// StackRowHits always reads 0: the row cache that answered tuples
+	// without executing them is gone. The field stays until the
+	// benchmark module stops summing it.
+	StackRowHits int64
 	// StackReplayDepth splits StackReplays by the stack depth the tail
 	// resumed from (deeper = shorter tail = cheaper); depths beyond the
 	// bucket count accumulate in the last bucket.
@@ -164,7 +164,6 @@ type ExecPart struct {
 	stackFull        atomic.Int64
 	stackReplays     atomic.Int64
 	stackConstants   atomic.Int64
-	stackRowHits     atomic.Int64
 	stackReplayDepth [StackDepthBuckets]atomic.Int64
 }
 
@@ -179,7 +178,6 @@ func (p *ExecPart) addTo(c *ExecCounts) {
 	c.StackFull += p.stackFull.Load()
 	c.StackReplays += p.stackReplays.Load()
 	c.StackConstants += p.stackConstants.Load()
-	c.StackRowHits += p.stackRowHits.Load()
 	for d := range c.StackReplayDepth {
 		c.StackReplayDepth[d] += p.stackReplayDepth[d].Load()
 	}
@@ -224,8 +222,6 @@ func (p *ExecPart) stackOp(op flowchart.StackOp) {
 		p.stackReplayDepth[d].Add(1)
 	case flowchart.StackConstant:
 		p.stackConstants.Add(1)
-	case flowchart.StackRowHit:
-		p.stackRowHits.Add(1)
 	}
 }
 

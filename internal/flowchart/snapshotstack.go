@@ -15,47 +15,20 @@ import (
 // invalidation rule: an odometer carry that stops at digit c leaves every
 // capture at depth ≤ c valid and stales exactly the stack suffix above it.
 //
-// Two pruning layers ride on the stack:
+// Constant suffixes ride on the stack: a run that halts without ever
+// touching inputs d..k-1 has a result independent of those axes, so the
+// stack records it as a constant entry at every untouched depth and the
+// whole radix product of those axes collapses to one execution — the
+// wholesale skip for axes the program never reads.
 //
-//   - Constant suffixes. A run that halts without ever touching inputs
-//     d..k-1 has a result independent of those axes; the stack records it
-//     as a constant entry at every untouched depth, so the whole radix
-//     product of those axes collapses to one execution — the wholesale
-//     skip for axes the program never reads.
-//
-//   - Row collapse. Two odometer rows whose captured register files at the
-//     innermost capture point are equal (ignoring registers that cannot
-//     influence the tail: the innermost input's own slot, which every
-//     replay overwrites, and the slots of inputs no instruction ever
-//     touches) have identical tails for every innermost value. The stack
-//     content-addresses rows the way the service's compile cache addresses
-//     programs — hash first, verify with a full compare — and reuses tail
-//     results across matching rows.
-//
-// The row cache is the scalar tier's alone. A stride runner
-// (core.batchRunner at width > 1) calls DropRowCache: it sends only the
-// first lane of a fresh stride through Run, so a hit could answer at most
-// that lane while every odometer row would pay a row entry, a register
-// copy and a results map.
+// The stride runner (core.batchRunner) sends the first lane of each fresh
+// stride through Run and resumes the remaining lanes, and every
+// continuation stride of the row, from the innermost capture
+// (Compiled.RunBatchFromStack); Run allocates nothing per tuple.
 //
 // Everything falls back to a full recording run, so the result of every
 // tuple is exactly RunReuse's; the differential suites and
 // FuzzSnapshotStackVsScalar pin the equivalence byte-for-byte.
-
-// maxStackRows bounds the distinct captured row states the row cache
-// retains; maxStackResults bounds the cached tail results across all rows.
-// Saturation stops insertion (lookups keep working), trading speed for a
-// hard memory bound — never correctness. rowCacheProbation is the
-// adaptive cutoff: once that many distinct row states have been inserted
-// without a single collapse (two rows content-addressing equal) or cached
-// result reused, the sweep's rows are evidently all distinct and the
-// cache drops itself — the per-tuple hash/insert cost stops, the stack's
-// per-axis replays continue unaffected.
-const (
-	maxStackRows      = 4096
-	maxStackResults   = 1 << 16
-	rowCacheProbation = 512
-)
 
 // StackOpKind classifies how SnapshotStack.Run answered one tuple.
 type StackOpKind uint8
@@ -71,10 +44,6 @@ const (
 	// executing anything — the program never touches the axes that
 	// changed.
 	StackConstant
-	// StackRowHit: the row cache answered the tuple without executing
-	// the tail — another row with identical captured state already ran
-	// this innermost value.
-	StackRowHit
 )
 
 // String names the op kind for logs and test output.
@@ -86,8 +55,6 @@ func (k StackOpKind) String() string {
 		return "replay"
 	case StackConstant:
 		return "constant"
-	case StackRowHit:
-		return "rowhit"
 	default:
 		return fmt.Sprintf("StackOpKind(%d)", int(k))
 	}
@@ -114,32 +81,11 @@ type stackEntry struct {
 	res   Result
 }
 
-// rowKey is the first level of the row cache's content addressing: the
-// innermost capture point plus a hash of the masked register file. The
-// step budget is part of the key so cached tails can never cross budget
-// regimes.
-type rowKey struct {
-	pc     int32
-	steps  int64
-	budget int64
-	hash   uint64
-}
-
-// rowEntry is one distinct captured row state and its cached tail results
-// keyed by innermost value. regs is the masked register file (excluded
-// slots zeroed) the second-level verify compares against.
-type rowEntry struct {
-	regs    []int64
-	budget  int64
-	results map[int64]Result
-}
-
 // SnapshotStack is the per-axis generalization of Snapshot: one capture
 // point per domain axis, invalidated exactly by the sweep's odometer
-// carries, plus constant-suffix skipping and content-addressed row
-// collapse. Like a Snapshot or a register file it is single-goroutine
-// state — each sweep worker owns one — and stays bound to the Compiled
-// program that created it.
+// carries, plus constant-suffix skipping. Like a Snapshot or a register
+// file it is single-goroutine state — each sweep worker owns one — and
+// stays bound to the Compiled program that created it.
 type SnapshotStack struct {
 	c       *Compiled
 	regs    []int64
@@ -148,22 +94,6 @@ type SnapshotStack struct {
 	// (suffix[k] == 0): entry d captures before the first instruction
 	// whose touch mask intersects suffix[d].
 	suffix []uint64
-	// excluded marks register slots the row cache must ignore: the
-	// innermost input's slot (every replay overwrites it) and the slots
-	// of inputs no instruction ever touches (their values are
-	// unreadable, so rows differing only there still share tails).
-	excluded []bool
-	hashBuf  []int64
-
-	rows     map[rowKey][]*rowEntry
-	row      *rowEntry
-	nResults int
-	rowHit   bool
-	// rowInserts and rowWins drive the probation cutoff: inserts counts
-	// distinct row states added, wins counts collapses and reused
-	// results. A cache that only ever inserts gets dropped.
-	rowInserts int
-	rowWins    int
 }
 
 // NewSnapshotStack returns an empty snapshot stack for the program. For
@@ -184,19 +114,6 @@ func (c *Compiled) NewSnapshotStack() *SnapshotStack {
 	for d := k - 1; d >= 0; d-- {
 		s.suffix[d] = s.suffix[d+1] | 1<<d
 	}
-	var touched uint64
-	for i := range c.code {
-		touched |= c.code[i].touch
-	}
-	s.excluded = make([]bool, len(c.slotOf))
-	s.excluded[c.lastSlot] = true
-	for i, slot := range c.inputSlots {
-		if touched&(1<<i) == 0 {
-			s.excluded[slot] = true
-		}
-	}
-	s.hashBuf = make([]int64, len(c.slotOf))
-	s.rows = make(map[rowKey][]*rowEntry)
 	return s
 }
 
@@ -211,31 +128,11 @@ func (s *SnapshotStack) Depth() int {
 	return -1
 }
 
-// DropRowCache switches the row cache off for the life of the stack: no
-// row is hashed, stored or answered from the cache, so Run allocates
-// nothing per odometer row. The per-axis captures and constant entries
-// work as before.
-func (s *SnapshotStack) DropRowCache() {
-	s.rows, s.row = nil, nil
-}
-
-// RowStats reports the row cache's occupancy: distinct captured row
-// states and cached tail results.
-func (s *SnapshotStack) RowStats() (rows, results int) {
-	for _, chain := range s.rows {
-		rows += len(chain)
-	}
-	return rows, s.nResults
-}
-
-// Invalidate discards every capture and forgets the bound row (the row
-// cache itself survives — its entries are content-addressed, not
-// positional). The next Run records from scratch.
+// Invalidate discards every capture. The next Run records from scratch.
 func (s *SnapshotStack) Invalidate() {
 	for d := range s.entries {
 		s.entries[d].state = snapInvalid
 	}
-	s.row = nil
 }
 
 // Run executes the program on input, reusing every capture the carry hint
@@ -243,11 +140,10 @@ func (s *SnapshotStack) Invalidate() {
 // the previous Run on this stack (sweep.BatchFunc's guarantee; pass 0 when
 // nothing is known). Entries above the carry are invalidated, the deepest
 // surviving entry answers — a constant entry immediately, a captured entry
-// by replaying the tail while re-recording the stack above it, the row
-// cache without executing at all when another row already ran this tuple's
-// tail — and a tuple with no usable capture records from scratch. The
-// Result (value, steps, violations, budget accounting) is exactly what
-// RunReuse would produce for input.
+// by replaying the tail while re-recording the stack above it — and a
+// tuple with no usable capture records from scratch. The Result (value,
+// steps, violations, budget accounting) is exactly what RunReuse would
+// produce for input.
 func (s *SnapshotStack) Run(input []int64, carry int, maxSteps int64) (Result, StackOp, error) {
 	c := s.c
 	if len(input) != len(c.inputSlots) {
@@ -270,11 +166,6 @@ func (s *SnapshotStack) Run(input []int64, carry int, maxSteps int64) (Result, S
 	for d := carry + 1; d < k; d++ {
 		s.entries[d].state = snapInvalid
 	}
-	if carry < k-1 {
-		// New odometer row: the bound row entry no longer describes the
-		// current prefix.
-		s.row = nil
-	}
 	d := carry
 	for d >= 0 && s.entries[d].state == snapInvalid {
 		d--
@@ -282,7 +173,6 @@ func (s *SnapshotStack) Run(input []int64, carry int, maxSteps int64) (Result, S
 	if d >= 0 && s.entries[d].state == snapConstant {
 		return s.entries[d].res, StackOp{Kind: StackConstant, Depth: d}, nil
 	}
-	s.rowHit = false
 	if d < 0 {
 		regs := s.regs
 		for i := range regs {
@@ -291,16 +181,10 @@ func (s *SnapshotStack) Run(input []int64, carry int, maxSteps int64) (Result, S
 		for i, slot := range c.inputSlots {
 			regs[slot] = input[i]
 		}
-		res, err := s.record(input, 0, c.start, 0, maxSteps)
-		return res, s.op(StackFull, 0), err
+		res, err := s.record(0, c.start, 0, maxSteps)
+		return res, StackOp{Kind: StackFull}, err
 	}
 	e := &s.entries[d]
-	if d == k-1 && s.row != nil && s.row.budget == maxSteps {
-		if res, ok := s.row.results[input[k-1]]; ok {
-			s.rowWins++
-			return res, StackOp{Kind: StackRowHit, Depth: d}, nil
-		}
-	}
 	copy(s.regs, e.regs)
 	// Inputs at the entry's depth and deeper were untouched at its
 	// capture point (anything touching them would have captured first),
@@ -309,26 +193,18 @@ func (s *SnapshotStack) Run(input []int64, carry int, maxSteps int64) (Result, S
 	for i := d; i < k; i++ {
 		s.regs[c.inputSlots[i]] = input[i]
 	}
-	res, err := s.record(input, d+1, e.pc, e.steps, maxSteps)
-	return res, s.op(StackReplay, d), err
-}
-
-// op folds a mid-record row hit into the reported operation.
-func (s *SnapshotStack) op(kind StackOpKind, depth int) StackOp {
-	if s.rowHit {
-		return StackOp{Kind: StackRowHit, Depth: len(s.entries) - 1}
-	}
-	return StackOp{Kind: kind, Depth: depth}
+	res, err := s.record(d+1, e.pc, e.steps, maxSteps)
+	return res, StackOp{Kind: StackReplay, Depth: d}, err
 }
 
 // record is the recording execution loop: runLoop with multi-point
 // capture. Before executing each instruction it captures every pending
 // stack entry whose suffix mask the instruction touches (several depths
 // may capture at the same instruction); a halt turns the still-pending
-// depths into constant entries and feeds the row cache; budget exhaustion
-// or an execution fault leaves them invalid, so later tuples fall back
-// exactly as a fresh run would.
-func (s *SnapshotStack) record(input []int64, nextCapture int, pc int32, steps, maxSteps int64) (Result, error) {
+// depths into constant entries; budget exhaustion or an execution fault
+// leaves them invalid, so later tuples fall back exactly as a fresh run
+// would.
+func (s *SnapshotStack) record(nextCapture int, pc int32, steps, maxSteps int64) (Result, error) {
 	c := s.c
 	k := len(c.inputSlots)
 	regs := s.regs
@@ -343,12 +219,6 @@ func (s *SnapshotStack) record(input []int64, nextCapture int, pc int32, steps, 
 			e.pc, e.steps = pc, steps
 			e.state = snapCaptured
 			nextCapture++
-			if nextCapture == k {
-				if res, hit := s.bindRow(pc, steps, maxSteps, input[k-1]); hit {
-					s.rowHit = true
-					return res, nil
-				}
-			}
 		}
 		steps++
 		switch n.kind {
@@ -377,91 +247,9 @@ func (s *SnapshotStack) record(input []int64, nextCapture int, pc int32, steps, 
 				e.state = snapConstant
 				e.res = res
 			}
-			s.storeRow(input[k-1], maxSteps, res)
 			return res, nil
 		default:
 			return Result{Steps: steps}, fmt.Errorf("flowchart %q: node %d has unknown kind %d", c.Source.Name, pc, n.kind)
 		}
-	}
-}
-
-// bindRow content-addresses the just-captured innermost state: hash the
-// masked register file, verify candidates with a full compare (hash
-// collisions must never cross-contaminate rows — verdicts are
-// byte-identical by contract), and bind the matching or freshly inserted
-// row entry. Reports a cached tail result for last when the bound row
-// already ran it.
-func (s *SnapshotStack) bindRow(pc int32, steps, maxSteps int64, last int64) (Result, bool) {
-	s.row = nil
-	if s.rows == nil {
-		return Result{}, false
-	}
-	copy(s.hashBuf, s.regs)
-	for slot, ex := range s.excluded {
-		if ex {
-			s.hashBuf[slot] = 0
-		}
-	}
-	const (
-		fnvOffset = 14695981039346656037
-		fnvPrime  = 1099511628211
-	)
-	h := uint64(fnvOffset)
-	for _, v := range s.hashBuf {
-		h ^= uint64(v)
-		h *= fnvPrime
-	}
-	key := rowKey{pc: pc, steps: steps, budget: maxSteps, hash: h}
-	chain := s.rows[key]
-	for _, r := range chain {
-		match := true
-		for i, v := range r.regs {
-			if s.hashBuf[i] != v {
-				match = false
-				break
-			}
-		}
-		if match {
-			// Two rows collapsed onto one captured state — the cache is
-			// earning its keep.
-			s.rowWins++
-			s.row = r
-			if res, ok := r.results[last]; ok {
-				return res, true
-			}
-			return Result{}, false
-		}
-	}
-	if len(s.rows) >= maxStackRows {
-		return Result{}, false
-	}
-	s.rowInserts++
-	if s.rowWins == 0 && s.rowInserts >= rowCacheProbation {
-		// Every row state so far has been distinct: stop paying the
-		// per-row hash and per-tuple result bookkeeping for a cache that
-		// never answers.
-		s.rows = nil
-		return Result{}, false
-	}
-	r := &rowEntry{
-		regs:    append([]int64(nil), s.hashBuf...),
-		budget:  maxSteps,
-		results: make(map[int64]Result),
-	}
-	s.rows[key] = append(chain, r)
-	s.row = r
-	return Result{}, false
-}
-
-// storeRow caches a completed tail result on the bound row. Error results
-// are never cached (the error paths re-execute and fail identically), and
-// saturation simply stops caching.
-func (s *SnapshotStack) storeRow(last int64, maxSteps int64, res Result) {
-	if s.row == nil || s.row.budget != maxSteps || s.nResults >= maxStackResults {
-		return
-	}
-	if _, ok := s.row.results[last]; !ok {
-		s.row.results[last] = res
-		s.nResults++
 	}
 }

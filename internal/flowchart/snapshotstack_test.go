@@ -100,47 +100,6 @@ func TestSnapshotStackNeverReadAnything(t *testing.T) {
 	}
 }
 
-// TestSnapshotStackRowCollapse: rows whose captured state at the
-// innermost capture point coincide (here, outer values congruent mod 2
-// after `a := a % 2` shadows the input) reuse each other's tail results
-// through the content-addressed row cache.
-func TestSnapshotStackRowCollapse(t *testing.T) {
-	c := mustCompile(t, "inputs a b\n a := a % 2\n y := a * 100 + b\n halt\n")
-	st := c.NewSnapshotStack()
-	values := [][]int64{{0, 1, 2, 3, 4, 5}, {7, 8, 9}}
-	ops := sweepStack(t, c, st, values, flowchart.DefaultMaxSteps)
-	// Rows a=0 and a=1 execute their tails (one full + replays); rows
-	// a=2..5 land on the two cached row states and answer every tuple
-	// from the cache.
-	if want := 4 * 3; ops[flowchart.StackRowHit] != want {
-		t.Errorf("row hits = %d, want %d (ops %v)", ops[flowchart.StackRowHit], want, ops)
-	}
-	rows, results := st.RowStats()
-	if rows != 2 {
-		t.Errorf("distinct row states = %d, want 2", rows)
-	}
-	if results != 6 {
-		t.Errorf("cached results = %d, want 6", results)
-	}
-}
-
-// TestSnapshotStackUnreadInputExcluded: an input no instruction touches
-// must not poison the row hash — rows differing only in that coordinate
-// share one cached state.
-func TestSnapshotStackUnreadInputExcluded(t *testing.T) {
-	c := mustCompile(t, "inputs dead b\n y := b * 2\n halt\n")
-	st := c.NewSnapshotStack()
-	values := [][]int64{{0, 1, 2, 3}, {5, 6}}
-	ops := sweepStack(t, c, st, values, flowchart.DefaultMaxSteps)
-	rows, _ := st.RowStats()
-	if rows != 1 {
-		t.Errorf("distinct row states = %d, want 1 (dead input leaked into the hash); ops %v", rows, ops)
-	}
-	if want := 3 * 2; ops[flowchart.StackRowHit] != want {
-		t.Errorf("row hits = %d, want %d (ops %v)", ops[flowchart.StackRowHit], want, ops)
-	}
-}
-
 // TestSnapshotStackReadUnderBranch: an outer input read only under a
 // branch on the inner input — the capture points sit before the
 // decision, so replays at any depth reinstall both coordinates
@@ -174,20 +133,6 @@ func TestSnapshotStackBudgetExhaustion(t *testing.T) {
 		st := c.NewSnapshotStack()
 		sweepStack(t, c, st, values, budget)
 	}
-}
-
-// TestSnapshotStackBudgetChange: cached row results must not leak across
-// step-budget regimes — the same sweep at a different budget re-executes
-// rather than row-hitting stale entries.
-func TestSnapshotStackBudgetChange(t *testing.T) {
-	c := mustCompile(t, "inputs a b\n a := a % 2\n y := a + b\n halt\n")
-	st := c.NewSnapshotStack()
-	values := [][]int64{{0, 2}, {0, 1}}
-	sweepStack(t, c, st, values, flowchart.DefaultMaxSteps)
-	// Same walk, fresh carries, different budget: results identical (the
-	// program is far under either budget), but none may come from the
-	// other regime's cache without re-verification.
-	sweepStack(t, c, st, values, flowchart.DefaultMaxSteps/2)
 }
 
 // TestSnapshotStackUnderReportedCarry: a carry lower than the true
@@ -293,7 +238,7 @@ func TestSnapshotStackDifferentialProgen(t *testing.T) {
 		}
 		st := c.NewSnapshotStack()
 		ops := sweepStack(t, c, st, values, flowchart.DefaultMaxSteps)
-		totalReplays += ops[flowchart.StackReplay] + ops[flowchart.StackConstant] + ops[flowchart.StackRowHit]
+		totalReplays += ops[flowchart.StackReplay] + ops[flowchart.StackConstant]
 	}
 	if totalReplays == 0 {
 		t.Error("no stack reuse across the whole corpus — the differential ran vacuously")

@@ -121,9 +121,6 @@ func newServiceMetrics(s *Service) *serviceMetrics {
 	reg.CounterFunc("spm_stack_constants_total",
 		"Tuples answered by a constant suffix entry without executing.",
 		func() float64 { return float64(m.exec.Counts().StackConstants) })
-	reg.CounterFunc("spm_stack_rowhits_total",
-		"Tuples answered from the content-addressed row cache (stride width 1 only).",
-		func() float64 { return float64(m.exec.Counts().StackRowHits) })
 	stackDepth := reg.GaugeVec("spm_stack_replay_depth",
 		"Stack replays by resume depth (deeper = shorter tail).", "depth")
 	reg.OnGather(func() {

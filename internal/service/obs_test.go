@@ -63,8 +63,8 @@ func TestMetricsExposition(t *testing.T) {
 		t.Error("no snapshot-stack recordings surfaced — the execution tally is not wired")
 	}
 	if counter("spm_stack_full_total")+counter("spm_stack_replays_total")+
-		counter("spm_stack_constants_total")+counter("spm_stack_rowhits_total") < 18 {
-		t.Error("stack answers do not cover the swept tuples")
+		counter("spm_stack_constants_total")+counter("spm_batch_lanes_total") < 18 {
+		t.Error("stack answers and batch lanes do not cover the swept tuples")
 	}
 	// 2-ary testProg over {0,1,2} is 9 tuples; maximal adds one pass.
 	if got := counter("spm_sweep_tuples_total"); got < 18 {
@@ -271,10 +271,15 @@ func TestStatsUnderChurn(t *testing.T) {
 // each finished sweep into running totals and drops its per-worker parts,
 // so over a hundred jobs it never holds more parts than there are sweep
 // workers running, and its counters still account for every tuple of
-// every job (one snapshot-stack answer per tuple at width 1).
+// every job. At the default width the stack answers the first lane of
+// each fresh stride and the other lanes ride a lockstep stride, which is
+// itself one stack replay; testProg reads x2 on every path, so no
+// constant answer replicates over a stride unexecuted. Every tuple is
+// then one stack answer or one batch lane, less one answer per lockstep
+// stride.
 func TestExecTallyDropsFinishedSweeps(t *testing.T) {
 	const runners, jobs = 2, 100
-	s := newTestService(t, Config{Runners: runners, SweepWorkers: 1, SweepBatch: 1, QueueCap: jobs})
+	s := newTestService(t, Config{Runners: runners, SweepWorkers: 1, QueueCap: jobs})
 	tally := s.metrics.exec
 
 	stop := make(chan struct{})
@@ -321,7 +326,7 @@ func TestExecTallyDropsFinishedSweeps(t *testing.T) {
 		t.Errorf("tally holds %d parts after every job finished", n)
 	}
 	c := tally.Counts()
-	if got := c.StackFull + c.StackReplays + c.StackConstants + c.StackRowHits; got != want {
-		t.Errorf("stack answers = %d, want %d, the jobs' tuples", got, want)
+	if got := c.StackFull + c.StackReplays + c.StackConstants - c.BatchStrides + c.BatchLanes; got != want {
+		t.Errorf("stack answers - lockstep strides + batch lanes = %d, want %d, the jobs' tuples (%+v)", got, want, c)
 	}
 }

@@ -200,7 +200,6 @@ func (s *Service) checkStore(ctx context.Context, j *Job) (*Result, error) {
 	})
 	opts := []check.Option{
 		check.WithWorkers(s.cfg.SweepWorkers),
-		check.WithBatch(s.cfg.SweepBatch),
 		check.WithProgress(&j.progress),
 		check.WithThrottle(s.cfg.Throttle),
 		check.WithObserver(&jobObserver{m: s.metrics, tr: j.trace}),

@@ -84,12 +84,6 @@ type Config struct {
 	// concurrent jobs keep one each (sweep.Config.Workers). A positive
 	// value fixes every job at that many.
 	SweepWorkers int
-	// SweepBatch caps the stride width of each job's sweep
-	// (check.WithBatch): ≤ 0 means DefaultSweepBatch, 1 means one-lane
-	// strides on the scalar kernels. A stride is at most one odometer
-	// row, so the width is clamped to the innermost axis length and a cap
-	// above every row costs nothing.
-	SweepBatch int
 	// CacheCap bounds the compile cache; ≤ 0 means DefaultCacheCap.
 	CacheCap int
 	// MaxTuples rejects domains whose cartesian product exceeds it;
@@ -120,8 +114,9 @@ type Config struct {
 
 // Service defaults.
 const (
-	DefaultQueueCap   = 256
-	DefaultSweepBatch = 64
+	DefaultQueueCap = 256
+	// DefaultSweepBatch is the stride-width cap every job sweeps at.
+	DefaultSweepBatch = check.DefaultBatch
 	DefaultMaxTuples  = 8 << 20
 	DefaultMaxJobs    = 4096
 )
@@ -135,9 +130,6 @@ func (c Config) normalized() Config {
 	}
 	if c.SweepWorkers < 0 {
 		c.SweepWorkers = 0
-	}
-	if c.SweepBatch <= 0 {
-		c.SweepBatch = DefaultSweepBatch
 	}
 	if c.MaxTuples <= 0 {
 		c.MaxTuples = DefaultMaxTuples
@@ -549,7 +541,6 @@ func (s *Service) check(ctx context.Context, j *Job) (*Result, error) {
 	}
 	opts := []check.Option{
 		check.WithWorkers(s.cfg.SweepWorkers),
-		check.WithBatch(s.cfg.SweepBatch),
 		check.WithProgress(&j.progress),
 		check.WithThrottle(s.cfg.Throttle),
 		check.WithObserver(&jobObserver{m: s.metrics, tr: j.trace}),

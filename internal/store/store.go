@@ -159,6 +159,7 @@ func Open(dir string) (*Store, error) {
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return nil, fmt.Errorf("store: %w", err)
 	}
+	created := err != nil
 	lines := 0
 	if len(data) > 0 {
 		// Drop a torn tail: everything after the last newline is a
@@ -197,6 +198,14 @@ func Open(dir string) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
+	if created {
+		// A synced record is durable only once the directory names the
+		// file it went to.
+		if err := syncDir(dir); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("store: %w", err)
+		}
+	}
 	s.f = f
 	s.w = bufio.NewWriter(f)
 	return s, nil
@@ -227,8 +236,9 @@ func (s *Store) apply(r record) {
 	}
 }
 
-// compact rewrites live state into a fresh log and renames it over the
-// old one. Called with the index loaded, before the append handle opens.
+// compact rewrites live state into a fresh log, renames it over the old
+// one and syncs the directory. Called with the index loaded, before the
+// append handle opens.
 func (s *Store) compact(path string) error {
 	tmp := path + ".compact"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
@@ -275,8 +285,27 @@ func (s *Store) compact(path string) error {
 		os.Remove(tmp)
 		return fmt.Errorf("store: compact: %w", err)
 	}
+	// Until the directory is synced a power cut can bring back the old
+	// log, and with it lose every record appended to the renamed one.
+	if err := syncDir(s.dir); err != nil {
+		return fmt.Errorf("store: compact: %w", err)
+	}
 	s.records = len(s.verdicts) + len(s.pending)
 	return nil
+}
+
+// syncDir fsyncs the directory dir, making the names in it — a created
+// or renamed log — durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // append writes one record; sync forces it (and everything before it)

@@ -19,10 +19,10 @@
 //
 // RunBatchContext is the one entry point. It delivers tuples in
 // innermost-axis strides of up to a caller-chosen width, with the
-// odometer's carry-depth hint; width 1 is the scalar sweep, one tuple per
-// call. The callback receives the worker index so callers can keep
-// per-worker state (view tables, counters) without locks and merge it
-// after RunBatchContext returns. The input buffer is reused per worker;
+// odometer's carry-depth hint; width 1 is one tuple per call. The
+// callback receives the worker index so callers can keep per-worker state
+// (view tables, counters) without locks and merge it after
+// RunBatchContext returns. The input buffer is reused per worker;
 // callbacks must copy it if they retain it.
 package sweep
 
