@@ -350,9 +350,9 @@ func interruptContext() context.Context {
 // cmdSweep is cmdCheck on the parallel sweep engine: it instruments the
 // program (or takes it raw), runs the chunked work-stealing soundness check
 // — compiled fast path included, since the mechanism wraps a flowchart —
-// and reports the verdict with throughput. With -maximal it additionally
-// checks whether the mechanism is the Theorem 2 maximal sound mechanism
-// for the bare program.
+// and reports the verdict with throughput. With -maximal the same sweep
+// also checks whether the mechanism is the Theorem 2 maximal sound
+// mechanism for the bare program.
 func cmdSweep(args []string) error {
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
 	policy := fs.String("policy", "{}", "allowed input indices, e.g. {1,3} or all")
@@ -376,35 +376,29 @@ func cmdSweep(args []string) error {
 	ctx := interruptContext()
 	opts := []check.Option{check.WithWorkers(*workers), check.WithChunk(*chunk)}
 
-	start := time.Now()
-	v, err := check.Run(ctx, check.Spec{
+	spec := check.Spec{
 		Kind:        check.Soundness,
 		Mechanism:   s.m,
 		Policy:      s.pol,
 		Domain:      s.dom,
 		Observation: s.obs,
-	}, opts...)
+	}
+	if *maximal {
+		// One sweep decides both: a Maximality verdict carries the
+		// mechanism's soundness.
+		spec.Kind, spec.Program = check.Maximality, core.FromProgram(s.prog)
+	}
+	start := time.Now()
+	v, err := check.Run(ctx, spec, opts...)
 	if err != nil {
 		return err
 	}
 	elapsed := time.Since(start)
-	fmt.Println(v)
+	fmt.Println(v.SoundnessReport())
 	rate := float64(v.Checked) / elapsed.Seconds()
 	fmt.Printf("swept %d inputs in %v (%.0f inputs/s)\n", v.Checked, elapsed.Round(time.Microsecond), rate)
-
 	if *maximal {
-		mv, err := check.Run(ctx, check.Spec{
-			Kind:        check.Maximality,
-			Mechanism:   s.m,
-			Program:     core.FromProgram(s.prog),
-			Policy:      s.pol,
-			Domain:      s.dom,
-			Observation: s.obs,
-		}, opts...)
-		if err != nil {
-			return err
-		}
-		fmt.Println(mv)
+		fmt.Println(v)
 	}
 	return nil
 }

@@ -102,7 +102,8 @@ func (k *Kind) UnmarshalText(text []byte) error {
 // clamped to the domain size; negative values are ErrBadSpec.
 //
 // A sharded verdict is partial evidence, not a final answer: Run populates
-// Verdict.Views (soundness) or Verdict.Classes (maximality) so that Merge
+// Verdict.Views (soundness and maximality) and Verdict.Classes
+// (maximality) so that Merge
 // over every shard of a partition reproduces exactly the whole-domain
 // verdict, including conflicts between inputs that landed in different
 // shards.
@@ -311,7 +312,9 @@ func WithExecTally(t *core.ExecTally) Option { return func(o *Options) { o.Exec 
 // returns ctx's error. Run is the only code path in the repository that
 // executes verdicts — the spm CLI, the v2 HTTP service, and the
 // experiment tables all reduce to it. Every kind is one enumeration pass
-// over the range, so WithProgress and WithCommit count its tuples. The
+// over the range, so WithProgress and WithCommit count its tuples; a
+// Maximality verdict also decides the mechanism's soundness in that pass,
+// exactly as a Soundness Run over the same range would. The
 // verdict, witnesses included, does not depend on the worker count,
 // stride width or schedule (see core.CheckSoundnessContext and
 // core.CheckMaximalityContext).
@@ -370,12 +373,7 @@ func Run(ctx context.Context, spec Spec, opts ...Option) (Verdict, error) {
 		if err != nil {
 			return v, err
 		}
-		v.Policy = rep.Policy
-		v.Checked = rep.Checked
-		v.Sound = rep.Sound
-		v.WitnessA, v.WitnessB = rep.WitnessA, rep.WitnessB
-		v.ObsA, v.ObsB = rep.ObsA, rep.ObsB
-		v.Views = rep.Views
+		v.setSoundness(rep)
 		return v, nil
 	case Maximality:
 		if spec.Policy == nil {
@@ -388,9 +386,8 @@ func Run(ctx context.Context, spec Spec, opts ...Option) (Verdict, error) {
 		if err != nil {
 			return v, err
 		}
+		v.setSoundness(rep.Soundness)
 		v.Program = rep.Program
-		v.Policy = rep.Policy
-		v.Checked = rep.Checked
 		v.Maximal = rep.Maximal
 		v.Witness = rep.Witness
 		v.Reason = rep.Reason

@@ -155,9 +155,9 @@ func RunCheckpointed(ctx context.Context, spec Spec, from *Checkpoint, every int
 // range, so the fold can continue segment by segment with bounded state
 // and no per-segment copy. It applies exactly Merge's cross-shard
 // semantics (view summaries fold with core.MergeViewObs and the least
-// conflict decides soundness, class summaries fold with
-// core.MergeClassSummaries), so Merge of the final fold equals Merge of
-// all the segments.
+// conflict decides soundness, for Maximality too; class summaries fold
+// with core.MergeClassSummaries), so Merge of the final fold equals Merge
+// of all the segments.
 func foldPartial(acc *Verdict, b Verdict) error {
 	if b.Kind != acc.Kind {
 		return fmt.Errorf("%w: mixed kinds %v and %v", ErrBadMerge, acc.Kind, b.Kind)
@@ -175,13 +175,9 @@ func foldPartial(acc *Verdict, b Verdict) error {
 	acc.Shard.Count += b.Shard.Count
 	switch acc.Kind {
 	case Soundness:
-		before := *acc
-		if acc.Views == nil {
-			acc.Views = make(map[string]core.ViewObs, len(b.Views))
-		}
-		foldViews(acc.Views, b.Views)
-		renderSoundness(acc, acc.Views, []Verdict{before, b})
+		foldSoundness(acc, b)
 	case Maximality:
+		foldSoundness(acc, b)
 		if !b.Maximal && (acc.Maximal || core.LessInput(b.Witness, acc.Witness)) {
 			acc.Maximal = false
 			acc.Witness, acc.Reason = b.Witness, b.Reason
@@ -201,6 +197,17 @@ func foldPartial(acc *Verdict, b Verdict) error {
 		return fmt.Errorf("%w: unknown kind %v", ErrBadMerge, acc.Kind)
 	}
 	return nil
+}
+
+// foldSoundness folds b's view table into acc's and renders acc's
+// soundness fields from the result.
+func foldSoundness(acc *Verdict, b Verdict) {
+	before := *acc
+	if acc.Views == nil {
+		acc.Views = make(map[string]core.ViewObs, len(b.Views))
+	}
+	foldViews(acc.Views, b.Views)
+	renderSoundness(acc, acc.Views, []Verdict{before, b})
 }
 
 // clampInt narrows an int64 shard bound to int, saturating rather than

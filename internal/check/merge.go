@@ -32,11 +32,12 @@ var ErrBadMerge = errors.New("check: cannot merge verdicts")
 // the merged verdict, witness pair and ObsA/ObsB included, is
 // byte-identical to a whole-domain Run. A part without a table (a
 // whole-domain verdict) contributes its own witness pair. Maximality: the
-// parts' Classes tables are folded into the global class table (constancy
-// = constant in every shard with one agreed observation) and rendered by
+// parts' Views tables render the mechanism's soundness as above, and their
+// Classes tables are folded into the global class table (constancy =
+// constant in every shard with one agreed observation) and rendered by
 // core.LeastDeviation, so for parts that partition the index space the
-// merged verdict, witness and reason included, is byte-identical to a
-// whole-domain Run.
+// merged verdict, witness and reason and soundness fields included, is
+// byte-identical to a whole-domain Run.
 //
 // The merged verdict is a whole-domain one: Shard is zero and the evidence
 // tables are dropped.
@@ -72,6 +73,7 @@ func Merge(parts ...Verdict) (Verdict, error) {
 	case Soundness:
 		mergeSoundness(&out, sorted)
 	case Maximality:
+		mergeSoundness(&out, sorted)
 		mergeMaximality(&out, sorted)
 	case PassCount:
 		for _, p := range sorted {

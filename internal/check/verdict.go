@@ -25,8 +25,12 @@ type Verdict struct {
 	// Checked counts the tuples visited by the verdict pass.
 	Checked int `json:"checked"`
 
-	// Soundness: whether the observation factors through the policy view;
-	// on failure, two inputs sharing a view with different observations.
+	// Soundness, and Maximality too: whether the observation of the
+	// mechanism's output factors through the policy view; on failure, two
+	// inputs sharing a view with different observations. A maximal
+	// mechanism is first a sound one, so a Maximality verdict carries the
+	// soundness verdict its one pass decided, equal to a Soundness Run's
+	// over the same range.
 	Sound    bool    `json:"sound,omitempty"`
 	WitnessA []int64 `json:"witness_a,omitempty"`
 	WitnessB []int64 `json:"witness_b,omitempty"`
@@ -47,11 +51,12 @@ type Verdict struct {
 	// whole one.
 	Shard Shard `json:"shard,omitzero"`
 
-	// Views is the soundness evidence of a sharded run: per policy class,
-	// its least input in the shard, the observation there, and the least
-	// input observed differently (core.ViewObs). Two shards each
-	// internally sound can still disagree on a class spanning them; Merge
-	// needs these tables to catch that. Nil on whole-domain verdicts.
+	// Views is the soundness evidence of a sharded Soundness or
+	// Maximality run: per policy class, its least input in the shard, the
+	// observation there, and the least input observed differently
+	// (core.ViewObs). Two shards each internally sound can still disagree
+	// on a class spanning them; Merge needs these tables to catch that.
+	// Nil on whole-domain verdicts.
 	Views map[string]core.ViewObs `json:"views,omitempty"`
 
 	// Classes is the maximality evidence of a sharded run: per policy
@@ -77,7 +82,8 @@ func (v Verdict) SoundnessReport() core.SoundnessReport {
 	}
 }
 
-// MaximalityReport rebuilds the legacy report for a Maximality verdict.
+// MaximalityReport rebuilds the legacy report for a Maximality verdict,
+// the mechanism's soundness included.
 func (v Verdict) MaximalityReport() core.MaximalityReport {
 	return core.MaximalityReport{
 		Mechanism:   v.Mechanism,
@@ -88,7 +94,18 @@ func (v Verdict) MaximalityReport() core.MaximalityReport {
 		Checked:     v.Checked,
 		Witness:     v.Witness,
 		Reason:      v.Reason,
+		Soundness:   v.SoundnessReport(),
 	}
+}
+
+// setSoundness copies a soundness report's verdict and evidence into v.
+func (v *Verdict) setSoundness(rep core.SoundnessReport) {
+	v.Policy = rep.Policy
+	v.Checked = rep.Checked
+	v.Sound = rep.Sound
+	v.WitnessA, v.WitnessB = rep.WitnessA, rep.WitnessB
+	v.ObsA, v.ObsB = rep.ObsA, rep.ObsB
+	v.Views = rep.Views
 }
 
 // String renders the verdict in the same style as the legacy reports.

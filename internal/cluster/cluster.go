@@ -1155,23 +1155,17 @@ func soundnessVerdict(res *service.Result) check.Verdict {
 	}
 }
 
-// maximalityVerdict reconstructs the shard's partial maximality verdict.
-// The shard sweeps the same index range for both kinds, so its Checked
-// count carries over.
+// maximalityVerdict reconstructs the shard's partial maximality verdict,
+// which carries the shard's soundness verdict and evidence as well: the
+// node decided both in one pass over the shard.
 func maximalityVerdict(res *service.Result) check.Verdict {
-	return check.Verdict{
-		Kind:        check.Maximality,
-		Mechanism:   res.Mechanism,
-		Program:     res.Program,
-		Policy:      res.Policy,
-		Observation: res.Observation,
-		Checked:     res.Checked,
-		Maximal:     *res.Maximal,
-		Witness:     res.MaximalWitness,
-		Reason:      res.MaximalReason,
-		Shard:       check.Shard{Offset: res.Offset, Count: res.Count},
-		Classes:     res.Classes,
-	}
+	v := soundnessVerdict(res)
+	v.Kind = check.Maximality
+	v.Program = res.Program
+	v.Maximal = *res.Maximal
+	v.Witness, v.Reason = res.MaximalWitness, res.MaximalReason
+	v.Classes = res.Classes
+	return v
 }
 
 // maxResponseBytes bounds one node response. Evidence tables scale with

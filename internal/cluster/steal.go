@@ -96,9 +96,9 @@ func (f *flight) observe(st *service.JobStatus) {
 }
 
 // cursor converts the job-relative progress counter into tuples completed
-// within the shard. A maximality job sweeps the range twice (soundness
-// then evidence), so the raw counter runs to 2×Count; scaling by
-// Count/Total folds both passes into a single conservative tuple cursor.
+// within the shard. Every job, maximal or not, sweeps its shard once, so
+// Total is Count; the scale and the clamp keep the cursor conservative
+// should a node report a larger Total or a counter past it.
 func (f *flight) cursor() int64 {
 	done, total := f.done.Load(), f.total.Load()
 	if done <= 0 {

@@ -24,6 +24,10 @@ type MaximalityReport struct {
 	// whole-domain property, so the shard exports what it saw and
 	// check.Merge renders the verdict.
 	Classes map[string]ClassSummary
+	// Soundness is m's soundness over the same range, decided by
+	// CheckMaximalityContext in its one pass: a maximal mechanism is
+	// first a sound one. CheckMaximality leaves it zero.
+	Soundness SoundnessReport
 }
 
 // Reasons a mechanism can fail the maximality check.

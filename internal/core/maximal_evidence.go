@@ -118,13 +118,19 @@ func LeastDeviation(classes map[string]ClassSummary, local bool) (witness []int6
 
 // keyedClass is ClassSummary on integer keys: Q's first-seen outcome
 // instead of its rendering, meaningful only while qConstant holds, and the
-// witnesses as value indices, noWitness for none. at is the value index of
-// the class's first-seen tuple plus one; 0 marks an empty slot.
+// witnesses as value indices, noWitness for none.
 type keyedClass struct {
-	at                    int
 	q                     Outcome
 	qConstant             bool
 	pass, alter, withhold int
+}
+
+// maxClass is one class's entry in a maximality worker's table: m's
+// soundness summary, whose at marks the slot filled, beside the class's
+// maximality evidence, so a lane folds both through one slot.
+type maxClass struct {
+	view  keyedView
+	class keyedClass
 }
 
 // merge is MergeClassSummaries on integer keys, comparing outcomes as
@@ -168,17 +174,26 @@ func (a *keyedClass) deviation() (witness int, reason string) {
 // their values in. Checked counts each tuple once. Cancelling ctx stops
 // the sweep within one chunk and returns ctx's error with a partial
 // report.
+//
+// A maximal mechanism is first a sound one, so the same pass also decides
+// m's soundness: each lane folds m's outcome into the class's soundness
+// summary by CheckSoundnessContext's rule, in the same table slot as the
+// maximality evidence. The report's Soundness is therefore the report
+// CheckSoundnessContext gives for m over the same range and cc, Views
+// included under cc.CollectViews.
 func CheckMaximalityContext(ctx context.Context, m, q Mechanism, pol Policy, dom Domain, obs Observation, cc CheckConfig) (MaximalityReport, error) {
 	rep, err := maximalityPreflight(m, q, pol, dom, obs)
 	if err != nil {
 		return rep, err
 	}
+	rep.Soundness = SoundnessReport{Mechanism: rep.Mechanism, Policy: rep.Policy, Observation: rep.Observation, Sound: true}
 	fk, err := newFoldKeys(pol, dom, obs, cc)
 	if err != nil {
 		return rep, err
 	}
 	type shard struct {
-		classes keyTable[keyedClass]
+		viewFold
+		classes keyTable[maxClass]
 		ids     classIDs
 		checked int
 		live    bool
@@ -187,7 +202,7 @@ func CheckMaximalityContext(ctx context.Context, m, q Mechanism, pol Policy, dom
 	if err := sweepOutcomes(ctx, dom, cc, []Mechanism{q, m}, func(w int, input, last []int64, outs [][]Outcome) error {
 		s := &shards[w]
 		if !s.live {
-			s.classes, s.live = newKeyTable[keyedClass](fk), true
+			s.classes, s.live = newKeyTable[maxClass](fk), true
 		}
 		s.checked += len(outs[0])
 		at0, key0 := fk.prefix(input)
@@ -197,12 +212,14 @@ func CheckMaximalityContext(ctx context.Context, m, q Mechanism, pol Policy, dom
 				key = fk.interned(&s.ids, input, last, lane)
 			}
 			qo, mo := &outs[0][lane], &outs[1][lane]
-			c := s.classes.at(key)
-			if c.at == 0 {
-				*c = keyedClass{at: at + 1, q: *qo, qConstant: true, pass: noWitness, alter: noWitness, withhold: noWitness}
+			e := s.classes.at(key)
+			c := &e.class
+			if e.view.at == 0 {
+				*c = keyedClass{q: *qo, qConstant: true, pass: noWitness, alter: noWitness, withhold: noWitness}
 			} else if c.qConstant && !fk.same(&c.q, qo) {
 				c.qConstant = false
 			}
+			s.add(&e.view, at, mo, fk)
 			if !mo.Violation {
 				c.pass = min(c.pass, at)
 				if at < c.alter && (qo.Violation || !fk.same(mo, qo)) {
@@ -218,25 +235,28 @@ func CheckMaximalityContext(ctx context.Context, m, q Mechanism, pol Policy, dom
 	}
 
 	// Fold every worker's table into the first.
-	if !shards[0].live {
-		shards[0].classes = newKeyTable[keyedClass](fk)
+	merged := &shards[0]
+	if !merged.live {
+		merged.classes = newKeyTable[maxClass](fk)
 	}
-	classes := &shards[0].classes
+	classes := &merged.classes
 	for w := range shards {
 		rep.Checked += shards[w].checked
 		if w == 0 || !shards[w].live {
 			continue
 		}
 		s := &shards[w]
-		s.classes.each(func(key int, c *keyedClass) {
-			if c.at == 0 {
+		s.classes.each(func(key int, e *maxClass) {
+			if e.view.at == 0 {
 				return
 			}
-			if prev := classes.at(fk.rekey(&shards[0].ids, &s.ids, key)); prev.at == 0 {
-				*prev = *c
+			prev := classes.at(fk.rekey(&merged.ids, &s.ids, key))
+			if prev.view.at == 0 {
+				prev.class = e.class
 			} else {
-				prev.merge(c, fk)
+				prev.class.merge(&e.class, fk)
 			}
+			merged.merge(&prev.view, &s.viewFold, &e.view, fk)
 		})
 	}
 	witness := func(at int) []int64 {
@@ -246,22 +266,27 @@ func CheckMaximalityContext(ctx context.Context, m, q Mechanism, pol Policy, dom
 		return fk.input(at)
 	}
 	least, reason := noWitness, ""
-	classes.each(func(_ int, c *keyedClass) {
-		if c.at == 0 || cc.CollectViews && c.qConstant {
+	classes.each(func(_ int, e *maxClass) {
+		if e.view.at == 0 || cc.CollectViews && e.class.qConstant {
 			return
 		}
-		if w, r := c.deviation(); w < least {
+		if w, r := e.class.deviation(); w < least {
 			least, reason = w, r
 		}
 	})
 	rep.Witness, rep.Reason = witness(least), reason
 	rep.Maximal = rep.Witness == nil
+	rep.Soundness.Checked = rep.Checked
+	merged.report(&rep.Soundness, func(f func(*keyedView)) {
+		classes.each(func(_ int, e *maxClass) { f(&e.view) })
+	}, pol, obs, fk, cc.CollectViews)
 	if cc.CollectViews {
 		rep.Classes = make(map[string]ClassSummary)
-		classes.each(func(_ int, c *keyedClass) {
-			if c.at == 0 {
+		classes.each(func(_ int, e *maxClass) {
+			if e.view.at == 0 {
 				return
 			}
+			c := &e.class
 			cs := ClassSummary{
 				QConstant:       c.qConstant,
 				PassWitness:     witness(c.pass),
@@ -271,7 +296,7 @@ func CheckMaximalityContext(ctx context.Context, m, q Mechanism, pol Policy, dom
 			if c.qConstant {
 				cs.QObs, cs.QViolates = obs.Render(c.q), c.q.Violation
 			}
-			rep.Classes[pol.View(fk.input(c.at-1))] = cs
+			rep.Classes[pol.View(fk.input(e.view.at-1))] = cs
 		})
 	}
 	return rep, nil

@@ -20,7 +20,8 @@ import (
 // check.WithMemoStack(false), and the baseline the snapshot-stack
 // benchmarks compare against); CollectViews marks the range as one shard
 // of a larger run: the engines export their merged
-// per-class evidence (SoundnessReport.Views, MaximalityReport.Classes) so
+// per-class evidence (SoundnessReport.Views; MaximalityReport.Classes and
+// its Soundness.Views) so
 // the shard verdict can be folded with its siblings by check.Merge.
 // Batch is the stride width (the knob behind check.WithBatch): each
 // worker hands every mechanism strides of up to Batch innermost-axis
@@ -61,18 +62,26 @@ type keyedConflict struct {
 	obs Outcome
 }
 
+// viewFold is the conflict list one sweep worker's soundness summaries
+// point into, and the fold rule over both: the soundness engine keeps it
+// beside its class table, the maximality engine beside the table whose
+// entries also hold m's soundness summaries.
+type viewFold struct {
+	conflicts []keyedConflict
+}
+
 // viewShard is one sweep worker's soundness fold: a summary per class, the
 // conflicts they point to, and the tuples it visited.
 type viewShard struct {
-	views     keyTable[keyedView]
-	conflicts []keyedConflict
-	ids       classIDs
-	checked   int
-	live      bool
+	viewFold
+	views   keyTable[keyedView]
+	ids     classIDs
+	checked int
+	live    bool
 }
 
 // conflictAt returns the value index of e's conflict, noWitness for none.
-func (s *viewShard) conflictAt(e *keyedView) int {
+func (s *viewFold) conflictAt(e *keyedView) int {
 	if e.conflict == 0 {
 		return noWitness
 	}
@@ -80,7 +89,7 @@ func (s *viewShard) conflictAt(e *keyedView) int {
 }
 
 // setConflict makes (at, o) the conflict of e.
-func (s *viewShard) setConflict(e *keyedView, at int, o *Outcome) {
+func (s *viewFold) setConflict(e *keyedView, at int, o *Outcome) {
 	if e.conflict == 0 {
 		s.conflicts = append(s.conflicts, keyedConflict{})
 		e.conflict = len(s.conflicts)
@@ -93,7 +102,7 @@ func (s *viewShard) setConflict(e *keyedView, at int, o *Outcome) {
 // index takes over as representative, and the old one, if the
 // observation tells the two apart, is then the least conflict (every
 // other index seen is above it).
-func (s *viewShard) add(e *keyedView, at int, o *Outcome, fk *foldKeys) {
+func (s *viewFold) add(e *keyedView, at int, o *Outcome, fk *foldKeys) {
 	switch {
 	case e.at == 0:
 		*e = keyedView{obs: *o, at: at + 1}
@@ -113,11 +122,53 @@ func (s *viewShard) add(e *keyedView, at int, o *Outcome, fk *foldKeys) {
 // merge folds the summary b, kept by from, into e. A summary stands for
 // its class's tuples as far as the fold can tell: adding b's conflict and
 // representative leaves e as adding every tuple b summarises would.
-func (s *viewShard) merge(e *keyedView, from *viewShard, b *keyedView, fk *foldKeys) {
+func (s *viewFold) merge(e *keyedView, from *viewFold, b *keyedView, fk *foldKeys) {
 	s.add(e, b.at-1, &b.obs, fk)
 	if b.conflict != 0 {
 		c := &from.conflicts[b.conflict-1]
 		s.add(e, c.at, &c.obs, fk)
+	}
+}
+
+// report renders the merged fold's verdict into rep: the witness pair and
+// observations of the class whose conflict is least, and with collect
+// the Views table. each visits every summary of the merged table, empty
+// ones included.
+func (s *viewFold) report(rep *SoundnessReport, each func(func(e *keyedView)), pol Policy, obs Observation, fk *foldKeys, collect bool) {
+	// The nullary domain's witness is nil, as CheckSoundness's copy of
+	// its empty input is.
+	witness := func(at int) []int64 {
+		if len(fk.axes) == 0 {
+			return nil
+		}
+		return fk.input(at)
+	}
+	var least keyedView
+	each(func(e *keyedView) {
+		if e.at != 0 && s.conflictAt(e) < s.conflictAt(&least) {
+			least = *e
+		}
+	})
+	if least.conflict != 0 {
+		c := s.conflicts[least.conflict-1]
+		rep.Sound = false
+		rep.WitnessA, rep.WitnessB = witness(least.at-1), witness(c.at)
+		rep.ObsA, rep.ObsB = obs.Render(least.obs), obs.Render(c.obs)
+	}
+	if collect {
+		rep.Views = make(map[string]ViewObs)
+		each(func(e *keyedView) {
+			if e.at == 0 {
+				return
+			}
+			in := witness(e.at - 1)
+			v := ViewObs{Obs: obs.Render(e.obs), Witness: in}
+			if e.conflict != 0 {
+				c := s.conflicts[e.conflict-1]
+				v.Conflict = &ViewConflict{Input: witness(c.at), Obs: obs.Render(c.obs)}
+			}
+			rep.Views[pol.View(in)] = v
+		})
 	}
 }
 
@@ -185,46 +236,14 @@ func CheckSoundnessContext(ctx context.Context, m Mechanism, pol Policy, dom Dom
 		}
 		s.views.each(func(key int, e *keyedView) {
 			if e.at != 0 {
-				merged.merge(merged.views.at(fk.rekey(&merged.ids, &s.ids, key)), s, e, fk)
+				merged.merge(merged.views.at(fk.rekey(&merged.ids, &s.ids, key)), &s.viewFold, e, fk)
 			}
 		})
 	}
 
-	// The nullary domain's witness is nil, as CheckSoundness's copy of
-	// its empty input is.
-	witness := func(at int) []int64 {
-		if len(dom) == 0 {
-			return nil
-		}
-		return fk.input(at)
-	}
-	var least keyedView
-	merged.views.each(func(_ int, e *keyedView) {
-		if e.at != 0 && merged.conflictAt(e) < merged.conflictAt(&least) {
-			least = *e
-		}
-	})
-	if least.conflict != 0 {
-		c := merged.conflicts[least.conflict-1]
-		rep.Sound = false
-		rep.WitnessA, rep.WitnessB = witness(least.at-1), witness(c.at)
-		rep.ObsA, rep.ObsB = obs.Render(least.obs), obs.Render(c.obs)
-	}
-	if cc.CollectViews {
-		rep.Views = make(map[string]ViewObs)
-		merged.views.each(func(_ int, e *keyedView) {
-			if e.at == 0 {
-				return
-			}
-			in := witness(e.at - 1)
-			v := ViewObs{Obs: obs.Render(e.obs), Witness: in}
-			if e.conflict != 0 {
-				c := merged.conflicts[e.conflict-1]
-				v.Conflict = &ViewConflict{Input: witness(c.at), Obs: obs.Render(c.obs)}
-			}
-			rep.Views[pol.View(in)] = v
-		})
-	}
+	merged.report(&rep, func(f func(*keyedView)) {
+		merged.views.each(func(_ int, e *keyedView) { f(e) })
+	}, pol, obs, fk, cc.CollectViews)
 	return rep, nil
 }
 

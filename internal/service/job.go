@@ -80,8 +80,9 @@ type Result struct {
 
 // Job is one submitted check: request, progress, and verdict.
 // The progress counter is the sweep engine's chunk cursor (see
-// sweep.Config.Progress); Total counts every tuple the job will visit
-// across all enumeration passes, so done/total is a true fraction. Every
+// sweep.Config.Progress); Total counts the tuples of the job's range,
+// which its one enumeration pass visits once each, so done/total is a true
+// fraction. Every
 // job carries its own context: cancelling it (Service.Cancel, the v2
 // DELETE endpoint) stops a running sweep within one chunk and marks a
 // still-queued job cancelled without ever occupying a runner.
@@ -99,11 +100,9 @@ type Job struct {
 	entry *compiled
 
 	// Persistence state, set when the service runs with a verdict store:
-	// the job's content address, its single-pass tuple span (the cursor
-	// space of a checkpoint phase), and — for crash-resumed jobs — the
+	// the job's content address and — for crash-resumed jobs — the
 	// checkpoint to continue from.
 	storeKey store.Key
-	span     int64
 	resume   *jobCheckpoint
 
 	// tenant is the submitting tenant ("" when tenancy is off), for

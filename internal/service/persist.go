@@ -6,29 +6,31 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"time"
 
 	"spm/internal/check"
-	"spm/internal/core"
 	"spm/internal/store"
 )
 
 // jobCheckpoint is the service's serialized resume state, stored as the
-// opaque checkpoint bytes of a store.Pending record. A job is at most two
-// checkpointed sweeps — soundness, then (if requested) the maximality
-// evidence pass — so the phase tag plus the engine checkpoint pins
-// exactly where the crash hit.
+// opaque checkpoint bytes of a store.Pending record: the engine checkpoint
+// of the job's one checkpointed sweep, which for a maximal job decides
+// soundness and maximality together.
+//
+// Phase tags the format. Records of the older two-phase format, tagged
+// "sound" (the soundness pass) or "max" (the maximality pass, with the
+// finished soundness verdict beside it), are not resumed from their
+// cursor: their job restarts its one pass from cursor 0, which is exact
+// by construction, where folding a maximality-only prefix would leave a
+// soundness verdict that covers only the suffix.
 type jobCheckpoint struct {
-	// Phase is the sweep the checkpoint belongs to: "sound" or "max".
 	Phase string `json:"phase"`
-	// Cursor and Partial are the engine checkpoint of the current phase
-	// (see check.Checkpoint).
+	// Cursor and Partial are the engine checkpoint (see check.Checkpoint).
 	Cursor  int64          `json:"cursor"`
 	Partial *check.Verdict `json:"partial,omitempty"`
-	// Sound carries the finished soundness verdict once Phase is "max",
-	// so resuming the maximality pass never re-sweeps soundness.
-	Sound *check.Verdict `json:"sound,omitempty"`
 }
+
+// checkpointPhase is the Phase of every checkpoint the service writes.
+const checkpointPhase = "one-pass"
 
 // storeKey content-addresses the verdict a request decides: canonical
 // program fingerprint, normalized policy and variant, the domain value
@@ -130,7 +132,7 @@ func (s *Service) resumePending() {
 		var resume *jobCheckpoint
 		if len(p.Checkpoint) > 0 {
 			var ck jobCheckpoint
-			if err := json.Unmarshal(p.Checkpoint, &ck); err == nil {
+			if err := json.Unmarshal(p.Checkpoint, &ck); err == nil && ck.Phase == checkpointPhase {
 				resume = &ck
 			}
 		}
@@ -173,133 +175,27 @@ func (s *Service) cachedJob(req CheckRequest, entry *compiled, hit bool, total i
 	return j, nil
 }
 
-// checkStore is the persistent variant of check: the same verdicts, but
-// swept through check.RunCheckpointed with the job's fold persisted to
-// the store after every segment, plus a fine chunk-level cursor between
-// checkpoints. A job interrupted by a crash resumes from the last
-// checkpoint that reached disk; the resumed verdict is byte-identical to
-// the uninterrupted one at any sweep worker count (see
+// checkStore is check's sweep on a store-backed service: the same
+// verdict, but swept through check.RunCheckpointed with the job's fold
+// persisted to the store after every segment, plus a fine chunk-level
+// cursor between checkpoints. A job interrupted by a crash resumes from
+// the last checkpoint that reached disk; the resumed verdict is
+// byte-identical to the uninterrupted one at any sweep worker count (see
 // check.RunCheckpointed).
-func (s *Service) checkStore(ctx context.Context, j *Job) (*Result, error) {
-	entry := j.entry
-	pol := core.NewAllowSet(entry.prog.Arity(), entry.allowed)
-	dom := core.Grid(entry.prog.Arity(), j.Req.Domain...)
-	obs := core.ObserveValue
-	if j.Req.Timed {
-		obs = core.ObserveValueAndTime
+func (s *Service) checkStore(ctx context.Context, j *Job, spec check.Spec, opts []check.Option) (check.Verdict, error) {
+	opts = append(opts, check.WithCommit(func(done int64) { s.store.Cursor(j.ID, done) }))
+	var from *check.Checkpoint
+	if r := j.resume; r != nil {
+		from = &check.Checkpoint{Cursor: r.Cursor, Partial: r.Partial}
 	}
-	span := j.span
-	every := s.cfg.CheckpointEvery
-
-	// The fine cursor is job-relative: the maximality pass continues
-	// where the soundness pass ended, so the persisted cursor (and the
-	// progress bar it feeds after a resume) is monotone across phases.
-	phaseBase := int64(0)
-	commit := check.WithCommit(func(done int64) {
-		s.store.Cursor(j.ID, phaseBase+done)
-	})
-	opts := []check.Option{
-		check.WithWorkers(s.cfg.SweepWorkers),
-		check.WithProgress(&j.progress),
-		check.WithThrottle(s.cfg.Throttle),
-		check.WithObserver(&jobObserver{m: s.metrics, tr: j.trace}),
-		check.WithExecTally(s.metrics.exec),
-		commit,
-	}
-	shard := check.Shard{Offset: j.Req.Offset, Count: j.Req.Count}
-
-	var soundV check.Verdict
-	resume := j.resume
-	start := time.Now()
-	if resume != nil && resume.Phase == "max" && resume.Sound != nil {
-		// The soundness pass finished before the crash; don't redo it.
-		soundV = *resume.Sound
-		j.progress.Store(span)
-	} else {
-		var from *check.Checkpoint
-		if resume != nil && resume.Phase == "sound" {
-			from = &check.Checkpoint{Cursor: resume.Cursor, Partial: resume.Partial}
-			j.progress.Store(resume.Cursor)
-		}
-		j.trace.Event("sweep", "phase=sound")
-		v, err := check.RunCheckpointed(ctx, check.Spec{
-			Kind:        check.Soundness,
-			Mechanism:   entry.mech,
-			Policy:      pol,
-			Domain:      dom,
-			Observation: obs,
-			Shard:       shard,
-		}, from, every, func(ck check.Checkpoint) error {
-			return s.saveCheckpoint(j, jobCheckpoint{Phase: "sound", Cursor: ck.Cursor, Partial: ck.Partial}, ck.Cursor)
-		}, opts...)
+	return check.RunCheckpointed(ctx, spec, from, s.cfg.CheckpointEvery, func(ck check.Checkpoint) error {
+		data, err := json.Marshal(jobCheckpoint{Phase: checkpointPhase, Cursor: ck.Cursor, Partial: ck.Partial})
 		if err != nil {
-			return nil, err
+			return err
 		}
-		j.trace.Span("sound", fmt.Sprintf("checked=%d", v.Checked), time.Since(start))
-		soundV = v
-	}
-
-	res := &Result{
-		Mechanism:   soundV.Mechanism,
-		Policy:      soundV.Policy,
-		Observation: soundV.Observation,
-		Sound:       soundV.Sound,
-		Checked:     soundV.Checked,
-		WitnessA:    soundV.WitnessA,
-		WitnessB:    soundV.WitnessB,
-		ObsA:        soundV.ObsA,
-		ObsB:        soundV.ObsB,
-		Offset:      j.Req.Offset,
-		Count:       j.Req.Count,
-		Views:       soundV.Views,
-	}
-	if j.Req.Maximal {
-		phaseBase = span
-		var from *check.Checkpoint
-		if resume != nil && resume.Phase == "max" {
-			from = &check.Checkpoint{Cursor: resume.Cursor, Partial: resume.Partial}
-			j.progress.Store(span + resume.Cursor)
-		}
-		mstart := time.Now()
-		j.trace.Event("sweep", "phase=max")
-		mv, err := check.RunCheckpointed(ctx, check.Spec{
-			Kind:        check.Maximality,
-			Mechanism:   entry.mech,
-			Program:     entry.bare,
-			Policy:      pol,
-			Domain:      dom,
-			Observation: obs,
-			Shard:       shard,
-		}, from, every, func(ck check.Checkpoint) error {
-			return s.saveCheckpoint(j, jobCheckpoint{Phase: "max", Cursor: ck.Cursor, Partial: ck.Partial, Sound: &soundV}, span+ck.Cursor)
-		}, opts...)
-		if err != nil {
-			return nil, err
-		}
-		j.trace.Span("max", fmt.Sprintf("checked=%d", mv.Checked), time.Since(mstart))
-		maximal := mv.Maximal
-		res.Program = mv.Program
-		res.Maximal = &maximal
-		res.MaximalWitness = mv.Witness
-		res.MaximalReason = mv.Reason
-		res.Classes = mv.Classes
-	}
-	j.trace.Event("merge", "assembling result")
-	elapsed := time.Since(start)
-	res.ElapsedSeconds = elapsed.Seconds()
-	if elapsed > 0 {
-		res.InputsPerSec = float64(j.Progress()) / elapsed.Seconds()
-	}
-	return res, nil
-}
-
-func (s *Service) saveCheckpoint(j *Job, ck jobCheckpoint, cursor int64) error {
-	data, err := json.Marshal(ck)
-	if err != nil {
-		return err
-	}
-	j.trace.Event("segment", fmt.Sprintf("phase=%s cursor=%d", ck.Phase, cursor))
-	return s.store.Checkpoint(j.ID, data, cursor)
+		j.trace.Event("segment", fmt.Sprintf("cursor=%d", ck.Cursor))
+		return s.store.Checkpoint(j.ID, data, ck.Cursor)
+	}, opts...)
 }
 
 // settleStore finishes a job's store bookkeeping after its run: a

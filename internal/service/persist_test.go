@@ -1,8 +1,11 @@
 package service
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -188,6 +191,73 @@ func TestCrashResume(t *testing.T) {
 			}
 			if s3.Stats().Store.ResumedJobs != 1 {
 				t.Errorf("maximal=%t: resumed-jobs counter = %+v", maximal, s3.Stats().Store)
+			}
+		})
+	}
+}
+
+// TestTwoPhaseCheckpointRestarts pins how a job resumes from a checkpoint
+// of the older two-phase format, which swept a maximal job twice:
+// soundness ("phase":"sound"), then maximality ("phase":"max", with the
+// finished soundness verdict beside it). The files under testdata are the
+// records that format wrote at cursor 32 of the job below, checkpointing
+// every 16 tuples. Each must restart the job's one pass from cursor 0 and
+// end at the uninterrupted verdict, byte for byte. The job's least
+// conflict lies in the first 32 tuples, and the "max" record holds no
+// soundness evidence for them, so resuming it from its cursor would give
+// a soundness verdict over the suffix alone.
+func TestTwoPhaseCheckpointRestarts(t *testing.T) {
+	req := CheckRequest{Program: testProg, Policy: "{2}", Raw: true, Maximal: true, Domain: []int64{0, 1, 2, 3, 4, 5, 6, 7}}
+	ref := storedService(t, t.TempDir(), Config{Runners: 1})
+	rj, err := ref.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := waitJob(t, rj)
+	if want.State != StateDone || want.Result.Sound {
+		t.Fatalf("reference run: %+v", want)
+	}
+	payload, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, phase := range []string{"sound", "max"} {
+		t.Run(phase, func(t *testing.T) {
+			ck, err := os.ReadFile(filepath.Join("testdata", "checkpoint-two-phase-"+phase+".json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			st := openStore(t, dir)
+			if err := st.PutPending(store.Pending{ID: "job-7", Key: store.Key{Fingerprint: "two-phase"}, Payload: payload}); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Checkpoint("job-7", ck, 32); err != nil {
+				t.Fatal(err)
+			}
+			st.Close()
+
+			s := storedService(t, dir, Config{Runners: 1, CheckpointEvery: 16})
+			j, err := s.Job("job-7")
+			if err != nil {
+				t.Fatalf("two-phase job not resumed: %v", err)
+			}
+			got := waitJob(t, j)
+			if got.State != StateDone {
+				t.Fatalf("resumed job: state %s, error %q", got.State, got.Error)
+			}
+			if j.Total != 64 || got.Progress.Done != 64 {
+				t.Errorf("resumed job progress %+v, want 64/64", got.Progress)
+			}
+			if !reflect.DeepEqual(stripTiming(got.Result), stripTiming(want.Result)) {
+				t.Errorf("resumed verdict differs from uninterrupted run:\n  %+v\nvs\n  %+v",
+					stripTiming(got.Result), stripTiming(want.Result))
+			}
+			td, _ := s.JobTrace(j.ID)
+			for _, e := range td.Events {
+				if e.Name == "resume" {
+					t.Errorf("two-phase checkpoint resumed from its cursor: %s", e.Detail)
+				}
 			}
 		})
 	}

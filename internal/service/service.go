@@ -292,27 +292,17 @@ func (s *Service) submit(req CheckRequest, id string, resume *jobCheckpoint, ten
 		}
 		return nil, fmt.Errorf("%w: %s has %d tuples, limit %d", ErrBadRequest, noun, span, s.cfg.MaxTuples)
 	}
-	// Every check.Run kind is one pass over the span: soundness, then the
-	// maximality evidence pass when requested.
-	passes := int64(1)
-	if req.Maximal {
-		passes++
-	}
-	if span > 0 && span > math.MaxInt64/passes {
-		return nil, fmt.Errorf("%w: domain too large", ErrBadRequest)
-	}
-
 	req.Domain = values
 	var key store.Key
 	if s.store != nil {
 		key = storeKey(entry, req)
 		if id == "" {
 			if raw, ok := s.store.Verdict(key); ok {
-				return s.cachedJob(req, entry, hit, passes*span, raw)
+				return s.cachedJob(req, entry, hit, span, raw)
 			}
 		}
 	}
-	if err := s.tenants.admit(tenant, id, passes*span); err != nil {
+	if err := s.tenants.admit(tenant, id, span); err != nil {
 		return nil, err
 	}
 
@@ -320,8 +310,7 @@ func (s *Service) submit(req CheckRequest, id string, resume *jobCheckpoint, ten
 	if jid == "" {
 		jid = fmt.Sprintf("job-%d", s.seq.Add(1))
 	}
-	j := newJob(jid, req, entry, hit, passes*span)
-	j.span = span
+	j := newJob(jid, req, entry, hit, span)
 	j.storeKey = key
 	j.resume = resume
 	j.tenant = tenant
@@ -333,17 +322,10 @@ func (s *Service) submit(req CheckRequest, id string, resume *jobCheckpoint, ten
 		j.trace.Event("compile", "compiled")
 	}
 	if resume != nil {
-		j.trace.Event("resume", fmt.Sprintf("phase=%s cursor=%d", resume.Phase, resume.Cursor))
-	}
-	if resume != nil {
-		// The job's progress denominator includes the checkpointed prefix;
-		// seed the counter so done/total stays truthful before the sweep
-		// re-seeds it phase-accurately.
-		cur := resume.Cursor
-		if resume.Phase == "max" {
-			cur += span
-		}
-		j.progress.Store(cur)
+		// The job's progress denominator includes the checkpointed prefix,
+		// which the resumed sweep does not revisit.
+		j.trace.Event("resume", fmt.Sprintf("cursor=%d", resume.Cursor))
+		j.progress.Store(resume.Cursor)
 	}
 
 	s.mu.Lock()
@@ -490,12 +472,14 @@ func (s *Service) Stats() Stats {
 	}
 }
 
-// runJob executes one popped job on its runner: sweep soundness on the
-// compile-cache entry resolved at submission, then maximality if
-// requested. The job's progress counter is handed to the sweep engine as
-// its chunk cursor, and its context to the engine's cancellation check —
-// a cancelled job stops within one chunk and the runner moves on to the
-// next job. A job cancelled between pop and start is skipped.
+// runJob executes one popped job on its runner: one sweep of the
+// compile-cache entry resolved at submission, which decides soundness
+// and, when requested, maximality (check.Run's Maximality kind decides
+// both in its one pass). The job's progress counter is handed to the
+// sweep engine as its chunk cursor, and its context to the engine's
+// cancellation check — a cancelled job stops within one chunk and the
+// runner moves on to the next job. A job cancelled between pop and start
+// is skipped.
 func (s *Service) runJob(j *Job) {
 	if !j.tryStart() {
 		return // cancelled while queued; Cancel settled the tallies
@@ -504,13 +488,7 @@ func (s *Service) runJob(j *Job) {
 	s.nRunning.Add(1)
 	s.metrics.observeDispatch(j, time.Since(j.created))
 	runStart := time.Now()
-	var res *Result
-	var err error
-	if s.store != nil {
-		res, err = s.checkStore(j.ctx, j)
-	} else {
-		res, err = s.check(j.ctx, j)
-	}
+	res, err := s.check(j.ctx, j)
 	s.metrics.observeRun(j, time.Since(runStart))
 	if s.store != nil {
 		s.settleStore(j, res, err)
@@ -529,15 +507,28 @@ func (s *Service) runJob(j *Job) {
 	j.finish(res, err)
 }
 
-// check runs the job's verdicts through check.Run — the single verdict
-// path shared with the CLI and the experiment tables.
+// check runs the job's verdict through check.Run — the single verdict
+// path shared with the CLI and the experiment tables — or, on a
+// store-backed service, through check.RunCheckpointed (see checkStore).
+// Either way the engine sweeps the job's range once: a maximal job is one
+// Maximality run, whose verdict carries the mechanism's soundness too.
 func (s *Service) check(ctx context.Context, j *Job) (*Result, error) {
 	entry := j.entry
-	pol := core.NewAllowSet(entry.prog.Arity(), entry.allowed)
-	dom := core.Grid(entry.prog.Arity(), j.Req.Domain...)
-	obs := core.ObserveValue
+	spec := check.Spec{
+		Kind:        check.Soundness,
+		Mechanism:   entry.mech,
+		Policy:      core.NewAllowSet(entry.prog.Arity(), entry.allowed),
+		Domain:      core.Grid(entry.prog.Arity(), j.Req.Domain...),
+		Observation: core.ObserveValue,
+		Shard:       check.Shard{Offset: j.Req.Offset, Count: j.Req.Count},
+	}
 	if j.Req.Timed {
-		obs = core.ObserveValueAndTime
+		spec.Observation = core.ObserveValueAndTime
+	}
+	span := "sound"
+	if j.Req.Maximal {
+		spec.Kind, spec.Program = check.Maximality, entry.bare
+		span = "max"
 	}
 	opts := []check.Option{
 		check.WithWorkers(s.cfg.SweepWorkers),
@@ -547,22 +538,19 @@ func (s *Service) check(ctx context.Context, j *Job) (*Result, error) {
 		check.WithExecTally(s.metrics.exec),
 	}
 
-	shard := check.Shard{Offset: j.Req.Offset, Count: j.Req.Count}
-
 	start := time.Now()
-	j.trace.Event("sweep", "phase=sound")
-	v, err := check.Run(ctx, check.Spec{
-		Kind:        check.Soundness,
-		Mechanism:   entry.mech,
-		Policy:      pol,
-		Domain:      dom,
-		Observation: obs,
-		Shard:       shard,
-	}, opts...)
+	j.trace.Event("sweep", "kind="+spec.Kind.String())
+	var v check.Verdict
+	var err error
+	if s.store != nil {
+		v, err = s.checkStore(ctx, j, spec, opts)
+	} else {
+		v, err = check.Run(ctx, spec, opts...)
+	}
 	if err != nil {
 		return nil, err
 	}
-	j.trace.Span("sound", fmt.Sprintf("checked=%d", v.Checked), time.Since(start))
+	j.trace.Span(span, fmt.Sprintf("checked=%d", v.Checked), time.Since(start))
 	res := &Result{
 		Mechanism:   v.Mechanism,
 		Policy:      v.Policy,
@@ -578,27 +566,12 @@ func (s *Service) check(ctx context.Context, j *Job) (*Result, error) {
 		Views:       v.Views,
 	}
 	if j.Req.Maximal {
-		mstart := time.Now()
-		j.trace.Event("sweep", "phase=max")
-		mv, err := check.Run(ctx, check.Spec{
-			Kind:        check.Maximality,
-			Mechanism:   entry.mech,
-			Program:     entry.bare,
-			Policy:      pol,
-			Domain:      dom,
-			Observation: obs,
-			Shard:       shard,
-		}, opts...)
-		if err != nil {
-			return nil, err
-		}
-		j.trace.Span("max", fmt.Sprintf("checked=%d", mv.Checked), time.Since(mstart))
-		maximal := mv.Maximal
-		res.Program = mv.Program
+		maximal := v.Maximal
+		res.Program = v.Program
 		res.Maximal = &maximal
-		res.MaximalWitness = mv.Witness
-		res.MaximalReason = mv.Reason
-		res.Classes = mv.Classes
+		res.MaximalWitness = v.Witness
+		res.MaximalReason = v.Reason
+		res.Classes = v.Classes
 	}
 	j.trace.Event("merge", "assembling result")
 	elapsed := time.Since(start)

@@ -97,8 +97,8 @@ func TestSubmitRawUnsoundWithWitness(t *testing.T) {
 }
 
 func TestSubmitMaximalProgressCountsAllPasses(t *testing.T) {
-	// Plain and store-backed services run the same passes — soundness,
-	// then one maximality evidence pass — and reach the same verdict.
+	// Plain and store-backed services sweep a maximal job once — the
+	// maximality pass decides soundness too — and reach the same verdict.
 	services := map[string]*Service{
 		"plain":  newTestService(t, Config{Runners: 1}),
 		"stored": storedService(t, t.TempDir(), Config{Runners: 1}),
@@ -109,8 +109,8 @@ func TestSubmitMaximalProgressCountsAllPasses(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := int64(2 * 9); j.Total != want {
-			t.Errorf("%s: maximal job total = %d, want %d (soundness + evidence pass)", name, j.Total, want)
+		if want := int64(9); j.Total != want {
+			t.Errorf("%s: maximal job total = %d, want %d (one pass over the domain)", name, j.Total, want)
 		}
 		st := waitJob(t, j)
 		if st.State != StateDone {
@@ -119,8 +119,8 @@ func TestSubmitMaximalProgressCountsAllPasses(t *testing.T) {
 		if st.Result.Maximal == nil {
 			t.Fatalf("%s: maximal verdict missing", name)
 		}
-		if st.Progress.Done != j.Total {
-			t.Errorf("%s: progress %d, want %d", name, st.Progress.Done, j.Total)
+		if st.Progress.Done != j.Total || st.Progress.Total != j.Total {
+			t.Errorf("%s: progress %d/%d, want %d/%d", name, st.Progress.Done, st.Progress.Total, j.Total, j.Total)
 		}
 		results[name] = st.Result
 	}

@@ -74,10 +74,10 @@ func TestSubmitShardedMaximalJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Sharded maximality is a single evidence pass: soundness + evidence
-	// over 8 tuples each.
-	if j.Total != 16 {
-		t.Fatalf("sharded maximal job total = %d, want 16", j.Total)
+	// Sharded maximality is a single evidence pass over the 8 tuples,
+	// deciding soundness and maximality together.
+	if j.Total != 8 {
+		t.Fatalf("sharded maximal job total = %d, want 8", j.Total)
 	}
 	waitDone(t, j)
 	res := j.Status().Result

@@ -146,7 +146,7 @@ const compactWasteFactor = 4
 // discarded. If superseded records dominate, the log is compacted —
 // live state rewritten to a fresh log and atomically swapped in.
 func Open(dir string) (*Store, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := mkdirAll(dir); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	s := &Store{
@@ -291,6 +291,34 @@ func (s *Store) compact(path string) error {
 		return fmt.Errorf("store: compact: %w", err)
 	}
 	s.records = len(s.verdicts) + len(s.pending)
+	return nil
+}
+
+// mkdirAll is os.MkdirAll made durable: once dir and its missing
+// ancestors exist, it fsyncs the parent of every directory it created,
+// deepest first, so a power cut cannot lose a new store directory — and
+// the synced log inside it — by losing a directory entry above it.
+func mkdirAll(dir string) error {
+	var created []string // deepest first
+	for d := filepath.Clean(dir); ; {
+		if _, err := os.Stat(d); !errors.Is(err, os.ErrNotExist) {
+			break // exists, or an error MkdirAll reports
+		}
+		created = append(created, d)
+		parent := filepath.Dir(d)
+		if parent == d {
+			break
+		}
+		d = parent
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	for _, d := range created {
+		if err := syncDir(filepath.Dir(d)); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 

@@ -244,3 +244,35 @@ func TestKeyID(t *testing.T) {
 		t.Error("ID not deterministic")
 	}
 }
+
+// TestOpenCreatesNestedDir opens a store at a path none of whose last
+// three directories exist yet, then reopens it: Open must create them
+// all (fsyncing each new entry's parent, which no test can observe
+// short of a power cut) and the verdict written into them must survive.
+// A path through a regular file is an error, not a store.
+func TestOpenCreatesNestedDir(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "a", "b", "c")
+	s := open(t, dir)
+	want := json.RawMessage(`{"sound":true}`)
+	if err := s.PutVerdict(key(0), want); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
+		t.Fatalf("store directory after Open: %v, %v", fi, err)
+	}
+	got, ok := open(t, dir).Verdict(key(0))
+	if !ok || !reflect.DeepEqual(got, want) {
+		t.Fatalf("after reopen: Verdict = %s, %v; want %s", got, ok, want)
+	}
+
+	file := filepath.Join(root, "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if s, err := Open(filepath.Join(file, "store")); err == nil {
+		s.Close()
+		t.Fatal("Open under a regular file succeeded")
+	}
+}
