@@ -44,10 +44,9 @@ bench-batch-json:
 	$(GO) run ./cmd/benchjson < bench_batch.txt > BENCH_batch.json
 	@echo wrote BENCH_batch.json
 
-# The snapshot-stack perf-trajectory artifact: the stack tier vs the
-# single-axis memo vs no memoization on a deep five-axis 32k-tuple
-# domain whose cost concentrates in the outer axes, averaged like
-# bench-json.
+# The snapshot-stack perf-trajectory artifact: the stack tier vs no
+# memoization on a deep five-axis 32k-tuple domain whose cost
+# concentrates in the outer axes, averaged like bench-json.
 bench-memostack-json:
 	$(GO) test -bench 'SnapshotStack' -benchmem -count 3 -run '^$$' . > bench_memostack.txt
 	$(GO) run ./cmd/benchjson < bench_memostack.txt > BENCH_memostack.json

@@ -700,10 +700,9 @@ func BenchmarkBatchSweep(b *testing.B) {
 // outer axes: each input read is followed by a burn loop whose length
 // halves with depth (x1's ≈ 96 iterations, x4's ≈ 12) and the x5 tail is
 // a bare copy. A sweep tier is rewarded exactly for the prefix work it
-// avoids re-running: the single-axis memo skips the whole prefix only
-// while the row lasts and re-runs all four loops on every fresh row; the
-// snapshot stack resumes from the deepest unchanged axis, re-running
-// just the loops below the odometer carry.
+// avoids re-running: without memoization every tuple re-runs all four
+// loops; the snapshot stack resumes from the deepest unchanged axis,
+// re-running just the loops below the odometer carry.
 const benchStack = `
 program stackdemo
 inputs x1 x2 x3 x4 x5
@@ -730,13 +729,12 @@ S5: y := x5
 // BenchmarkSnapshotStack is the snapshot-stack ablation on a deep
 // five-axis domain (8⁵ = 32,768 tuples) where prefix work dominates:
 // stack is the default tier (per-axis captures — an odometer carry at
-// digit d replays only the loops below d), memo the single-axis prefix
-// memo (WithMemoStack(false) — fresh rows re-run all five loops), reuse
-// the compiled path with no memoization at all, all at the default stride
-// width; stack-width1 runs the stack tier on one-lane strides. The
-// 1-worker rows are the headline superlinear-vs-depth comparison; the
-// 8-worker row shows the stack composes with work stealing. CI's bench
-// job uploads this as BENCH_memostack.json.
+// digit d replays only the loops below d), reuse the compiled path with
+// no memoization at all (every tuple re-runs all five loops), both at the
+// default stride width; stack-width1 runs the stack tier on one-lane
+// strides. The 1-worker rows are the headline superlinear-vs-depth
+// comparison; the 8-worker row shows the stack composes with work
+// stealing. CI's bench job uploads this as BENCH_memostack.json.
 func BenchmarkSnapshotStack(b *testing.B) {
 	q := flowchart.MustParse(benchStack)
 	m := core.FromProgram(q)
@@ -756,7 +754,6 @@ func BenchmarkSnapshotStack(b *testing.B) {
 		})
 	}
 	run("stack-1w", check.WithWorkers(1))
-	run("memo-1w", check.WithWorkers(1), check.WithMemoStack(false))
 	run("reuse-1w", check.WithWorkers(1), check.WithMemo(false))
 	run("stack-width1-1w", check.WithWorkers(1), check.WithBatch(1))
 	run("stack-8w", check.WithWorkers(8))

@@ -138,9 +138,6 @@ func renderTop(base string, snap, prev topSnapshot) string {
 	}
 	fmt.Fprintf(&b, "sweep   chunks %.0f  tuples %.0f%s\n",
 		val("spm_sweep_chunks_total"), tuples, rate)
-	fmt.Fprintf(&b, "memo    captures %.0f  replays %.0f  invalidated %.0f\n",
-		val("spm_memo_captures_total"), val("spm_memo_replays_total"),
-		val("spm_memo_invalidations_total"))
 	fmt.Fprintf(&b, "stack   full %.0f  replays %.0f  constants %.0f\n",
 		val("spm_stack_full_total"), val("spm_stack_replays_total"),
 		val("spm_stack_constants_total"))

@@ -32,15 +32,18 @@
 // lane through Mechanism.Run.
 //
 // The sweep walks each chunk in odometer order (innermost input fastest)
-// and memoizes the shared execution prefix across that axis: a compiled
-// program (flowchart.Compile) records a Snapshot — register file, program
-// counter, step count — at the first instruction that touches the
-// innermost input (flowchart.Compiled.RunSnapshot), and every further
-// tuple of the row replays only the program tail
-// (flowchart.Compiled.RunFromSnapshot), falling back to full runs
-// whenever no valid snapshot exists. Verdicts are byte-identical with
-// memoization on or off; check.WithMemo(false) and check.WithCompiled(false)
-// are the ablation knobs.
+// and memoizes the shared execution prefix: each worker keeps a
+// flowchart.SnapshotStack over a compiled program (flowchart.Compile) —
+// one capture of register file, program counter and step count per
+// domain axis, taken at the first instruction that touches that axis's
+// input or a deeper one — so an odometer carry at digit d replays only
+// the program tail beyond the first read of input d, every stride of a
+// row resumes from the innermost capture
+// (flowchart.Compiled.RunBatchFromStack), axes a program never reads are
+// answered without executing anything, and a tuple with no valid capture
+// runs in full. Verdicts are byte-identical with memoization on or off;
+// check.WithMemo(false) and check.WithCompiled(false) are the ablation
+// knobs.
 //
 // The same verdict scales out in three layers of the one sharding idea.
 // Inside one process, internal/sweep hands contiguous chunks of the

@@ -182,13 +182,10 @@ type Options struct {
 	// Compiled enables the compiled fast path for flowchart-backed
 	// mechanisms; Run defaults it to true.
 	Compiled bool
-	// Memo enables prefix memoization on the compiled fast path; Run
-	// defaults it to true.
+	// Memo enables prefix memoization on the compiled fast path — the
+	// snapshot-stack tier, one capture per domain axis and
+	// constant-suffix pruning; Run defaults it to true.
 	Memo bool
-	// MemoStack enables the snapshot-stack tier on top of Memo — one
-	// capture per domain axis and constant-suffix pruning; Run defaults
-	// it to true. It has no effect when Memo is off.
-	MemoStack bool
 	// Batch caps the stride width; values ≤ 0 mean DefaultBatch. A
 	// stride is at most one odometer row, so the width is clamped to the
 	// innermost axis length.
@@ -205,8 +202,8 @@ type Options struct {
 	// callbacks (worker, tuples, duration) — the seam behind chunk
 	// counters and chunk-latency histograms.
 	Observer sweep.Observer
-	// Exec, when non-nil, accumulates execution-tier counters: memo
-	// snapshot captures/replays/invalidations and batch
+	// Exec, when non-nil, accumulates execution-tier counters: snapshot
+	// stack answers (full, replay by depth, constant) and batch
 	// strides/lanes/divergence.
 	Exec *core.ExecTally
 }
@@ -245,27 +242,17 @@ func WithCompiled(on bool) Option { return func(o *Options) { o.Compiled = on } 
 func WithCommit(fn func(done int64)) Option { return func(o *Options) { o.Commit = fn } }
 
 // WithMemo toggles prefix memoization on the compiled fast path (default
-// true): the sweep walks each chunk in odometer order, and when only the
-// innermost input changed since the previous tuple the compiled runner
-// resumes from an execution snapshot — replaying just the instructions
-// after the first read of that input — instead of starting at instruction
-// zero. The verdict is identical either way (differential tests pin
-// this); WithMemo(false) is the ablation baseline the prefix benchmarks
-// compare against. It has no effect under WithCompiled(false).
+// true): the sweep walks each chunk in odometer order, and each sweep
+// worker keeps a snapshot stack — one capture per domain axis, taken at
+// the first instruction that reads that axis's input or a deeper one — so
+// an odometer carry at depth d invalidates only the captures below d and
+// the next tuple replays just the tail beyond the shallowest changed
+// input. Axes a program never reads collapse to constant entries
+// answered without executing anything. The verdict is identical either
+// way (the conformance table pins this); WithMemo(false) runs every
+// tuple from instruction zero — the ablation baseline the snapshot-stack
+// benchmarks compare against. It has no effect under WithCompiled(false).
 func WithMemo(on bool) Option { return func(o *Options) { o.Memo = on } }
-
-// WithMemoStack toggles the snapshot-stack tier (default true): instead
-// of one snapshot at the innermost axis, each sweep worker keeps one
-// capture per domain axis — taken at the first instruction that reads
-// that axis's input — so an odometer carry at depth d invalidates only
-// the captures below d and the next tuple replays just the tail beyond
-// the shallowest changed input. Axes a program never reads collapse to
-// constant entries answered without executing anything. The verdict is
-// identical either way (differential tests pin this); WithMemoStack(false)
-// falls back to the single-axis prefix memo — the ablation baseline the
-// snapshot-stack benchmarks compare against. It has no effect under
-// WithCompiled(false) or WithMemo(false).
-func WithMemoStack(on bool) Option { return func(o *Options) { o.MemoStack = on } }
 
 // WithBatch caps the stride width: each sweep worker hands every
 // mechanism strides of up to n innermost-axis tuples, which compiled
@@ -277,10 +264,11 @@ func WithMemoStack(on bool) Option { return func(o *Options) { o.MemoStack = on 
 // more. Lanes that diverge at a branch finish on the scalar engine; a
 // mechanism with no compiled form runs the stride lane by lane through
 // Mechanism.Run, beside compiled mechanisms that stay batched. Composes
-// with WithMemo: one prefix snapshot per odometer row feeds every lane of
-// the row's strides. n ≤ 0 means DefaultBatch, and n = 1 is a one-lane
-// stride on the same kernels; the verdict is byte-identical at every
-// width (differential tests pin this).
+// with WithMemo: the snapshot stack answers each fresh stride's first
+// lane, and the rest of the row's lanes resume from its innermost
+// capture. n ≤ 0 means DefaultBatch, and n = 1 is a one-lane stride on
+// the same kernels; the verdict is byte-identical at every width (the
+// conformance table pins this).
 func WithBatch(n int) Option { return func(o *Options) { o.Batch = n } }
 
 // WithThrottle makes every sweep worker pause d after each completed
@@ -299,10 +287,10 @@ func WithThrottle(d time.Duration) Option { return func(o *Options) { o.Throttle
 // built on.
 func WithObserver(obs sweep.Observer) Option { return func(o *Options) { o.Observer = obs } }
 
-// WithExecTally directs execution-tier counters into t: the memoized
-// tiers count snapshot captures, replays, and invalidation fallbacks;
-// the batch tier counts strides, lanes (utilization of the configured
-// width), and lanes lost to branch divergence. Counters accumulate
+// WithExecTally directs execution-tier counters into t: the snapshot
+// stack counts its answers (full recordings, replays by depth, constant
+// answers); the batch tier counts strides, lanes (utilization of the
+// configured width), and lanes lost to branch divergence. Counters accumulate
 // per-worker and uncontended (see core.ExecTally); nil — the default —
 // keeps the execution hot paths entirely unobserved.
 func WithExecTally(t *core.ExecTally) Option { return func(o *Options) { o.Exec = t } }
@@ -319,7 +307,7 @@ func WithExecTally(t *core.ExecTally) Option { return func(o *Options) { o.Exec 
 // stride width or schedule (see core.CheckSoundnessContext and
 // core.CheckMaximalityContext).
 func Run(ctx context.Context, spec Spec, opts ...Option) (Verdict, error) {
-	o := Options{Compiled: true, Memo: true, MemoStack: true}
+	o := Options{Compiled: true, Memo: true}
 	for _, opt := range opts {
 		opt(&o)
 	}
@@ -358,7 +346,6 @@ func Run(ctx context.Context, spec Spec, opts ...Option) (Verdict, error) {
 		},
 		Interpreted:  !o.Compiled,
 		NoMemo:       !o.Memo,
-		NoStack:      !o.MemoStack,
 		CollectViews: sharded,
 		Batch:        batch,
 		Exec:         o.Exec,

@@ -71,31 +71,6 @@ func TestObserverAndTally(t *testing.T) {
 		if c.BatchLanes != c.BatchStrides || c.BatchLanes > c.StackReplays {
 			t.Errorf("one-lane run recorded wider batch activity: %+v", c)
 		}
-		if c.MemoCaptures != 0 || c.MemoReplays != 0 {
-			t.Errorf("stack run recorded single-axis memo activity: %+v", c)
-		}
-	})
-
-	t.Run("scalar-nostack", func(t *testing.T) {
-		tally := &core.ExecTally{}
-		_, err := check.Run(context.Background(), spec,
-			check.WithWorkers(2), check.WithChunk(8), check.WithBatch(1),
-			check.WithMemoStack(false), check.WithExecTally(tally))
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := tally.Counts()
-		if c.MemoCaptures == 0 {
-			t.Errorf("no memo captures recorded: %+v", c)
-		}
-		// Every tuple either captured or replayed (invalidations re-run
-		// as captures, so the identity still holds).
-		if c.MemoCaptures+c.MemoReplays != size {
-			t.Errorf("captures %d + replays %d != %d tuples", c.MemoCaptures, c.MemoReplays, size)
-		}
-		if c.StackFull+c.StackReplays+c.StackConstants != 0 {
-			t.Errorf("ablated run recorded stack activity: %+v", c)
-		}
 	})
 
 	t.Run("batch", func(t *testing.T) {

@@ -35,16 +35,16 @@ type BatchRunFunc func(input []int64, last []int64, carry int, out []Outcome) er
 type BatchRunnerProvider interface {
 	Mechanism
 	// BatchRunners returns a factory producing one BatchRunFunc per sweep
-	// worker, each owning its lanes, register file, and snapshots, for
-	// strides of up to width lanes (width 1 is a one-lane stride on the
-	// same kernels). memo selects whether runs compose with prefix
-	// memoization (a snapshot captured on the row's first tuple feeds the
-	// rest of the row) or run every tuple from instruction zero — the
-	// check.WithMemo(false) ablation.
-	// stack upgrades memoization to the snapshot-stack tier: a per-worker
-	// flowchart.SnapshotStack (per-axis captures and constant suffixes)
-	// answers the first lane of each fresh stride, and the remaining
-	// lanes resume from its innermost capture.
+	// worker, each owning its lanes, register file, and snapshot stack,
+	// for strides of up to width lanes (width 1 is a one-lane stride on
+	// the same kernels). The snapshot-stack tier runs iff memo && stack:
+	// a per-worker flowchart.SnapshotStack (per-axis captures and
+	// constant suffixes) answers the first lane of each fresh stride, and
+	// the remaining lanes resume from its innermost capture. Otherwise
+	// every stride runs from instruction zero — the check.WithMemo(false)
+	// ablation. Every caller in this module passes the same value for
+	// both flags; they stay two until the benchmark module stops passing
+	// them separately.
 	// tally, when non-nil, receives each worker's execution-tier counters
 	// (one ExecTally.Part per runner); nil disables counting.
 	BatchRunners(width int, memo, stack bool, tally *ExecTally) func() BatchRunFunc
@@ -56,20 +56,16 @@ func outcomeOf(res flowchart.Result) Outcome {
 }
 
 // batchRunner is the per-worker executor over compiled code, at every
-// width. With stack, lane 0 of each fresh stride runs through a per-worker
+// width. With memo, lane 0 of each fresh stride runs through a per-worker
 // snapshot stack — per-axis captures and constant-suffix pruning apply
 // to it — and the remaining lanes (and every continuation stride of the
 // same row) resume in lockstep from the stack's innermost capture; a
 // constant answer replicates to the whole stride without executing a
-// lane. With memo alone, a fresh row runs its first lane on the
-// single-axis snapshot recorder — capturing execution state at the first
-// instruction that touches the innermost input — and every further lane
-// of the row resumes from that capture in lockstep; without either, each
-// stride runs whole from instruction zero, still amortizing instruction
-// dispatch across lanes. The nullary domain's one tuple has nothing to
-// stride over or memoize and runs whole on RunReuse. Outcomes are exactly
-// RunReuse's for every tuple.
-func batchRunner(c *flowchart.Compiled, maxSteps int64, width int, memo, stack bool, part *ExecPart) BatchRunFunc {
+// lane. Without memo each stride runs whole from instruction zero, still
+// amortizing instruction dispatch across lanes. The nullary domain's one
+// tuple has nothing to stride over or memoize and runs whole on RunReuse.
+// Outcomes are exactly RunReuse's for every tuple.
+func batchRunner(c *flowchart.Compiled, maxSteps int64, width int, memo bool, part *ExecPart) BatchRunFunc {
 	lanes, err := c.NewLanes(width)
 	if err != nil {
 		// Factories probe NewLanes before handing out runners; reaching
@@ -78,12 +74,9 @@ func batchRunner(c *flowchart.Compiled, maxSteps int64, width int, memo, stack b
 	}
 	results := make([]flowchart.Result, width)
 	regs := make([]int64, c.Slots())
-	var snap *flowchart.Snapshot
 	var st *flowchart.SnapshotStack
-	if memo && stack {
+	if memo {
 		st = c.NewSnapshotStack()
-	} else if memo {
-		snap = c.NewSnapshot()
 	}
 	var prev flowchart.BatchStats
 	runStack := func(input []int64, last []int64, carry int, res []flowchart.Result) error {
@@ -138,44 +131,13 @@ func batchRunner(c *flowchart.Compiled, maxSteps int64, width int, memo, stack b
 			out[0] = outcomeOf(r)
 			return nil
 		}
-		n := len(last)
-		res := results[:n]
-		innerOnly := carry >= len(input)-1
-		switch {
-		case memo && stack:
+		res := results[:len(last)]
+		if memo {
 			if err := runStack(input, last, carry, res); err != nil {
 				return err
 			}
-		case memo && innerOnly && snap.Valid():
-			if err := c.RunBatchFromSnapshot(lanes, snap, last, maxSteps, res); err != nil {
-				return err
-			}
-			part.memoReplay()
-		case memo:
-			// Fresh row: lane 0 records the snapshot the rest of the row
-			// replays from.
-			r0, err := c.RunSnapshot(regs, input, maxSteps, snap)
-			if err != nil {
-				return err
-			}
-			part.memoCapture()
-			res[0] = r0
-			if n > 1 {
-				if snap.Valid() {
-					err = c.RunBatchFromSnapshot(lanes, snap, last[1:], maxSteps, res[1:])
-					part.memoReplay()
-				} else {
-					err = c.RunBatch(lanes, input, last[1:], maxSteps, res[1:])
-					part.memoInvalidated()
-				}
-				if err != nil {
-					return err
-				}
-			}
-		default:
-			if err := c.RunBatch(lanes, input, last, maxSteps, res); err != nil {
-				return err
-			}
+		} else if err := c.RunBatch(lanes, input, last, maxSteps, res); err != nil {
+			return err
 		}
 		if part != nil {
 			st := lanes.Stats
@@ -222,14 +184,14 @@ func laneRunner(m Mechanism) BatchRunFunc {
 // lane by lane through Mechanism.Run.
 func (cc CheckConfig) runnerFactory(m Mechanism, width int) func() BatchRunFunc {
 	if !cc.Interpreted {
-		memo, stack := !cc.NoMemo, !cc.NoStack
+		memo := !cc.NoMemo
 		var f func() BatchRunFunc
 		switch mm := m.(type) {
 		case BatchRunnerProvider:
-			f = mm.BatchRunners(width, memo, stack, cc.Exec)
+			f = mm.BatchRunners(width, memo, memo, cc.Exec)
 		case *Program:
 			if cm, err := CompileMechanism(mm); err == nil {
-				f = cm.BatchRunners(width, memo, stack, cc.Exec)
+				f = cm.BatchRunners(width, memo, memo, cc.Exec)
 			}
 		}
 		if f != nil {

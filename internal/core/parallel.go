@@ -14,12 +14,8 @@ import (
 // check.WithCompiled(false)); NoMemo keeps the compiled fast path but
 // disables prefix memoization, so every tuple replays from instruction
 // zero (the ablation knob behind check.WithMemo(false), and the baseline
-// the prefix benchmarks compare against); NoStack keeps single-axis
-// prefix memoization but disables the snapshot-stack tier — per-axis
-// captures and constant-suffix pruning (the ablation knob behind
-// check.WithMemoStack(false), and the baseline the snapshot-stack
-// benchmarks compare against); CollectViews marks the range as one shard
-// of a larger run: the engines export their merged
+// the snapshot-stack benchmarks compare against); CollectViews marks the
+// range as one shard of a larger run: the engines export their merged
 // per-class evidence (SoundnessReport.Views; MaximalityReport.Classes and
 // its Soundness.Views) so
 // the shard verdict can be folded with its siblings by check.Merge.
@@ -31,14 +27,13 @@ import (
 // mechanism picks its runner on its own, so a
 // mechanism with no compiled form runs lane by lane through Mechanism.Run
 // beside compiled ones. Verdicts are identical across all tiers. Exec, when
-// non-nil, receives execution-tier counters (memo captures/replays,
+// non-nil, receives execution-tier counters (snapshot-stack answers,
 // batch strides/lanes/divergence — see ExecTally); nil keeps the hot
 // paths entirely unobserved.
 type CheckConfig struct {
 	sweep.Config
 	Interpreted  bool
 	NoMemo       bool
-	NoStack      bool
 	CollectViews bool
 	Batch        int
 	Exec         *ExecTally

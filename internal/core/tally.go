@@ -15,9 +15,9 @@ import (
 const StackDepthBuckets = 8
 
 // ExecTally aggregates execution-tier counters across a sweep's workers:
-// how often the prefix-memoized tier captured, replayed, or invalidated
-// a snapshot, and how the batch tier's strides, lanes, and divergences
-// went. It is the core-layer half of the observability seam — the
+// how the snapshot stack answered (full recordings, replays by depth,
+// constant answers) and how the batch tier's strides, lanes, and
+// divergences went. It is the core-layer half of the observability seam — the
 // policy-checking service samples Counts into its metrics registry.
 //
 // Layout follows the sweep engine's per-worker discipline: every runner
@@ -100,11 +100,10 @@ func (t *ExecTally) retire() {
 // ExecCounts is one consistent-enough snapshot of a tally (individual
 // counters may lag an in-flight increment).
 type ExecCounts struct {
-	// MemoCaptures counts snapshot recordings (one per fresh odometer
-	// row on the memoized tiers); MemoReplays counts executions resumed
-	// from a snapshot, one per replayed stride; MemoInvalid counts
-	// replay attempts that found the snapshot unusable and fell back to
-	// a full run.
+	// MemoCaptures, MemoReplays and MemoInvalid always read 0: the
+	// single-axis prefix memo that counted them is gone, and the
+	// snapshot stack counts its answers in the Stack* fields. The fields
+	// stay until the benchmark module stops summing them.
 	MemoCaptures int64
 	MemoReplays  int64
 	MemoInvalid  int64
@@ -155,9 +154,6 @@ func (t *ExecTally) Counts() ExecCounts {
 // methods are nil-safe.
 type ExecPart struct {
 	owner            *ExecTally // the tally Part was called on
-	memoCaptures     atomic.Int64
-	memoReplays      atomic.Int64
-	memoInvalid      atomic.Int64
 	batchStrides     atomic.Int64
 	batchLanes       atomic.Int64
 	batchDiverged    atomic.Int64
@@ -169,9 +165,6 @@ type ExecPart struct {
 
 // addTo adds the part's counters to c.
 func (p *ExecPart) addTo(c *ExecCounts) {
-	c.MemoCaptures += p.memoCaptures.Load()
-	c.MemoReplays += p.memoReplays.Load()
-	c.MemoInvalid += p.memoInvalid.Load()
 	c.BatchStrides += p.batchStrides.Load()
 	c.BatchLanes += p.batchLanes.Load()
 	c.BatchDiverged += p.batchDiverged.Load()
@@ -180,24 +173,6 @@ func (p *ExecPart) addTo(c *ExecCounts) {
 	c.StackConstants += p.stackConstants.Load()
 	for d := range c.StackReplayDepth {
 		c.StackReplayDepth[d] += p.stackReplayDepth[d].Load()
-	}
-}
-
-func (p *ExecPart) memoCapture() {
-	if p != nil {
-		p.memoCaptures.Add(1)
-	}
-}
-
-func (p *ExecPart) memoReplay() {
-	if p != nil {
-		p.memoReplays.Add(1)
-	}
-}
-
-func (p *ExecPart) memoInvalidated() {
-	if p != nil {
-		p.memoInvalid.Add(1)
 	}
 }
 

@@ -12,13 +12,13 @@ import (
 func TestExecTallyRetiresSweepParts(t *testing.T) {
 	var tally ExecTally
 	outside := tally.Part()
-	outside.memoCapture()
+	outside.stackOp(flowchart.StackOp{Kind: flowchart.StackConstant})
 	sweep := tally.scope()
 	a, b := sweep.Part(), sweep.Part()
 	a.stackOp(flowchart.StackOp{Kind: flowchart.StackFull})
 	b.stackOp(flowchart.StackOp{Kind: flowchart.StackReplay, Depth: 2})
 	b.addBatch(1, 16, 3)
-	want := ExecCounts{MemoCaptures: 1, StackFull: 1, StackReplays: 1, BatchStrides: 1, BatchLanes: 16, BatchDiverged: 3}
+	want := ExecCounts{StackFull: 1, StackConstants: 1, StackReplays: 1, BatchStrides: 1, BatchLanes: 16, BatchDiverged: 3}
 	want.StackReplayDepth[2] = 1
 	if got := tally.Counts(); got != want {
 		t.Errorf("counts in flight = %+v, want %+v", got, want)
@@ -33,8 +33,8 @@ func TestExecTallyRetiresSweepParts(t *testing.T) {
 	if n := tally.Parts(); n != 1 {
 		t.Errorf("%d parts after the sweep, want the 1 registered outside it", n)
 	}
-	outside.memoCapture()
-	want.MemoCaptures++
+	outside.stackOp(flowchart.StackOp{Kind: flowchart.StackConstant})
+	want.StackConstants++
 	if got := tally.Counts(); got != want {
 		t.Errorf("counts = %+v, want %+v", got, want)
 	}

@@ -96,7 +96,7 @@ type batchState struct {
 // structure-of-arrays register file (one contiguous column of Width values
 // per slot), the kernels' constant and scratch columns, the live mask, and
 // the scratch register file used to extract diverging lanes onto the
-// scalar engine. Like a register file or a Snapshot, a Lanes is
+// scalar engine. Like a register file or a SnapshotStack, a Lanes is
 // single-goroutine state — each sweep worker owns one — and stays bound to
 // the Compiled program that created it.
 type Lanes struct {
@@ -130,7 +130,7 @@ type BatchStats struct {
 }
 
 // NewLanes allocates batch-execution state for up to width lanes. width
-// must be ≥ 1; RunBatch and RunBatchFromSnapshot accept any batch size up
+// must be ≥ 1; RunBatch and RunBatchFromStack accept any batch size up
 // to it, so sweep tails narrower than the configured stride reuse the same
 // allocation.
 func (c *Compiled) NewLanes(width int) (*Lanes, error) {
@@ -215,50 +215,15 @@ func (c *Compiled) RunBatch(l *Lanes, inputs []int64, last []int64, maxSteps int
 	return c.runBatchLoop(l, n, c.start, 0, maxSteps, out)
 }
 
-// RunBatchFromSnapshot is RunBatch resuming from a prefix snapshot: the
-// captured register file feeds every lane, lane i installs last[i] as the
-// innermost input, and execution resumes in lockstep at the captured
-// instruction with the captured step count — the batch counterpart of
-// RunFromSnapshot, and the composition that lets one snapshot capture
-// amortize across a whole stride of the sweep's innermost axis. The same
-// row contract applies: since snap was recorded, only the innermost input
-// may have changed. An invalid snapshot returns ErrNoSnapshot; a snapshot
-// whose recording run never touched the innermost input replicates its
-// recorded result into every lane.
-func (c *Compiled) RunBatchFromSnapshot(l *Lanes, snap *Snapshot, last []int64, maxSteps int64, out []Result) error {
-	if snap == nil || snap.c != c || snap.state == snapInvalid {
-		return ErrNoSnapshot
-	}
-	n, err := c.batchPreflight(l, len(last), len(out))
-	if err != nil {
-		return err
-	}
-	if snap.state == snapConstant {
-		l.Stats.Strides++
-		l.Stats.Lanes += int64(n)
-		for i := 0; i < n; i++ {
-			out[i] = snap.res
-		}
-		return nil
-	}
-	for s := range l.cols {
-		col := l.cols[s][:n]
-		v := snap.regs[s]
-		for lane := range col {
-			col[lane] = v
-		}
-	}
-	copy(l.cols[c.lastSlot][:n], last)
-	return c.runBatchLoop(l, n, snap.pc, snap.steps, maxSteps, out)
-}
-
-// RunBatchFromStack is RunBatchFromSnapshot against a snapshot stack's
-// innermost capture: the stride's lanes resume in lockstep from the state
-// the stack recorded before the first instruction touching the innermost
-// input, each lane installing its own innermost value. The same row
-// contract applies — since the innermost entry was recorded (a
-// SnapshotStack.Run on this worker), only the innermost input may have
-// changed — which is exactly what a sweep carry of k-1 guarantees. A
+// RunBatchFromStack is RunBatch resuming from a snapshot stack's innermost
+// capture: the stride's lanes resume in lockstep from the state the stack
+// recorded before the first instruction touching the innermost input,
+// each lane installing its own innermost value, with the captured step
+// count — the composition that lets one capture amortize across a whole
+// stride of the sweep's innermost axis. The row contract applies: since
+// the innermost entry was recorded (a SnapshotStack.Run on this worker),
+// only the innermost input may have changed — which is exactly what a
+// sweep carry of k-1 guarantees. A
 // constant innermost entry replicates its recorded result into every
 // lane; an invalid one returns ErrNoSnapshot and the caller falls back to
 // RunBatch.

@@ -6,117 +6,12 @@ import (
 	"testing"
 )
 
-// batchDiffSweep enumerates the cartesian product of values in odometer
-// order, strides of up to width tuples along the innermost axis at a time,
-// and checks that the batch tier — RunBatch for fresh rows, or the
-// snapshot composition (one scalar RunSnapshot capture per row,
-// RunBatchFromSnapshot for the row's remaining lanes) when memo is set —
-// produces exactly the Result and error class of a fresh RunReuse at every
-// tuple. It is diffSweep one tier up.
-func batchDiffSweep(t *testing.T, p *Program, values [][]int64, maxSteps int64, width int, memo bool) {
-	t.Helper()
-	c, err := p.Compile()
-	if err != nil {
-		t.Fatalf("Compile: %v", err)
-	}
-	k := len(values)
-	if k != p.Arity() || k == 0 {
-		t.Fatalf("domain arity %d, program arity %d (batch needs ≥ 1)", k, p.Arity())
-	}
-	lanes, err := c.NewLanes(width)
-	if err != nil {
-		t.Fatalf("NewLanes: %v", err)
-	}
-	fregs := make([]int64, c.Slots())
-	regs := make([]int64, c.Slots())
-	snap := c.NewSnapshot()
-	out := make([]Result, width)
-	inner := values[k-1]
-	idx := make([]int, k)
-	in := make([]int64, k)
-	for i := range in {
-		if len(values[i]) == 0 {
-			return
-		}
-		in[i] = values[i][0]
-	}
-	for {
-		// One row of the odometer: stride over the innermost axis.
-		for j := 0; j < len(inner); {
-			n := len(inner) - j
-			if n > width {
-				n = width
-			}
-			last := inner[j : j+n]
-			in[k-1] = last[0]
-			var batchErr error
-			if memo {
-				if j > 0 && snap.Valid() {
-					batchErr = c.RunBatchFromSnapshot(lanes, snap, last, maxSteps, out[:n])
-				} else {
-					var r0 Result
-					r0, batchErr = c.RunSnapshot(regs, in, maxSteps, snap)
-					out[0] = r0
-					if batchErr == nil && n > 1 {
-						if snap.Valid() {
-							batchErr = c.RunBatchFromSnapshot(lanes, snap, last[1:], maxSteps, out[1:n])
-						} else {
-							batchErr = c.RunBatch(lanes, in, last[1:], maxSteps, out[1:n])
-						}
-					}
-				}
-			} else {
-				batchErr = c.RunBatch(lanes, in, last, maxSteps, out[:n])
-			}
-			// The scalar reference, lane by lane; the batch must return the
-			// first error in lane order and every earlier lane's exact
-			// Result.
-			var wantErr error
-			for lane := 0; lane < n; lane++ {
-				in[k-1] = last[lane]
-				wantRes, werr := c.RunReuse(fregs, in, maxSteps)
-				if werr != nil {
-					wantErr = werr
-					break
-				}
-				if batchErr == nil && out[lane] != wantRes {
-					t.Fatalf("%q at %v lane %d (memo=%v width=%d): batch = %+v, scalar = %+v",
-						p.Name, in, lane, memo, width, out[lane], wantRes)
-				}
-			}
-			if (batchErr == nil) != (wantErr == nil) ||
-				errors.Is(batchErr, ErrStepLimit) != errors.Is(wantErr, ErrStepLimit) {
-				t.Fatalf("%q stride at %v (memo=%v width=%d): batch err = %v, scalar err = %v",
-					p.Name, in, memo, width, batchErr, wantErr)
-			}
-			if batchErr != nil {
-				return // the sweep would abort here; so does the comparison
-			}
-			j += n
-		}
-		// Carry the outer digits; the innermost axis restarts per row.
-		done := true
-		for i := k - 2; i >= 0; i-- {
-			idx[i]++
-			if idx[i] < len(values[i]) {
-				in[i] = values[i][idx[i]]
-				done = false
-				break
-			}
-			idx[i] = 0
-			in[i] = values[i][0]
-		}
-		if done {
-			return
-		}
-	}
-}
-
 // The handcrafted divergence-heavy programs: branches on the innermost
 // input split lanes at every width, loops whose trip count is the
 // innermost input make lanes leave the batch at different steps, and the
 // snapshot edge cases (dead innermost input, output-is-input) cross with
-// batching.
+// batching. Every width runs on RunBatch (memo=false) and on the snapshot
+// stack's per-stride composition (memo=true), against the interpreter.
 func TestBatchDifferentialPrograms(t *testing.T) {
 	cases := []struct {
 		name string
@@ -194,12 +89,18 @@ inputs x1 y
 	}
 	cases = append(cases, kernelShapes...)
 	widths := []int{1, 2, 3, 8, 32}
+	outer, last := grid2(-2, 3)
 	for _, tc := range cases {
 		p := MustParse(tc.src)
+		c, err := p.Compile()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		want := interpret(p, outer, last, DefaultMaxSteps)
 		for _, w := range widths {
 			for _, memo := range []bool{false, true} {
 				t.Run(fmt.Sprintf("%s/w%d/memo=%v", tc.name, w, memo), func(t *testing.T) {
-					batchDiffSweep(t, p, grid2(-2, 3), DefaultMaxSteps, w, memo)
+					checkStrides(t, p, c, outer, last, want, w, memo, DefaultMaxSteps)
 				})
 			}
 		}
@@ -548,11 +449,11 @@ inputs x1 x2
 	}
 }
 
-// TestBatchFromSnapshotContract pins the snapshot entry point's edge
-// cases: an invalid snapshot is ErrNoSnapshot, and a constant snapshot
-// (recording run never touched the innermost input) replicates its result
-// into every lane.
-func TestBatchFromSnapshotContract(t *testing.T) {
+// TestBatchFromStackContract pins the stack entry point's edge cases: a
+// stack with no capture is ErrNoSnapshot, and a constant innermost entry
+// (the recording run never touched the innermost input) replicates its
+// result into every lane.
+func TestBatchFromStackContract(t *testing.T) {
 	p := MustParse(`
 program untouched
 inputs x1 x2
@@ -567,20 +468,16 @@ inputs x1 x2
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := c.NewSnapshot()
+	st := c.NewSnapshotStack()
 	out := make([]Result, 3)
-	if err := c.RunBatchFromSnapshot(lanes, snap, make([]int64, 3), DefaultMaxSteps, out); !errors.Is(err, ErrNoSnapshot) {
-		t.Fatalf("invalid snapshot: err = %v, want ErrNoSnapshot", err)
+	if err := c.RunBatchFromStack(lanes, st, make([]int64, 3), DefaultMaxSteps, out); !errors.Is(err, ErrNoSnapshot) {
+		t.Fatalf("empty stack: err = %v, want ErrNoSnapshot", err)
 	}
-	regs := make([]int64, c.Slots())
-	want, err := c.RunSnapshot(regs, []int64{2, 0}, DefaultMaxSteps, snap)
+	want, _, err := st.Run([]int64{2, 0}, 0, DefaultMaxSteps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !snap.Valid() {
-		t.Fatal("snapshot not valid after recording run")
-	}
-	if err := c.RunBatchFromSnapshot(lanes, snap, []int64{5, 6, 7}, DefaultMaxSteps, out); err != nil {
+	if err := c.RunBatchFromStack(lanes, st, []int64{5, 6, 7}, DefaultMaxSteps, out); err != nil {
 		t.Fatal(err)
 	}
 	for i, r := range out {

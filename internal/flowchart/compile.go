@@ -33,8 +33,8 @@ type Compiled struct {
 	start      int32
 	// lastBit is the touch-mask bit of the innermost input (1 << (k-1)),
 	// or 0 when the program has no inputs or more than 64 of them — in
-	// which case RunSnapshot never captures and callers fall back to full
-	// runs. lastSlot is that input's register slot.
+	// which case a SnapshotStack never captures and callers fall back to
+	// full runs. lastSlot is that input's register slot.
 	lastBit  uint64
 	lastSlot int
 	// batchState is the lazily-compiled third execution tier (batch.go):
@@ -56,9 +56,9 @@ type cnode struct {
 	// when executing the node may read or write input i's register. An
 	// assign touches the inputs its expression mentions plus its target; a
 	// decision touches its predicate's inputs; a non-violating halt reads
-	// the output variable, which may itself be an input. The snapshot fast
-	// path (RunSnapshot/RunFromSnapshot) captures execution state at the
-	// first instruction whose mask intersects the innermost input.
+	// the output variable, which may itself be an input. A SnapshotStack
+	// captures execution state at the first instruction whose mask
+	// intersects the inputs of an axis or deeper.
 	touch uint64
 }
 
@@ -170,9 +170,9 @@ func (c *Compiled) RunReuse(regs []int64, inputs []int64, maxSteps int64) (Resul
 	return c.runLoop(regs, c.start, 0, maxSteps)
 }
 
-// runLoop is the execution core shared by RunReuse, RunSnapshot, and
-// RunFromSnapshot: it executes from an arbitrary (pc, steps) point against
-// an already-initialised register file.
+// runLoop is the scalar execution core shared by RunReuse and
+// SnapshotStack.Run: it executes from an arbitrary (pc, steps) point
+// against an already-initialised register file.
 func (c *Compiled) runLoop(regs []int64, pc int32, steps, maxSteps int64) (Result, error) {
 	for {
 		if steps >= maxSteps {
@@ -515,4 +515,26 @@ func compilePred(q Pred, slot func(string) int) (func([]int64) bool, error) {
 	default:
 		return nil, fmt.Errorf("compile: unknown predicate type %T", q)
 	}
+}
+
+// InputTrace returns the compiler's static input trace: for each input
+// position, the instruction indices (Program.Nodes indices) that may read
+// or write that input's register. It is the analysis behind the snapshot
+// stack — the capture point of an axis is always the first executed
+// member of the union of its and the deeper inputs' traces — exposed for
+// tests, tooling, and DESIGN.md's worked examples. Inputs beyond the 64th
+// are reported as touched nowhere (the stack records nothing for such
+// programs).
+func (c *Compiled) InputTrace() [][]int {
+	trace := make([][]int, len(c.inputSlots))
+	for i := range c.code {
+		mask := c.code[i].touch
+		for b := 0; mask != 0 && b < len(trace); b++ {
+			if mask&(1<<b) != 0 {
+				trace[b] = append(trace[b], i)
+				mask &^= 1 << b
+			}
+		}
+	}
+	return trace
 }

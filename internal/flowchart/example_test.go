@@ -27,13 +27,14 @@ inputs x1
 	// Output: 42 (steps=3)
 }
 
-// A sweep in odometer order varies the innermost input fastest. The
-// snapshot pair exploits that: RunSnapshot records the execution state at
-// the first instruction that touches x2, and RunFromSnapshot replays only
-// the program tail for each further x2 — here skipping the x1-controlled
-// loop entirely. Every replayed Result, including the step count, is
-// exactly what a fresh run would produce.
-func ExampleCompiled_RunFromSnapshot() {
+// A sweep in odometer order varies the innermost input fastest. A
+// SnapshotStack exploits that: the first Run records the execution state
+// at the first instruction that touches x2, and each further x2 — carry 1,
+// the leading coordinate unchanged — replays only the program tail, here
+// skipping the x1-controlled loop entirely. A stride of the row resumes
+// from the same capture in lockstep. Every replayed Result, including the
+// step count, is exactly what a fresh run would produce.
+func ExampleSnapshotStack() {
 	p := flowchart.MustParse(`
 program lateread
 inputs x1 x2
@@ -48,24 +49,31 @@ Done: y := x2
 	if err != nil {
 		panic(err)
 	}
-	regs := make([]int64, c.Slots())
-	snap := c.NewSnapshot()
-
-	res, err := c.RunSnapshot(regs, []int64{3, 10}, flowchart.DefaultMaxSteps, snap)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println(res, "--", snap.Valid())
-
-	for _, x2 := range []int64{11, 12} {
-		res, err := c.RunFromSnapshot(regs, snap, x2, flowchart.DefaultMaxSteps)
+	st := c.NewSnapshotStack()
+	for i, x2 := range []int64{10, 11, 12} {
+		carry := 1
+		if i == 0 {
+			carry = 0
+		}
+		res, op, err := st.Run([]int64{3, x2}, carry, flowchart.DefaultMaxSteps)
 		if err != nil {
 			panic(err)
 		}
-		fmt.Println(res)
+		fmt.Println(res, "--", op.Kind)
 	}
+
+	lanes, err := c.NewLanes(2)
+	if err != nil {
+		panic(err)
+	}
+	out := make([]flowchart.Result, 2)
+	if err := c.RunBatchFromStack(lanes, st, []int64{13, 14}, flowchart.DefaultMaxSteps, out); err != nil {
+		panic(err)
+	}
+	fmt.Println(out)
 	// Output:
-	// 10 (steps=11) -- true
-	// 11 (steps=11)
-	// 12 (steps=11)
+	// 10 (steps=11) -- full
+	// 11 (steps=11) -- replay
+	// 12 (steps=11) -- replay
+	// [13 (steps=11) 14 (steps=11)]
 }

@@ -23,9 +23,10 @@ func sameRun(got Result, gotErr error, want Result, wantErr error) bool {
 }
 
 // checkTiers runs every tuple outer[r] ++ [v] for v in last on the
-// interpreter and on Compiled.Run, RunBatch (one stride per row) and a
-// SnapshotStack walked in odometer order, and fails on the first answer
-// that differs. When calls is non-nil, the Func under test appends its
+// interpreter and on Compiled.Run, RunBatch (one stride per row), a
+// SnapshotStack walked in odometer order, and the stack's per-stride
+// composition with RunBatchFromStack, and fails on the first answer that
+// differs. When calls is non-nil, the Func under test appends its
 // argument to it on every call, and Run and RunBatch must make the
 // interpreter's calls with the interpreter's arguments.
 func checkTiers(t *testing.T, p *Program, outer [][]int64, last []int64, maxSteps int64, calls *[]int64) {
@@ -51,19 +52,8 @@ func checkTiers(t *testing.T, p *Program, outer [][]int64, last []int64, maxStep
 		slices.Sort(got)
 		return got
 	}
-	tuple := func(row []int64, v int64) []int64 { return append(append([]int64(nil), row...), v) }
-	type answer struct {
-		res Result
-		err error
-	}
-	want := make([][]answer, len(outer))
 	count()
-	for r, row := range outer {
-		for _, v := range last {
-			res, err := p.RunBudget(tuple(row, v), maxSteps, nil)
-			want[r] = append(want[r], answer{res, err})
-		}
-	}
+	want := interpret(p, outer, last, maxSteps)
 	wantCalls := count()
 	fail := func(tier string, in []int64, got Result, gotErr error, w answer) {
 		t.Helper()
@@ -121,6 +111,109 @@ func checkTiers(t *testing.T, p *Program, outer [][]int64, last []int64, maxStep
 		// make fewer calls, never more.
 		t.Fatalf("SnapshotStack made %d calls, interpreter %d\n%s", len(got), len(wantCalls), Print(p))
 	}
+
+	// The stack tier's per-stride composition; strides of half a row
+	// make the later strides of a row happen.
+	checkStrides(t, p, c, outer, last, want, max(1, len(last)/2), true, maxSteps)
+	if got := count(); len(got) > len(wantCalls) {
+		t.Fatalf("stack strides made %d calls, interpreter %d\n%s", len(got), len(wantCalls), Print(p))
+	}
+}
+
+// answer is one tuple's Result and error.
+type answer struct {
+	res Result
+	err error
+}
+
+// tuple is row ++ [v].
+func tuple(row []int64, v int64) []int64 { return append(append([]int64(nil), row...), v) }
+
+// interpret answers every tuple outer[r] ++ [v], v in last, on the
+// interpreter.
+func interpret(p *Program, outer [][]int64, last []int64, maxSteps int64) [][]answer {
+	want := make([][]answer, len(outer))
+	for r, row := range outer {
+		for _, v := range last {
+			res, err := p.RunBudget(tuple(row, v), maxSteps, nil)
+			want[r] = append(want[r], answer{res, err})
+		}
+	}
+	return want
+}
+
+// checkStrides runs every row outer[r] ++ last in strides of up to width
+// lanes — on RunBatch, or with stack on stackStride over one snapshot
+// stack walked in odometer order — and fails on the first lane before a
+// stride's first failing one whose Result is not want's, or on a stride
+// whose error is not that lane's. A failing stride ends its row, as it
+// ends a sweep.
+func checkStrides(t *testing.T, p *Program, c *Compiled, outer [][]int64, last []int64, want [][]answer, width int, stack bool, maxSteps int64) {
+	t.Helper()
+	lanes, err := c.NewLanes(width)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := c.NewSnapshotStack()
+	out := make([]Result, width)
+	k := len(outer[0]) + 1
+	for r, row := range outer {
+		for j := 0; j < len(last); j += width {
+			n := min(width, len(last)-j)
+			in, carry := tuple(row, last[j]), k-1
+			if j == 0 {
+				carry = 0
+			}
+			var err error
+			if stack {
+				err = stackStride(c, lanes, st, in, last[j:j+n], carry, maxSteps, out[:n])
+			} else {
+				err = c.RunBatch(lanes, in, last[j:j+n], maxSteps, out[:n])
+			}
+			var wantErr error
+			for i := j; i < j+n && wantErr == nil; i++ {
+				if wantErr = want[r][i].err; wantErr == nil && out[i-j] != want[r][i].res {
+					t.Fatalf("stride of %d (stack %v) on %v (budget %d): %+v; interpreter %+v\n%s",
+						width, stack, tuple(row, last[i]), maxSteps, out[i-j], want[r][i].res, Print(p))
+				}
+			}
+			if !sameRun(Result{}, err, Result{}, wantErr) {
+				t.Fatalf("stride of %d (stack %v) at %v (budget %d): err %v, interpreter %v\n%s",
+					width, stack, in, maxSteps, err, wantErr, Print(p))
+			}
+			if err != nil {
+				break
+			}
+		}
+	}
+}
+
+// stackStride runs one stride the way core's batch runner drives the
+// stack tier: lane 0 of a row's first stride (carry < k-1) runs on the
+// stack, the rest of the stride and every later stride of the row resume
+// in lockstep from its innermost capture, and a stride with no usable
+// capture falls back to RunBatch.
+func stackStride(c *Compiled, lanes *Lanes, st *SnapshotStack, in, last []int64, carry int, maxSteps int64, out []Result) error {
+	if carry == len(in)-1 {
+		if err := c.RunBatchFromStack(lanes, st, last, maxSteps, out); !errors.Is(err, ErrNoSnapshot) {
+			return err
+		}
+	}
+	r0, op, err := st.Run(in, carry, maxSteps)
+	out[0] = r0
+	if err != nil || len(last) == 1 {
+		return err
+	}
+	if op.Kind == StackConstant {
+		for i := range out {
+			out[i] = r0
+		}
+		return nil
+	}
+	if err := c.RunBatchFromStack(lanes, st, last[1:], maxSteps, out[1:]); !errors.Is(err, ErrNoSnapshot) {
+		return err
+	}
+	return c.RunBatch(lanes, in, last[1:], maxSteps, out[1:])
 }
 
 // jumps counts the boxes the rewrite turned into jumps.

@@ -2,96 +2,26 @@ package flowchart
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 )
 
-// diffSweep enumerates the cartesian product of values in odometer order
-// (last axis fastest) and checks that the snapshot fast path — one
-// RunSnapshot per row, RunFromSnapshot for every further value of the
-// innermost input — produces exactly the Result and error of a fresh
-// RunReuse, and of the tree-walking interpreter, at every tuple.
-func diffSweep(t *testing.T, p *Program, values [][]int64, maxSteps int64) {
-	t.Helper()
-	c, err := p.Compile()
-	if err != nil {
-		t.Fatalf("Compile: %v", err)
-	}
-	k := len(values)
-	if k != p.Arity() {
-		t.Fatalf("domain arity %d, program arity %d", k, p.Arity())
-	}
-	regs := make([]int64, c.Slots())
-	fregs := make([]int64, c.Slots())
-	snap := c.NewSnapshot()
-	idx := make([]int, k)
-	in := make([]int64, k)
-	for i := range in {
-		if len(values[i]) == 0 {
-			return
-		}
-		in[i] = values[i][0]
-	}
-	innerOnly := false
-	for {
-		wantRes, wantErr := c.RunReuse(fregs, in, maxSteps)
-		var gotRes Result
-		var gotErr error
-		resumed := false
-		if innerOnly && snap.Valid() {
-			gotRes, gotErr = c.RunFromSnapshot(regs, snap, in[k-1], maxSteps)
-			resumed = true
-			if errors.Is(gotErr, ErrNoSnapshot) {
-				gotRes, gotErr = c.RunSnapshot(regs, in, maxSteps, snap)
-				resumed = false
-			}
-		} else {
-			gotRes, gotErr = c.RunSnapshot(regs, in, maxSteps, snap)
-		}
-		tag := fmt.Sprintf("%q at %v (resumed=%v)", p.Name, in, resumed)
-		if (gotErr == nil) != (wantErr == nil) ||
-			errors.Is(gotErr, ErrStepLimit) != errors.Is(wantErr, ErrStepLimit) {
-			t.Fatalf("%s: err = %v, fresh run err = %v", tag, gotErr, wantErr)
-		}
-		if gotRes != wantRes {
-			t.Fatalf("%s: result = %+v, fresh run = %+v", tag, gotRes, wantRes)
-		}
-		if iRes, iErr := p.RunBudget(in, maxSteps, nil); iErr == nil && wantErr == nil && gotRes != iRes {
-			t.Fatalf("%s: result = %+v, interpreter = %+v", tag, gotRes, iRes)
-		}
-		// Advance the odometer; innerOnly records whether only the
-		// innermost axis moved.
-		innerOnly = false
-		done := true
-		for i := k - 1; i >= 0; i-- {
-			idx[i]++
-			if idx[i] < len(values[i]) {
-				in[i] = values[i][idx[i]]
-				innerOnly = i == k-1
-				done = false
-				break
-			}
-			idx[i] = 0
-			in[i] = values[i][0]
-		}
-		if done {
-			return
-		}
-	}
-}
-
-func grid2(lo, hi int64) [][]int64 {
-	var axis []int64
+// grid2 is the 2-ary grid [lo, hi]² as checkTiers takes it: one outer
+// coordinate per row, and the innermost axis.
+func grid2(lo, hi int64) (outer [][]int64, last []int64) {
 	for v := lo; v <= hi; v++ {
-		axis = append(axis, v)
+		outer = append(outer, []int64{v})
+		last = append(last, v)
 	}
-	return [][]int64{axis, axis}
+	return outer, last
 }
 
-// The edge cases the snapshot-validity rules call out: late single read,
-// re-read inputs, reads under data-dependent branches, branching on the
-// innermost input itself, writing the innermost input before reading it,
-// never touching it, and the output variable being the innermost input.
+// The edge cases the snapshot stack's first-touch rule calls out on the
+// innermost axis: late single read, re-read inputs, reads under
+// data-dependent branches, branching on the innermost input itself,
+// writing the innermost input before reading it, never touching it, and
+// the output variable being the innermost input. checkTiers walks each
+// grid on the stack and on its per-stride composition with
+// RunBatchFromStack.
 func TestSnapshotDifferentialEdgeCases(t *testing.T) {
 	cases := []struct {
 		name string
@@ -165,16 +95,18 @@ inputs x1 y
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			diffSweep(t, MustParse(tc.src), grid2(-2, 3), DefaultMaxSteps)
+			outer, last := grid2(-2, 3)
+			checkTiers(t, MustParse(tc.src), outer, last, DefaultMaxSteps, nil)
 		})
 	}
 }
 
 // TestSnapshotStepLimit covers the maxSteps-exhaustion rules: a budget
 // that dies before the innermost input is ever touched leaves the
-// snapshot invalid (fallback), while a budget that dies after the capture
-// point replays to the identical ErrStepLimit at the identical step
-// count.
+// stack's innermost entry invalid, so a stride cannot resume from it
+// (ErrNoSnapshot, and the caller falls back), while a budget that dies
+// after the capture point replays to the identical ErrStepLimit at the
+// identical step count.
 func TestSnapshotStepLimit(t *testing.T) {
 	// The loop spins on x1 (prefix), then reads x2; budget 5 dies inside
 	// the prefix, budget 1000 dies never.
@@ -193,17 +125,16 @@ Done: y := x2
 		if err != nil {
 			t.Fatal(err)
 		}
-		regs := make([]int64, c.Slots())
-		snap := c.NewSnapshot()
-		_, err = c.RunSnapshot(regs, []int64{63, 1}, 5, snap)
-		if !errors.Is(err, ErrStepLimit) {
+		lanes, err := c.NewLanes(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := c.NewSnapshotStack()
+		if _, _, err := st.Run([]int64{63, 1}, 0, 5); !errors.Is(err, ErrStepLimit) {
 			t.Fatalf("err = %v, want ErrStepLimit", err)
 		}
-		if snap.Valid() {
-			t.Fatalf("snapshot valid after pre-capture exhaustion: %v", snap)
-		}
-		if _, err := c.RunFromSnapshot(regs, snap, 2, 5); !errors.Is(err, ErrNoSnapshot) {
-			t.Fatalf("RunFromSnapshot err = %v, want ErrNoSnapshot", err)
+		if err := c.RunBatchFromStack(lanes, st, []int64{2, 3}, 5, make([]Result, 2)); !errors.Is(err, ErrNoSnapshot) {
+			t.Fatalf("RunBatchFromStack err = %v, want ErrNoSnapshot", err)
 		}
 	})
 	t.Run("exhaust-after-capture", func(t *testing.T) {
@@ -221,38 +152,38 @@ Body: i := i - 1
 Done: y := a
       halt
 `)
-		diffSweep(t, post, grid2(0, 5), 20)
+		outer, last := grid2(0, 5)
+		checkTiers(t, post, outer, last, 20, nil)
 	})
 	t.Run("differential-under-budget", func(t *testing.T) {
-		diffSweep(t, pre, grid2(0, 5), 9)
+		outer, last := grid2(0, 5)
+		checkTiers(t, pre, outer, last, 9, nil)
 	})
 }
 
-// TestSnapshotArityZero: no innermost input exists, so the snapshot can
-// never become valid, but the recording run still behaves like RunReuse.
+// TestSnapshotArityZero: no innermost input exists, so the stack never
+// holds a capture a stride could resume from, but its runs still behave
+// like RunReuse.
 func TestSnapshotArityZero(t *testing.T) {
-	p := MustParse(`
-program noinputs
-    y := 41 + 1
-    halt
-`)
-	c, err := p.Compile()
+	c, err := MustParse("program noinputs\n    y := 41 + 1\n    halt\n").Compile()
 	if err != nil {
 		t.Fatal(err)
 	}
-	regs := make([]int64, c.Slots())
-	snap := c.NewSnapshot()
-	res, err := c.RunSnapshot(regs, nil, DefaultMaxSteps, snap)
-	if err != nil || res.Value != 42 {
+	lanes, err := c.NewLanes(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := c.NewSnapshotStack()
+	if res, _, err := st.Run(nil, 0, DefaultMaxSteps); err != nil || res.Value != 42 {
 		t.Fatalf("res = %+v, err = %v", res, err)
 	}
-	if snap.Valid() {
-		t.Fatalf("snapshot valid for arity-0 program: %v", snap)
+	if err := c.RunBatchFromStack(lanes, st, []int64{0}, DefaultMaxSteps, make([]Result, 1)); !errors.Is(err, ErrNoSnapshot) {
+		t.Fatalf("RunBatchFromStack err = %v, want ErrNoSnapshot", err)
 	}
 }
 
-// TestSnapshotWrongProgram: snapshots stay bound to the Compiled that
-// created them.
+// TestSnapshotWrongProgram: a snapshot stack stays bound to the Compiled
+// that created it; another program's strides cannot resume from it.
 func TestSnapshotWrongProgram(t *testing.T) {
 	a, err := MustParse("program a\ninputs x1\n    y := x1\n    halt\n").Compile()
 	if err != nil {
@@ -262,18 +193,21 @@ func TestSnapshotWrongProgram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	regs := make([]int64, a.Slots())
-	snap := b.NewSnapshot()
-	if _, err := a.RunSnapshot(regs, []int64{1}, DefaultMaxSteps, snap); err == nil {
-		t.Fatal("RunSnapshot accepted a snapshot from another program")
+	lanes, err := a.NewLanes(1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := a.RunFromSnapshot(regs, snap, 1, DefaultMaxSteps); !errors.Is(err, ErrNoSnapshot) {
-		t.Fatalf("RunFromSnapshot err = %v, want ErrNoSnapshot", err)
+	st := b.NewSnapshotStack()
+	if _, _, err := st.Run([]int64{1}, 0, DefaultMaxSteps); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.RunBatchFromStack(lanes, st, []int64{1}, DefaultMaxSteps, make([]Result, 1)); !errors.Is(err, ErrNoSnapshot) {
+		t.Fatalf("RunBatchFromStack err = %v, want ErrNoSnapshot", err)
 	}
 }
 
 // TestSnapshotViolationConstant: a violation halt reached without touching
-// the innermost input is constant evidence — the replay returns the
+// the innermost input is constant evidence — the rest of the row gets the
 // recorded Λ without executing anything.
 func TestSnapshotViolationConstant(t *testing.T) {
 	p := MustParse(`
@@ -288,21 +222,18 @@ Bad: violation "leak"
 	if err != nil {
 		t.Fatal(err)
 	}
-	regs := make([]int64, c.Slots())
-	snap := c.NewSnapshot()
-	res, err := c.RunSnapshot(regs, []int64{1, 7}, DefaultMaxSteps, snap)
+	st := c.NewSnapshotStack()
+	res, _, err := st.Run([]int64{1, 7}, 0, DefaultMaxSteps)
 	if err != nil || !res.Violation {
 		t.Fatalf("res = %+v, err = %v, want violation", res, err)
 	}
-	if !snap.Valid() {
-		t.Fatal("snapshot invalid after constant violation run")
-	}
-	got, err := c.RunFromSnapshot(regs, snap, -5, DefaultMaxSteps)
-	if err != nil || got != res {
-		t.Fatalf("replay = %+v, err = %v, want %+v", got, err, res)
+	got, op, err := st.Run([]int64{1, -5}, 1, DefaultMaxSteps)
+	if err != nil || got != res || op.Kind != StackConstant {
+		t.Fatalf("next tuple = %+v (%v), err = %v, want constant %+v", got, op, err, res)
 	}
 	// And the full differential, which mixes both branches per row.
-	diffSweep(t, p, grid2(-1, 2), DefaultMaxSteps)
+	outer, last := grid2(-1, 2)
+	checkTiers(t, p, outer, last, DefaultMaxSteps, nil)
 }
 
 // TestInputTrace pins the static trace on a program where it is easy to

@@ -1,15 +1,21 @@
 package flowchart
 
 import (
+	"errors"
 	"fmt"
 )
 
-// This file generalizes the single-axis prefix memo of snapshot.go into a
-// per-axis snapshot stack with subdomain pruning. Where a Snapshot keeps
-// one capture — the state before the first instruction touching the
-// innermost input — a SnapshotStack keeps one capture per domain axis: the
-// state before the first executed instruction touching *any* input of that
-// axis or deeper. The captures are nested along the execution path
+// This file implements prefix memoization for the compiled tiers: a
+// per-axis snapshot stack with subdomain pruning. A SnapshotStack keeps
+// one capture per domain axis — the state before the first executed
+// instruction touching *any* input of that axis or deeper (the compiler's
+// touch masks, InputTrace, detect it). No earlier instruction touches
+// those inputs, so the capture holds for every value of them: reads under
+// data-dependent branches and re-reads are sound, and a run that dies
+// before a capture point leaves that entry invalid (DESIGN.md, "Prefix
+// memoization", spells the argument out).
+//
+// The captures are nested along the execution path
 // (suffix[d] ⊇ suffix[d+1], so entry d is reached no later than entry
 // d+1), which makes the sweep engine's carry hint exactly the right
 // invalidation rule: an odometer carry that stops at digit c leaves every
@@ -29,6 +35,26 @@ import (
 // Everything falls back to a full recording run, so the result of every
 // tuple is exactly RunReuse's; the differential suites and
 // FuzzSnapshotStackVsScalar pin the equivalence byte-for-byte.
+
+// ErrNoSnapshot is returned by RunBatchFromStack when the stack has no
+// usable innermost capture: the recording run never reached the
+// innermost input (it exhausted its step budget or failed first), the
+// stack belongs to a different Compiled program, or the program has no
+// per-axis trace. Callers fall back to RunBatch.
+var ErrNoSnapshot = errors.New("flowchart: no valid snapshot")
+
+// snapState is the lifecycle of one stack entry: no usable capture
+// (snapInvalid), state captured just before the first instruction that
+// touches the entry's inputs (snapCaptured), or the result of a recording
+// run that halted without touching them, which holds for every value of
+// them (snapConstant).
+type snapState uint8
+
+const (
+	snapInvalid snapState = iota
+	snapCaptured
+	snapConstant
+)
 
 // StackOpKind classifies how SnapshotStack.Run answered one tuple.
 type StackOpKind uint8
@@ -81,10 +107,10 @@ type stackEntry struct {
 	res   Result
 }
 
-// SnapshotStack is the per-axis generalization of Snapshot: one capture
+// SnapshotStack is the prefix memo of a compiled program: one capture
 // point per domain axis, invalidated exactly by the sweep's odometer
-// carries, plus constant-suffix skipping. Like a Snapshot or a register
-// file it is single-goroutine state — each sweep worker owns one — and
+// carries, plus constant-suffix skipping. Like a register file it is
+// single-goroutine state — each sweep worker owns one — and
 // stays bound to the Compiled program that created it.
 type SnapshotStack struct {
 	c       *Compiled

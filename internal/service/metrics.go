@@ -94,15 +94,6 @@ func newServiceMetrics(s *Service) *serviceMetrics {
 		"Compiled entries currently cached.",
 		func() float64 { return float64(s.cache.Stats().Entries) })
 
-	reg.CounterFunc("spm_memo_captures_total",
-		"Prefix-memo snapshot captures (fresh odometer rows).",
-		func() float64 { return float64(m.exec.Counts().MemoCaptures) })
-	reg.CounterFunc("spm_memo_replays_total",
-		"Executions resumed from a prefix snapshot.",
-		func() float64 { return float64(m.exec.Counts().MemoReplays) })
-	reg.CounterFunc("spm_memo_invalidations_total",
-		"Snapshot replays abandoned for a full re-run.",
-		func() float64 { return float64(m.exec.Counts().MemoInvalid) })
 	reg.CounterFunc("spm_batch_strides_total",
 		"Batch-tier strides executed.",
 		func() float64 { return float64(m.exec.Counts().BatchStrides) })

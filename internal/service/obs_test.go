@@ -13,7 +13,8 @@ import (
 // TestMetricsExposition pins the /v2/metrics surface end to end: after a
 // few jobs have run, the endpoint must serve valid Prometheus text
 // exposition (obs.ParseExposition validates the histogram invariants)
-// covering the scheduler, cache, store, memo, batch, and sweep layers.
+// covering the scheduler, cache, store, snapshot-stack, batch, and sweep
+// layers.
 func TestMetricsExposition(t *testing.T) {
 	s := storedService(t, t.TempDir(), Config{Runners: 2, SweepWorkers: 1})
 	h := s.Handler()
@@ -66,14 +67,15 @@ func TestMetricsExposition(t *testing.T) {
 		counter("spm_stack_constants_total")+counter("spm_batch_lanes_total") < 18 {
 		t.Error("stack answers and batch lanes do not cover the swept tuples")
 	}
-	// 2-ary testProg over {0,1,2} is 9 tuples; maximal adds one pass.
+	// 2-ary testProg over {0,1,2} is 9 tuples, and each of the two jobs,
+	// the maximal one included, sweeps them in one pass.
 	if got := counter("spm_sweep_tuples_total"); got < 18 {
 		t.Errorf("spm_sweep_tuples_total = %v, want >= 18", got)
 	}
 	if counter("spm_store_lookups_total") == 0 {
 		t.Error("store lookups not surfaced")
 	}
-	for _, name := range []string{"spm_batch_strides_total", "spm_memo_captures_total",
+	for _, name := range []string{"spm_batch_strides_total",
 		"spm_stack_replay_depth", "spm_jobs_queued",
 		"spm_jobs_running", "spm_store_verdicts"} {
 		if fams[name] == nil {

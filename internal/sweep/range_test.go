@@ -173,10 +173,11 @@ func TestRunHintVisitsSameIndexSet(t *testing.T) {
 }
 
 // TestRunHintInnerOnlyContract checks the innermost special case of the
-// carry hint — the guarantee the single-axis prefix memo keyed on: whenever
-// carry == k-1 is reported, the worker's previous tuple differed only in
-// the last coordinate. Aligned single-worker chunking additionally pins the
-// exact number of fully-hinted tuples.
+// carry hint — the guarantee a stride resuming from the snapshot stack's
+// innermost capture keys on: whenever carry == k-1 is reported, the
+// worker's previous tuple differed only in the last coordinate. Aligned
+// single-worker chunking additionally pins the exact number of
+// fully-hinted tuples.
 func TestRunHintInnerOnlyContract(t *testing.T) {
 	k := len(rangeValues)
 	for _, cfg := range []Config{
