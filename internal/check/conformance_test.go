@@ -74,57 +74,65 @@ var executors = []executor{
 		return v, err
 	}},
 	{"lending", withOptions(check.WithWorkers(0))},
-	{"shards+merge", shardedMerge},
+	{"shards+merge", shardedMerge(check.WithWorkers(1), check.WithChunk(7), check.WithBatch(8))},
 }
 
-// shardedMerge splits the domain in two shards, decides each on the
-// stack tier, requires each part's evidence to be the interpreter's part
-// byte for byte, and folds the parts with check.Merge.
-func shardedMerge(spec check.Spec) (check.Verdict, error) {
-	size := int64(1)
-	for _, axis := range spec.Domain {
-		size *= int64(len(axis))
+// shardedMerge is the executor that splits the domain in two shards,
+// decides each under opts, requires each part's evidence to be the
+// interpreter's part byte for byte, and folds the parts with check.Merge.
+func shardedMerge(opts ...check.Option) func(check.Spec) (check.Verdict, error) {
+	return func(spec check.Spec) (check.Verdict, error) {
+		size := int64(1)
+		for _, axis := range spec.Domain {
+			size *= int64(len(axis))
+		}
+		half := size / 2
+		var parts []check.Verdict
+		for _, shard := range []check.Shard{{Offset: 0, Count: half}, {Offset: half, Count: size - half}} {
+			if shard.Count == 0 {
+				continue
+			}
+			s := spec
+			s.Shard = shard
+			part, err := check.Run(context.Background(), s, opts...)
+			if err != nil {
+				return part, err
+			}
+			want, err := reference(s)
+			if err != nil {
+				return part, err
+			}
+			got, _ := json.Marshal(part)
+			ref, _ := json.Marshal(want)
+			if string(got) != string(ref) {
+				return part, fmt.Errorf("shard %+v differs from the interpreter's:\n  got: %s\n want: %s", shard, got, ref)
+			}
+			parts = append(parts, part)
+		}
+		return check.Merge(parts...)
 	}
-	half := size / 2
-	var parts []check.Verdict
-	for _, shard := range []check.Shard{{Offset: 0, Count: half}, {Offset: half, Count: size - half}} {
-		if shard.Count == 0 {
-			continue
-		}
-		s := spec
-		s.Shard = shard
-		part, err := check.Run(context.Background(), s, check.WithWorkers(1), check.WithChunk(7), check.WithBatch(8))
-		if err != nil {
-			return part, err
-		}
-		want, err := reference(s)
-		if err != nil {
-			return part, err
-		}
-		got, _ := json.Marshal(part)
-		ref, _ := json.Marshal(want)
-		if string(got) != string(ref) {
-			return part, fmt.Errorf("shard %+v differs from the interpreter's:\n  got: %s\n want: %s", shard, got, ref)
-		}
-		parts = append(parts, part)
-	}
-	return check.Merge(parts...)
 }
 
 // kinds are the verdict kinds every case is decided under.
 var kinds = []check.Kind{check.Soundness, check.Maximality, check.PassCount}
 
-// conform decides spec on the reference and on every executor, fails on
-// the first verdict that is not the reference's byte for byte, and
-// returns the reference verdict.
+// conform decides spec on the reference and on every executor in the
+// table, fails on the first verdict that is not the reference's byte for
+// byte, and returns the reference verdict.
 func conform(t *testing.T, tag string, spec check.Spec) check.Verdict {
+	t.Helper()
+	return conformOn(t, executors, tag, spec)
+}
+
+// conformOn is conform over the executors exs.
+func conformOn(t *testing.T, exs []executor, tag string, spec check.Spec) check.Verdict {
 	t.Helper()
 	ref, err := reference(spec)
 	if err != nil {
 		t.Fatalf("%s: reference: %v", tag, err)
 	}
 	want := verdictJSON(t, ref)
-	for _, ex := range executors {
+	for _, ex := range exs {
 		v, err := ex.run(spec)
 		if err != nil {
 			t.Fatalf("%s on %s: %v", tag, ex.name, err)
@@ -136,49 +144,138 @@ func conform(t *testing.T, tag string, spec check.Spec) check.Verdict {
 	return ref
 }
 
-// conformKinds runs conform on spec under every kind, with the mechanism
-// as its own maximality reference.
-func conformKinds(t *testing.T, tag string, spec check.Spec) {
+// conformKinds runs conformOn on spec under every kind, with the
+// mechanism as its own maximality reference.
+func conformKinds(t *testing.T, exs []executor, tag string, spec check.Spec) {
 	t.Helper()
 	spec.Program = spec.Mechanism
 	for _, kind := range kinds {
 		spec.Kind = kind
-		conform(t, tag+"/"+kind.String(), spec)
+		conformOn(t, exs, tag+"/"+kind.String(), spec)
 	}
 }
 
-// TestConformanceProgen decides randomized total programs — which re-read
-// inputs, read them under data-dependent branches and shadow them with
-// assignments — on 2- and 3-ary grids, under a policy allowing only the
-// innermost input or, every third seed, only the outermost.
-func TestConformanceProgen(t *testing.T) {
-	short := []int64{-2, -1, 0, 1, 2, 3}
-	long := []int64{-2, -1, 0, 1, 2, 3, 4, 5}
-	for _, set := range []struct {
-		base, seeds int64
-		axis        []int64
-		arity       func(seed int64) int
-	}{
-		{1000, 30, short, func(seed int64) int { return 2 + int(seed)%2 }},
-		{2000, 8, long, func(int64) int { return 2 }},
-		{3000, 30, short, func(seed int64) int { return 2 + int(seed)%2 }},
-		{4000, 6, long, func(seed int64) int { return 2 + int(seed)%2 }},
-	} {
-		for seed := int64(0); seed < set.seeds; seed++ {
-			arity := set.arity(seed)
-			m := core.FromProgram(progen.Generate(rand.New(rand.NewSource(set.base+seed)), progen.DefaultConfig(arity)))
-			dom := make(core.Domain, arity)
-			for i := range dom {
-				dom[i] = set.axis
-			}
-			allowed := arity
-			if seed%3 == 0 {
-				allowed = 1
-			}
-			tag := fmt.Sprintf("seed %d/%s/allow(%d)", set.base+seed, m.Name(), allowed)
-			conformKinds(t, tag, check.Spec{Mechanism: m, Policy: core.NewAllow(arity, allowed), Domain: dom})
+// Progen seed bands. Each is a set of randomized total programs — which
+// re-read inputs, read them under data-dependent branches and shadow them
+// with assignments — on a grid of the given axis, under a policy allowing
+// only the innermost input or, every third seed, only the outermost.
+var (
+	shortAxis  = []int64{-2, -1, 0, 1, 2, 3}
+	longAxis   = []int64{-2, -1, 0, 1, 2, 3, 4, 5}
+	twoOrThree = func(seed int64) int { return 2 + int(seed)%2 }
+	binary     = func(int64) int { return 2 }
+)
+
+// forProgen calls fn with the spec of each of seeds programs drawn from
+// base onwards.
+func forProgen(base, seeds int64, axis []int64, arity func(seed int64) int, fn func(tag string, spec check.Spec)) {
+	for seed := int64(0); seed < seeds; seed++ {
+		n := arity(seed)
+		m := core.FromProgram(progen.Generate(rand.New(rand.NewSource(base+seed)), progen.DefaultConfig(n)))
+		dom := make(core.Domain, n)
+		for i := range dom {
+			dom[i] = axis
+		}
+		allowed := n
+		if seed%3 == 0 {
+			allowed = 1
+		}
+		tag := fmt.Sprintf("seed %d/%s/allow(%d)", base+seed, m.Name(), allowed)
+		fn(tag, check.Spec{Mechanism: m, Policy: core.NewAllow(n, allowed), Domain: dom})
+	}
+}
+
+// TestMemoDifferentialProgen decides seeds 1000-1029 on every executor in
+// the table: the snapshot-stack memo at every width, the compiled runner
+// without it, the parallel and lending schedules, and sharded halves
+// folded by Merge.
+func TestMemoDifferentialProgen(t *testing.T) {
+	forProgen(1000, 30, shortAxis, twoOrThree, func(tag string, spec check.Spec) {
+		conformKinds(t, executors, tag, spec)
+	})
+}
+
+// TestBatchDifferentialProgen decides seeds 1000-1029 at stride widths
+// the table does not hold — 4, and 4096, which clamps to the domain — with
+// and without the memo, whole-domain and in sharded halves at each.
+func TestBatchDifferentialProgen(t *testing.T) {
+	var exs []executor
+	for _, w := range []int{4, 4096} {
+		for _, memo := range []bool{true, false} {
+			opts := []check.Option{check.WithWorkers(1), check.WithChunk(7), check.WithBatch(w), check.WithMemo(memo)}
+			name := fmt.Sprintf("w%d/memo=%v", w, memo)
+			exs = append(exs, executor{name, withOptions(opts...)}, executor{name + "/shards+merge", shardedMerge(opts...)})
 		}
 	}
+	forProgen(1000, 30, shortAxis, twoOrThree, func(tag string, spec check.Spec) {
+		conformKinds(t, exs, tag, spec)
+	})
+}
+
+// TestMemoDifferentialParallel decides seeds 2000-2007 on four workers at
+// chunk 5, with and without the memo: carry hints cross chunk boundaries
+// while each worker's stack starts cold.
+func TestMemoDifferentialParallel(t *testing.T) {
+	exs := []executor{
+		{"workers4/chunk5/memo", withOptions(check.WithWorkers(4), check.WithChunk(5))},
+		{"workers4/chunk5/nomemo", withOptions(check.WithWorkers(4), check.WithChunk(5), check.WithMemo(false))},
+	}
+	forProgen(2000, 8, longAxis, binary, func(tag string, spec check.Spec) {
+		conformKinds(t, exs, tag, spec)
+	})
+}
+
+// TestBatchDifferentialParallel decides seeds 2000-2007 on four workers at
+// chunk 5 and stride widths 1, 8 and 32: chunk tails are narrower than
+// the wider strides.
+func TestBatchDifferentialParallel(t *testing.T) {
+	var exs []executor
+	for _, w := range []int{1, 8, 32} {
+		exs = append(exs, executor{fmt.Sprintf("workers4/chunk5/w%d", w),
+			withOptions(check.WithWorkers(4), check.WithChunk(5), check.WithBatch(w))})
+	}
+	forProgen(2000, 8, longAxis, binary, func(tag string, spec check.Spec) {
+		conformKinds(t, exs, tag, spec)
+	})
+}
+
+// TestMemoStackDifferentialProgen decides seeds 3000-3029 on every
+// executor in the table.
+func TestMemoStackDifferentialProgen(t *testing.T) {
+	forProgen(3000, 30, shortAxis, twoOrThree, func(tag string, spec check.Spec) {
+		conformKinds(t, executors, tag, spec)
+	})
+}
+
+// TestMemoStackConcurrentWorkStealing decides seeds 4000-4005 on eight
+// workers at single-tuple chunks — the maximum-stealing schedule, where
+// every worker's carry hints interleave — at stride widths 1 and 8. Each
+// run's progress must reach its checked count and the stack must have
+// answered tuples; under -race this also shows the per-worker snapshot
+// stacks share nothing.
+func TestMemoStackConcurrentWorkStealing(t *testing.T) {
+	var exs []executor
+	for _, w := range []int{1, 8} {
+		exs = append(exs, executor{fmt.Sprintf("workers8/chunk1/w%d", w), func(spec check.Spec) (check.Verdict, error) {
+			var progress atomic.Int64
+			tally := &core.ExecTally{}
+			v, err := check.Run(context.Background(), spec, check.WithWorkers(8), check.WithChunk(1),
+				check.WithBatch(w), check.WithProgress(&progress), check.WithExecTally(tally))
+			if err != nil {
+				return v, err
+			}
+			if progress.Load() != int64(v.Checked) {
+				return v, fmt.Errorf("progress %d != checked %d", progress.Load(), v.Checked)
+			}
+			if c := tally.Counts(); c.StackFull+c.StackReplays+c.StackConstants == 0 {
+				return v, fmt.Errorf("no stack activity under stealing: %+v", c)
+			}
+			return v, nil
+		}})
+	}
+	forProgen(4000, 6, longAxis, twoOrThree, func(tag string, spec check.Spec) {
+		conformKinds(t, exs, tag, spec)
+	})
 }
 
 // TestConformanceMachines decides the paper's six worked-example
@@ -245,7 +342,7 @@ JOIN: halt
 		"querydb": {Mechanism: queryMech, Policy: core.NewAllow(2, 1), Domain: core.Grid(2, 0, 1, 2, 3)},
 		"paging":  {Mechanism: pagingMech, Policy: core.NewAllow(2, 2), Domain: core.Grid(2, 0, 1, 2)},
 	} {
-		conformKinds(t, name, spec)
+		conformKinds(t, executors, name, spec)
 	}
 }
 
@@ -293,7 +390,7 @@ Done: halt
 	axis := []int64{-3, -2, -1, 0, 1, 2, 3, 4}
 	for _, tc := range cases {
 		m := core.FromProgram(flowchart.MustParse(tc.src))
-		conformKinds(t, tc.name, check.Spec{Mechanism: m, Policy: core.NewAllow(2, 1), Domain: core.Domain{axis, axis}})
+		conformKinds(t, executors, tc.name, check.Spec{Mechanism: m, Policy: core.NewAllow(2, 1), Domain: core.Domain{axis, axis}})
 	}
 }
 
@@ -306,7 +403,7 @@ func TestBatchNonFlowchartFallback(t *testing.T) {
 		}
 		return core.Outcome{Value: in[0]}
 	})
-	conformKinds(t, "func-mechanism", check.Spec{Mechanism: m, Policy: core.NewAllow(2, 1), Domain: core.Grid(2, 0, 1, 2, 3)})
+	conformKinds(t, executors, "func-mechanism", check.Spec{Mechanism: m, Policy: core.NewAllow(2, 1), Domain: core.Grid(2, 0, 1, 2, 3)})
 }
 
 // TestNullaryDomainOneTuple decides a zero-input program: the empty
