@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test bench bench-json bench-prefix-json bench-batch-json bench-memostack-json bench-cluster-json bench-store-json lint fmt serve loadgen metrics-smoke api-golden docs-check
+.PHONY: all build test bench bench-json lint fmt serve loadgen metrics-smoke api-golden docs-check
 
 all: build lint test
 
@@ -20,55 +20,33 @@ test:
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
 
-# The same artifact CI's bench job uploads: Sweep/Compile/Service
-# benchmarks, 3 runs each, averaged into BENCH_sweep.json. Two steps, not
-# a pipe, so a failing benchmark run fails the target.
+# The perf trajectory CI's bench job uploads: each name:regex:path entry
+# runs `go test -bench regex -count 3 path` into bench_<name>.txt and
+# averages it into BENCH_<name>.json. CI runs this target, so the list
+# lives here alone; adding a trajectory is one line.
+#   sweep     — compile + sweep + service core trajectory
+#   batch     — one-lane strides vs widths 8/32, 1 and 8 workers, 160k tuples
+#   memostack — the snapshot stack on a deep five-axis outer-heavy domain
+#   cluster   — 1-node vs 2-node fleet, plus the straggler scenario (one
+#               throttled node): steal/speculate off vs on
+#   store     — cold sweep vs verdict-store hit vs mid-sweep resume
+BENCH_MATRIX = \
+	'sweep:Sweep|Compile|Service:./...' \
+	'batch:BatchSweep:.' \
+	'memostack:SnapshotStack:.' \
+	'cluster:Cluster:./internal/cluster/' \
+	'store:Store:./internal/service/'
+
+# Two steps per entry, not a pipe, so a failing benchmark run fails the
+# target.
 bench-json:
-	$(GO) test -bench 'Sweep|Compile|Service' -benchmem -count 3 -run '^$$' ./... > bench.txt
-	$(GO) run ./cmd/benchjson < bench.txt > BENCH_sweep.json
-	@echo wrote BENCH_sweep.json
-
-# The prefix-memoization perf-trajectory artifact: plain compiled RunReuse
-# vs the snapshot-memoized innermost axis over the 160k-tuple sweep,
-# averaged like bench-json.
-bench-prefix-json:
-	$(GO) test -bench 'PrefixMemoSweep' -benchmem -count 3 -run '^$$' . > bench_prefix.txt
-	$(GO) run ./cmd/benchjson < bench_prefix.txt > BENCH_prefix.json
-	@echo wrote BENCH_prefix.json
-
-# The batch-tier perf-trajectory artifact: the memoized sweep on one-lane
-# strides vs strides of 8 and 32 lanes, 1 and 8 workers, over the
-# 160k-tuple sweep, averaged like bench-json.
-bench-batch-json:
-	$(GO) test -bench 'BatchSweep' -benchmem -count 3 -run '^$$' . > bench_batch.txt
-	$(GO) run ./cmd/benchjson < bench_batch.txt > BENCH_batch.json
-	@echo wrote BENCH_batch.json
-
-# The snapshot-stack perf-trajectory artifact: the stack tier vs no
-# memoization on a deep five-axis 32k-tuple domain whose cost
-# concentrates in the outer axes, averaged like bench-json.
-bench-memostack-json:
-	$(GO) test -bench 'SnapshotStack' -benchmem -count 3 -run '^$$' . > bench_memostack.txt
-	$(GO) run ./cmd/benchjson < bench_memostack.txt > BENCH_memostack.json
-	@echo wrote BENCH_memostack.json
-
-# The cluster perf-trajectory artifact: 1-node vs 2-node in-process fleet
-# over a 160k-tuple sweep, plus the straggler scenario (one throttled
-# node) with stealing and speculation off and on, averaged like
-# bench-json.
-bench-cluster-json:
-	$(GO) test -bench 'Cluster' -benchmem -count 3 -run '^$$' ./internal/cluster/ > bench_cluster.txt
-	$(GO) run ./cmd/benchjson < bench_cluster.txt > BENCH_cluster.json
-	@echo wrote BENCH_cluster.json
-
-# The verdict-store perf-trajectory artifact: the same 160k-tuple
-# submission cold (full sweep), as a verdict-store hit (answered from
-# disk), and resumed from a mid-sweep checkpoint, averaged like
-# bench-json.
-bench-store-json:
-	$(GO) test -bench 'Store' -benchmem -count 3 -run '^$$' ./internal/service/ > bench_store.txt
-	$(GO) run ./cmd/benchjson < bench_store.txt > BENCH_store.json
-	@echo wrote BENCH_store.json
+	@set -e; for entry in $(BENCH_MATRIX); do \
+		name=$${entry%%:*}; rest=$${entry#*:}; regex=$${rest%:*}; path=$${rest##*:}; \
+		echo "== $$name: -bench '$$regex' $$path"; \
+		$(GO) test -bench "$$regex" -benchmem -count 3 -run '^$$' "$$path" > "bench_$$name.txt"; \
+		$(GO) run ./cmd/benchjson < "bench_$$name.txt" > "BENCH_$$name.json"; \
+		echo "wrote BENCH_$$name.json"; \
+	done
 
 # Run the policy-checking service locally (see README for the curl
 # quickstart) and fire the closed-loop load generator at it.

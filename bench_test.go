@@ -631,48 +631,16 @@ func BenchmarkAblationSweepEngine(b *testing.B) {
 	}
 }
 
-// BenchmarkPrefixMemoSweep is the prefix-memoization ablation on the same
-// 160,000-tuple domain as BenchmarkAblationSweepEngine: the sweep walks
-// each chunk in odometer order, and benchSweep's loop depends only on the
-// outer input, so the memoized path records one execution snapshot per
-// row of 400 innermost values and replays just the tail (`y := x2`; halt)
-// for the other 399 — versus the plain compiled path re-running the loop
-// on every tuple. CI's bench job runs this with -count 3 and uploads the
-// result as the BENCH_prefix.json trajectory artifact.
-func BenchmarkPrefixMemoSweep(b *testing.B) {
-	q := flowchart.MustParse(benchSweep)
-	m := core.FromProgram(q)
-	pol := core.NewAllow(2, 2)
-	dom := core.Grid(2, core.Range(0, 399)...) // 400² = 160,000 tuples
-	for _, workers := range []int{1, 8} {
-		for _, memo := range []bool{false, true} {
-			name := fmt.Sprintf("reuse-%dw", workers)
-			if memo {
-				name = fmt.Sprintf("memo-%dw", workers)
-			}
-			b.Run(name, func(b *testing.B) {
-				b.ReportMetric(float64(dom.Size()), "inputs/check")
-				for i := 0; i < b.N; i++ {
-					v, err := check.Run(context.Background(), check.Spec{
-						Kind: check.Soundness, Mechanism: m, Policy: pol, Domain: dom,
-					}, check.WithWorkers(workers), check.WithMemo(memo))
-					if err != nil || !v.Sound {
-						b.Fatalf("v=%+v err=%v", v, err)
-					}
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkBatchSweep is the stride-width ablation on the same
-// 160,000-tuple domain as BenchmarkPrefixMemoSweep: batch1 runs one-lane
-// strides, batch8 and batch32 stride the innermost axis 8 and 32 lanes at
-// a time over structure-of-arrays columns — each row's snapshot capture
-// feeding every lane, instruction dispatch paid once per stride. The
-// 1-worker rows isolate per-tuple dispatch cost (where memo-1w ≈ memo-8w
-// showed the engine no longer worker-bound); the 8-worker rows show the
-// tiers compose. CI's bench job uploads this as BENCH_batch.json.
+// 160,000-tuple domain as BenchmarkAblationSweepEngine: benchSweep's loop
+// depends only on the outer input, so the snapshot stack records one
+// capture per row of 400 innermost values and replays just the tail
+// (`y := x2`; halt) for the rest. batch1 runs one-lane strides, batch8
+// and batch32 stride the innermost axis 8 and 32 lanes at a time over
+// structure-of-arrays columns — each row's capture feeding every lane,
+// instruction dispatch paid once per stride. The 1-worker rows isolate
+// per-tuple dispatch cost; the 8-worker rows show width composes with
+// work stealing. CI's bench job uploads this as BENCH_batch.json.
 func BenchmarkBatchSweep(b *testing.B) {
 	q := flowchart.MustParse(benchSweep)
 	m := core.FromProgram(q)
@@ -699,9 +667,8 @@ func BenchmarkBatchSweep(b *testing.B) {
 // benchStack is a deep-domain program whose cost concentrates in the
 // outer axes: each input read is followed by a burn loop whose length
 // halves with depth (x1's ≈ 96 iterations, x4's ≈ 12) and the x5 tail is
-// a bare copy. A sweep tier is rewarded exactly for the prefix work it
-// avoids re-running: without memoization every tuple re-runs all four
-// loops; the snapshot stack resumes from the deepest unchanged axis,
+// a bare copy. The snapshot stack is rewarded exactly for the prefix work
+// it avoids re-running: it resumes from the deepest unchanged axis,
 // re-running just the loops below the odometer carry.
 const benchStack = `
 program stackdemo
@@ -726,15 +693,12 @@ S5: y := x5
     halt
 `
 
-// BenchmarkSnapshotStack is the snapshot-stack ablation on a deep
-// five-axis domain (8⁵ = 32,768 tuples) where prefix work dominates:
-// stack is the default tier (per-axis captures — an odometer carry at
-// digit d replays only the loops below d), reuse the compiled path with
-// no memoization at all (every tuple re-runs all five loops), both at the
-// default stride width; stack-width1 runs the stack tier on one-lane
-// strides. The 1-worker rows are the headline superlinear-vs-depth
-// comparison; the 8-worker row shows the stack composes with work
-// stealing. CI's bench job uploads this as BENCH_memostack.json.
+// BenchmarkSnapshotStack measures the snapshot stack on a deep five-axis
+// domain (8⁵ = 32,768 tuples) where prefix work dominates: per-axis
+// captures mean an odometer carry at digit d replays only the loops
+// below d. stack-1w runs at the default stride width, stack-width1-1w on
+// one-lane strides, and the 8-worker row shows the stack composes with
+// work stealing. CI's bench job uploads this as BENCH_memostack.json.
 func BenchmarkSnapshotStack(b *testing.B) {
 	q := flowchart.MustParse(benchStack)
 	m := core.FromProgram(q)
@@ -754,7 +718,6 @@ func BenchmarkSnapshotStack(b *testing.B) {
 		})
 	}
 	run("stack-1w", check.WithWorkers(1))
-	run("reuse-1w", check.WithWorkers(1), check.WithMemo(false))
 	run("stack-width1-1w", check.WithWorkers(1), check.WithBatch(1))
 	run("stack-8w", check.WithWorkers(8))
 }

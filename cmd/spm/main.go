@@ -5,18 +5,22 @@
 //
 // Usage:
 //
-//	spm run       [-trace] file.fc input...
+//	spm run        [-trace] file.fc input...
 //	spm instrument [-policy {i,j}] [-variant untimed|timed|highwater] file.fc
-//	spm certify   [-policy {i,j}] file.fc
+//	spm certify    [-policy {i,j}] file.fc
 //	spm specialize [-policy {i,j}] file.fc
-//	spm check     [-policy {i,j}] [-variant ...] [-domain 0,1,2] [-time] file.fc
-//	spm sweep     [-policy {i,j}] [-variant ...] [-domain 0,1,2] [-workers N] [-chunk N] [-time] [-maximal] [-raw] file.fc
-//	spm serve     [-addr :8135] [-runners N] [-queue N] [-sweep-workers N] [-cache N]
-//	spm cluster   -nodes host:port,... [-shards N] [-retries N] [-steal-threshold X] [-speculate] [-admin :addr] [-nodes-file F] [-policy ...] [-domain ...] [-maximal] file.fc
-//	spm loadgen   [-addr URL] [-n N] [-c N] [-maximal-every K] [-job-timeout D] [-program file.fc]
-//	spm top       [-addr URL] [-interval D] [-once]
-//	spm trace     [-addr URL] job-id
-//	spm dot       file.fc
+//	spm check      [-policy {i,j}] [-variant ...] [-domain 0,1,2] [-time] [-raw] file.fc
+//	spm sweep      [-policy {i,j}] [-variant ...] [-domain 0,1,2] [-workers N] [-chunk N] [-time] [-raw] [-maximal] file.fc
+//	spm serve      [-addr :8135] [-runners N] [-queue N] [-sweep-workers N] [-cache N] [-max-tuples N]
+//	               [-store DIR] [-checkpoint-every N] [-tenant-rate R] [-tenant-burst N] [-throttle D] [-pprof]
+//	spm cluster    -nodes host:port,... [-nodes-file F] [-shards N] [-retries N] [-steal-threshold X]
+//	               [-steal-interval D] [-speculate] [-admin :addr] [-pprof] [-policy ...] [-variant ...]
+//	               [-domain ...] [-time] [-raw] [-maximal] file.fc
+//	spm loadgen    [-addr URL] [-n N] [-c N] [-maximal-every K] [-job-timeout D] [-program file.fc]
+//	               [-policy ...] [-variant ...] [-domain ...] [-time] [-raw] [-tenant NAME]
+//	spm top        [-addr URL] [-interval D] [-once]
+//	spm trace      [-addr URL] job-id
+//	spm dot        file.fc
 //
 // Programs use the flowchart DSL (see package spm/internal/flowchart):
 //
@@ -89,20 +93,28 @@ func run(args []string) error {
 	}
 }
 
-func usage() error {
-	fmt.Fprintln(os.Stderr, `usage:
+// usageText is what `spm help` prints; the package comment's Usage block
+// is the same lines.
+const usageText = `usage:
   spm run        [-trace] file.fc input...
   spm instrument [-policy {i,j}] [-variant untimed|timed|highwater] file.fc
   spm certify    [-policy {i,j}] file.fc
   spm specialize [-policy {i,j}] file.fc
-  spm check      [-policy {i,j}] [-variant ...] [-domain 0,1,2] [-time] file.fc
-  spm sweep      [-policy {i,j}] [-variant ...] [-domain 0,1,2] [-workers N] [-chunk N] [-time] [-maximal] [-raw] file.fc
-  spm serve      [-addr :8135] [-runners N] [-queue N] [-sweep-workers N] [-cache N]
-  spm cluster    -nodes host:port,... [-shards N] [-retries N] [-steal-threshold X] [-speculate] [-admin :addr] [-nodes-file F] [-policy ...] [-variant ...] [-domain ...] [-time] [-raw] [-maximal] file.fc
-  spm loadgen    [-addr URL] [-n N] [-c N] [-maximal-every K] [-job-timeout D] [-program file.fc] [-policy ...] [-domain ...]
+  spm check      [-policy {i,j}] [-variant ...] [-domain 0,1,2] [-time] [-raw] file.fc
+  spm sweep      [-policy {i,j}] [-variant ...] [-domain 0,1,2] [-workers N] [-chunk N] [-time] [-raw] [-maximal] file.fc
+  spm serve      [-addr :8135] [-runners N] [-queue N] [-sweep-workers N] [-cache N] [-max-tuples N]
+                 [-store DIR] [-checkpoint-every N] [-tenant-rate R] [-tenant-burst N] [-throttle D] [-pprof]
+  spm cluster    -nodes host:port,... [-nodes-file F] [-shards N] [-retries N] [-steal-threshold X]
+                 [-steal-interval D] [-speculate] [-admin :addr] [-pprof] [-policy ...] [-variant ...]
+                 [-domain ...] [-time] [-raw] [-maximal] file.fc
+  spm loadgen    [-addr URL] [-n N] [-c N] [-maximal-every K] [-job-timeout D] [-program file.fc]
+                 [-policy ...] [-variant ...] [-domain ...] [-time] [-raw] [-tenant NAME]
   spm top        [-addr URL] [-interval D] [-once]
   spm trace      [-addr URL] job-id
-  spm dot        file.fc`)
+  spm dot        file.fc`
+
+func usage() error {
+	fmt.Fprintln(os.Stderr, usageText)
 	return nil
 }
 

@@ -1,9 +1,12 @@
 package main
 
 import (
+	"errors"
+	"flag"
 	"io"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -32,12 +35,18 @@ func writeProg(t *testing.T, src string) string {
 // capture runs f with stdout redirected and returns what it printed.
 func capture(t *testing.T, f func() error) (string, error) {
 	t.Helper()
-	old := os.Stdout
+	return captureFile(t, &os.Stdout, f)
+}
+
+// captureFile runs f with *file redirected and returns what it printed.
+func captureFile(t *testing.T, file **os.File, f func() error) (string, error) {
+	t.Helper()
+	old := *file
 	r, w, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
 	}
-	os.Stdout = w
+	*file = w
 	done := make(chan string)
 	go func() {
 		data, _ := io.ReadAll(r)
@@ -45,7 +54,7 @@ func capture(t *testing.T, f func() error) (string, error) {
 	}()
 	ferr := f()
 	w.Close()
-	os.Stdout = old
+	*file = old
 	return <-done, ferr
 }
 
@@ -199,6 +208,46 @@ func TestUsage(t *testing.T) {
 	}
 	if err := run([]string{"help"}); err != nil {
 		t.Errorf("help: %v", err)
+	}
+}
+
+// TestUsageListsEveryFlag pins `spm help` and the package comment's
+// Usage block to the flag sets: every flag a subcommand defines appears
+// on its usage line, and the two lists are the same lines.
+func TestUsageListsEveryFlag(t *testing.T) {
+	lines := map[string]string{}
+	var sub string
+	for _, line := range strings.Split(usageText, "\n")[1:] {
+		if f := strings.Fields(line); f[0] == "spm" {
+			sub = f[1]
+		}
+		lines[sub] += line + "\n"
+	}
+	flagName := regexp.MustCompile(`(?m)^  -(\S+)`)
+	for sub, line := range lines {
+		if sub == "dot" {
+			continue // no flags; -h would be read as the file name
+		}
+		help, err := captureFile(t, &os.Stderr, func() error { return run([]string{sub, "-h"}) })
+		if !errors.Is(err, flag.ErrHelp) {
+			t.Fatalf("%s -h: %v", sub, err)
+		}
+		for _, m := range flagName.FindAllStringSubmatch(help, -1) {
+			if !regexp.MustCompile(`[\[ ]-` + regexp.QuoteMeta(m[1]) + `[\] ]`).MatchString(line) {
+				t.Errorf("spm help's %s line lacks -%s:\n%s", sub, m[1], line)
+			}
+		}
+	}
+	src, err := os.ReadFile("main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want strings.Builder
+	for _, line := range strings.Split(usageText, "\n")[1:] {
+		want.WriteString("//\t" + strings.TrimPrefix(line, "  ") + "\n")
+	}
+	if !strings.Contains(string(src), "// Usage:\n//\n"+want.String()+"//\n") {
+		t.Errorf("package comment's Usage block differs from usageText")
 	}
 }
 

@@ -41,9 +41,9 @@
 // row resumes from the innermost capture
 // (flowchart.Compiled.RunBatchFromStack), axes a program never reads are
 // answered without executing anything, and a tuple with no valid capture
-// runs in full. Verdicts are byte-identical with memoization on or off;
-// check.WithMemo(false) and check.WithCompiled(false) are the ablation
-// knobs.
+// runs in full. Verdicts are byte-identical to the interpreter's, which
+// check.WithCompiled(false) selects as the reference every compiled tier
+// is checked against.
 //
 // The same verdict scales out in three layers of the one sharding idea.
 // Inside one process, internal/sweep hands contiguous chunks of the

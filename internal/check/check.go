@@ -17,9 +17,8 @@
 // Functional options tune the run: WithWorkers and WithChunk tune the
 // engine, WithProgress exposes the chunk cursor to long-running callers
 // (the policy-checking service's job lifecycle), WithBatch caps the stride
-// width (DefaultBatch lanes unless set), and
-// WithCompiled(false)/WithMemo(false) force the interpreter and disable
-// prefix memoization for ablations.
+// width (DefaultBatch lanes unless set), and WithCompiled(false) forces
+// the interpreter — the reference every compiled tier is checked against.
 package check
 
 import (
@@ -182,10 +181,6 @@ type Options struct {
 	// Compiled enables the compiled fast path for flowchart-backed
 	// mechanisms; Run defaults it to true.
 	Compiled bool
-	// Memo enables prefix memoization on the compiled fast path — the
-	// snapshot-stack tier, one capture per domain axis and
-	// constant-suffix pruning; Run defaults it to true.
-	Memo bool
 	// Batch caps the stride width; values ≤ 0 mean DefaultBatch. A
 	// stride is at most one odometer row, so the width is clamped to the
 	// innermost axis length.
@@ -241,19 +236,6 @@ func WithCompiled(on bool) Option { return func(o *Options) { o.Compiled = on } 
 // the persistent verdict store records as a job's crash-resume cursor.
 func WithCommit(fn func(done int64)) Option { return func(o *Options) { o.Commit = fn } }
 
-// WithMemo toggles prefix memoization on the compiled fast path (default
-// true): the sweep walks each chunk in odometer order, and each sweep
-// worker keeps a snapshot stack — one capture per domain axis, taken at
-// the first instruction that reads that axis's input or a deeper one — so
-// an odometer carry at depth d invalidates only the captures below d and
-// the next tuple replays just the tail beyond the shallowest changed
-// input. Axes a program never reads collapse to constant entries
-// answered without executing anything. The verdict is identical either
-// way (the conformance table pins this); WithMemo(false) runs every
-// tuple from instruction zero — the ablation baseline the snapshot-stack
-// benchmarks compare against. It has no effect under WithCompiled(false).
-func WithMemo(on bool) Option { return func(o *Options) { o.Memo = on } }
-
 // WithBatch caps the stride width: each sweep worker hands every
 // mechanism strides of up to n innermost-axis tuples, which compiled
 // mechanisms execute in lockstep over structure-of-arrays register
@@ -263,12 +245,12 @@ func WithMemo(on bool) Option { return func(o *Options) { o.Memo = on } }
 // axis length: an n above every row runs whole rows and costs nothing
 // more. Lanes that diverge at a branch finish on the scalar engine; a
 // mechanism with no compiled form runs the stride lane by lane through
-// Mechanism.Run, beside compiled mechanisms that stay batched. Composes
-// with WithMemo: the snapshot stack answers each fresh stride's first
-// lane, and the rest of the row's lanes resume from its innermost
-// capture. n ≤ 0 means DefaultBatch, and n = 1 is a one-lane stride on
-// the same kernels; the verdict is byte-identical at every width (the
-// conformance table pins this).
+// Mechanism.Run, beside compiled mechanisms that stay batched. A
+// per-worker snapshot stack answers each fresh stride's first lane, and
+// the rest of the row's lanes resume from its innermost capture. n ≤ 0
+// means DefaultBatch, and n = 1 is a one-lane stride on the same
+// kernels; the verdict is byte-identical at every width (the conformance
+// table pins this).
 func WithBatch(n int) Option { return func(o *Options) { o.Batch = n } }
 
 // WithThrottle makes every sweep worker pause d after each completed
@@ -307,7 +289,7 @@ func WithExecTally(t *core.ExecTally) Option { return func(o *Options) { o.Exec 
 // stride width or schedule (see core.CheckSoundnessContext and
 // core.CheckMaximalityContext).
 func Run(ctx context.Context, spec Spec, opts ...Option) (Verdict, error) {
-	o := Options{Compiled: true, Memo: true}
+	o := Options{Compiled: true}
 	for _, opt := range opts {
 		opt(&o)
 	}
@@ -345,7 +327,6 @@ func Run(ctx context.Context, spec Spec, opts ...Option) (Verdict, error) {
 			Observer: o.Observer,
 		},
 		Interpreted:  !o.Compiled,
-		NoMemo:       !o.Memo,
 		CollectViews: sharded,
 		Batch:        batch,
 		Exec:         o.Exec,

@@ -55,7 +55,6 @@ func withOptions(opts ...check.Option) func(check.Spec) (check.Verdict, error) {
 var reference = withOptions(check.WithWorkers(1), check.WithCompiled(false))
 
 var executors = []executor{
-	{"compiled", withOptions(check.WithWorkers(1), check.WithChunk(7), check.WithMemo(false))},
 	{"stack/w1", withOptions(check.WithWorkers(1), check.WithChunk(7), check.WithBatch(1))},
 	{"stack/w8", withOptions(check.WithWorkers(1), check.WithChunk(7), check.WithBatch(8))},
 	{"stack/w32", withOptions(check.WithWorkers(1), check.WithChunk(7), check.WithBatch(32))},
@@ -186,9 +185,8 @@ func forProgen(base, seeds int64, axis []int64, arity func(seed int64) int, fn f
 }
 
 // TestMemoDifferentialProgen decides seeds 1000-1029 on every executor in
-// the table: the snapshot-stack memo at every width, the compiled runner
-// without it, the parallel and lending schedules, and sharded halves
-// folded by Merge.
+// the table: the snapshot stack at every width, the parallel and lending
+// schedules, and sharded halves folded by Merge.
 func TestMemoDifferentialProgen(t *testing.T) {
 	forProgen(1000, 30, shortAxis, twoOrThree, func(tag string, spec check.Spec) {
 		conformKinds(t, executors, tag, spec)
@@ -196,16 +194,14 @@ func TestMemoDifferentialProgen(t *testing.T) {
 }
 
 // TestBatchDifferentialProgen decides seeds 1000-1029 at stride widths
-// the table does not hold — 4, and 4096, which clamps to the domain — with
-// and without the memo, whole-domain and in sharded halves at each.
+// the table does not hold — 4, and 4096, which clamps to the domain —
+// whole-domain and in sharded halves at each.
 func TestBatchDifferentialProgen(t *testing.T) {
 	var exs []executor
 	for _, w := range []int{4, 4096} {
-		for _, memo := range []bool{true, false} {
-			opts := []check.Option{check.WithWorkers(1), check.WithChunk(7), check.WithBatch(w), check.WithMemo(memo)}
-			name := fmt.Sprintf("w%d/memo=%v", w, memo)
-			exs = append(exs, executor{name, withOptions(opts...)}, executor{name + "/shards+merge", shardedMerge(opts...)})
-		}
+		opts := []check.Option{check.WithWorkers(1), check.WithChunk(7), check.WithBatch(w)}
+		name := fmt.Sprintf("w%d", w)
+		exs = append(exs, executor{name, withOptions(opts...)}, executor{name + "/shards+merge", shardedMerge(opts...)})
 	}
 	forProgen(1000, 30, shortAxis, twoOrThree, func(tag string, spec check.Spec) {
 		conformKinds(t, exs, tag, spec)
@@ -213,12 +209,11 @@ func TestBatchDifferentialProgen(t *testing.T) {
 }
 
 // TestMemoDifferentialParallel decides seeds 2000-2007 on four workers at
-// chunk 5, with and without the memo: carry hints cross chunk boundaries
-// while each worker's stack starts cold.
+// chunk 5: carry hints cross chunk boundaries while each worker's stack
+// starts cold.
 func TestMemoDifferentialParallel(t *testing.T) {
 	exs := []executor{
-		{"workers4/chunk5/memo", withOptions(check.WithWorkers(4), check.WithChunk(5))},
-		{"workers4/chunk5/nomemo", withOptions(check.WithWorkers(4), check.WithChunk(5), check.WithMemo(false))},
+		{"workers4/chunk5", withOptions(check.WithWorkers(4), check.WithChunk(5))},
 	}
 	forProgen(2000, 8, longAxis, binary, func(tag string, spec check.Spec) {
 		conformKinds(t, exs, tag, spec)

@@ -1192,14 +1192,14 @@ func readBody(resp *http.Response) ([]byte, int, error) {
 	return payload, resp.StatusCode, nil
 }
 
-// errorMessage extracts the service's error field, falling back to the
-// raw payload.
+// errorMessage extracts the message of the service's error envelope
+// ({"error": {"code", "message"}}), falling back to the raw payload.
 func errorMessage(payload []byte) string {
 	var e struct {
-		Error string `json:"error"`
+		Error service.ErrorBody `json:"error"`
 	}
-	if json.Unmarshal(payload, &e) == nil && e.Error != "" {
-		return e.Error
+	if json.Unmarshal(payload, &e) == nil && e.Error.Message != "" {
+		return e.Error.Message
 	}
 	return strings.TrimSpace(string(payload))
 }

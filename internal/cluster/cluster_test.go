@@ -513,6 +513,24 @@ func TestClusterRejectsShardedRequest(t *testing.T) {
 	}
 }
 
+// TestClusterNodeRejectionCarriesMessage has a real node reject every
+// shard with 400: the Check error must carry the service envelope's
+// message, not the raw JSON.
+func TestClusterNodeRejectionCarriesMessage(t *testing.T) {
+	_, srv := startNode(t, service.Config{Runners: 1})
+	coord, err := New(Config{Nodes: []string{srv.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = coord.Check(context.Background(), service.CheckRequest{Program: soundProg, Policy: "{2}", Variant: "bogus"})
+	if err == nil {
+		t.Fatal("bad variant accepted")
+	}
+	if msg := err.Error(); !strings.Contains(msg, `400: service: bad request: unknown variant "bogus"`) || strings.Contains(msg, "{") {
+		t.Fatalf("error %q: want the envelope's message and no JSON", msg)
+	}
+}
+
 // splitIndexSpace invariants are property-checked (and fuzzed) in
 // split_test.go.
 

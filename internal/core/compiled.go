@@ -45,13 +45,14 @@ func (c *CompiledMechanism) Run(input []int64) (Outcome, error) {
 
 // BatchRunners implements BatchRunnerProvider: each worker gets private
 // state over the shared compiled code — structure-of-arrays lanes that
-// execute one instruction across up to width tuples at a time, and, when
-// memo && stack, a snapshot stack from which a stride replays only the
-// instructions after the first read of the shallowest changed input.
-// Returns nil if the program's batch form cannot be built at width.
+// execute one instruction across up to width tuples at a time, and a
+// snapshot stack from which a stride replays only the instructions after
+// the first read of the shallowest changed input. memo and stack are
+// ignored (see BatchRunnerProvider). Returns nil if the program's batch
+// form cannot be built at width.
 func (c *CompiledMechanism) BatchRunners(width int, memo, stack bool, tally *ExecTally) func() BatchRunFunc {
 	if _, err := c.code.NewLanes(width); err != nil {
 		return nil
 	}
-	return func() BatchRunFunc { return batchRunner(c.code, c.pm.MaxSteps, width, memo && stack, tally.Part()) }
+	return func() BatchRunFunc { return batchRunner(c.code, c.pm.MaxSteps, width, tally.Part()) }
 }

@@ -37,14 +37,12 @@ type BatchRunnerProvider interface {
 	// BatchRunners returns a factory producing one BatchRunFunc per sweep
 	// worker, each owning its lanes, register file, and snapshot stack,
 	// for strides of up to width lanes (width 1 is a one-lane stride on
-	// the same kernels). The snapshot-stack tier runs iff memo && stack:
-	// a per-worker flowchart.SnapshotStack (per-axis captures and
-	// constant suffixes) answers the first lane of each fresh stride, and
-	// the remaining lanes resume from its innermost capture. Otherwise
-	// every stride runs from instruction zero — the check.WithMemo(false)
-	// ablation. Every caller in this module passes the same value for
-	// both flags; they stay two until the benchmark module stops passing
-	// them separately.
+	// the same kernels). A per-worker flowchart.SnapshotStack (per-axis
+	// captures and constant suffixes) answers the first lane of each
+	// fresh stride, and the remaining lanes resume from its innermost
+	// capture. memo and stack are ignored: the snapshot stack always
+	// runs. They stay in the signature until the benchmark module stops
+	// passing them.
 	// tally, when non-nil, receives each worker's execution-tier counters
 	// (one ExecTally.Part per runner); nil disables counting.
 	BatchRunners(width int, memo, stack bool, tally *ExecTally) func() BatchRunFunc
@@ -56,16 +54,15 @@ func outcomeOf(res flowchart.Result) Outcome {
 }
 
 // batchRunner is the per-worker executor over compiled code, at every
-// width. With memo, lane 0 of each fresh stride runs through a per-worker
-// snapshot stack — per-axis captures and constant-suffix pruning apply
-// to it — and the remaining lanes (and every continuation stride of the
-// same row) resume in lockstep from the stack's innermost capture; a
-// constant answer replicates to the whole stride without executing a
-// lane. Without memo each stride runs whole from instruction zero, still
-// amortizing instruction dispatch across lanes. The nullary domain's one
-// tuple has nothing to stride over or memoize and runs whole on RunReuse.
-// Outcomes are exactly RunReuse's for every tuple.
-func batchRunner(c *flowchart.Compiled, maxSteps int64, width int, memo bool, part *ExecPart) BatchRunFunc {
+// width. Lane 0 of each fresh stride runs through a per-worker snapshot
+// stack — per-axis captures and constant-suffix pruning apply to it —
+// and the remaining lanes (and every continuation stride of the same
+// row) resume in lockstep from the stack's innermost capture; a constant
+// answer replicates to the whole stride without executing a lane. Lanes
+// with no usable capture run whole from instruction zero. The nullary
+// domain's one tuple has nothing to stride over or memoize and runs
+// whole on RunReuse. Outcomes are exactly RunReuse's for every tuple.
+func batchRunner(c *flowchart.Compiled, maxSteps int64, width int, part *ExecPart) BatchRunFunc {
 	lanes, err := c.NewLanes(width)
 	if err != nil {
 		// Factories probe NewLanes before handing out runners; reaching
@@ -74,10 +71,7 @@ func batchRunner(c *flowchart.Compiled, maxSteps int64, width int, memo bool, pa
 	}
 	results := make([]flowchart.Result, width)
 	regs := make([]int64, c.Slots())
-	var st *flowchart.SnapshotStack
-	if memo {
-		st = c.NewSnapshotStack()
-	}
+	st := c.NewSnapshotStack()
 	var prev flowchart.BatchStats
 	runStack := func(input []int64, last []int64, carry int, res []flowchart.Result) error {
 		n := len(last)
@@ -132,11 +126,7 @@ func batchRunner(c *flowchart.Compiled, maxSteps int64, width int, memo bool, pa
 			return nil
 		}
 		res := results[:len(last)]
-		if memo {
-			if err := runStack(input, last, carry, res); err != nil {
-				return err
-			}
-		} else if err := c.RunBatch(lanes, input, last, maxSteps, res); err != nil {
+		if err := runStack(input, last, carry, res); err != nil {
 			return err
 		}
 		if part != nil {
@@ -184,14 +174,13 @@ func laneRunner(m Mechanism) BatchRunFunc {
 // lane by lane through Mechanism.Run.
 func (cc CheckConfig) runnerFactory(m Mechanism, width int) func() BatchRunFunc {
 	if !cc.Interpreted {
-		memo := !cc.NoMemo
 		var f func() BatchRunFunc
 		switch mm := m.(type) {
 		case BatchRunnerProvider:
-			f = mm.BatchRunners(width, memo, memo, cc.Exec)
+			f = mm.BatchRunners(width, true, true, cc.Exec)
 		case *Program:
 			if cm, err := CompileMechanism(mm); err == nil {
-				f = cm.BatchRunners(width, memo, memo, cc.Exec)
+				f = cm.BatchRunners(width, true, true, cc.Exec)
 			}
 		}
 		if f != nil {

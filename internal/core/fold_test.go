@@ -223,13 +223,12 @@ func TestFoldKeysDecode(t *testing.T) {
 // engines allocate no more on a 40³ domain than on a 20³ one, plus a small
 // constant — on ascending axes, with a descending axis, and with a
 // repeated value. The chunk size is fixed so the sweep's per-chunk buffers
-// stay inside that constant, and memoization is off, so the runner is the
-// plain batch tier; TestStackStrideAllocsIndependentOfRows guards the
-// stack tier's runner.
+// stay inside that constant; TestStackStrideAllocsIndependentOfRows
+// guards the stack runner on its own.
 func TestFoldAllocsIndependentOfDomain(t *testing.T) {
 	m := fold3(t)
 	pol := NewAllow(3, 1)
-	cc := CheckConfig{Config: sweep.Config{Workers: 1, Chunk: 1 << 14}, Batch: 16, NoMemo: true}
+	cc := CheckConfig{Config: sweep.Config{Workers: 1, Chunk: 1 << 14}, Batch: 16}
 	ctx := context.Background()
 	allocs := func(dom Domain) (sound, maximal float64) {
 		sound = testing.AllocsPerRun(3, func() {

@@ -10,30 +10,25 @@ import (
 // CheckConfig tunes the context-aware checkers: the embedded sweep.Config
 // controls parallelism, chunking, the shard range, and the progress
 // cursor; Interpreted disables the compiled fast path so every tuple runs
-// through Mechanism.Run (the ablation knob behind
-// check.WithCompiled(false)); NoMemo keeps the compiled fast path but
-// disables prefix memoization, so every tuple replays from instruction
-// zero (the ablation knob behind check.WithMemo(false), and the baseline
-// the snapshot-stack benchmarks compare against); CollectViews marks the
-// range as one shard of a larger run: the engines export their merged
-// per-class evidence (SoundnessReport.Views; MaximalityReport.Classes and
-// its Soundness.Views) so
-// the shard verdict can be folded with its siblings by check.Merge.
-// Batch is the stride width (the knob behind check.WithBatch): each
-// worker hands every mechanism strides of up to Batch innermost-axis
-// tuples, which compiled mechanisms execute in lockstep over
-// structure-of-arrays register columns; ≤ 1 is the one-lane stride
-// (check.Run passes check.DefaultBatch unless told otherwise). Each
-// mechanism picks its runner on its own, so a
-// mechanism with no compiled form runs lane by lane through Mechanism.Run
-// beside compiled ones. Verdicts are identical across all tiers. Exec, when
-// non-nil, receives execution-tier counters (snapshot-stack answers,
-// batch strides/lanes/divergence — see ExecTally); nil keeps the hot
-// paths entirely unobserved.
+// through Mechanism.Run (the knob behind check.WithCompiled(false), and
+// the reference every compiled tier is checked against); CollectViews
+// marks the range as one shard of a larger run: the engines export their
+// merged per-class evidence (SoundnessReport.Views;
+// MaximalityReport.Classes and its Soundness.Views) so the shard verdict
+// can be folded with its siblings by check.Merge. Batch is the stride
+// width (the knob behind check.WithBatch): each worker hands every
+// mechanism strides of up to Batch innermost-axis tuples, which compiled
+// mechanisms execute in lockstep over structure-of-arrays register
+// columns; ≤ 1 is the one-lane stride (check.Run passes
+// check.DefaultBatch unless told otherwise). Each mechanism picks its
+// runner on its own, so a mechanism with no compiled form runs lane by
+// lane through Mechanism.Run beside compiled ones. Verdicts are identical
+// across all tiers. Exec, when non-nil, receives execution-tier counters
+// (snapshot-stack answers, batch strides/lanes/divergence — see
+// ExecTally); nil keeps the hot paths entirely unobserved.
 type CheckConfig struct {
 	sweep.Config
 	Interpreted  bool
-	NoMemo       bool
 	CollectViews bool
 	Batch        int
 	Exec         *ExecTally

@@ -22,7 +22,7 @@ Done: y := x2
 `
 
 // storeSweepReq is a 160,000-tuple soundness check (400² grid), the same
-// scale as the BENCH_prefix.json trajectory fixture.
+// scale as BenchmarkBatchSweep's sweep (BENCH_batch.json).
 func storeSweepReq() CheckRequest {
 	dom := make([]int64, 400)
 	for i := range dom {
