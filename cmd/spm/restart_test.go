@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"spm/internal/obs"
 	"spm/internal/service"
 )
 
@@ -150,10 +151,41 @@ func verdictBytes(t *testing.T, st service.JobStatus) []byte {
 	return b
 }
 
+// resumeCursor reads the cursor a resumed job restarted from: the detail
+// of the "resume" event on its trace, or -1 when it has none (the job
+// swept from tuple zero).
+func resumeCursor(t *testing.T, base, id string) int64 {
+	t.Helper()
+	resp, err := http.Get(base + "/v2/jobs/" + id + "/trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("trace of %s: status %d", id, resp.StatusCode)
+	}
+	var td obs.TraceData
+	if err := json.NewDecoder(resp.Body).Decode(&td); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range td.Events {
+		if e.Name != "resume" {
+			continue
+		}
+		var cursor int64
+		if _, err := fmt.Sscanf(e.Detail, "cursor=%d", &cursor); err != nil {
+			t.Fatalf("resume event detail %q: %v", e.Detail, err)
+		}
+		return cursor
+	}
+	return -1
+}
+
 // TestServeKillRestartResume is the out-of-process restart-resume
 // differential: kill -9 an `spm serve -store` mid-job, restart on the
 // same store directory, and require the resumed job — same ID — to
-// finish with a byte-identical verdict to an uninterrupted run.
+// restart from its last checkpoint, not tuple zero, and to finish with a
+// byte-identical verdict to an uninterrupted run.
 func TestServeKillRestartResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and kills a child process")
@@ -202,6 +234,10 @@ func TestServeKillRestartResume(t *testing.T) {
 	got := waitDone(t, "http://"+addr2, sub.ID)
 	if got.State != service.StateDone {
 		t.Fatalf("resumed job ended %q: %+v", got.State, got)
+	}
+	// The kill came after the checkpoints at 32 and 64 were written.
+	if c := resumeCursor(t, "http://"+addr2, sub.ID); c < 64 {
+		t.Errorf("resumed job restarted from cursor %d, want at least 64 (-1: no resume)", c)
 	}
 	if wantB, gotB := verdictBytes(t, want), verdictBytes(t, got); !bytes.Equal(wantB, gotB) {
 		t.Errorf("resumed verdict differs from uninterrupted run:\n  %s\nvs\n  %s", gotB, wantB)

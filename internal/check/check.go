@@ -15,8 +15,8 @@
 //	}, check.WithWorkers(8))
 //
 // Functional options tune the run: WithWorkers and WithChunk tune the
-// engine, WithProgress exposes the chunk cursor to long-running callers
-// (the policy-checking service's job lifecycle), WithBatch caps the stride
+// engine, WithObserver hands every completed chunk to long-running callers
+// (the policy-checking service's job progress), WithBatch caps the stride
 // width (DefaultBatch lanes unless set), and WithCompiled(false) forces
 // the interpreter — the reference every compiled tier is checked against.
 package check
@@ -26,8 +26,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync/atomic"
-	"time"
 
 	"spm/internal/core"
 	"spm/internal/sweep"
@@ -175,9 +173,6 @@ type Options struct {
 	// Chunk is the tuples a sweep worker claims at a time; ≤ 0 picks a
 	// default.
 	Chunk int
-	// Progress, when non-nil, is advanced by the sweep engine as chunks
-	// complete — the cursor behind job progress reporting.
-	Progress *atomic.Int64
 	// Compiled enables the compiled fast path for flowchart-backed
 	// mechanisms; Run defaults it to true.
 	Compiled bool
@@ -185,17 +180,9 @@ type Options struct {
 	// stride is at most one odometer row, so the width is clamped to the
 	// innermost axis length.
 	Batch int
-	// Commit, when non-nil, receives the contiguous completed prefix of
-	// the run's range (in tuples, relative to the range start) as it
-	// grows — the resumable cursor behind crash-safe checkpointing.
-	Commit func(done int64)
-	// Throttle, when positive, makes every sweep worker pause this long
-	// after each completed chunk — the artificial slow-node hook behind
-	// straggler testing.
-	Throttle time.Duration
 	// Observer, when non-nil, receives the sweep engine's per-chunk
-	// callbacks (worker, tuples, duration) — the seam behind chunk
-	// counters and chunk-latency histograms.
+	// callbacks (worker, tuples, duration) — the seam behind job
+	// progress, chunk counters and chunk-latency histograms.
 	Observer sweep.Observer
 	// Exec, when non-nil, accumulates execution-tier counters: snapshot
 	// stack answers (full, replay by depth, constant) and batch
@@ -217,24 +204,11 @@ func WithWorkers(n int) Option { return func(o *Options) { o.Workers = n } }
 // after at most one chunk per worker.
 func WithChunk(n int) Option { return func(o *Options) { o.Chunk = n } }
 
-// WithProgress installs the atomic cursor the sweep engine advances as
-// chunks complete, so long-running checks can report done/total without
-// per-tuple overhead.
-func WithProgress(p *atomic.Int64) Option { return func(o *Options) { o.Progress = p } }
-
 // WithCompiled toggles the compiled fast path for flowchart-backed
 // mechanisms (default true). WithCompiled(false) forces every tuple
 // through Mechanism.Run, lane by lane at any WithBatch width — the
 // interpreter ablation.
 func WithCompiled(on bool) Option { return func(o *Options) { o.Compiled = on } }
-
-// WithCommit installs the sweep engine's contiguous-prefix hook: fn is
-// called (serialized, strictly monotone, chunk granularity) with the
-// number of leading tuples of the run's range that have all been visited.
-// Unlike WithProgress — whose counter advances as chunks complete in any
-// order — the committed prefix is a valid resumption point, which is what
-// the persistent verdict store records as a job's crash-resume cursor.
-func WithCommit(fn func(done int64)) Option { return func(o *Options) { o.Commit = fn } }
 
 // WithBatch caps the stride width: each sweep worker hands every
 // mechanism strides of up to n innermost-axis tuples, which compiled
@@ -253,20 +227,12 @@ func WithCommit(fn func(done int64)) Option { return func(o *Options) { o.Commit
 // table pins this).
 func WithBatch(n int) Option { return func(o *Options) { o.Batch = n } }
 
-// WithThrottle makes every sweep worker pause d after each completed
-// chunk (d ≤ 0 is free, the default). It never changes which tuples are
-// visited — only how fast — so the verdict is identical with and without
-// it. It exists as a test hook: an artificially throttled node is how the
-// elastic cluster coordinator's straggler detection (shard stealing,
-// speculative re-dispatch) is exercised deterministically.
-func WithThrottle(d time.Duration) Option { return func(o *Options) { o.Throttle = d } }
-
 // WithObserver installs a sweep engine observer: obs.ChunkDone is called
 // once per completed chunk with the worker index, the tuples covered,
-// and the chunk's wall-clock duration. Implementations must be safe for
-// concurrent use. The default (nil) pays one branch per chunk and
-// nothing per tuple — the no-op cost rule the observability layer is
-// built on.
+// and the chunk's wall-clock duration; summing the tuples gives the run's
+// progress. Implementations must be safe for concurrent use. The default
+// (nil) pays one branch per chunk and nothing per tuple — the no-op cost
+// rule the observability layer is built on.
 func WithObserver(obs sweep.Observer) Option { return func(o *Options) { o.Observer = obs } }
 
 // WithExecTally directs execution-tier counters into t: the snapshot
@@ -282,7 +248,7 @@ func WithExecTally(t *core.ExecTally) Option { return func(o *Options) { o.Exec 
 // returns ctx's error. Run is the only code path in the repository that
 // executes verdicts — the spm CLI, the v2 HTTP service, and the
 // experiment tables all reduce to it. Every kind is one enumeration pass
-// over the range, so WithProgress and WithCommit count its tuples; a
+// over the range, so an observer sees each tuple of it once; a
 // Maximality verdict also decides the mechanism's soundness in that pass,
 // exactly as a Soundness Run over the same range would. The
 // verdict, witnesses included, does not depend on the worker count,
@@ -310,20 +276,12 @@ func Run(ctx context.Context, spec Spec, opts ...Option) (Verdict, error) {
 		batch = DefaultBatch
 	}
 	sharded := !spec.Shard.IsZero()
-	var commit func(done int)
-	if o.Commit != nil {
-		fn := o.Commit
-		commit = func(done int) { fn(int64(done)) }
-	}
 	cc := core.CheckConfig{
 		Config: sweep.Config{
 			Workers:  o.Workers,
 			Chunk:    o.Chunk,
 			Offset:   int(spec.Shard.Offset),
 			Count:    int(spec.Shard.Count),
-			Progress: o.Progress,
-			Commit:   commit,
-			Throttle: o.Throttle,
 			Observer: o.Observer,
 		},
 		Interpreted:  !o.Compiled,

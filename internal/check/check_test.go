@@ -5,6 +5,7 @@ import (
 	"errors"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"spm/internal/core"
 	"spm/internal/flowchart"
@@ -126,33 +127,23 @@ func TestRunPassCount(t *testing.T) {
 	}
 }
 
+// tupleCount is a sweep observer that sums the tuples of every completed
+// chunk: a run's progress.
+type tupleCount struct{ atomic.Int64 }
+
+func (c *tupleCount) ChunkDone(_, tuples int, _ time.Duration) { c.Add(int64(tuples)) }
+
 func TestRunProgressReachesTotal(t *testing.T) {
 	q, m, pol, dom := fixtures(t)
-	var progress atomic.Int64
+	var progress tupleCount
 	if _, err := Run(context.Background(), Spec{
 		Kind: Maximality, Mechanism: m, Program: q, Policy: pol, Domain: dom,
-	}, WithProgress(&progress)); err != nil {
+	}, WithWorkers(2), WithChunk(2), WithObserver(&progress)); err != nil {
 		t.Fatal(err)
 	}
 	// Maximality is one evidence pass: every tuple is counted once.
 	if want := int64(dom.Size()); progress.Load() != want {
 		t.Errorf("progress = %d, want %d (one pass over the domain)", progress.Load(), want)
-	}
-}
-
-// TestRunCommitCoversWholeDomainMaximality: the one-pass engine keeps a
-// single monotone commit cursor, so WithCommit describes a whole-domain
-// maximality run and reaches the domain size.
-func TestRunCommitCoversWholeDomainMaximality(t *testing.T) {
-	q, m, pol, dom := fixtures(t)
-	var last int64
-	if _, err := Run(context.Background(), Spec{
-		Kind: Maximality, Mechanism: m, Program: q, Policy: pol, Domain: dom,
-	}, WithWorkers(2), WithChunk(2), WithCommit(func(done int64) { last = done })); err != nil {
-		t.Fatal(err)
-	}
-	if last != int64(dom.Size()) {
-		t.Errorf("committed prefix = %d, want %d", last, dom.Size())
 	}
 }
 

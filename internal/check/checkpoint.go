@@ -57,10 +57,9 @@ type Checkpoint struct {
 //
 // A save error aborts the run. Cancelling ctx stops the current segment
 // within one chunk and returns ctx's error; the last saved Checkpoint
-// remains the resumption point. A WithCommit hook observes the contiguous
-// swept prefix across the whole run (resume offset included), at chunk
-// granularity between checkpoints — the fine cursor the store logs to
-// measure work a crash would lose.
+// remains the resumption point. A WithObserver hook sees every chunk of
+// every segment, so its tuples sum to the part of the range this call
+// swept.
 func RunCheckpointed(ctx context.Context, spec Spec, from *Checkpoint, every int64, save func(Checkpoint) error, opts ...Option) (Verdict, error) {
 	if every <= 0 {
 		every = DefaultCheckpointEvery
@@ -101,24 +100,14 @@ func RunCheckpointed(ctx context.Context, spec Spec, from *Checkpoint, every int
 		return Run(ctx, spec, opts...)
 	}
 
-	// The commit hook must describe the whole checkpointed run, so each
-	// segment's range-relative commits are rebased onto the segment start.
-	base := int64(lo)
 	for cur < span {
 		segLen := every - cur%every // stay on every-aligned boundaries after any resume cursor
 		if cur+segLen > span {
 			segLen = span - cur
 		}
 		seg := spec
-		seg.Shard = Shard{Offset: base + cur, Count: segLen}
-		segOpts := opts
-		segStart := cur
-		segOpts = append(segOpts[:len(segOpts):len(segOpts)], Option(func(o *Options) {
-			if fn := o.Commit; fn != nil {
-				o.Commit = func(done int64) { fn(segStart + done) }
-			}
-		}))
-		part, err := Run(ctx, seg, segOpts...)
+		seg.Shard = Shard{Offset: int64(lo) + cur, Count: segLen}
+		part, err := Run(ctx, seg, opts...)
 		if err != nil {
 			return part, err
 		}

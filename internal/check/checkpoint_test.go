@@ -182,7 +182,10 @@ func TestRunCheckpointedShardedSpec(t *testing.T) {
 	}
 }
 
-func TestRunCheckpointedCommitSpansResume(t *testing.T) {
+// TestRunCheckpointedResumeSweepsOnlySuffix: a run resumed from a
+// checkpoint visits exactly the tuples above its cursor, and the observer
+// sees every chunk of every remaining segment.
+func TestRunCheckpointedResumeSweepsOnlySuffix(t *testing.T) {
 	_, m, pol, dom := fixtures(t)
 	spec := Spec{Kind: Soundness, Mechanism: m, Policy: pol, Domain: dom}
 
@@ -198,26 +201,17 @@ func TestRunCheckpointedCommitSpansResume(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v", err)
 	}
+	if ck.Cursor != 3 {
+		t.Fatalf("checkpoint cursor = %d, want 3", ck.Cursor)
+	}
 
-	var commits []int64
+	var swept tupleCount
 	if _, err := RunCheckpointed(context.Background(), spec, &ck, 3, nil,
-		WithWorkers(1), WithChunk(2), WithCommit(func(done int64) {
-			commits = append(commits, done)
-		})); err != nil {
+		WithWorkers(1), WithChunk(2), WithObserver(&swept)); err != nil {
 		t.Fatal(err)
 	}
-	if len(commits) == 0 {
-		t.Fatal("no commits observed")
-	}
-	prev := ck.Cursor
-	for _, c := range commits {
-		if c <= prev {
-			t.Fatalf("commit %d not past previous %d (resume cursor %d): %v", c, prev, ck.Cursor, commits)
-		}
-		prev = c
-	}
-	if span := int64(9); commits[len(commits)-1] != span {
-		t.Errorf("final commit = %d, want %d", commits[len(commits)-1], span)
+	if want := int64(dom.Size()) - ck.Cursor; swept.Load() != want {
+		t.Errorf("resumed run swept %d tuples, want %d (the range above cursor %d)", swept.Load(), want, ck.Cursor)
 	}
 }
 

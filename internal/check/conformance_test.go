@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
-	"sync/atomic"
 	"testing"
 
 	"spm/internal/check"
@@ -64,11 +63,11 @@ var executors = []executor{
 	// interleave across single-tuple chunks. Under -race this also shows
 	// the per-worker snapshot stacks share nothing.
 	{"workers8/chunk1", func(spec check.Spec) (check.Verdict, error) {
-		var progress atomic.Int64
+		progress := &chunkTally{}
 		v, err := check.Run(context.Background(), spec,
-			check.WithWorkers(8), check.WithChunk(1), check.WithProgress(&progress))
-		if err == nil && progress.Load() != int64(v.Checked) {
-			err = fmt.Errorf("progress %d != checked %d", progress.Load(), v.Checked)
+			check.WithWorkers(8), check.WithChunk(1), check.WithObserver(progress))
+		if err == nil && progress.tuples.Load() != int64(v.Checked) {
+			err = fmt.Errorf("progress %d != checked %d", progress.tuples.Load(), v.Checked)
 		}
 		return v, err
 	}},
@@ -252,15 +251,15 @@ func TestMemoStackConcurrentWorkStealing(t *testing.T) {
 	var exs []executor
 	for _, w := range []int{1, 8} {
 		exs = append(exs, executor{fmt.Sprintf("workers8/chunk1/w%d", w), func(spec check.Spec) (check.Verdict, error) {
-			var progress atomic.Int64
+			progress := &chunkTally{}
 			tally := &core.ExecTally{}
 			v, err := check.Run(context.Background(), spec, check.WithWorkers(8), check.WithChunk(1),
-				check.WithBatch(w), check.WithProgress(&progress), check.WithExecTally(tally))
+				check.WithBatch(w), check.WithObserver(progress), check.WithExecTally(tally))
 			if err != nil {
 				return v, err
 			}
-			if progress.Load() != int64(v.Checked) {
-				return v, fmt.Errorf("progress %d != checked %d", progress.Load(), v.Checked)
+			if progress.tuples.Load() != int64(v.Checked) {
+				return v, fmt.Errorf("progress %d != checked %d", progress.tuples.Load(), v.Checked)
 			}
 			if c := tally.Counts(); c.StackFull+c.StackReplays+c.StackConstants == 0 {
 				return v, fmt.Errorf("no stack activity under stealing: %+v", c)

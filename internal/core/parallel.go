@@ -8,8 +8,8 @@ import (
 )
 
 // CheckConfig tunes the context-aware checkers: the embedded sweep.Config
-// controls parallelism, chunking, the shard range, and the progress
-// cursor; Interpreted disables the compiled fast path so every tuple runs
+// controls parallelism, chunking, the shard range, and the chunk
+// observer; Interpreted disables the compiled fast path so every tuple runs
 // through Mechanism.Run (the knob behind check.WithCompiled(false), and
 // the reference every compiled tier is checked against); CollectViews
 // marks the range as one shard of a larger run: the engines export their

@@ -2,6 +2,7 @@ package service
 
 import (
 	"fmt"
+	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -158,7 +159,9 @@ func seedResumableJob(b *testing.B, req CheckRequest, cursor int64) (string, str
 }
 
 // BenchmarkStoreAppend measures the raw persistence layer: one fsync'd
-// verdict append, and one buffered cursor record.
+// verdict append, and one checkpoint record — a maximal job's one-pass
+// checkpoint at cursor 32, as the service writes it between segments,
+// taken from testdata — written to the log without fsync.
 func BenchmarkStoreAppend(b *testing.B) {
 	key := func(i int) store.Key {
 		return store.Key{Fingerprint: fmt.Sprintf("fp-%d", i), Policy: "{2}", Variant: "untimed", Count: 9}
@@ -177,18 +180,25 @@ func BenchmarkStoreAppend(b *testing.B) {
 			}
 		}
 	})
-	b.Run("cursor-buffered", func(b *testing.B) {
-		st, err := store.Open(b.TempDir())
+	b.Run("checkpoint", func(b *testing.B) {
+		dir := b.TempDir()
+		if err := copyFile(filepath.Join("testdata", cursorRecordsLog), filepath.Join(dir, "verdicts.log")); err != nil {
+			b.Fatal(err)
+		}
+		st, err := store.Open(dir)
 		if err != nil {
 			b.Fatal(err)
 		}
 		defer st.Close()
-		if err := st.PutPending(store.Pending{ID: "job-1", Key: key(0), Payload: []byte("{}")}); err != nil {
-			b.Fatal(err)
+		pending := st.PendingJobs()
+		if len(pending) != 1 || len(pending[0].Checkpoint) == 0 {
+			b.Fatalf("fixture holds no checkpoint: %+v", pending)
 		}
+		id, ck := pending[0].ID, pending[0].Checkpoint
+		b.SetBytes(int64(len(ck)))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := st.Cursor("job-1", int64(i)); err != nil {
+			if err := st.Checkpoint(id, ck); err != nil {
 				b.Fatal(err)
 			}
 		}

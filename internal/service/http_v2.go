@@ -178,7 +178,7 @@ func (s *Service) handleCancel(w http.ResponseWriter, r *http.Request) {
 // handleEvents is GET /v2/jobs/{id}/events: a server-sent-event stream of
 // the job's status. One "progress" event is sent immediately, then one
 // every interval (interval_ms query parameter, default 250), sourced from
-// the sweep engine's chunk cursor; a final "done" event carries the
+// the job's progress counter; a final "done" event carries the
 // terminal status — result included — and closes the stream. Disconnecting
 // the request ends the stream without affecting the job.
 func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {

@@ -79,10 +79,10 @@ type Result struct {
 }
 
 // Job is one submitted check: request, progress, and verdict.
-// The progress counter is the sweep engine's chunk cursor (see
-// sweep.Config.Progress); Total counts the tuples of the job's range,
-// which its one enumeration pass visits once each, so done/total is a true
-// fraction. Every
+// The progress counter advances by each completed chunk's tuples (see
+// jobObserver), starting from the checkpoint cursor on a resumed job;
+// Total counts the tuples of the job's range, which its one enumeration
+// pass visits once each, so done/total is a true fraction. Every
 // job carries its own context: cancelling it (Service.Cancel, the v2
 // DELETE endpoint) stops a running sweep within one chunk and marks a
 // still-queued job cancelled without ever occupying a runner.

@@ -181,20 +181,38 @@ func (m *serviceMetrics) observeRun(j *Job, d time.Duration) {
 	m.tenantRun.With(j.tenant).Observe(d.Seconds())
 }
 
-// jobObserver is the per-job sweep.Observer: every completed chunk
-// bumps the service-wide chunk counters and lands on the job's trace
-// timeline. One is built per job run, so the trace pointer needs no
-// lookup on the chunk path.
+// jobObserver is the per-job sweep.Observer, the one per-chunk hook of a
+// job's sweep: every completed chunk advances the job's progress, bumps
+// the service-wide chunk counters and lands on the job's trace timeline;
+// then, on a throttled service, the worker naps before its next chunk.
+// One is built per job run, so the job needs no lookup on the chunk path.
 type jobObserver struct {
-	m  *serviceMetrics
-	tr *obs.Trace
+	m        *serviceMetrics
+	j        *Job
+	throttle time.Duration
 }
 
 func (o *jobObserver) ChunkDone(worker, tuples int, d time.Duration) {
+	done := o.j.progress.Add(int64(tuples))
 	o.m.sweepChunks.Inc()
 	o.m.sweepTuples.Add(int64(tuples))
 	o.m.chunkSeconds.Observe(d.Seconds())
-	o.tr.Span("chunk", fmt.Sprintf("worker=%d tuples=%d", worker, tuples), d)
+	o.j.trace.Span("chunk", fmt.Sprintf("worker=%d tuples=%d", worker, tuples), d)
+	if o.throttle > 0 && done < o.j.Total {
+		o.nap()
+	}
+}
+
+// nap pauses a throttled worker after a chunk, returning early when the
+// job is cancelled. The chunk that completes the job takes no nap, so a
+// finished sweep reports its verdict even if a cancel lands then.
+func (o *jobObserver) nap() {
+	t := time.NewTimer(o.throttle)
+	defer t.Stop()
+	select {
+	case <-o.j.ctx.Done():
+	case <-t.C:
+	}
 }
 
 // Metrics returns the service's metrics registry — the handler behind

@@ -177,13 +177,11 @@ func (s *Service) cachedJob(req CheckRequest, entry *compiled, hit bool, total i
 
 // checkStore is check's sweep on a store-backed service: the same
 // verdict, but swept through check.RunCheckpointed with the job's fold
-// persisted to the store after every segment, plus a fine chunk-level
-// cursor between checkpoints. A job interrupted by a crash resumes from
-// the last checkpoint that reached disk; the resumed verdict is
-// byte-identical to the uninterrupted one at any sweep worker count (see
-// check.RunCheckpointed).
+// persisted to the store after every segment. A job interrupted by a
+// crash resumes from the last checkpoint in the log; the resumed verdict
+// is byte-identical to the uninterrupted one at any sweep worker count
+// (see check.RunCheckpointed).
 func (s *Service) checkStore(ctx context.Context, j *Job, spec check.Spec, opts []check.Option) (check.Verdict, error) {
-	opts = append(opts, check.WithCommit(func(done int64) { s.store.Cursor(j.ID, done) }))
 	var from *check.Checkpoint
 	if r := j.resume; r != nil {
 		from = &check.Checkpoint{Cursor: r.Cursor, Partial: r.Partial}
@@ -194,7 +192,7 @@ func (s *Service) checkStore(ctx context.Context, j *Job, spec check.Spec, opts 
 			return err
 		}
 		j.trace.Event("segment", fmt.Sprintf("cursor=%d", ck.Cursor))
-		return s.store.Checkpoint(j.ID, data, ck.Cursor)
+		return s.store.Checkpoint(j.ID, data)
 	}, opts...)
 }
 

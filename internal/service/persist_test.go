@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -232,7 +233,7 @@ func TestTwoPhaseCheckpointRestarts(t *testing.T) {
 			if err := st.PutPending(store.Pending{ID: "job-7", Key: store.Key{Fingerprint: "two-phase"}, Payload: payload}); err != nil {
 				t.Fatal(err)
 			}
-			if err := st.Checkpoint("job-7", ck, 32); err != nil {
+			if err := st.Checkpoint("job-7", ck); err != nil {
 				t.Fatal(err)
 			}
 			st.Close()
@@ -260,6 +261,81 @@ func TestTwoPhaseCheckpointRestarts(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// cursorRecordsLog is a verdict log written by a store that also logged
+// a chunk-level cursor between checkpoints: job-1 (testProg, raw and
+// maximal, policy {2}, domain 0..7, checkpointed every 16 tuples) was
+// killed at tuple 40. Besides its pending record the log holds "cur"
+// records up to cursor 40 and "ckpt" records at cursors 16 and 32 whose
+// lines also carry a "cursor" field.
+const cursorRecordsLog = "store-cursor-records.log"
+
+func copyFile(from, to string) error {
+	data, err := os.ReadFile(from)
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(to, data, 0o644)
+}
+
+// TestCursorRecordsLogResumes pins that a log of that older format still
+// opens: the job resumes from its last checkpoint's own cursor, 32, and
+// ends at the uninterrupted verdict byte for byte, and opening the log
+// compacts it without the cursor records.
+func TestCursorRecordsLogResumes(t *testing.T) {
+	req := CheckRequest{Program: testProg, Policy: "{2}", Raw: true, Maximal: true, Domain: []int64{0, 1, 2, 3, 4, 5, 6, 7}}
+	ref := storedService(t, t.TempDir(), Config{Runners: 1})
+	rj, err := ref.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := waitJob(t, rj)
+	if want.State != StateDone || want.Result.Sound {
+		t.Fatalf("reference run: %+v", want)
+	}
+
+	dir := t.TempDir()
+	path := filepath.Join(dir, "verdicts.log")
+	if err := copyFile(filepath.Join("testdata", cursorRecordsLog), path); err != nil {
+		t.Fatal(err)
+	}
+	s := storedService(t, dir, Config{Runners: 1, CheckpointEvery: 16})
+	if !s.Stats().Store.Compacted {
+		t.Error("opening the log did not compact it")
+	}
+	compacted, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(compacted, []byte(`"t":"cur"`)) {
+		t.Errorf("compacted log still holds cursor records:\n%s", compacted)
+	}
+	j, err := s.Job("job-1")
+	if err != nil {
+		t.Fatalf("job not resumed: %v", err)
+	}
+	got := waitJob(t, j)
+	if got.State != StateDone {
+		t.Fatalf("resumed job: state %s, error %q", got.State, got.Error)
+	}
+	if j.Total != 64 || got.Progress.Done != 64 {
+		t.Errorf("resumed job progress %+v, want 64/64", got.Progress)
+	}
+	if !reflect.DeepEqual(stripTiming(got.Result), stripTiming(want.Result)) {
+		t.Errorf("resumed verdict differs from uninterrupted run:\n  %+v\nvs\n  %+v",
+			stripTiming(got.Result), stripTiming(want.Result))
+	}
+	td, _ := s.JobTrace(j.ID)
+	var resumed []string
+	for _, e := range td.Events {
+		if e.Name == "resume" {
+			resumed = append(resumed, e.Detail)
+		}
+	}
+	if !reflect.DeepEqual(resumed, []string{"cursor=32"}) {
+		t.Errorf("resume events %q, want [cursor=32]", resumed)
 	}
 }
 

@@ -4,7 +4,8 @@
 // admission control), a content-addressed compile cache so
 // repeated submissions skip parse+instrument+Compile and go straight to
 // the compiled fast path, and a queued → running → done/failed job
-// lifecycle whose progress counter is the sweep engine's chunk cursor.
+// lifecycle whose progress counter advances with each chunk the sweep
+// engine reports.
 // `spm serve` exposes it over HTTP (POST /v2/check, GET /v2/jobs/{id},
 // GET /v2/stats, and the rest of Service.Handler's v2 surface) and
 // `spm loadgen` drives it closed-loop for benchmarks and CI smoke.
@@ -105,10 +106,12 @@ type Config struct {
 	// disables it (every request shares one unlimited lane).
 	Tenant TenantConfig
 	// Throttle, when positive, makes every job's sweep workers pause this
-	// long after each completed chunk (check.WithThrottle). It is a test
-	// hook — `spm serve -throttle` turns one node into a deterministic
-	// straggler so the elastic cluster's shard stealing and speculative
-	// re-dispatch can be exercised; production fleets leave it zero.
+	// long after each completed chunk but the job's last; the pause ends
+	// early when the job is cancelled, and it never changes the verdict.
+	// It is a test hook — `spm serve -throttle` turns one node into a
+	// deterministic straggler so the elastic cluster's shard stealing and
+	// speculative re-dispatch can be exercised; production fleets leave it
+	// zero.
 	Throttle time.Duration
 }
 
@@ -475,8 +478,8 @@ func (s *Service) Stats() Stats {
 // runJob executes one popped job on its runner: one sweep of the
 // compile-cache entry resolved at submission, which decides soundness
 // and, when requested, maximality (check.Run's Maximality kind decides
-// both in its one pass). The job's progress counter is handed to the
-// sweep engine as its chunk cursor, and its context to the engine's
+// both in its one pass). The job's observer advances its progress
+// counter as chunks complete, and its context is the engine's
 // cancellation check — a cancelled job stops within one chunk and the
 // runner moves on to the next job. A job cancelled between pop and start
 // is skipped.
@@ -532,9 +535,7 @@ func (s *Service) check(ctx context.Context, j *Job) (*Result, error) {
 	}
 	opts := []check.Option{
 		check.WithWorkers(s.cfg.SweepWorkers),
-		check.WithProgress(&j.progress),
-		check.WithThrottle(s.cfg.Throttle),
-		check.WithObserver(&jobObserver{m: s.metrics, tr: j.trace}),
+		check.WithObserver(&jobObserver{m: s.metrics, j: j, throttle: s.cfg.Throttle}),
 		check.WithExecTally(s.metrics.exec),
 	}
 

@@ -13,9 +13,12 @@
 //   - Pending jobs: the admission payload plus the latest sweep
 //     checkpoint of a job that was running when the process died. On
 //     restart the server re-enqueues each pending job from its
-//     checkpoint cursor instead of from zero. Checkpoints are written
-//     without fsync (losing one re-sweeps at most a segment); the
-//     terminal ClearPending/PutVerdict pair is fsync'd.
+//     checkpoint cursor instead of from zero. Every record is written to
+//     the log file as it is appended, so a checkpoint survives the
+//     process being killed; checkpoints are not fsync'd, so a power cut
+//     can lose the tail of them, and the job then re-sweeps from the last
+//     one that reached disk. The terminal PutVerdict/ClearPending pair is
+//     fsync'd.
 //
 // The log tolerates a torn tail — a crash mid-write leaves a final
 // partial line, which Open drops — and compacts itself on Open when
@@ -70,9 +73,6 @@ type Pending struct {
 	// Checkpoint is the service's serialized sweep checkpoint — cursor
 	// plus folded partial evidence. Nil until the first checkpoint lands.
 	Checkpoint json.RawMessage `json:"checkpoint,omitempty"`
-	// Cursor mirrors the checkpoint's committed tuple count, kept
-	// separately so progress is readable without decoding the evidence.
-	Cursor int64 `json:"cursor,omitempty"`
 }
 
 // Stats counts what the store has done since Open.
@@ -95,20 +95,20 @@ type Stats struct {
 }
 
 // record is one log line. T selects which of the optional fields are
-// meaningful.
+// meaningful. Replay skips a T it does not know, such as the "cur"
+// cursor records of older logs.
 type record struct {
-	T string `json:"t"` // "verdict" | "pending" | "ckpt" | "cur" | "clear"
+	T string `json:"t"` // "verdict" | "pending" | "ckpt" | "clear"
 
 	// verdict
 	Key     *Key            `json:"key,omitempty"`
 	Verdict json.RawMessage `json:"verdict,omitempty"`
 
-	// pending / ckpt / cur / clear
+	// pending / ckpt / clear
 	ID         string          `json:"id,omitempty"`
 	PKey       *Key            `json:"pkey,omitempty"`
 	Payload    json.RawMessage `json:"payload,omitempty"`
 	Checkpoint json.RawMessage `json:"ckpt,omitempty"`
-	Cursor     int64           `json:"cursor,omitempty"`
 }
 
 // verdictEntry pairs the stored verdict bytes with the structured key,
@@ -123,10 +123,8 @@ type Store struct {
 	mu       sync.Mutex
 	dir      string
 	f        *os.File
-	w        *bufio.Writer
 	verdicts map[string]verdictEntry // Key.ID() → verdict
 	pending  map[string]*Pending     // job ID → pending state
-	records  int                     // log lines appended since Open (live + superseded)
 	stats    Stats
 	closed   bool
 }
@@ -138,7 +136,7 @@ const logName = "verdicts.log"
 
 // compactWasteFactor triggers an Open-time rewrite when the log holds
 // more than this many records per live entry — i.e. superseded
-// checkpoint/cursor lines dominate.
+// checkpoint lines dominate.
 const compactWasteFactor = 4
 
 // Open loads (or creates) the store rooted at dir. The log is replayed
@@ -207,7 +205,6 @@ func Open(dir string) (*Store, error) {
 		}
 	}
 	s.f = f
-	s.w = bufio.NewWriter(f)
 	return s, nil
 }
 
@@ -225,11 +222,6 @@ func (s *Store) apply(r record) {
 	case "ckpt":
 		if p, ok := s.pending[r.ID]; ok {
 			p.Checkpoint = r.Checkpoint
-			p.Cursor = r.Cursor
-		}
-	case "cur":
-		if p, ok := s.pending[r.ID]; ok && r.Cursor > p.Cursor {
-			p.Cursor = r.Cursor
 		}
 	case "clear":
 		delete(s.pending, r.ID)
@@ -265,8 +257,8 @@ func (s *Store) compact(path string) error {
 		p := s.pending[id]
 		pk := p.Key
 		write(record{T: "pending", ID: p.ID, PKey: &pk, Payload: p.Payload})
-		if p.Checkpoint != nil || p.Cursor > 0 {
-			write(record{T: "ckpt", ID: p.ID, Checkpoint: p.Checkpoint, Cursor: p.Cursor})
+		if p.Checkpoint != nil {
+			write(record{T: "ckpt", ID: p.ID, Checkpoint: p.Checkpoint})
 		}
 	}
 	if err == nil {
@@ -290,7 +282,6 @@ func (s *Store) compact(path string) error {
 	if err := syncDir(s.dir); err != nil {
 		return fmt.Errorf("store: compact: %w", err)
 	}
-	s.records = len(s.verdicts) + len(s.pending)
 	return nil
 }
 
@@ -336,8 +327,9 @@ func syncDir(dir string) error {
 	return err
 }
 
-// append writes one record; sync forces it (and everything before it)
-// to stable storage before returning.
+// append writes one record to the log file, so it survives the process
+// being killed once append returns; sync also forces it (and everything
+// before it) to stable storage before returning.
 func (s *Store) append(r record, sync bool) error {
 	if s.closed {
 		return ErrClosed
@@ -347,15 +339,11 @@ func (s *Store) append(r record, sync bool) error {
 		return fmt.Errorf("store: %w", err)
 	}
 	line = append(line, '\n')
-	if _, err := s.w.Write(line); err != nil {
+	if _, err := s.f.Write(line); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	s.records++
 	s.stats.BytesAppended += int64(len(line))
 	if sync {
-		if err := s.w.Flush(); err != nil {
-			return fmt.Errorf("store: %w", err)
-		}
 		if err := s.f.Sync(); err != nil {
 			return fmt.Errorf("store: %w", err)
 		}
@@ -392,8 +380,8 @@ func (s *Store) PutVerdict(key Key, verdict json.RawMessage) error {
 }
 
 // PutPending durably records an admitted-but-unfinished job. Call once
-// at admission; follow with Checkpoint/Cursor as the sweep progresses
-// and ClearPending (or PutVerdict+ClearPending) at completion.
+// at admission; follow with Checkpoint as the sweep progresses and
+// ClearPending (or PutVerdict+ClearPending) at completion.
 func (s *Store) PutPending(p Pending) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -407,39 +395,21 @@ func (s *Store) PutPending(p Pending) error {
 }
 
 // Checkpoint records job id's latest sweep checkpoint (serialized cursor
-// plus folded evidence). Not fsync'd: a crash loses at most the tail
-// checkpoints, and the job resumes from the last one that reached disk.
-func (s *Store) Checkpoint(id string, checkpoint json.RawMessage, cursor int64) error {
+// plus folded evidence). It reaches the log file before Checkpoint
+// returns, so a killed process keeps it, but it is not fsync'd: a power
+// cut loses at most the tail checkpoints, and the job resumes from the
+// last one that reached disk.
+func (s *Store) Checkpoint(id string, checkpoint json.RawMessage) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	p, ok := s.pending[id]
 	if !ok {
 		return fmt.Errorf("store: checkpoint for unknown job %q", id)
 	}
-	if err := s.append(record{T: "ckpt", ID: id, Checkpoint: checkpoint, Cursor: cursor}, false); err != nil {
+	if err := s.append(record{T: "ckpt", ID: id, Checkpoint: checkpoint}, false); err != nil {
 		return err
 	}
 	p.Checkpoint = append(json.RawMessage(nil), checkpoint...)
-	p.Cursor = cursor
-	return nil
-}
-
-// Cursor records job id's fine-grained contiguous sweep prefix — the
-// chunk-level commit between checkpoints. Cheap (no fsync, no evidence);
-// it only narrows the window of work a crash loses to re-sweeping.
-func (s *Store) Cursor(id string, cursor int64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	p, ok := s.pending[id]
-	if !ok {
-		return fmt.Errorf("store: cursor for unknown job %q", id)
-	}
-	if err := s.append(record{T: "cur", ID: id, Cursor: cursor}, false); err != nil {
-		return err
-	}
-	if cursor > p.Cursor {
-		p.Cursor = cursor
-	}
 	return nil
 }
 
@@ -483,15 +453,12 @@ func (s *Store) Stats() Stats {
 	return st
 }
 
-// Sync flushes buffered appends to stable storage.
+// Sync forces every appended record to stable storage.
 func (s *Store) Sync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrClosed
-	}
-	if err := s.w.Flush(); err != nil {
-		return fmt.Errorf("store: %w", err)
 	}
 	if err := s.f.Sync(); err != nil {
 		return fmt.Errorf("store: %w", err)
@@ -499,7 +466,7 @@ func (s *Store) Sync() error {
 	return nil
 }
 
-// Close flushes and closes the log. The store is unusable afterwards.
+// Close syncs and closes the log. The store is unusable afterwards.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -507,10 +474,7 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
-	err := s.w.Flush()
-	if serr := s.f.Sync(); err == nil {
-		err = serr
-	}
+	err := s.f.Sync()
 	if cerr := s.f.Close(); err == nil {
 		err = cerr
 	}

@@ -2,6 +2,7 @@ package store
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -70,22 +71,16 @@ func TestPendingLifecycle(t *testing.T) {
 	if err := s.PutPending(p); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Cursor("job-3", 40); err != nil {
+	if err := s.Checkpoint("job-3", json.RawMessage(`{"cursor":32,"partial":{"kind":"soundness"}}`)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Checkpoint("job-3", json.RawMessage(`{"cursor":64,"partial":{"kind":"soundness"}}`), 64); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Cursor("job-3", 80); err != nil {
+	if err := s.Checkpoint("job-3", json.RawMessage(`{"cursor":64,"partial":{"kind":"soundness"}}`)); err != nil {
 		t.Fatal(err)
 	}
 
 	// Unknown-job checkpoints are errors — they'd otherwise be silently lost.
-	if err := s.Checkpoint("job-99", nil, 1); err == nil {
+	if err := s.Checkpoint("job-99", nil); err == nil {
 		t.Error("Checkpoint for unknown job succeeded")
-	}
-	if err := s.Cursor("job-99", 1); err == nil {
-		t.Error("Cursor for unknown job succeeded")
 	}
 
 	// Simulate a crash: reopen without ClearPending.
@@ -98,9 +93,6 @@ func TestPendingLifecycle(t *testing.T) {
 	got := jobs[0]
 	if got.ID != "job-3" || got.Key != p.Key || string(got.Payload) != string(p.Payload) {
 		t.Errorf("recovered pending = %+v, want %+v", got, p)
-	}
-	if got.Cursor != 80 {
-		t.Errorf("recovered cursor = %d, want 80 (fine cursor past last checkpoint)", got.Cursor)
 	}
 	var ck struct{ Cursor int64 }
 	if err := json.Unmarshal(got.Checkpoint, &ck); err != nil || ck.Cursor != 64 {
@@ -165,9 +157,9 @@ func TestCompaction(t *testing.T) {
 	if err := s.PutPending(p); err != nil {
 		t.Fatal(err)
 	}
-	// Flood the log with superseded cursor records.
-	for i := int64(1); i <= 200; i++ {
-		if err := s.Cursor("job-1", i*8); err != nil {
+	// Flood the log with superseded checkpoint records.
+	for i := 1; i <= 200; i++ {
+		if err := s.Checkpoint("job-1", json.RawMessage(fmt.Sprintf(`{"cursor":%d}`, i*8))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -182,7 +174,7 @@ func TestCompaction(t *testing.T) {
 	}
 	s2 := open(t, dir)
 	if st := s2.Stats(); !st.Compacted {
-		t.Fatal("cursor-flooded log not compacted on open")
+		t.Fatal("checkpoint-flooded log not compacted on open")
 	}
 	after, err := os.Stat(filepath.Join(dir, logName))
 	if err != nil {
@@ -196,8 +188,28 @@ func TestCompaction(t *testing.T) {
 		t.Fatal("verdict lost in compaction")
 	}
 	jobs := s2.PendingJobs()
-	if len(jobs) != 1 || jobs[0].ID != "job-1" || jobs[0].Cursor != 1600 {
+	if len(jobs) != 1 || jobs[0].ID != "job-1" || string(jobs[0].Checkpoint) != `{"cursor":1600}` {
 		t.Fatalf("pending state after compaction = %+v", jobs)
+	}
+}
+
+// TestCheckpointSurvivesKill appends a checkpoint and then opens the log
+// a second time while the first store is still open — what a restart
+// after kill -9 sees, since no Close or Sync ran. The checkpoint must be
+// there: a killed process keeps every record written before it died.
+func TestCheckpointSurvivesKill(t *testing.T) {
+	dir := t.TempDir()
+	s := open(t, dir)
+	if err := s.PutPending(Pending{ID: "job-1", Key: key(6)}); err != nil {
+		t.Fatal(err)
+	}
+	ck := json.RawMessage(`{"cursor":64}`)
+	if err := s.Checkpoint("job-1", ck); err != nil {
+		t.Fatal(err)
+	}
+	jobs := open(t, dir).PendingJobs()
+	if len(jobs) != 1 || string(jobs[0].Checkpoint) != string(ck) {
+		t.Fatalf("pending state seen by a restart = %+v, want the checkpoint %s", jobs, ck)
 	}
 }
 

@@ -209,3 +209,16 @@ func TestLendingCancelBoundedByChunk(t *testing.T) {
 		t.Fatalf("%d sweep workers still counted after a cancelled run", n)
 	}
 }
+
+// Grid3 builds a k-position domain where position i ranges over 0..ns[i]-1.
+func Grid3(ns ...int) [][]int64 {
+	out := make([][]int64, len(ns))
+	for i, n := range ns {
+		vs := make([]int64, n)
+		for j := range vs {
+			vs[j] = int64(j)
+		}
+		out[i] = vs
+	}
+	return out
+}

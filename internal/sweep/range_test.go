@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"sync"
-	"sync/atomic"
 	"testing"
 )
 
@@ -91,13 +90,13 @@ func TestRunRangeShardsPartition(t *testing.T) {
 }
 
 func TestRunRangeProgressCountsSpan(t *testing.T) {
-	var progress atomic.Int64
-	got := collectRange(t, rangeValues, Config{Workers: 3, Chunk: 4, Offset: 5, Count: 21, Progress: &progress})
+	obs := &countObserver{}
+	got := collectRange(t, rangeValues, Config{Workers: 3, Chunk: 4, Offset: 5, Count: 21, Observer: obs})
 	if len(got) != 21 {
 		t.Fatalf("visited %d tuples, want 21", len(got))
 	}
-	if progress.Load() != 21 {
-		t.Fatalf("progress = %d, want 21", progress.Load())
+	if obs.tuples.Load() != 21 {
+		t.Fatalf("progress = %d, want 21", obs.tuples.Load())
 	}
 }
 

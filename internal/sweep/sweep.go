@@ -55,9 +55,11 @@ const DefaultChunk = 1024
 // seam the policy-checking service hangs chunk counters, chunk-duration
 // histograms, and per-job trace events on. Implementations must be safe
 // for concurrent use: with multiple workers, ChunkDone is called from
-// every worker goroutine. A nil Config.Observer costs one predictable
-// branch per chunk, so library callers and benchmarks that don't
-// observe pay effectively nothing.
+// every worker goroutine, before that worker claims its next chunk, so
+// an observer that pauses holds back that worker only (the service's
+// throttle paces a node this way). A nil Config.Observer costs one
+// predictable branch per chunk, so library callers and benchmarks that
+// don't observe pay effectively nothing.
 type Observer interface {
 	// ChunkDone reports one completed chunk: the worker that ran it,
 	// the number of tuples it covered, and how long it took.
@@ -74,8 +76,8 @@ type Config struct {
 	// runs more than GOMAXPROCS.
 	Workers int
 	// Chunk is the number of tuples a worker claims at a time, the grain
-	// of stealing, cancellation, progress and commits; ≤ 0 picks a size
-	// that gives every worker several chunks.
+	// of stealing, cancellation and observation; ≤ 0 picks a size that
+	// gives every worker several chunks.
 	Chunk int
 	// Offset restricts the run to the suffix of the mixed-radix index
 	// space starting at this product index — the shard primitive behind
@@ -86,32 +88,10 @@ type Config struct {
 	// the run covers [Offset, Offset+Count), clamped to the product size.
 	// 0 means "through the end"; negative is an error.
 	Count int
-	// Progress, when non-nil, is atomically advanced by the number of
-	// tuples visited as each chunk completes. Long-running sweeps (the
-	// policy-checking service's job lifecycle) read it to report progress
-	// without adding per-tuple overhead; granularity is one chunk.
-	Progress *atomic.Int64
-	// Commit, when non-nil, is called as the contiguous completed prefix
-	// of the run's range grows: once every chunk before index n (relative
-	// to the range start) has completed, Commit(n) fires. Unlike Progress
-	// — which counts completed chunks in any order — the committed prefix
-	// is a resumption point: every tuple below it has been visited, so a
-	// checkpointing caller (the persistent verdict store's crash-resume
-	// cursor) can durably record it. Calls are serialized and strictly
-	// monotone; granularity is one chunk.
-	Commit func(done int)
-	// Throttle, when positive, makes every worker sleep this long after
-	// each completed chunk — an artificial slow-down hook for straggler
-	// testing (a deliberately throttled `spm serve` node lets the elastic
-	// cluster's steal/speculate paths be exercised deterministically). It
-	// never changes which tuples are visited, only how fast; cancellation
-	// still lands within one chunk because the sleep itself observes ctx.
-	Throttle time.Duration
 	// Observer, when non-nil, receives a ChunkDone callback for every
-	// completed chunk (see Observer). Like Progress, it adds no
-	// per-tuple overhead; unlike Progress it also carries the chunk's
-	// wall-clock duration, the raw material for chunk-latency
-	// histograms.
+	// completed chunk (see Observer): the one per-chunk hook, behind job
+	// progress, pacing, chunk counters and chunk-latency histograms. It
+	// adds no per-tuple overhead.
 	Observer Observer
 }
 
@@ -246,8 +226,8 @@ type BatchFunc func(worker int, input []int64, last []int64, carry int) error
 // flight may still be visited) and is returned. Workers observe ctx
 // between chunks, so after ctx is cancelled every worker stops within one
 // chunk of tuples and RunBatchContext returns ctx's error. A cancelled
-// sweep has visited a subset of the range; cfg.Progress reflects exactly
-// the tuples whose chunks completed. fn errors take precedence over
+// sweep has visited a subset of the range; cfg.Observer has seen exactly
+// the chunks that completed. fn errors take precedence over
 // cancellation, and a cancellation that loses the race with the final
 // chunks — every tuple visited — reports success rather than discarding a
 // complete enumeration.
@@ -272,16 +252,8 @@ func RunBatchContext(ctx context.Context, values [][]int64, cfg Config, width in
 	}
 	if len(values) == 0 {
 		err := fn(0, nil, nil, 0)
-		if err == nil {
-			if cfg.Observer != nil {
-				cfg.Observer.ChunkDone(0, 1, 0)
-			}
-			if cfg.Progress != nil {
-				cfg.Progress.Add(1)
-			}
-			if cfg.Commit != nil {
-				cfg.Commit(1)
-			}
+		if err == nil && cfg.Observer != nil {
+			cfg.Observer.ChunkDone(0, 1, 0)
 		}
 		return err
 	}
@@ -293,13 +265,9 @@ func RunBatchContext(ctx context.Context, values [][]int64, cfg Config, width in
 		lend:   cfg.Workers <= 0,
 		start:  time.Now(),
 		procs:  int64(runtime.GOMAXPROCS(0)),
-		lo:     lo,
 		span:   span,
 	}
 	r.cfg = cfg.normalized(span)
-	if cfg.Commit != nil {
-		r.commits = newCommitTracker(cfg.Commit)
-	}
 	r.ranges = make([]chunkRange, r.cfg.Workers)
 	r.owned = make([]bool, r.cfg.Workers)
 	r.errs = make([]error, r.cfg.Workers)
@@ -361,7 +329,6 @@ type batchRun struct {
 	lend   bool
 	start  time.Time
 	procs  int64 // GOMAXPROCS when the run started
-	lo     int
 	span   int
 
 	mu     sync.Mutex
@@ -371,7 +338,6 @@ type batchRun struct {
 	wg      sync.WaitGroup
 	stop    atomic.Bool
 	visited atomic.Int64
-	commits *commitTracker
 	errs    []error
 }
 
@@ -396,13 +362,7 @@ func (r *batchRun) work(w int) (left bool) {
 			r.stop.Store(true)
 			return false
 		}
-		r.progress(start, end)
-		// No nap after the final chunk: a complete enumeration reports
-		// success even if cancellation lands during the pause.
 		if r.visited.Add(int64(end-start)) == int64(r.span) {
-			return false
-		}
-		if throttle(r.ctx, r.cfg.Throttle) != nil {
 			return false
 		}
 	}
@@ -421,15 +381,6 @@ func (r *batchRun) cancelled() bool {
 
 func (r *batchRun) chunk(start, end, worker int) error {
 	return runChunkBatch(r.values, start, end, worker, r.width, r.fn)
-}
-
-func (r *batchRun) progress(start, end int) {
-	if r.cfg.Progress != nil {
-		r.cfg.Progress.Add(int64(end - start))
-	}
-	if r.commits != nil {
-		r.commits.done(start-r.lo, end-r.lo)
-	}
 }
 
 // join starts a helper on a free worker index, with what that index left
@@ -559,55 +510,6 @@ func runObserved(chunk func(start, end, worker int) error, start, end, worker in
 		obs.ChunkDone(worker, end-start, time.Since(t0))
 	}
 	return err
-}
-
-// throttle sleeps for d after a completed chunk, returning early with
-// ctx's error if the caller is cancelled mid-sleep. d ≤ 0 is free.
-func throttle(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
-}
-
-// commitTracker turns out-of-order chunk completions into the monotone
-// contiguous-prefix commits of Config.Commit. Chunks complete in any order
-// across workers, so a completed chunk either extends the prefix directly
-// or parks (by its range-relative start) until every chunk before it lands.
-type commitTracker struct {
-	mu      sync.Mutex
-	next    int         // range-relative index the prefix has reached
-	pending map[int]int // completed chunks ahead of the prefix: start → end
-	fn      func(done int)
-}
-
-func newCommitTracker(fn func(done int)) *commitTracker {
-	return &commitTracker{pending: make(map[int]int), fn: fn}
-}
-
-// done records the completion of the range-relative chunk [start, end),
-// invoking fn (under the tracker's lock, so calls are serialized and
-// monotone) whenever the contiguous prefix advances.
-func (t *commitTracker) done(start, end int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if start != t.next {
-		t.pending[start] = end
-		return
-	}
-	t.next = end
-	for e, ok := t.pending[t.next]; ok; e, ok = t.pending[t.next] {
-		delete(t.pending, t.next)
-		t.next = e
-	}
-	t.fn(t.next)
 }
 
 // runChunkBatch visits product indices [start, end): one mixed-radix

@@ -258,12 +258,12 @@ func TestRunProgressReachesSize(t *testing.T) {
 	values := [][]int64{{0, 1, 2, 3}, {0, 1, 2}, {0, 1, 2, 3, 4}}
 	want := int64(4 * 3 * 5)
 	for _, workers := range []int{1, 3, 8} {
-		var progress atomic.Int64
-		cfg := Config{Workers: workers, Chunk: 7, Progress: &progress}
+		obs := &countObserver{}
+		cfg := Config{Workers: workers, Chunk: 7, Observer: obs}
 		if err := run(context.Background(), values, cfg, func(int, []int64) error { return nil }); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if got := progress.Load(); got != want {
+		if got := obs.tuples.Load(); got != want {
 			t.Errorf("workers=%d: progress = %d, want %d", workers, got, want)
 		}
 	}
@@ -271,11 +271,11 @@ func TestRunProgressReachesSize(t *testing.T) {
 
 func TestRunProgressMonotoneDuringSweep(t *testing.T) {
 	values := [][]int64{{0, 1, 2, 3, 4, 5, 6, 7}, {0, 1, 2, 3, 4, 5, 6, 7}}
-	var progress atomic.Int64
+	obs := &countObserver{}
 	var sawPartial atomic.Bool
-	cfg := Config{Workers: 4, Chunk: 4, Progress: &progress}
+	cfg := Config{Workers: 4, Chunk: 4, Observer: obs}
 	err := run(context.Background(), values, cfg, func(int, []int64) error {
-		if p := progress.Load(); p > 0 && p < 64 {
+		if p := obs.tuples.Load(); p > 0 && p < 64 {
 			sawPartial.Store(true)
 		}
 		return nil
@@ -286,17 +286,17 @@ func TestRunProgressMonotoneDuringSweep(t *testing.T) {
 	if !sawPartial.Load() {
 		t.Log("no partial progress observed (fast machine); counter still correct")
 	}
-	if got := progress.Load(); got != 64 {
+	if got := obs.tuples.Load(); got != 64 {
 		t.Errorf("final progress = %d, want 64", got)
 	}
 }
 
 func TestRunNullaryProgress(t *testing.T) {
-	var progress atomic.Int64
-	if err := run(context.Background(), nil, Config{Progress: &progress}, func(int, []int64) error { return nil }); err != nil {
+	obs := &countObserver{}
+	if err := run(context.Background(), nil, Config{Observer: obs}, func(int, []int64) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if got := progress.Load(); got != 1 {
+	if got := obs.tuples.Load(); got != 1 {
 		t.Errorf("nullary progress = %d, want 1", got)
 	}
 }
@@ -356,6 +356,28 @@ func TestRunContextCancelSingleWorker(t *testing.T) {
 	}
 	if visited != 8 {
 		t.Errorf("visited %d tuples, want exactly the chunk in flight (8)", visited)
+	}
+}
+
+// TestRunContextCancelAfterLastTupleSucceeds pins the completion rule: a
+// cancellation that lands once every tuple has been visited loses the
+// race, and the complete enumeration reports success.
+func TestRunContextCancelAfterLastTupleSucceeds(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	visited := 0
+	err := run(ctx, [][]int64{{0, 1, 2}}, Config{Workers: 1, Chunk: 3}, func(int, []int64) error {
+		visited++
+		if visited == 3 {
+			cancel()
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("complete sweep failed: %v", err)
+	}
+	if visited != 3 {
+		t.Fatalf("visited %d of 3", visited)
 	}
 }
 
