@@ -138,12 +138,41 @@ func TestRunProgressReachesTotal(t *testing.T) {
 	var progress tupleCount
 	if _, err := Run(context.Background(), Spec{
 		Kind: Maximality, Mechanism: m, Program: q, Policy: pol, Domain: dom,
-	}, WithWorkers(2), WithChunk(2), WithObserver(&progress)); err != nil {
+	}, WithObserver(&progress)); err != nil {
 		t.Fatal(err)
 	}
 	// Maximality is one evidence pass: every tuple is counted once.
 	if want := int64(dom.Size()); progress.Load() != want {
 		t.Errorf("progress = %d, want %d (one pass over the domain)", progress.Load(), want)
+	}
+}
+
+// chunkCount is a sweep observer that counts completed chunks and sums
+// their tuples.
+type chunkCount struct{ chunks, tuples atomic.Int64 }
+
+func (c *chunkCount) ChunkDone(_, tuples int, _ time.Duration) {
+	c.chunks.Add(1)
+	c.tuples.Add(int64(tuples))
+}
+
+// TestRunCommitCoversWholeDomainMaximality: the one-pass engine sweeps a
+// whole-domain maximality run once, so at two workers and two-tuple
+// chunks the observer sees every chunk of the domain exactly once and
+// their tuples reach the domain size.
+func TestRunCommitCoversWholeDomainMaximality(t *testing.T) {
+	q, m, pol, dom := fixtures(t)
+	var seen chunkCount
+	if _, err := Run(context.Background(), Spec{
+		Kind: Maximality, Mechanism: m, Program: q, Policy: pol, Domain: dom,
+	}, WithWorkers(2), WithChunk(2), WithObserver(&seen)); err != nil {
+		t.Fatal(err)
+	}
+	if seen.tuples.Load() != int64(dom.Size()) {
+		t.Errorf("observed tuples = %d, want %d", seen.tuples.Load(), dom.Size())
+	}
+	if want := int64((dom.Size() + 1) / 2); seen.chunks.Load() != want {
+		t.Errorf("observed chunks = %d, want %d (one pass of two-tuple chunks)", seen.chunks.Load(), want)
 	}
 }
 
